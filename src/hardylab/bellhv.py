@@ -25,6 +25,9 @@ from .errors import InvalidParameterError, ZeroProbabilityError
 from .qcore import Projector, StateVector
 
 UNIT_TOL = 1e-12
+# Largest scan and Monte Carlo sizes accepted, checked before any work.
+MAX_TRIALS = 1_000_000
+MAX_SAMPLES = 10_000_000
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -224,8 +227,8 @@ def sample_direction(rng: np.random.Generator) -> np.ndarray:
 
 def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     """Seeded random (s, m, n) triples; max discrepancy and a 20-bin histogram."""
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials!r}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
     bins = [0] * 20
     best: ConditionalComparison | None = None
     for i in range(trials):
@@ -266,8 +269,8 @@ def monte_carlo_check(s, m, n, samples: int, seed: int) -> MonteCarloResult:
     sign formula, and the estimate must sit within 5 standard errors of
     the interval-exact conditional.
     """
-    if samples < 100:
-        raise InvalidParameterError(f"samples must be >= 100, got {samples!r}")
+    if not 100 <= samples <= MAX_SAMPLES:
+        raise InvalidParameterError(f"samples must be in [100, {MAX_SAMPLES}], got {samples!r}")
     s = unit_vector(s)
     sm = float(np.dot(s, unit_vector(m)))
     sn = float(np.dot(s, unit_vector(n)))

@@ -8,6 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation error, 3 internal cross-check failure
 (the latter signals an implementation bug, never a physics result).
+Output cut short by a reader that closes the pipe (`| head`) exits 0.
 Output is deterministic: identical argv (and seed) gives byte-identical
 reports.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -28,7 +30,6 @@ from .errors import HardyLabError, InternalConsistencyError, InvalidParameterErr
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     format: str = "json"
     tol: float = 1e-10
     seed: int = 42
@@ -74,10 +75,6 @@ def _parse_vector(text: str) -> np.ndarray:
     return v / norm
 
 
-def _metrics_dict(m: hardy4.HardyMetrics) -> dict:
-    return dataclasses.asdict(m)
-
-
 def _relation_dict(report: gedanken.GedankenReport) -> dict:
     return {
         rid: {"quantum_value": r.quantum_value,
@@ -94,8 +91,7 @@ def _run_gedanken(args, cfg: RunConfig) -> int:
 
 def _run_hardy(args, cfg: RunConfig) -> int:
     if args.optimize:
-        opt = hardy4.optimize_paradox()
-        _emit_json({"alpha_star": opt.alpha_star, "p_max": opt.p_max})
+        _emit_json(dataclasses.asdict(hardy4.optimize_paradox(tol=cfg.tol)))
         return 0
     if args.sweep:
         if args.alpha_min is None or args.alpha_max is None or args.steps is None:
@@ -105,7 +101,7 @@ def _run_hardy(args, cfg: RunConfig) -> int:
             for line in hardy4.sweep_csv_rows(rows):
                 print(line)
         else:
-            _emit_json({"rows": [dict(alpha=a, **_metrics_dict(m)) for a, m in rows]})
+            _emit_json({"rows": [dict(alpha=a, **dataclasses.asdict(m)) for a, m in rows]})
         return 0
     if args.alpha is None:
         raise InvalidParameterError("hardy requires one of --alpha, --sweep, --optimize")
@@ -113,15 +109,14 @@ def _run_hardy(args, cfg: RunConfig) -> int:
     metrics = hardy4.compute_metrics(model)
     closed = hardy4.closed_form_metrics(model.params)
     hardy4.cross_check(metrics, closed, tol=cfg.tol)
-    contradiction = hardy4.disturbance_contradiction(model)
-    cert = hvlogic.check(hvlogic.hardy_system(args.alpha))
+    cert = hvlogic.check(hvlogic.hardy_system(model, metrics))
     _emit_json({
         "alpha": model.params.alpha,
         "beta": model.params.beta,
-        "matrix": _metrics_dict(metrics),
-        "closed_form": _metrics_dict(closed),
+        "matrix": dataclasses.asdict(metrics),
+        "closed_form": dataclasses.asdict(closed),
         "paradox": "present" if cert.status == "paradox" else "absent",
-        "disturbance_contradiction": dataclasses.asdict(contradiction),
+        "disturbance_contradiction": dataclasses.asdict(hardy4.disturbance_contradiction(model)),
     })
     return 0
 
@@ -145,33 +140,19 @@ def _run_bell(args, cfg: RunConfig) -> int:
 def _run_certify(args, cfg: RunConfig) -> int:
     if args.scenario == "gedanken":
         system = hvlogic.gedanken_system()
-    elif args.scenario == "hardy":
-        system = hvlogic.hardy_system(args.alpha)
-    elif args.scenario == "two-step":
-        base = hvlogic.hardy_system(args.alpha)
-        derived = hvlogic.derive_two_step(base)
-        system = hvlogic.ConstraintSystem(
-            variables=base.variables,
-            implications=base.implications + tuple(derived),
-            exclusions=base.exclusions,
-            required_positive=(hvlogic.RequiredEvent(cid="<D1>>0",
-                                                     literals=(("D1", True),)),),
-        )
-        cert = hvlogic.check(system)
+    else:
         model = hardy4.build_model(args.alpha)
-        contradiction = hardy4.disturbance_contradiction(model)
+        system = hvlogic.hardy_system(model, hardy4.compute_metrics(model))
+    if args.scenario == "two-step":
+        system, derived = hvlogic.two_step_system(system)
         _emit_json({
             "scenario": "two-step",
             "system": system.to_dict(),
-            "certificate": cert.to_dict(),
-            "derived_implications": [f"{[hvlogic._fmt_literal(l) for l in d.antecedents]}"
-                                     f" -> {hvlogic._fmt_literal(d.consequent)}"
-                                     for d in derived],
-            "quantum_vs_hv": dataclasses.asdict(contradiction),
+            "certificate": hvlogic.check(system).to_dict(),
+            "derived_implications": [d.to_text() for d in derived],
+            "quantum_vs_hv": dataclasses.asdict(hardy4.disturbance_contradiction(model)),
         })
         return 0
-    else:  # argparse choices prevent this
-        raise InvalidParameterError(f"unknown scenario {args.scenario!r}")
     cert = hvlogic.check(system)
     gray = hvlogic.check(system, order="gray")
     if gray.status != cert.status:
@@ -239,14 +220,31 @@ _RUNNERS = {
 }
 
 
+# Global flags by argparse destination, as error messages name them.
+_GLOBAL_FLAGS = {"tol": "--tol", "format": "--format csv", "seed": "--seed", "eps_cond": "--eps-cond"}
+
+
+def _flags_read(args) -> set[str]:
+    """The global flags the selected command reads; giving any other is an error."""
+    if args.command == "hardy":
+        return {"tol", "format"} if args.sweep and not args.optimize else {"tol"}
+    if args.command == "bell" and args.scan is not None:
+        return {"seed"}
+    if args.command == "bell":
+        return {"eps_cond", "seed"} if args.mc_samples is not None else {"eps_cond"}
+    return set()
+
+
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(command=args.command,
-                        format=getattr(args, "format", "json"),
-                        tol=getattr(args, "tol", 1e-10),
-                        seed=getattr(args, "seed", 42),
-                        eps_cond=getattr(args, "eps_cond", 1e-14))
+        given = {k: v for k, v in vars(args).items() if k in _GLOBAL_FLAGS}
+        cfg = RunConfig(**given)
+        # --format json is what every command emits anyway
+        unread = [_GLOBAL_FLAGS[k] for k, v in given.items()
+                  if k not in _flags_read(args) and v != "json"]
+        if unread:
+            raise InvalidParameterError(f"{', '.join(unread)}: no effect on this {args.command} command")
         return _RUNNERS[args.command](args, cfg)
     except InternalConsistencyError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
@@ -257,7 +255,14 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early; stdout goes to devnull so the exit flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

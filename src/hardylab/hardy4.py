@@ -33,7 +33,10 @@ from .qcore import Projector, StateVector
 # alpha values closer than this to beta are treated as maximally entangled.
 EQUAL_PARAM_TOL = 1e-9
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
+# optimize_paradox checks that <D1D2> is lower this far either side of alpha*.
+OPT_STEP = 1e-3
+# sweep refuses more rows than this before building any.
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,8 @@ def sweep(alpha_min: float, alpha_max: float, steps: int,
         raise InvalidParameterError(
             f"need 0 < alpha_min < alpha_max < 1, got ({alpha_min!r}, {alpha_max!r})"
         )
-    if steps < 2:
-        raise InvalidParameterError(f"steps must be >= 2, got {steps!r}")
+    if not 2 <= steps <= MAX_STEPS:
+        raise InvalidParameterError(f"steps must be in [2, {MAX_STEPS}], got {steps!r}")
     rows = []
     for i in range(steps):
         alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
@@ -211,40 +214,23 @@ def sweep(alpha_min: float, alpha_max: float, steps: int,
     return rows
 
 
-def _p_joint(alpha: float) -> float:
-    model = build_model(alpha)
-    return qcore.born_probability(model.psi, _joint(model.D1, model.D2, "D1D2"))
+def optimize_paradox(tol: float = 1e-10) -> Optimum:
+    """Maximum of the joint paradox probability <D1 D2> over alpha.
 
-
-def optimize_paradox(grid_points: int = 1000, tol: float = 1e-8) -> Optimum:
-    """Maximize the joint paradox probability <D1 D2> over alpha.
-
-    The probability depends on alpha only through t = alpha*beta, which is
-    symmetric under alpha <-> beta; the search is restricted to
-    alpha <= 1/sqrt(2) so the smaller of the two mirror solutions is
-    returned.  Grid scan first, then golden-section refinement.
+    <D1D2> = t^2(1-2t)/(1-t)^2 peaks at t* = (3-sqrt5)/2 with
+    p_max = (5 sqrt5 - 11)/2 (Hardy 1993).  alpha* is the smaller root of
+    alpha beta = t*.  The matrix pipeline must agree with p_max at alpha*
+    within tol and fall below it at alpha* +- OPT_STEP.
     """
-    hi = 1.0 / math.sqrt(2.0)
-    grid = [hi * (i + 1) / (grid_points + 1) for i in range(grid_points)]
-    best_idx = max(range(grid_points), key=lambda i: _p_joint(grid[i]))
-    lo_b = grid[max(best_idx - 1, 0)]
-    hi_b = grid[min(best_idx + 1, grid_points - 1)]
-
-    a, b = lo_b, hi_b
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = _p_joint(c), _p_joint(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = _p_joint(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = _p_joint(d)
-    alpha_star = 0.5 * (a + b)
-    return Optimum(alpha_star=alpha_star, p_max=_p_joint(alpha_star))
+    t_star = (3.0 - math.sqrt(5.0)) / 2.0
+    alpha_star = math.sqrt((1.0 - math.sqrt(1.0 - 4.0 * t_star ** 2)) / 2.0)
+    p_max = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
+    below, at, above = (compute_metrics(build_model(a)).p_joint_D1D2
+                        for a in (alpha_star - OPT_STEP, alpha_star, alpha_star + OPT_STEP))
+    if abs(at - p_max) > tol or not (below < at and above < at):
+        raise InternalConsistencyError(f"matrix <D1D2> at alpha* -h, 0, +h is {below!r}, {at!r}, "
+                                       f"{above!r}; closed-form p_max {p_max!r}")
+    return Optimum(alpha_star=alpha_star, p_max=p_max)
 
 
 CSV_HEADER = ("alpha,beta,p_D1,p_D2_given_D1,p_U2_given_D1,p_U1_given_D2,"

@@ -11,7 +11,6 @@ replayable forced chain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import gedanken, hardy4, qcore
@@ -34,6 +33,10 @@ class Implication:
     cid: str
     antecedents: tuple[Literal, ...]
     consequent: Literal
+
+    def to_text(self) -> str:
+        """`['D1=1'] -> U1=0`: the antecedent literals, then the consequent."""
+        return f"{[_fmt_literal(l) for l in self.antecedents]} -> {_fmt_literal(self.consequent)}"
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,6 @@ class Certificate:
             out["violated_constraint"] = self.violated_constraint
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _assignments(n: int, order: str):
     if order == "index":
@@ -179,31 +179,28 @@ def _forced_chain(system: ConstraintSystem, event: RequiredEvent):
 
 
 def check(system: ConstraintSystem, order: str = "index") -> Certificate:
-    """Exhaustive verdict: is every required-positive event realizable?"""
+    """Is every required-positive event realizable?  Enumerates until each has a witness."""
     names = system.variables
     n = len(names)
     witness: dict[str, dict[str, bool]] = {}
-    any_admissible: dict[str, bool] | None = None
     pending = {ev.cid: ev for ev in system.required_positive}
     for idx in _assignments(n, order):
         assign = {name: bool((idx >> i) & 1) for i, name in enumerate(names)}
         if not _admissible(system, assign):
             continue
-        if any_admissible is None:
-            any_admissible = assign
+        if not system.required_positive:
+            witness["any"] = assign
         for cid in [c for c, ev in pending.items()
                     if all(assign[m] == v for m, v in ev.literals)]:
             witness[cid] = assign
             del pending[cid]
-        if not pending and not system.required_positive:
+        if not pending:
             break
     if pending:
         event = next(iter(pending.values()))
         chain, violated = _forced_chain(system, event)
         return Certificate(status="paradox", failing_event=event.cid,
                            forced_chain=chain, violated_constraint=violated)
-    if not system.required_positive and any_admissible is not None:
-        witness["any"] = any_admissible
     return Certificate(status="satisfiable", witness=witness)
 
 
@@ -211,53 +208,47 @@ def replay(system: ConstraintSystem, cert: Certificate) -> bool:
     """Independently validate a paradox certificate's forced chain.
 
     Each step must be licensed by the named constraint given the
-    literals established so far, and the terminal constraint must be
-    violated by the accumulated assignment.
+    literals established so far (a seed literal by the failing event
+    itself), and the terminal constraint must be violated by the
+    accumulated assignment.
     """
     if cert.status != "paradox":
         return False
     constraints = {c.cid: c for c in system.implications}
     constraints.update({c.cid: c for c in system.exclusions})
-    events = {c.cid: c for c in system.required_positive}
+    event = next((c for c in system.required_positive if c.cid == cert.failing_event), None)
+    if event is None:
+        return False
     known: dict[str, bool] = {}
     for step in cert.forced_chain:
         name, value = step.literal
-        if step.constraint_id in events:
-            ev = events[step.constraint_id]
-            if step.literal not in ev.literals:
-                return False
-        elif step.constraint_id in constraints:
-            imp = constraints[step.constraint_id]
-            if not isinstance(imp, Implication):
-                return False
-            if not all(known.get(a) == v for a, v in imp.antecedents):
-                return False
-            if imp.consequent != step.literal:
+        if step.constraint_id == event.cid:
+            if step.literal not in event.literals:
                 return False
         else:
-            return False
+            imp = constraints.get(step.constraint_id)
+            if not (isinstance(imp, Implication) and imp.consequent == step.literal
+                    and all(known.get(a) == v for a, v in imp.antecedents)):
+                return False
         if name in known and known[name] != value:
             # the chain itself exposes the contradiction
             return cert.violated_constraint == step.constraint_id
         known[name] = value
-    violated = cert.violated_constraint
-    if violated is None:
+    if cert.violated_constraint is None:
         # fallback certificate: verify exhaustively that the event is unrealizable
-        event = events.get(cert.failing_event)
-        if event is None:
-            return False
         n = len(system.variables)
         for idx in range(1 << n):
             assign = {nm: bool((idx >> i) & 1) for i, nm in enumerate(system.variables)}
             if _admissible(system, assign) and all(assign[m] == v for m, v in event.literals):
                 return False
         return True
-    if violated in constraints and isinstance(constraints[violated], Exclusion):
-        return all(known.get(nm) == v for nm, v in constraints[violated].literals)
-    if violated in constraints and isinstance(constraints[violated], Implication):
-        imp = constraints[violated]
-        return (all(known.get(a) == v for a, v in imp.antecedents)
-                and known.get(imp.consequent[0]) is not None)
+    violated = constraints.get(cert.violated_constraint)
+    if isinstance(violated, Exclusion):
+        return all(known.get(nm) == v for nm, v in violated.literals)
+    if isinstance(violated, Implication):
+        # violated only when the consequent is known with the opposite value
+        cn, cv = violated.consequent
+        return all(known.get(a) == v for a, v in violated.antecedents) and known.get(cn) == (not cv)
     return False
 
 
@@ -292,6 +283,22 @@ def derive_two_step(system: ConstraintSystem) -> list[Implication]:
     return derived
 
 
+def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, list[Implication]]:
+    """`base` plus its two-step derivations, requiring only D1=1; also returns the derived.
+
+    Local realism admits D1=1 here: the contradiction is with the quantum
+    P(1-U1|D1) of hardy4.disturbance_contradiction.
+    """
+    derived = derive_two_step(base)
+    system = ConstraintSystem(
+        variables=base.variables,
+        implications=base.implications + tuple(derived),
+        exclusions=base.exclusions,
+        required_positive=(RequiredEvent(cid="<D1>>0", literals=(("D1", True),)),),
+    )
+    return system, derived
+
+
 def _gate(value: float, target: float, cid: str) -> None:
     if abs(value - target) > GATE_TOL:
         raise InvalidParameterError(
@@ -299,21 +306,19 @@ def _gate(value: float, target: float, cid: str) -> None:
         )
 
 
-def hardy_system(alpha: float) -> ConstraintSystem:
-    """Constraint encoding of the two-qubit model at the given alpha.
+def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> ConstraintSystem:
+    """Constraint encoding of the two-qubit model, from the caller's metrics.
 
     Every constraint is inserted only after the corresponding quantum
-    probability is verified to be exactly 0 or 1 (within GATE_TOL); the
-    required-positive joint event is present only when its quantum
-    probability is strictly positive (alpha != beta).
+    probability is verified to be exactly 0 or 1 (within GATE_TOL).  The
+    event <D1D2> > 0 is required exactly when alpha != beta, the rule of
+    hardy4.disturbance_contradiction: t^2(1-2t)/(1-t)^2 is positive there.
     """
-    model = hardy4.build_model(alpha)
-    metrics = hardy4.compute_metrics(model)
     _gate(metrics.p_cond_U2_given_D1, 1.0, "P(U2|D1)=1")
     _gate(metrics.p_cond_U1_given_D2, 1.0, "P(U1|D2)=1")
     _gate(metrics.p_joint_U1U2, 0.0, "<U1U2>=0")
     required = ()
-    if metrics.p_joint_D1D2 > GATE_TOL:
+    if not model.params.maximally_entangled:
         required = (RequiredEvent(cid="<D1D2>>0",
                                   literals=(("D1", True), ("D2", True))),)
     return ConstraintSystem(

@@ -165,7 +165,8 @@ def test_criterion_10_monte_carlo_cross_check():
 
 
 def test_criterion_11_certificates():
-    hardy_sys = hvlogic.hardy_system(0.6)
+    model = hardy4.build_model(0.6)
+    hardy_sys = hvlogic.hardy_system(model, hardy4.compute_metrics(model))
     ged_sys = hvlogic.gedanken_system()
     results = []
     for system in (hardy_sys, ged_sys):

@@ -170,6 +170,10 @@ class TestScan:
         long = bellhv.scan_discrepancy(100, 9)
         assert long.max.discrepancy >= short.max.discrepancy
 
+    def test_trials_above_cap_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            bellhv.scan_discrepancy(bellhv.MAX_TRIALS + 1, 0)
+
     def test_discrepancies_bounded(self):
         result = bellhv.scan_discrepancy(200, 1)
         assert 0.0 <= result.max.discrepancy <= 1.0
@@ -215,3 +219,7 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(InvalidParameterError):
             bellhv.monte_carlo_check(Z_HAT, X_HAT, Z_HAT, 10, 0)
+
+    def test_samples_above_cap_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            bellhv.monte_carlo_check(Z_HAT, X_HAT, Z_HAT, bellhv.MAX_SAMPLES + 1, 0)

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hardylab import cli
+from hardylab import bellhv, cli, hardy4
 
 
 def run_json(capsys, argv):
@@ -36,6 +42,44 @@ class TestHardyCommand:
         assert payload["paradox"] == "absent"
         assert payload["disturbance_contradiction"]["status"] == "no_contradiction"
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-5, math.sqrt(0.5) + 1e-8, math.sqrt(0.5) + 1e-6])
+    def test_paradox_present_off_maximal_entanglement(self, capsys, alpha):
+        code, payload = run_json(capsys, ["hardy", "--alpha", repr(alpha)])
+        assert code == 0
+        assert payload["paradox"] == "present"
+
+    @pytest.mark.parametrize("alpha", [math.sqrt(0.5), math.sqrt(0.5) + 1e-10])
+    def test_paradox_absent_at_maximal_entanglement(self, capsys, alpha):
+        code, payload = run_json(capsys, ["hardy", "--alpha", repr(alpha)])
+        assert code == 0
+        assert payload["paradox"] == "absent"
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(alpha=math.sqrt(0.5) + 2e-9)
+    @example(alpha=math.sqrt(0.5) + 1e-9)
+    def test_paradox_iff_contradiction(self, alpha):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(["hardy", "--alpha", repr(alpha)])
+        # alpha*beta below ~1e-7 leaves <D1> under the conditioning threshold
+        assert code in (0, 2)
+        if code == 0:
+            payload = json.loads(out.getvalue())
+            assert ((payload["paradox"] == "present")
+                    == (payload["disturbance_contradiction"]["status"] == "contradiction"))
+
+    def test_optimize_reads_tol(self, capsys, monkeypatch):
+        seen = []
+        optimize = hardy4.optimize_paradox
+
+        def recorded(tol):
+            seen.append(tol)
+            return optimize(tol=tol)
+        monkeypatch.setattr(hardy4, "optimize_paradox", recorded)
+        assert cli.run(["hardy", "--optimize", "--tol", "1e-9"]) == 0
+        assert seen == [1e-9]
+
     def test_optimize(self, capsys):
         code, payload = run_json(capsys, ["hardy", "--optimize"])
         assert code == 0
@@ -57,6 +101,10 @@ class TestHardyCommand:
 
     def test_sweep_missing_bounds_exit_2(self, capsys):
         assert cli.run(["hardy", "--sweep"]) == 2
+
+    def test_steps_above_cap_exit_2(self, capsys):
+        assert cli.run(["hardy", "--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9",
+                        "--steps", str(hardy4.MAX_STEPS + 1)]) == 2
 
 
 class TestBellCommand:
@@ -89,6 +137,13 @@ class TestBellCommand:
 
     def test_missing_vectors_exit_2(self, capsys):
         assert cli.run(["bell"]) == 2
+
+    def test_scan_above_cap_exit_2(self, capsys):
+        assert cli.run(["bell", "--scan", str(bellhv.MAX_TRIALS + 1)]) == 2
+
+    def test_mc_samples_above_cap_exit_2(self, capsys):
+        assert cli.run(["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1",
+                        "--mc-samples", str(bellhv.MAX_SAMPLES + 1)]) == 2
 
 
 class TestCertifyCommand:
@@ -141,3 +196,54 @@ class TestGlobalFlags:
         cli.run(["bell", "--scan", "50", "--seed", "11"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "1", "gedanken"],
+        ["hardy", "--alpha", "0.6", "--seed", "1"],
+        ["certify", "--scenario", "hardy", "--seed", "1"],
+        ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--seed", "1"],
+        ["--eps-cond", "1e-12", "gedanken"],
+        ["hardy", "--alpha", "0.6", "--eps-cond", "1e-12"],
+        ["certify", "--scenario", "hardy", "--eps-cond", "1e-12"],
+        ["bell", "--scan", "10", "--eps-cond", "1e-12"],
+        ["--tol", "1e-9", "gedanken"],
+        ["bell", "--scan", "10", "--tol", "1e-9"],
+        ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--tol", "1e-9"],
+        ["certify", "--scenario", "gedanken", "--tol", "1e-9"],
+        ["--format", "csv", "gedanken"],
+        ["hardy", "--alpha", "0.6", "--format", "csv"],
+        ["--format", "csv", "hardy", "--optimize"],
+        ["bell", "--scan", "10", "--format", "csv"],
+        ["certify", "--scenario", "gedanken", "--format", "csv"],
+    ], ids=" ".join)
+    def test_unread_flag_exit_2(self, capsys, argv):
+        assert cli.run(argv) == 2
+        assert "no effect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "1e-9", "hardy", "--alpha", "0.6"],
+        ["hardy", "--optimize", "--tol", "1e-9"],
+        ["hardy", "--sweep", "--alpha-min", "0.2", "--alpha-max", "0.8", "--steps", "3",
+         "--format", "csv", "--tol", "1e-9"],
+        ["--seed", "3", "bell", "--scan", "10"],
+        ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--mc-samples", "1000",
+         "--seed", "3", "--eps-cond", "1e-12"],
+        ["--eps-cond", "1e-12", "bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"],
+        ["--format", "json", "certify", "--scenario", "gedanken"],
+    ], ids=" ".join)
+    def test_read_flag_accepted(self, capsys, argv):
+        assert cli.run(argv) == 0
+
+
+def test_closed_pipe_exits_0_without_traceback():
+    # more output than a pipe buffer holds, so the write after the close must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hardylab.cli", "--format", "csv", "hardy", "--sweep",
+         "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"alpha,beta,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err
+    assert err == b""

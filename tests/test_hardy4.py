@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,10 @@ class TestSweep:
         with pytest.raises(InvalidParameterError):
             hardy4.sweep(0.1, 0.9, 1)
 
+    def test_steps_above_cap_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            hardy4.sweep(0.1, 0.9, hardy4.MAX_STEPS + 1)
+
     def test_joint_matches_t_formula(self):
         for alpha, m in hardy4.sweep(0.1, 0.9, 17):
             t = alpha * math.sqrt(1.0 - alpha * alpha)
@@ -171,3 +176,31 @@ class TestOptimizer:
         p = hardy4.compute_metrics(m).p_joint_D1D2
         assert p == pytest.approx(0.0, abs=1e-12)
         assert hardy4.optimize_paradox().p_max > p
+
+    def test_three_model_builds(self, monkeypatch):
+        calls = []
+        build = hardy4.build_model
+
+        def counted(alpha):
+            calls.append(alpha)
+            return build(alpha)
+        monkeypatch.setattr(hardy4, "build_model", counted)
+        opt = hardy4.optimize_paradox()
+        assert len(calls) == 3
+        assert calls[1] == opt.alpha_star
+
+    def test_matrix_pipeline_disagreement_raises(self, monkeypatch):
+        compute = hardy4.compute_metrics
+
+        def shifted(model):
+            m = compute(model)
+            return dataclasses.replace(m, p_joint_D1D2=m.p_joint_D1D2 + 1e-9)
+        monkeypatch.setattr(hardy4, "compute_metrics", shifted)
+        with pytest.raises(InternalConsistencyError):
+            hardy4.optimize_paradox(tol=1e-10)
+
+    def test_flat_neighbourhood_raises(self, monkeypatch):
+        # with no step, the neighbours equal the centre instead of lying below it
+        monkeypatch.setattr(hardy4, "OPT_STEP", 0.0)
+        with pytest.raises(InternalConsistencyError):
+            hardy4.optimize_paradox()

@@ -1,6 +1,9 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab import hardy4, hvlogic
 from hardylab.errors import InvalidParameterError
@@ -26,6 +29,11 @@ def hardy_like_system(required=True):
         exclusions=(Exclusion(cid="<U1U2>=0", literals=(("U1", True), ("U2", True))),),
         required_positive=req,
     )
+
+
+def hardy_system_at(alpha):
+    model = hardy4.build_model(alpha)
+    return hvlogic.hardy_system(model, hardy4.compute_metrics(model))
 
 
 class TestValidation:
@@ -86,6 +94,22 @@ class TestCheck:
         )
         assert check(extra).status == "paradox"
 
+    def test_stops_once_every_event_has_witness(self, monkeypatch):
+        calls = []
+        admissible = hvlogic._admissible
+
+        def counted(system, assign):
+            calls.append(1)
+            return admissible(system, assign)
+        monkeypatch.setattr(hvlogic, "_admissible", counted)
+        names = tuple(f"v{i}" for i in range(16))
+        cert = check(ConstraintSystem(
+            variables=names,
+            required_positive=(RequiredEvent(cid="r", literals=(("v0", True),)),),
+        ))
+        assert len(calls) == 2
+        assert cert.witness == {"r": {name: name == "v0" for name in names}}
+
     def test_satisfiable_witness_realizes_event(self):
         sys_ = ConstraintSystem(
             variables=("A", "B"),
@@ -100,6 +124,42 @@ class TestCheck:
 
 
 class TestReplay:
+    def test_rejects_forged_implication_chain(self):
+        # P(U2|D1)=1 is satisfied, not violated, by the chain D1=1, U2=1
+        sys_ = ConstraintSystem(
+            variables=("D1", "U2"),
+            implications=(Implication(cid="P(U2|D1)=1", antecedents=(("D1", True),),
+                                      consequent=("U2", True)),),
+            required_positive=(RequiredEvent(cid="D1=1", literals=(("D1", True),)),),
+        )
+        assert check(sys_).status == "satisfiable"
+        forged = hvlogic.Certificate(
+            status="paradox",
+            failing_event="D1=1",
+            forced_chain=(hvlogic.ChainStep(literal=("D1", True), constraint_id="D1=1"),
+                          hvlogic.ChainStep(literal=("U2", True), constraint_id="P(U2|D1)=1")),
+            violated_constraint="P(U2|D1)=1",
+        )
+        assert not replay(sys_, forged)
+
+    def test_rejects_chain_seeded_by_another_event(self):
+        # A=1 and B=1 are each realizable; only their conjunction is excluded
+        sys_ = ConstraintSystem(
+            variables=("A", "B"),
+            exclusions=(Exclusion(cid="x", literals=(("A", True), ("B", True))),),
+            required_positive=(RequiredEvent(cid="a", literals=(("A", True),)),
+                               RequiredEvent(cid="b", literals=(("B", True),))),
+        )
+        assert check(sys_).status == "satisfiable"
+        forged = hvlogic.Certificate(
+            status="paradox",
+            failing_event="a",
+            forced_chain=(hvlogic.ChainStep(literal=("A", True), constraint_id="a"),
+                          hvlogic.ChainStep(literal=("B", True), constraint_id="b")),
+            violated_constraint="x",
+        )
+        assert not replay(sys_, forged)
+
     def test_accepts_genuine_certificate(self):
         sys_ = hardy_like_system()
         assert replay(sys_, check(sys_))
@@ -151,7 +211,7 @@ class TestDeriveTwoStep:
         # hv concludes P(1-U1|D1) = 1; the quantum value is c_bar < 1
         model = hardy4.build_model(0.6)
         result = hardy4.disturbance_contradiction(model)
-        derived = derive_two_step(hvlogic.hardy_system(0.6))
+        derived = derive_two_step(hardy_system_at(0.6))
         assert any(d.consequent == ("U1", False) for d in derived)
         assert result.quantum_value < 1.0
         assert result.discrepancy > 0.0
@@ -159,16 +219,16 @@ class TestDeriveTwoStep:
 
 class TestQuantumGatedSystems:
     def test_hardy_system_paradox_at_06(self):
-        assert check(hvlogic.hardy_system(0.6)).status == "paradox"
+        assert check(hardy_system_at(0.6)).status == "paradox"
 
     def test_hardy_system_satisfiable_at_maximal_entanglement(self):
-        sys_ = hvlogic.hardy_system(1.0 / math.sqrt(2.0))
+        sys_ = hardy_system_at(1.0 / math.sqrt(2.0))
         assert sys_.required_positive == ()
         assert check(sys_).status == "satisfiable"
 
     def test_hardy_system_invalid_alpha(self):
         with pytest.raises(InvalidParameterError):
-            hvlogic.hardy_system(1.5)
+            hardy_system_at(1.5)
 
     def test_gedanken_system_paradox_with_expected_chain(self):
         sys_ = hvlogic.gedanken_system()
@@ -193,10 +253,100 @@ class TestQuantumGatedSystems:
         assert check(relaxed).status == "satisfiable"
 
     def test_serialization_round_trip_fields(self):
-        sys_ = hvlogic.hardy_system(0.6)
+        sys_ = hardy_system_at(0.6)
         d = sys_.to_dict()
         assert set(d) == {"variables", "implications", "exclusions", "required_positive"}
         cert = check(sys_)
         cd = cert.to_dict()
         assert cd["status"] == "paradox"
         assert all({"literal", "by"} == set(step) for step in cd["forced_chain"])
+
+
+# ---------------------------------------------------- replay soundness ---
+
+def _holds(assign, literals):
+    return all(assign[name] == value for name, value in literals)
+
+
+def _realizable(system, event_id):
+    """Exhaustive enumeration, independent of hvlogic: can the event occur?"""
+    event = next((e for e in system.required_positive if e.cid == event_id), None)
+    if event is None:
+        return True  # no such event: nothing was refuted
+    for bits in itertools.product((False, True), repeat=len(system.variables)):
+        assign = dict(zip(system.variables, bits))
+        if (_holds(assign, event.literals)
+                and all(not _holds(assign, imp.antecedents) or _holds(assign, (imp.consequent,))
+                        for imp in system.implications)
+                and not any(_holds(assign, exc.literals) for exc in system.exclusions)):
+            return True
+    return False
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 8))
+    names = [f"v{i}" for i in range(n)]
+    literal = st.tuples(st.sampled_from(names), st.booleans())
+    literals = st.lists(literal, min_size=1, max_size=2, unique_by=lambda lit: lit[0]).map(tuple)
+    events = [RequiredEvent(cid=f"e{k}", literals=lits)
+              for k, lits in enumerate(draw(st.lists(literals, min_size=1, max_size=3)))]
+    # antecedents often taken from an event, so that forced chains are not all trivial
+    antecedents = st.one_of(literals, st.sampled_from([(lit,) for ev in events
+                                                       for lit in ev.literals]))
+    implications = [Implication(cid=f"i{k}", antecedents=ant, consequent=cons)
+                    for k, (ant, cons) in enumerate(draw(st.lists(st.tuples(antecedents, literal),
+                                                                  max_size=8)))]
+    exclusions = [Exclusion(cid=f"x{k}", literals=lits)
+                  for k, lits in enumerate(draw(st.lists(literals, max_size=3)))]
+    return ConstraintSystem(variables=tuple(names), implications=tuple(implications),
+                            exclusions=tuple(exclusions), required_positive=tuple(events))
+
+
+@st.composite
+def certificates(draw, system):
+    """A forced chain from one event, then mutated: the forgeries replay must reject."""
+    event = draw(st.sampled_from(system.required_positive))
+    chain, violated = hvlogic._forced_chain(system, event)
+    chain = list(chain)
+    cids = ([c.cid for c in system.implications] + [c.cid for c in system.exclusions]
+            + [c.cid for c in system.required_positive])
+    if draw(st.booleans()):
+        # swap the violated id, half the time for one the chain itself used
+        used = [s.constraint_id for s in chain if s.constraint_id != event.cid]
+        violated = draw(st.sampled_from(used) if used and draw(st.booleans())
+                        else st.sampled_from(cids + [None]))
+    for mutation in draw(st.lists(st.sampled_from(["drop", "cid", "flip"]), max_size=1)):
+        if chain:
+            k = draw(st.integers(0, len(chain) - 1))
+            step = chain[k]
+            if mutation == "drop":
+                del chain[k]
+            elif mutation == "cid":
+                chain[k] = hvlogic.ChainStep(literal=step.literal,
+                                             constraint_id=draw(st.sampled_from(cids)))
+            else:
+                name, value = step.literal
+                chain[k] = hvlogic.ChainStep(literal=(name, not value),
+                                             constraint_id=step.constraint_id)
+    return hvlogic.Certificate(status="paradox", failing_event=event.cid,
+                               forced_chain=tuple(chain), violated_constraint=violated)
+
+
+class TestReplaySoundness:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_accepted_certificate_refutes_its_event(self, data):
+        system = data.draw(systems())
+        cert = data.draw(certificates(system))
+        if replay(system, cert):
+            assert not _realizable(system, cert.failing_event)
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=systems())
+    def test_check_paradox_certificates_replay(self, system):
+        cert = check(system)
+        if cert.status == "paradox":
+            assert not _realizable(system, cert.failing_event)
+            if cert.violated_constraint is not None:
+                assert replay(system, cert)
