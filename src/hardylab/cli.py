@@ -6,6 +6,8 @@ Subcommands:
   bell       d=2 hidden-variables model: single comparison or random scan
   certify    local-realism satisfiability certificates
 
+Each command mode in `_MODES` names its runner, the flags it requires
+and the flags it reads; any other flag given is a validation error.
 Exit codes: 0 success, 2 validation error, 3 internal cross-check failure
 (the latter signals an implementation bug, never a physics result).
 Output cut short by a reader that closes the pipe (`| head`) exits 0.
@@ -57,10 +59,6 @@ def _round15(value):
     return value
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(_round15(payload), indent=2, sort_keys=True))
-
-
 def _parse_vector(text: str) -> np.ndarray:
     try:
         parts = [float(p) for p in text.split(",")]
@@ -75,100 +73,129 @@ def _parse_vector(text: str) -> np.ndarray:
     return v / norm
 
 
-def _relation_dict(report: gedanken.GedankenReport) -> dict:
-    return {
-        rid: {"quantum_value": r.quantum_value,
-              "hv_prediction": r.hv_prediction,
-              "discrepancy": r.discrepancy}
-        for rid, r in report.items()
-    }
+# Each runner returns its payload: a dict emitted as JSON, or a list of CSV lines.
+
+def _run_gedanken(args, cfg: RunConfig) -> dict:
+    return {"relations": {rid: {"quantum_value": r.quantum_value,
+                                "hv_prediction": r.hv_prediction,
+                                "discrepancy": r.discrepancy}
+                          for rid, r in gedanken.full_report().items()}}
 
 
-def _run_gedanken(args, cfg: RunConfig) -> int:
-    _emit_json({"relations": _relation_dict(gedanken.full_report())})
-    return 0
-
-
-def _run_hardy(args, cfg: RunConfig) -> int:
-    if args.optimize:
-        _emit_json(dataclasses.asdict(hardy4.optimize_paradox(tol=cfg.tol)))
-        return 0
-    if args.sweep:
-        if args.alpha_min is None or args.alpha_max is None or args.steps is None:
-            raise InvalidParameterError("--sweep requires --alpha-min, --alpha-max and --steps")
-        rows = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps, tol=cfg.tol)
-        if cfg.format == "csv":
-            for line in hardy4.sweep_csv_rows(rows):
-                print(line)
-        else:
-            _emit_json({"rows": [dict(alpha=a, **dataclasses.asdict(m)) for a, m in rows]})
-        return 0
-    if args.alpha is None:
-        raise InvalidParameterError("hardy requires one of --alpha, --sweep, --optimize")
+def _run_hardy_point(args, cfg: RunConfig) -> dict:
     model = hardy4.build_model(args.alpha)
     metrics = hardy4.compute_metrics(model)
     closed = hardy4.closed_form_metrics(model.params)
     hardy4.cross_check(metrics, closed, tol=cfg.tol)
     cert = hvlogic.check(hvlogic.hardy_system(model, metrics))
-    _emit_json({
+    return {
         "alpha": model.params.alpha,
         "beta": model.params.beta,
         "matrix": dataclasses.asdict(metrics),
         "closed_form": dataclasses.asdict(closed),
         "paradox": "present" if cert.status == "paradox" else "absent",
         "disturbance_contradiction": dataclasses.asdict(hardy4.disturbance_contradiction(model)),
-    })
-    return 0
-
-
-def _run_bell(args, cfg: RunConfig) -> int:
-    if args.scan is not None:
-        result = bellhv.scan_discrepancy(args.scan, cfg.seed)
-        _emit_json({"max": result.max.to_dict(), "histogram": list(result.histogram)})
-        return 0
-    if args.s is None or args.m is None or args.n is None:
-        raise InvalidParameterError("bell requires --s, --m and --n (or --scan N)")
-    s, m, n = map(_parse_vector, (args.s, args.m, args.n))
-    payload = bellhv.compare(s, m, n, eps_cond=cfg.eps_cond).to_dict()
-    if args.mc_samples is not None:
-        mc = bellhv.monte_carlo_check(s, m, n, args.mc_samples, cfg.seed)
-        payload["monte_carlo"] = dataclasses.asdict(mc)
-    _emit_json(payload)
-    return 0
-
-
-def _run_certify(args, cfg: RunConfig) -> int:
-    if args.scenario == "gedanken":
-        system = hvlogic.gedanken_system()
-    else:
-        model = hardy4.build_model(args.alpha)
-        system = hvlogic.hardy_system(model, hardy4.compute_metrics(model))
-    if args.scenario == "two-step":
-        system, derived = hvlogic.two_step_system(system)
-        _emit_json({
-            "scenario": "two-step",
-            "system": system.to_dict(),
-            "certificate": hvlogic.check(system).to_dict(),
-            "derived_implications": [d.to_text() for d in derived],
-            "quantum_vs_hv": dataclasses.asdict(hardy4.disturbance_contradiction(model)),
-        })
-        return 0
-    cert = hvlogic.check(system)
-    gray = hvlogic.check(system, order="gray")
-    if gray.status != cert.status:
-        raise InternalConsistencyError("Gray-code re-enumeration disagrees with index order")
-    payload = {
-        "scenario": args.scenario,
-        "system": system.to_dict(),
-        "certificate": cert.to_dict(),
-        "gray_code_agrees": True,
     }
+
+
+def _run_hardy_sweep(args, cfg: RunConfig) -> dict | list[str]:
+    rows = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps, tol=cfg.tol)
+    if cfg.format == "csv":
+        return hardy4.sweep_csv_rows(rows)
+    return {"rows": [dict(alpha=a, **dataclasses.asdict(m)) for a, m in rows]}
+
+
+def _run_hardy_optimize(args, cfg: RunConfig) -> dict:
+    return dataclasses.asdict(hardy4.optimize_paradox(tol=cfg.tol))
+
+
+def _run_bell_scan(args, cfg: RunConfig) -> dict:
+    result = bellhv.scan_discrepancy(args.scan, cfg.seed)
+    return {"max": result.max.to_dict(), "histogram": list(result.histogram)}
+
+
+def _run_bell_compare(args, cfg: RunConfig) -> dict:
+    s, m, n = map(_parse_vector, (args.s, args.m, args.n))
+    return bellhv.compare(s, m, n, eps_cond=cfg.eps_cond).to_dict()
+
+
+def _run_bell_monte_carlo(args, cfg: RunConfig) -> dict:
+    payload = _run_bell_compare(args, cfg)
+    s, m, n = map(_parse_vector, (args.s, args.m, args.n))
+    payload["monte_carlo"] = dataclasses.asdict(
+        bellhv.monte_carlo_check(s, m, n, args.mc_samples, cfg.seed))
+    return payload
+
+
+def _certified(scenario: str, system: hvlogic.ConstraintSystem) -> dict:
+    """The system and its certificate; a paradox must pass its own replay."""
+    cert = hvlogic.check(system)
+    payload = {"scenario": scenario, "system": system.to_dict(), "certificate": cert.to_dict()}
     if cert.status == "paradox":
         payload["replay_ok"] = hvlogic.replay(system, cert)
         if not payload["replay_ok"]:
             raise InternalConsistencyError("paradox certificate failed its own replay")
-    _emit_json(payload)
-    return 0
+    return payload
+
+
+def _hardy_encoding(args) -> tuple[hardy4.HardyModel, hvlogic.ConstraintSystem]:
+    model = hardy4.build_model(0.6 if args.alpha is None else args.alpha)
+    return model, hvlogic.hardy_system(model, hardy4.compute_metrics(model))
+
+
+def _run_certify_hardy(args, cfg: RunConfig) -> dict:
+    return _certified("hardy", _hardy_encoding(args)[1])
+
+
+def _run_certify_two_step(args, cfg: RunConfig) -> dict:
+    model, base = _hardy_encoding(args)
+    system, derived = hvlogic.two_step_system(base)
+    payload = _certified("two-step", system)
+    payload["derived_implications"] = [d.to_text() for d in derived]
+    payload["quantum_vs_hv"] = dataclasses.asdict(hardy4.disturbance_contradiction(model))
+    return payload
+
+
+def _run_certify_gedanken(args, cfg: RunConfig) -> dict:
+    return _certified("gedanken", hvlogic.gedanken_system())
+
+
+# mode -> (runner, flags it requires, flags it reads), flags by argparse
+# destination.  `--format json` is read by every mode.
+_MODES = {
+    "gedanken": (_run_gedanken, (), ()),
+    "hardy --alpha": (_run_hardy_point, (), ("alpha", "tol")),
+    "hardy --sweep": (_run_hardy_sweep, ("alpha_min", "alpha_max", "steps"),
+                      ("sweep", "alpha_min", "alpha_max", "steps", "tol", "format")),
+    "hardy --optimize": (_run_hardy_optimize, (), ("optimize", "tol")),
+    "bell --scan": (_run_bell_scan, (), ("scan", "seed")),
+    "bell --s/--m/--n": (_run_bell_compare, ("s", "m", "n"), ("s", "m", "n", "eps_cond")),
+    "bell --s/--m/--n --mc-samples": (_run_bell_monte_carlo, ("s", "m", "n"),
+                                      ("s", "m", "n", "mc_samples", "eps_cond", "seed")),
+    "certify --scenario hardy": (_run_certify_hardy, (), ("scenario", "alpha")),
+    "certify --scenario two-step": (_run_certify_two_step, (), ("scenario", "alpha")),
+    "certify --scenario gedanken": (_run_certify_gedanken, (), ("scenario",)),
+}
+
+
+def _mode(args) -> str:
+    """The `_MODES` key argv selects; a second mode selector is left unread."""
+    if args.command == "hardy":
+        mode = ("hardy --optimize" if args.optimize else "hardy --sweep" if args.sweep
+                else "hardy --alpha" if args.alpha is not None else None)
+    elif args.command == "bell":
+        mode = ("bell --scan" if args.scan is not None
+                else "bell --s/--m/--n --mc-samples" if args.mc_samples is not None
+                else "bell --s/--m/--n" if (args.s, args.m, args.n) != (None, None, None)
+                else None)
+    elif args.command == "certify":
+        mode = f"certify --scenario {args.scenario}"
+    else:
+        mode = args.command
+    if mode is None:
+        modes = [m for m in _MODES if m.startswith(f"{args.command} ")]
+        raise InvalidParameterError(f"{args.command} requires a mode: {'; '.join(modes)}")
+    return mode
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,50 +235,35 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="satisfiability certificates", parents=[common])
     certify.add_argument("--scenario", required=True,
                          choices=("hardy", "gedanken", "two-step"))
-    certify.add_argument("--alpha", type=float, default=0.6)
+    certify.add_argument("--alpha", type=float, help="hardy and two-step alpha (default 0.6)")
     return parser
-
-
-_RUNNERS = {
-    "gedanken": _run_gedanken,
-    "hardy": _run_hardy,
-    "bell": _run_bell,
-    "certify": _run_certify,
-}
-
-
-# Global flags by argparse destination, as error messages name them.
-_GLOBAL_FLAGS = {"tol": "--tol", "format": "--format csv", "seed": "--seed", "eps_cond": "--eps-cond"}
-
-
-def _flags_read(args) -> set[str]:
-    """The global flags the selected command reads; giving any other is an error."""
-    if args.command == "hardy":
-        return {"tol", "format"} if args.sweep and not args.optimize else {"tol"}
-    if args.command == "bell" and args.scan is not None:
-        return {"seed"}
-    if args.command == "bell":
-        return {"eps_cond", "seed"} if args.mc_samples is not None else {"eps_cond"}
-    return set()
 
 
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
-        given = {k: v for k, v in vars(args).items() if k in _GLOBAL_FLAGS}
-        cfg = RunConfig(**given)
-        # --format json is what every command emits anyway
-        unread = [_GLOBAL_FLAGS[k] for k, v in given.items()
-                  if k not in _flags_read(args) and v != "json"]
+        cfg = RunConfig(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
+        mode = _mode(args)
+        runner, requires, reads = _MODES[mode]
+        missing = ["--" + k.replace("_", "-") for k in requires if getattr(args, k) is None]
+        if missing:
+            raise InvalidParameterError(f"{mode} requires {', '.join(missing)}")
+        unread = ["--" + k.replace("_", "-") for k, v in vars(args).items()
+                  if k != "command" and k not in reads and v is not None and v is not False
+                  and not (k == "format" and v == "json")]
         if unread:
-            raise InvalidParameterError(f"{', '.join(unread)}: no effect on this {args.command} command")
-        return _RUNNERS[args.command](args, cfg)
+            raise InvalidParameterError(f"{', '.join(unread)}: no effect on {mode}")
+        out = runner(args, cfg)
     except InternalConsistencyError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 3
     except HardyLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(out) if isinstance(out, list)
+          else json.dumps(_round15(out), indent=2, sort_keys=True))
+    return 0
 
 
 def main() -> None:

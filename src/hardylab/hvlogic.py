@@ -5,13 +5,13 @@ over 0/1 hidden-variable assignments: probability-1 conditionals become
 implications, probability-0 joints become exclusions, and strictly
 positive joints become events that must be realized by at least one
 admissible assignment.  Instances are tiny (<= 20 variables), so the
-checker enumerates every assignment and a paradox verdict comes with a
-replayable forced chain.
+checker enumerates assignments until every event has a witness, and a
+paradox verdict comes with a replayable forced chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import gedanken, hardy4, qcore
 from .errors import InvalidParameterError
@@ -122,17 +122,6 @@ class Certificate:
         return out
 
 
-def _assignments(n: int, order: str):
-    if order == "index":
-        for idx in range(1 << n):
-            yield idx
-    elif order == "gray":
-        for idx in range(1 << n):
-            yield idx ^ (idx >> 1)
-    else:
-        raise InvalidParameterError(f"unknown enumeration order {order!r}")
-
-
 def _admissible(system: ConstraintSystem, assign: dict[str, bool]) -> bool:
     for imp in system.implications:
         if all(assign[n] == v for n, v in imp.antecedents):
@@ -178,13 +167,13 @@ def _forced_chain(system: ConstraintSystem, event: RequiredEvent):
     return tuple(chain), None
 
 
-def check(system: ConstraintSystem, order: str = "index") -> Certificate:
-    """Is every required-positive event realizable?  Enumerates until each has a witness."""
+def check(system: ConstraintSystem) -> Certificate:
+    """Is every required-positive event realizable?  Enumerates in index order (bit i is
+    variable i) until each has a witness: the first admissible assignment realizing it."""
     names = system.variables
-    n = len(names)
     witness: dict[str, dict[str, bool]] = {}
     pending = {ev.cid: ev for ev in system.required_positive}
-    for idx in _assignments(n, order):
+    for idx in range(1 << len(names)):
         assign = {name: bool((idx >> i) & 1) for i, name in enumerate(names)}
         if not _admissible(system, assign):
             continue
@@ -236,12 +225,7 @@ def replay(system: ConstraintSystem, cert: Certificate) -> bool:
         known[name] = value
     if cert.violated_constraint is None:
         # fallback certificate: verify exhaustively that the event is unrealizable
-        n = len(system.variables)
-        for idx in range(1 << n):
-            assign = {nm: bool((idx >> i) & 1) for i, nm in enumerate(system.variables)}
-            if _admissible(system, assign) and all(assign[m] == v for m, v in event.literals):
-                return False
-        return True
+        return check(replace(system, required_positive=(event,))).status == "paradox"
     violated = constraints.get(cert.violated_constraint)
     if isinstance(violated, Exclusion):
         return all(known.get(nm) == v for nm, v in violated.literals)

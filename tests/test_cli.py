@@ -152,7 +152,7 @@ class TestCertifyCommand:
         assert code == 0
         assert payload["certificate"]["status"] == "paradox"
         assert payload["replay_ok"] is True
-        assert payload["gray_code_agrees"] is True
+        assert "gray_code_agrees" not in payload
 
     def test_hardy_satisfiable_at_maximal_entanglement(self, capsys):
         code, payload = run_json(capsys, ["certify", "--scenario", "hardy",
@@ -171,6 +171,13 @@ class TestCertifyCommand:
         assert code == 0
         assert payload["certificate"]["status"] == "satisfiable"
         assert payload["quantum_vs_hv"]["discrepancy"] == pytest.approx(0.04 / 0.52, abs=1e-10)
+
+    def test_alpha_defaults_to_06(self, capsys):
+        for scenario in ("hardy", "two-step"):
+            cli.run(["certify", "--scenario", scenario])
+            default = capsys.readouterr().out
+            cli.run(["certify", "--scenario", scenario, "--alpha", "0.6"])
+            assert capsys.readouterr().out == default
 
     def test_unknown_scenario_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -230,9 +237,69 @@ class TestGlobalFlags:
          "--seed", "3", "--eps-cond", "1e-12"],
         ["--eps-cond", "1e-12", "bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"],
         ["--format", "json", "certify", "--scenario", "gedanken"],
+        ["certify", "--scenario", "two-step"],
+        ["certify", "--scenario", "hardy", "--alpha", "0.6"],
     ], ids=" ".join)
     def test_read_flag_accepted(self, capsys, argv):
         assert cli.run(argv) == 0
+
+
+SWEEP = ["--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "3"]
+VECTORS = ["--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"]
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--scenario", "gedanken", "--alpha", "0.3"],
+         "--alpha: no effect on certify --scenario gedanken"),
+        (["hardy", "--optimize", "--alpha", "0.3"], "--alpha: no effect on hardy --optimize"),
+        (["hardy", "--alpha", "0.3", "--steps", "4"], "--steps: no effect on hardy --alpha"),
+        (["bell", "--scan", "3", "--s", "0,0,1", "--mc-samples", "5"],
+         "--s, --mc-samples: no effect on bell --scan"),
+        (["hardy", *SWEEP, "--alpha", "0.3"], "--alpha: no effect on hardy --sweep"),
+        (["hardy", "--alpha", "0.3", "--alpha-min", "0.2"],
+         "--alpha-min: no effect on hardy --alpha"),
+        (["hardy", "--optimize", *SWEEP],
+         "--sweep, --alpha-min, --alpha-max, --steps: no effect on hardy --optimize"),
+        (["bell", *VECTORS, "--scan", "3"], "--s, --m, --n: no effect on bell --scan"),
+        (["bell", "--scan", "3", "--mc-samples", "100"], "--mc-samples: no effect on bell --scan"),
+        (["certify", "--scenario", "gedanken", "--alpha", "0.6"],
+         "--alpha: no effect on certify --scenario gedanken"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_flag_unread_by_mode_exit_2(self, capsys, argv, message):
+        assert cli.run(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, modes", [
+        ("hardy", ["hardy --alpha", "hardy --sweep", "hardy --optimize"]),
+        ("bell", ["bell --scan", "bell --s/--m/--n", "bell --s/--m/--n --mc-samples"]),
+    ])
+    def test_bare_command_names_its_modes(self, capsys, command, modes):
+        assert cli.run([command]) == 2
+        err = capsys.readouterr().err
+        assert all(mode in err for mode in modes)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hardy", "--sweep", "--alpha-min", "0.1"], "hardy --sweep requires --alpha-max, --steps"),
+        (["bell", "--s", "0,0,1"], "bell --s/--m/--n requires --m, --n"),
+        (["bell", "--mc-samples", "5"], "bell --s/--m/--n --mc-samples requires --s, --m, --n"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_missing_required_flag_exit_2(self, capsys, argv, message):
+        assert cli.run(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestAlphaRange:
+    """<D1> = t^2/(1-t), t = alpha*beta, must exceed the 1e-14 conditioning threshold."""
+
+    @pytest.mark.parametrize("command", [["hardy"], ["certify", "--scenario", "hardy"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("alpha, code", [("1e-7", 0), ("9e-8", 2),
+                                             ("0.999999999999995", 2)])
+    def test_conditioning_threshold(self, capsys, command, alpha, code):
+        assert cli.run([*command, "--alpha", alpha]) == code
+        err = capsys.readouterr().err
+        assert ("cannot condition on D(x)1" in err) == (code == 2)
 
 
 def test_closed_pipe_exits_0_without_traceback():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -73,12 +74,6 @@ class TestCheck:
         assert cert.status == "satisfiable"
         # the all-zeros assignment is admissible
         assert not any(cert.witness["any"].values())
-
-    def test_gray_order_agrees(self):
-        sys_ = hardy_like_system()
-        assert check(sys_, order="gray").status == check(sys_, order="index").status
-        sat = hardy_like_system(required=False)
-        assert check(sat, order="gray").status == check(sat, order="index").status
 
     def test_monotonicity_adding_constraints(self):
         """Adding a constraint never turns paradox into satisfiable."""
@@ -350,3 +345,37 @@ class TestReplaySoundness:
             assert not _realizable(system, cert.failing_event)
             if cert.violated_constraint is not None:
                 assert replay(system, cert)
+
+
+def _first_witnesses(system):
+    """Enumeration independent of hvlogic: per event, the lowest-index admissible
+    assignment realizing it (variable i is bit i of the index); `any` with no events."""
+    n = len(system.variables)
+    admissible = []
+    for idx in range(1 << n):
+        assign = {name: bool((idx >> i) & 1) for i, name in enumerate(system.variables)}
+        if (all(not _holds(assign, imp.antecedents) or _holds(assign, (imp.consequent,))
+                for imp in system.implications)
+                and not any(_holds(assign, exc.literals) for exc in system.exclusions)):
+            admissible.append(assign)
+    if not system.required_positive:
+        return {"any": admissible[0]} if admissible else {}
+    return {ev.cid: next((a for a in admissible if _holds(a, ev.literals)), None)
+            for ev in system.required_positive}
+
+
+class TestCheckAgainstEnumeration:
+    @settings(max_examples=300, deadline=None)
+    @given(system=systems(), drop_events=st.booleans())
+    def test_status_failing_event_and_witnesses(self, system, drop_events):
+        if drop_events:
+            system = dataclasses.replace(system, required_positive=())
+        expected = _first_witnesses(system)
+        unrealizable = [cid for cid, w in expected.items() if w is None]
+        cert = check(system)
+        if unrealizable:
+            assert cert.status == "paradox"
+            assert cert.failing_event == unrealizable[0]
+        else:
+            assert cert.status == "satisfiable"
+            assert cert.witness == expected
