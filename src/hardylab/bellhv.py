@@ -25,6 +25,9 @@ from .errors import InvalidParameterError, ZeroProbabilityError
 from .qcore import Projector, StateVector
 
 UNIT_TOL = 1e-12
+# Interval ends are exact to rounding, about 1e-16, so a conditioning set of
+# measure (1 + s.m)/2 at or below this counts as empty, on both sides.
+MIN_MEASURE = 1e-14
 # Largest scan and Monte Carlo sizes accepted, checked before any work.
 MAX_TRIALS = 1_000_000
 MAX_SAMPLES = 10_000_000
@@ -145,15 +148,15 @@ class MonteCarloResult:
     passed: bool  # within 5 standard errors
 
 
-def _sign(x: float) -> float:
-    # sign(0) = +1 convention; differs from the continuum choice only on null sets
-    return 1.0 if x >= 0.0 else -1.0
+def _response(dot: float, lam):
+    """Dichotomic response at hidden variable(s) lam for s.m = dot, sign(0) = +1."""
+    signs = np.where(lam + 0.5 * abs(dot) >= 0.0, 1.0, -1.0)
+    return 0.5 * (1.0 + signs * (1.0 if dot >= 0.0 else -1.0))
 
 
 def response_value(s, m, lam: float) -> float:
     """Pointwise dichotomic response; independent cross-check for the interval form."""
-    sm = float(np.dot(unit_vector(s), unit_vector(m)))
-    return 0.5 * (1.0 + _sign(lam + 0.5 * abs(sm)) * _sign(sm))
+    return float(_response(float(np.dot(unit_vector(s), unit_vector(m))), lam))
 
 
 def hv_response(s, m) -> LambdaSet:
@@ -185,29 +188,28 @@ def state_from_bloch(s) -> StateVector:
     return StateVector.normalize(vecs[:, int(np.argmax(vals))])
 
 
-def classical_conditional(s, m, n, eps_cond: float = qcore.EPS_COND) -> float:
+def classical_conditional(s, m, n) -> float:
     """Bayes rule mu[b & a]/mu[a] over the hidden-variable sets."""
     a = hv_response(s, m)
-    if a.measure <= eps_cond:
-        raise ZeroProbabilityError(
-            f"classical conditioning set for m={list(unit_vector(m))} has measure {a.measure!r}"
-        )
-    b = hv_response(s, n)
-    return b.intersection(a).measure / a.measure
+    if a.measure <= MIN_MEASURE:
+        raise ZeroProbabilityError(f"conditioning set for m={unit_vector(m).tolist()} has hidden-"
+                                   f"variable measure {float(a.measure)!r} <= {MIN_MEASURE!r}")
+    return hv_response(s, n).intersection(a).measure / a.measure
 
 
-def quantum_conditional_qubit(s, m, n, eps_cond: float = qcore.EPS_COND) -> float:
+def quantum_conditional_qubit(s, m, n) -> float:
     """Quantum conditional P(P_n | P_m) on the state with Bloch vector s."""
     psi = state_from_bloch(s)
     return qcore.conditional_probability(psi, projector_from_axis(m, "P_m"),
-                                         projector_from_axis(n, "P_n"),
-                                         eps_cond=eps_cond)
+                                         projector_from_axis(n, "P_n"))
 
 
-def compare(s, m, n, eps_cond: float = qcore.EPS_COND) -> ConditionalComparison:
+def compare(s, m, n) -> ConditionalComparison:
+    # The classical side runs first: its measure check refuses a near-empty
+    # conditioning set before the quantum side divides by it.
+    classical = classical_conditional(s, m, n)
     return ConditionalComparison(
-        quantum=quantum_conditional_qubit(s, m, n, eps_cond=eps_cond),
-        classical=classical_conditional(s, m, n, eps_cond=eps_cond),
+        quantum=quantum_conditional_qubit(s, m, n), classical=classical,
         s=unit_vector(s), m=unit_vector(m), n=unit_vector(n),
     )
 
@@ -253,9 +255,10 @@ def malley_search(m, n, trials: int, seed: int) -> MalleyResult:
     for i in range(trials):
         rng = _trial_rng(seed, i)
         s = sample_direction(rng)
-        if (1.0 + float(np.dot(s, m))) / 2.0 <= qcore.EPS_COND:
-            continue
-        cmp = compare(s, m, n)
+        try:
+            cmp = compare(s, m, n)
+        except ZeroProbabilityError:
+            continue  # s opposite m: nothing to condition on
         worst = max(worst, cmp.discrepancy)
         if cmp.discrepancy > 1e-6:
             return MalleyResult(violating_s=s, discrepancy=cmp.discrepancy)
@@ -271,22 +274,15 @@ def monte_carlo_check(s, m, n, samples: int, seed: int) -> MonteCarloResult:
     """
     if not 100 <= samples <= MAX_SAMPLES:
         raise InvalidParameterError(f"samples must be in [100, {MAX_SAMPLES}], got {samples!r}")
+    exact = classical_conditional(s, m, n)
     s = unit_vector(s)
-    sm = float(np.dot(s, unit_vector(m)))
-    sn = float(np.dot(s, unit_vector(n)))
-    rng = np.random.default_rng(seed)
-    lam = rng.uniform(-0.5, 0.5, size=samples)
-
-    def member(dot: float) -> np.ndarray:
-        signs = np.where(lam + 0.5 * abs(dot) >= 0.0, 1.0, -1.0)
-        return 0.5 * (1.0 + signs * (1.0 if dot >= 0.0 else -1.0)) == 1.0
-
-    in_a = member(sm)
+    lam = np.random.default_rng(seed).uniform(-0.5, 0.5, size=samples)
+    in_a = _response(float(np.dot(s, unit_vector(m))), lam) == 1.0
     n_a = int(np.count_nonzero(in_a))
     if n_a == 0:
         raise ZeroProbabilityError("no Monte Carlo samples fell in the conditioning set")
-    estimate = float(np.count_nonzero(in_a & member(sn))) / n_a
-    exact = classical_conditional(s, m, n)
+    in_b = _response(float(np.dot(s, unit_vector(n))), lam) == 1.0
+    estimate = float(np.count_nonzero(in_a & in_b)) / n_a
     se = math.sqrt(exact * (1.0 - exact) / n_a)
     se_guard = se if se > 0.0 else 1.0 / n_a
     z = (estimate - exact) / se_guard

@@ -33,17 +33,14 @@ from .errors import HardyLabError, InternalConsistencyError, InvalidParameterErr
 @dataclass(frozen=True)
 class RunConfig:
     format: str = "json"
-    tol: float = 1e-10
+    tol: float = hardy4.DEFAULT_TOL
     seed: int = 42
-    eps_cond: float = 1e-14
 
     def __post_init__(self):
         if not (0.0 < self.tol <= 1e-3):
             raise InvalidParameterError(f"--tol must be in (0, 1e-3], got {self.tol!r}")
         if self.seed < 0:
             raise InvalidParameterError(f"--seed must be >= 0, got {self.seed!r}")
-        if self.eps_cond <= 0.0:
-            raise InvalidParameterError(f"--eps-cond must be positive, got {self.eps_cond!r}")
 
 
 def _round15(value):
@@ -116,7 +113,7 @@ def _run_bell_scan(args, cfg: RunConfig) -> dict:
 
 def _run_bell_compare(args, cfg: RunConfig) -> dict:
     s, m, n = map(_parse_vector, (args.s, args.m, args.n))
-    return bellhv.compare(s, m, n, eps_cond=cfg.eps_cond).to_dict()
+    return bellhv.compare(s, m, n).to_dict()
 
 
 def _run_bell_monte_carlo(args, cfg: RunConfig) -> dict:
@@ -169,9 +166,9 @@ _MODES = {
                       ("sweep", "alpha_min", "alpha_max", "steps", "tol", "format")),
     "hardy --optimize": (_run_hardy_optimize, (), ("optimize", "tol")),
     "bell --scan": (_run_bell_scan, (), ("scan", "seed")),
-    "bell --s/--m/--n": (_run_bell_compare, ("s", "m", "n"), ("s", "m", "n", "eps_cond")),
+    "bell --s/--m/--n": (_run_bell_compare, ("s", "m", "n"), ("s", "m", "n")),
     "bell --s/--m/--n --mc-samples": (_run_bell_monte_carlo, ("s", "m", "n"),
-                                      ("s", "m", "n", "mc_samples", "eps_cond", "seed")),
+                                      ("s", "m", "n", "mc_samples", "seed")),
     "certify --scenario hardy": (_run_certify_hardy, (), ("scenario", "alpha")),
     "certify --scenario two-step": (_run_certify_two_step, (), ("scenario", "alpha")),
     "certify --scenario gedanken": (_run_certify_gedanken, (), ("scenario",)),
@@ -204,12 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     # main parser; real defaults are applied in run().
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="cross-check tolerance (default 1e-10)")
+                        help=f"cross-check tolerance (default {hardy4.DEFAULT_TOL:g})")
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--eps-cond", type=float, default=argparse.SUPPRESS,
-                        help="zero-probability conditioning threshold")
 
     parser = argparse.ArgumentParser(prog="hardylab", parents=[common],
                                      description="Hidden-variables vs quantum verification harness")

@@ -33,6 +33,8 @@ from .qcore import Projector, StateVector
 # alpha values closer than this to beta are treated as maximally entangled.
 EQUAL_PARAM_TOL = 1e-9
 
+# Default absolute tolerance of the closed-form cross-checks.
+DEFAULT_TOL = 1e-10
 # optimize_paradox checks that <D1D2> is lower this far either side of alpha*.
 OPT_STEP = 1e-3
 # sweep refuses more rows than this before building any.
@@ -175,7 +177,7 @@ _CHECKED_FIELDS = ("p_D1", "p_cond_U2_given_D1", "p_cond_U1_given_D2",
                    "p_cond_D2_given_D1", "p_joint_U1U2", "p_joint_D1D2", "c_bar")
 
 
-def cross_check(matrix: HardyMetrics, closed: HardyMetrics, tol: float = 1e-10) -> None:
+def cross_check(matrix: HardyMetrics, closed: HardyMetrics, tol: float = DEFAULT_TOL) -> None:
     """Raise if the matrix pipeline disagrees with the closed forms."""
     for name in _CHECKED_FIELDS:
         m, c = getattr(matrix, name), getattr(closed, name)
@@ -196,7 +198,7 @@ def disturbance_contradiction(model: HardyModel) -> ContradictionResult:
 
 
 def sweep(alpha_min: float, alpha_max: float, steps: int,
-          tol: float = 1e-10) -> list[tuple[float, HardyMetrics]]:
+          tol: float = DEFAULT_TOL) -> list[tuple[float, HardyMetrics]]:
     """Uniform alpha grid, endpoints included; every row is cross-checked."""
     if not (0.0 < alpha_min < alpha_max < 1.0):
         raise InvalidParameterError(
@@ -214,7 +216,7 @@ def sweep(alpha_min: float, alpha_max: float, steps: int,
     return rows
 
 
-def optimize_paradox(tol: float = 1e-10) -> Optimum:
+def optimize_paradox(tol: float = DEFAULT_TOL) -> Optimum:
     """Maximum of the joint paradox probability <D1 D2> over alpha.
 
     <D1D2> = t^2(1-2t)/(1-t)^2 peaks at t* = (3-sqrt5)/2 with

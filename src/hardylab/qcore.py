@@ -1,8 +1,9 @@
 """Finite-dimensional complex linear algebra for projective measurement.
 
 States are normalized complex vectors, observables are orthogonal
-projectors, and all statistics go through the Born rule.  Conditional
-measurement (measure A, then B) is computed as <psi|ABA|psi>/<psi|A|psi>,
+projectors, and all statistics go through the Born rule.  Born
+probabilities are squared norms ||A psi||^2; conditional measurement
+(measure A, then B) is <psi|ABA|psi>/<psi|A|psi> = ||BA psi||^2/||A psi||^2,
 i.e. with state reduction included.  Everything is a pure function over
 immutable values.
 """
@@ -10,6 +11,7 @@ immutable values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +27,6 @@ TOL_NORM = 1e-12
 TOL_PROJECTOR = 1e-12
 # Raw Born values outside [-EPS_PROB, 1+EPS_PROB] signal an algebra bug.
 EPS_PROB = 1e-12
-# Conditioning threshold: events below this probability are "impossible".
-EPS_COND = 1e-14
 
 
 @dataclass(frozen=True)
@@ -147,46 +147,47 @@ def _check_dims(*dims: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
 
 
-def _clamp_probability(raw: complex, context: str) -> float:
-    value = raw.real if isinstance(raw, complex) else float(raw)
-    imag = raw.imag if isinstance(raw, complex) else 0.0
-    if abs(imag) > EPS_PROB:
-        raise InternalConsistencyError(f"{context}: non-real probability (imag {imag:.3e})")
+def _clamp_probability(value: float, context: str) -> float:
     if not (-EPS_PROB <= value <= 1.0 + EPS_PROB):
         raise InternalConsistencyError(f"{context}: raw value {value!r} outside [0,1] tolerance band")
     return min(max(value, 0.0), 1.0)
 
 
+def _norm_sq(amplitudes: np.ndarray) -> float:
+    return float(np.vdot(amplitudes, amplitudes).real)
+
+
+def zero_threshold(dim: int) -> float:
+    """(16*dim*eps)^2: ||A psi|| carries an absolute rounding error of order
+    dim*eps (Higham 2002), so a squared norm at or below this counts as zero."""
+    return (16 * dim * sys.float_info.epsilon) ** 2
+
+
+def _nonzero(p_a: float, a: Projector, action: str) -> float:
+    zero = zero_threshold(a.dim)
+    if p_a <= zero:
+        raise ZeroProbabilityError(f"cannot {action} {a.label()}: probability {p_a!r} <= {zero!r}")
+    return p_a
+
+
 def born_probability(psi: StateVector, a: Projector) -> float:
-    """Born rule <psi|A|psi>, clamped to [0,1] after a tolerance check."""
+    """Born rule <psi|A|psi> = ||A psi||^2, clamped to [0,1] after a tolerance check."""
     _check_dims(psi.dim, a.dim)
-    raw = complex(np.vdot(psi.amplitudes, a.matrix @ psi.amplitudes))
-    return _clamp_probability(raw, f"born_probability({a.label()})")
+    return _clamp_probability(_norm_sq(a.matrix @ psi.amplitudes),
+                              f"born_probability({a.label()})")
 
 
-def conditional_probability(psi: StateVector, a: Projector, b: Projector,
-                            eps_cond: float = EPS_COND) -> float:
-    """P(B|A) = <psi|ABA|psi> / <psi|A|psi>: measure A first, then B."""
+def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> float:
+    """P(B|A) = ||B A psi||^2 / ||A psi||^2: measure A first, then B."""
     _check_dims(psi.dim, a.dim, b.dim)
-    p_a = born_probability(psi, a)
-    if p_a <= eps_cond:
-        raise ZeroProbabilityError(
-            f"cannot condition on {a.label()}: probability {p_a!r} <= {eps_cond!r}"
-        )
-    reduced = a.matrix @ psi.amplitudes
-    raw = complex(np.vdot(reduced, b.matrix @ reduced)) / p_a
-    return _clamp_probability(raw, f"conditional_probability({b.label()}|{a.label()})")
+    p_a = _nonzero(born_probability(psi, a), a, "condition on")
+    return _clamp_probability(_norm_sq((b.matrix @ a.matrix) @ psi.amplitudes) / p_a,
+                              f"conditional_probability({b.label()}|{a.label()})")
 
 
-def post_measurement_state(psi: StateVector, a: Projector,
-                           eps_cond: float = EPS_COND) -> StateVector:
+def post_measurement_state(psi: StateVector, a: Projector) -> StateVector:
     """Reduced state A|psi>/||A|psi>|| after observing A."""
-    _check_dims(psi.dim, a.dim)
-    p_a = born_probability(psi, a)
-    if p_a <= eps_cond:
-        raise ZeroProbabilityError(
-            f"cannot project onto {a.label()}: probability {p_a!r} <= {eps_cond!r}"
-        )
+    _nonzero(born_probability(psi, a), a, "project onto")
     return StateVector.normalize(a.matrix @ psi.amplitudes)
 
 

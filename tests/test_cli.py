@@ -5,11 +5,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardylab import bellhv, cli, hardy4
+from hardylab import bellhv, cli, hardy4, qcore
 
 
 def run_json(capsys, argv):
@@ -62,7 +63,7 @@ class TestHardyCommand:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.run(["hardy", "--alpha", repr(alpha)])
-        # alpha*beta below ~1e-7 leaves <D1> under the conditioning threshold
+        # alpha*beta below ~1.4e-14 leaves <D1> under qcore.zero_threshold(4)
         assert code in (0, 2)
         if code == 0:
             payload = json.loads(out.getvalue())
@@ -113,6 +114,23 @@ class TestBellCommand:
         assert code == 0
         assert payload["quantum"] == pytest.approx(0.5, abs=1e-12)
         assert payload["classical"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_first_component_needs_equals_form(self, capsys):
+        code, payload = run_json(capsys, ["bell", "--s", "0,0,1", "--m=-1,0,0", "--n", "0,0,1"])
+        assert code == 0
+        assert payload["m"] == [-1.0, 0.0, 0.0]
+        assert payload["quantum"] == pytest.approx(0.5, abs=1e-12)
+        assert payload["classical"] == 1.0
+
+    @pytest.mark.parametrize("mode", [[], ["--mc-samples", "1000"]], ids=" ".join)
+    @pytest.mark.parametrize("m_x", ["3e-8", "6e-8", "1e-7"])
+    def test_near_antiparallel_axis_exit_2(self, capsys, m_x, mode):
+        # (1 + s.m)/2 lies above qcore's rounding threshold but at most bellhv.MIN_MEASURE
+        m = np.array([float(m_x), 0.0, -1.0])
+        measure = (1.0 + float(np.dot(bellhv.Z_HAT, m / np.linalg.norm(m)))) / 2.0
+        assert qcore.zero_threshold(2) < measure <= bellhv.MIN_MEASURE
+        assert cli.run(["bell", "--s", "0,0,1", f"--m={m_x},0,-1", "--n", "1,0,0", *mode]) == 2
+        assert "hidden-variable measure" in capsys.readouterr().err
 
     def test_vectors_normalized(self, capsys):
         code, payload = run_json(capsys, ["bell", "--s", "0,0,9", "--m", "3,0,0", "--n", "0,0,2"])
@@ -209,10 +227,6 @@ class TestGlobalFlags:
         ["hardy", "--alpha", "0.6", "--seed", "1"],
         ["certify", "--scenario", "hardy", "--seed", "1"],
         ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--seed", "1"],
-        ["--eps-cond", "1e-12", "gedanken"],
-        ["hardy", "--alpha", "0.6", "--eps-cond", "1e-12"],
-        ["certify", "--scenario", "hardy", "--eps-cond", "1e-12"],
-        ["bell", "--scan", "10", "--eps-cond", "1e-12"],
         ["--tol", "1e-9", "gedanken"],
         ["bell", "--scan", "10", "--tol", "1e-9"],
         ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--tol", "1e-9"],
@@ -234,14 +248,28 @@ class TestGlobalFlags:
          "--format", "csv", "--tol", "1e-9"],
         ["--seed", "3", "bell", "--scan", "10"],
         ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--mc-samples", "1000",
-         "--seed", "3", "--eps-cond", "1e-12"],
-        ["--eps-cond", "1e-12", "bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"],
+         "--seed", "3"],
         ["--format", "json", "certify", "--scenario", "gedanken"],
         ["certify", "--scenario", "two-step"],
         ["certify", "--scenario", "hardy", "--alpha", "0.6"],
     ], ids=" ".join)
     def test_read_flag_accepted(self, capsys, argv):
         assert cli.run(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--eps-cond", "1e-12", "gedanken"],
+        ["hardy", "--alpha", "0.6", "--eps-cond", "1e-12"],
+        ["certify", "--scenario", "hardy", "--eps-cond", "1e-12"],
+        ["bell", "--scan", "10", "--eps-cond", "1e-12"],
+        ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--mc-samples", "1000",
+         "--seed", "3", "--eps-cond", "1e-12"],
+        ["--eps-cond", "1e-12", "bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"],
+    ], ids=" ".join)
+    def test_eps_cond_rejected(self, capsys, argv):
+        # the zero-probability threshold follows from rounding; there is no flag for it
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run(argv)
+        assert excinfo.value.code == 2
 
 
 SWEEP = ["--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "3"]
@@ -290,16 +318,26 @@ class TestModeTable:
 
 
 class TestAlphaRange:
-    """<D1> = t^2/(1-t), t = alpha*beta, must exceed the 1e-14 conditioning threshold."""
+    """<D1> = t^2/(1-t), t = alpha*beta, must exceed qcore.zero_threshold(4) ~ 2.0e-28."""
 
     @pytest.mark.parametrize("command", [["hardy"], ["certify", "--scenario", "hardy"]],
                              ids=" ".join)
-    @pytest.mark.parametrize("alpha, code", [("1e-7", 0), ("9e-8", 2),
-                                             ("0.999999999999995", 2)])
+    @pytest.mark.parametrize("alpha, code", [("1e-7", 0), ("2e-14", 0),
+                                             ("0.9999999999999999", 0), ("1e-14", 2)])
     def test_conditioning_threshold(self, capsys, command, alpha, code):
         assert cli.run([*command, "--alpha", alpha]) == code
-        err = capsys.readouterr().err
-        assert ("cannot condition on D(x)1" in err) == (code == 2)
+        captured = capsys.readouterr()
+        if code == 2:  # both numbers print as plain floats
+            assert captured.err == ("error: cannot condition on D(x)1: probability "
+                                    f"1.00000000000001e-28 <= {qcore.zero_threshold(4)!r}\n")
+        else:
+            payload = json.loads(captured.out)
+            if command == ["hardy"]:
+                assert payload["paradox"] == "present"
+                for key in ("p_D1", "p_joint_D1D2"):
+                    assert payload["matrix"][key] == payload["closed_form"][key]
+            else:
+                assert payload["certificate"]["status"] == "paradox"
 
 
 def test_closed_pipe_exits_0_without_traceback():

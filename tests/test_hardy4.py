@@ -76,6 +76,19 @@ class TestMetrics:
         hardy4.cross_check(hardy4.compute_metrics(m),
                            hardy4.closed_form_metrics(m.params), tol=1e-10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(exponent=st.floats(min_value=math.log10(2e-14), max_value=-2.0),
+           near_one=st.booleans())
+    def test_p_d1_relative_accuracy_at_the_extremes(self, exponent, near_one):
+        """Matrix <D1> within 1e-13 relative of t^2/(1-t), alpha or 1-alpha in [2e-14, 1e-2].
+
+        The absolute --tol passes any value this small; a relative bound does not.
+        """
+        alpha = 1.0 - 10.0 ** exponent if near_one else 10.0 ** exponent
+        m = hardy4.build_model(alpha)
+        closed = hardy4.closed_form_metrics(m.params).p_D1
+        assert abs(hardy4.compute_metrics(m).p_D1 - closed) <= 1e-13 * closed
+
     @settings(max_examples=40, deadline=None)
     @given(alpha=alphas)
     def test_d1_d2_symmetric(self, alpha):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import qcore
+from hardylab import bellhv, qcore
 from hardylab.errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -114,6 +114,24 @@ class TestConditionalProbability:
         a = Projector.from_ket([0.0, 1.0], name="P_down")
         with pytest.raises(ZeroProbabilityError, match="P_down"):
             qcore.conditional_probability(psi, a, Projector.identity(2))
+
+    def test_zero_threshold_from_rounding(self):
+        assert repr(qcore.zero_threshold(4)) == "2.0194839173657902e-28"
+        assert qcore.zero_threshold(2) == qcore.zero_threshold(4) / 4
+
+    def test_generic_position_zero_is_zero(self):
+        # rounding leaves ||A psi||^2 near 1e-31 here, <psi|A|psi> near 1e-16
+        for seed in range(200):
+            s = bellhv.sample_direction(np.random.default_rng(seed))
+            psi, opposite = bellhv.state_from_bloch(s), bellhv.projector_from_axis(-s)
+            with pytest.raises(ZeroProbabilityError):
+                qcore.conditional_probability(psi, opposite, Projector.identity(2))
+
+    def test_tiny_positive_probability_conditions(self):
+        psi = StateVector.normalize([1.0, 1e-13])
+        a = Projector.from_ket([0.0, 1.0])
+        assert qcore.born_probability(psi, a) == pytest.approx(1e-26, rel=1e-12)
+        assert qcore.conditional_probability(psi, a, a) == 1.0
 
     @settings(max_examples=50)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 5]))
