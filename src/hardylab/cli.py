@@ -112,15 +112,12 @@ def _run_bell_scan(args, cfg: RunConfig) -> dict:
 
 
 def _run_bell_compare(args, cfg: RunConfig) -> dict:
+    """Both `bell --s/--m/--n` modes; `--mc-samples` adds the Monte Carlo check."""
     s, m, n = map(_parse_vector, (args.s, args.m, args.n))
-    return bellhv.compare(s, m, n).to_dict()
-
-
-def _run_bell_monte_carlo(args, cfg: RunConfig) -> dict:
-    payload = _run_bell_compare(args, cfg)
-    s, m, n = map(_parse_vector, (args.s, args.m, args.n))
-    payload["monte_carlo"] = dataclasses.asdict(
-        bellhv.monte_carlo_check(s, m, n, args.mc_samples, cfg.seed))
+    payload = bellhv.compare(s, m, n).to_dict()
+    if args.mc_samples is not None:
+        payload["monte_carlo"] = dataclasses.asdict(
+            bellhv.monte_carlo_check(s, m, n, args.mc_samples, cfg.seed))
     return payload
 
 
@@ -167,7 +164,7 @@ _MODES = {
     "hardy --optimize": (_run_hardy_optimize, (), ("optimize", "tol")),
     "bell --scan": (_run_bell_scan, (), ("scan", "seed")),
     "bell --s/--m/--n": (_run_bell_compare, ("s", "m", "n"), ("s", "m", "n")),
-    "bell --s/--m/--n --mc-samples": (_run_bell_monte_carlo, ("s", "m", "n"),
+    "bell --s/--m/--n --mc-samples": (_run_bell_compare, ("s", "m", "n"),
                                       ("s", "m", "n", "mc_samples", "seed")),
     "certify --scenario hardy": (_run_certify_hardy, (), ("scenario", "alpha")),
     "certify --scenario two-step": (_run_certify_two_step, (), ("scenario", "alpha")),

@@ -51,16 +51,6 @@ class DetectorSet:
 
 
 @dataclass(frozen=True)
-class QubitDetectors:
-    """Single-party 2x2 versions (u/v basis), for rank-1 disturbance metrics."""
-
-    c_inf: Projector
-    d_inf: Projector
-    c_0: Projector
-    d_0: Projector
-
-
-@dataclass(frozen=True)
 class RelationResult:
     """One verified relation: quantum value vs local-realistic prediction."""
 
@@ -110,29 +100,23 @@ def build_detectors() -> DetectorSet:
     )
 
 
-def build_qubit_detectors() -> QubitDetectors:
-    """Single-party detectors on the 2-dim u/v space (identical for both parties)."""
-    return QubitDetectors(
-        c_inf=Projector(_rank1(_U), name="C(inf)"),
-        d_inf=Projector(_rank1(_V), name="D(inf)"),
-        c_0=Projector(_rank1(_C0_KET), name="C(0)"),
-        d_0=Projector(_rank1(_D0_KET), name="D(0)"),
-    )
+STATE = build_state()
+DETECTORS = build_detectors()
 
 
-def verify_base_relations(psi: StateVector | None = None,
-                          det: DetectorSet | None = None) -> GedankenReport:
-    """The four paradox-free relations among the path detectors.
-
-    Quantum and local-realistic readings agree here; paradoxes only
-    arise once the time-0 detectors enter (see verify_chain and the
-    disturbance tests).
-    """
-    psi = psi or build_state()
-    det = det or build_detectors()
+def full_report() -> GedankenReport:
+    """All nine relations, quantum value against local-realistic prediction."""
+    psi, det = STATE, DETECTORS
+    # The four paradox-free relations among the path detectors: quantum and
+    # local-realistic readings agree here; paradoxes only arise once the
+    # time-0 detectors enter.
     joint_cc = Projector(det.c_plus_inf.matrix @ det.c_minus_inf.matrix, name="C+(inf)C-(inf)")
     joint_dd = Projector(det.d_plus_inf.matrix @ det.d_minus_inf.matrix, name="D+(inf)D-(inf)")
     p_dd = qcore.born_probability(psi, joint_dd)
+    # On the electron qubit 1-D(0) = C(0) and 1-D(inf) = C(inf), both rank 1,
+    # so the electron-sector trace Tr (1-D(0))(1-D(inf)) is Tr C(0) C(inf).
+    trace_value = qcore.disturbance_metrics(Projector(_rank1(_C0_KET), name="C(0)"),
+                                            Projector(_rank1(_U), name="C(inf)")).c
     return {
         "joint_Cplus_Cminus": RelationResult(qcore.born_probability(psi, joint_cc), 0.0),
         "P(D-inf|C+inf)": RelationResult(
@@ -140,65 +124,21 @@ def verify_base_relations(psi: StateVector | None = None,
         "P(D+inf|C-inf)": RelationResult(
             qcore.conditional_probability(psi, det.c_minus_inf, det.d_plus_inf), 1.0),
         "joint_Dplus_Dminus": RelationResult(p_dd, p_dd),
-    }
-
-
-def verify_chain(psi: StateVector | None = None,
-                 det: DetectorSet | None = None) -> GedankenReport:
-    """The probability-1 chain: D(0) on one party implies C(inf) on the other."""
-    psi = psi or build_state()
-    det = det or build_detectors()
-    return {
+        # The probability-1 chain: D(0) on one party implies C(inf) on the other.
         "P(C+inf|D-0)": RelationResult(
             qcore.conditional_probability(psi, det.d_minus_0, det.c_plus_inf), 1.0),
         "P(C-inf|D+0)": RelationResult(
             qcore.conditional_probability(psi, det.d_plus_0, det.c_minus_inf), 1.0),
-    }
-
-
-def disturbance_test_direct(psi: StateVector | None = None,
-                            det: DetectorSet | None = None) -> GedankenReport:
-    """Local realism promotes the chain to P(D-(inf)|D-(0)) = 1.
-
-    Quantum mechanically the first measurement disturbs the state and
-    the conditional equals c = Tr D-(0) D-(inf) = 1/2.
-    """
-    psi = psi or build_state()
-    det = det or build_detectors()
-    quantum = qcore.conditional_probability(psi, det.d_minus_0, det.d_minus_inf)
-    return {"P(D-inf|D-0)": RelationResult(quantum, 1.0)}
-
-
-def disturbance_test_complement(psi: StateVector | None = None,
-                                det: DetectorSet | None = None) -> GedankenReport:
-    """Complementary reading: null result of D-(inf) should force a null D-(0).
-
-    Two quantum values are reported: the electron-sector trace
-    Tr (1-D(0))(1-D(inf)) = 1/2, and the conditional on the full 5-dim
-    space (where the gamma channel contributes), 3/4.  Both differ from
-    the local-realistic prediction 1, so the paradox shows either way.
-    """
-    psi = psi or build_state()
-    det = det or build_detectors()
-    qubit = build_qubit_detectors()
-    # On the electron qubit 1-D(0) = C(0) and 1-D(inf) = C(inf), both rank 1,
-    # so the trace value is Tr C(0) C(inf).
-    trace_value = qcore.disturbance_metrics(qubit.c_0, qubit.c_inf).c
-    full_space = qcore.conditional_probability(
-        psi, det.d_minus_inf.complement(), det.d_minus_0.complement())
-    return {
+        # Local realism promotes the chain to P(D-(inf)|D-(0)) = 1; quantum
+        # mechanically the first measurement disturbs the state and the
+        # conditional equals c = Tr D-(0) D-(inf) = 1/2.
+        "P(D-inf|D-0)": RelationResult(
+            qcore.conditional_probability(psi, det.d_minus_0, det.d_minus_inf), 1.0),
+        # Complementary reading: a null D-(inf) should force a null D-(0).  The
+        # electron-sector trace gives 1/2, the conditional on the full 5-dim
+        # space (where the gamma channel contributes) 3/4; both differ from
+        # the local-realistic 1, so the paradox shows either way.
         "complement_electron_trace": RelationResult(trace_value, 1.0),
-        "complement_full_space": RelationResult(full_space, 1.0),
+        "complement_full_space": RelationResult(qcore.conditional_probability(
+            psi, det.d_minus_inf.complement(), det.d_minus_0.complement()), 1.0),
     }
-
-
-def full_report() -> GedankenReport:
-    """All relations from one shared state and detector set."""
-    psi = build_state()
-    det = build_detectors()
-    report: GedankenReport = {}
-    report.update(verify_base_relations(psi, det))
-    report.update(verify_chain(psi, det))
-    report.update(disturbance_test_direct(psi, det))
-    report.update(disturbance_test_complement(psi, det))
-    return report

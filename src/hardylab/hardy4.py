@@ -12,7 +12,9 @@ Closed forms used as cross-checks against the matrix pipeline:
     P(D2|D1)      = (beta-alpha)^2 / ((beta-alpha)^2 + alpha beta)
     P(U2|D1)      = P(U1|D2) = 1
     <U1 U2>       = 0
-    c_bar         = Tr (1-U1) D1 = 1 - P(D2|D1)
+    c_bar         = Tr D (1-U) = alpha beta / ((beta-alpha)^2 + alpha beta)
+                  = 1 - P(D2|D1)
+    [D, U]        = sqrt(P(D2|D1) c_bar)   (max-entry norm)
     <D1 D2>       = t^2 (1-2t) / (1-t)^2   with t = alpha beta
 
 Everything here is real and non-negative by construction; alpha is the
@@ -158,9 +160,9 @@ def closed_form_metrics(params: HardyParams) -> HardyMetrics:
     a, b = params.alpha, params.beta
     t = params.t
     p_d1 = (a * b) ** 2 / (1.0 - t)
-    p_cond = (b - a) ** 2 / ((b - a) ** 2 + a * b)
-    overlap_sq = p_cond  # |<u|d>|^2 happens to equal P(D2|D1)
-    comm = math.sqrt(overlap_sq) * math.sqrt(max(1.0 - overlap_sq, 0.0))
+    p_cond = (b - a) ** 2 / ((b - a) ** 2 + t)
+    # t/((b-a)^2+t), not 1 - p_cond, which cancels to rounding as t -> 0.
+    c_bar = t / ((b - a) ** 2 + t)
     return HardyMetrics(
         p_D1=p_d1,
         p_cond_U2_given_D1=1.0,
@@ -168,13 +170,16 @@ def closed_form_metrics(params: HardyParams) -> HardyMetrics:
         p_cond_D2_given_D1=p_cond,
         p_joint_U1U2=0.0,
         p_joint_D1D2=p_d1 * p_cond,
-        c_bar=1.0 - p_cond,
-        commutator_D1U1=comm,
+        c_bar=c_bar,
+        # |<u|d>|^2 = P(D2|D1), and the commutator of two rank-1 projectors
+        # is |<u|d>| sqrt(1 - |<u|d>|^2).
+        commutator_D1U1=math.sqrt(p_cond * c_bar),
     )
 
 
 _CHECKED_FIELDS = ("p_D1", "p_cond_U2_given_D1", "p_cond_U1_given_D2",
-                   "p_cond_D2_given_D1", "p_joint_U1U2", "p_joint_D1D2", "c_bar")
+                   "p_cond_D2_given_D1", "p_joint_U1U2", "p_joint_D1D2", "c_bar",
+                   "commutator_D1U1")
 
 
 def cross_check(matrix: HardyMetrics, closed: HardyMetrics, tol: float = DEFAULT_TOL) -> None:

@@ -290,6 +290,19 @@ def _gate(value: float, target: float, cid: str) -> None:
         )
 
 
+def _implication(p: float, given: str, then: str) -> Implication:
+    """`given=1 -> then=1`, once P(then|given) is verified to be 1."""
+    cid = f"P({then}|{given})=1"
+    _gate(p, 1.0, cid)
+    return Implication(cid=cid, antecedents=((given, True),), consequent=(then, True))
+
+
+def _exclusion(p: float, cid: str, a: str, b: str) -> Exclusion:
+    """Forbid `a=1 & b=1`, once their joint probability p is verified to be 0."""
+    _gate(p, 0.0, cid)
+    return Exclusion(cid=cid, literals=((a, True), (b, True)))
+
+
 def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> ConstraintSystem:
     """Constraint encoding of the two-qubit model, from the caller's metrics.
 
@@ -298,57 +311,41 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> Cons
     event <D1D2> > 0 is required exactly when alpha != beta, the rule of
     hardy4.disturbance_contradiction: t^2(1-2t)/(1-t)^2 is positive there.
     """
-    _gate(metrics.p_cond_U2_given_D1, 1.0, "P(U2|D1)=1")
-    _gate(metrics.p_cond_U1_given_D2, 1.0, "P(U1|D2)=1")
-    _gate(metrics.p_joint_U1U2, 0.0, "<U1U2>=0")
     required = ()
     if not model.params.maximally_entangled:
         required = (RequiredEvent(cid="<D1D2>>0",
                                   literals=(("D1", True), ("D2", True))),)
     return ConstraintSystem(
         variables=("D1", "D2", "U1", "U2"),
-        implications=(
-            Implication(cid="P(U2|D1)=1", antecedents=(("D1", True),), consequent=("U2", True)),
-            Implication(cid="P(U1|D2)=1", antecedents=(("D2", True),), consequent=("U1", True)),
-        ),
-        exclusions=(Exclusion(cid="<U1U2>=0", literals=(("U1", True), ("U2", True))),),
+        implications=(_implication(metrics.p_cond_U2_given_D1, "D1", "U2"),
+                      _implication(metrics.p_cond_U1_given_D2, "D2", "U1")),
+        exclusions=(_exclusion(metrics.p_joint_U1U2, "<U1U2>=0", "U1", "U2"),),
         required_positive=required,
     )
 
 
 def gedanken_system() -> ConstraintSystem:
-    """Constraint encoding of the thought-experiment detector relations."""
-    psi = gedanken.build_state()
-    det = gedanken.build_detectors()
-    joint_cc = qcore.born_probability(
-        psi, qcore.Projector(det.c_plus_inf.matrix @ det.c_minus_inf.matrix))
-    _gate(joint_cc, 0.0, "<C+inf C-inf>=0")
-    _gate(qcore.conditional_probability(psi, det.c_plus_inf, det.d_minus_inf), 1.0,
-          "P(D-inf|C+inf)=1")
-    _gate(qcore.conditional_probability(psi, det.c_minus_inf, det.d_plus_inf), 1.0,
-          "P(D+inf|C-inf)=1")
-    _gate(qcore.conditional_probability(psi, det.d_minus_0, det.c_plus_inf), 1.0,
-          "P(C+inf|D-0)=1")
-    _gate(qcore.conditional_probability(psi, det.d_plus_0, det.c_minus_inf), 1.0,
-          "P(C-inf|D+0)=1")
+    """Constraint encoding of the thought-experiment detector relations.
+
+    The exclusion and the four implications are gated on the values of
+    gedanken.full_report(); only <D+0 D-0>, which the report does not
+    carry, is computed here.
+    """
+    report = gedanken.full_report()
+    exclusion = _exclusion(report["joint_Cplus_Cminus"].quantum_value,
+                           "<C+inf C-inf>=0", "C+inf", "C-inf")
+    implications = tuple(_implication(report[f"P({then}|{given})"].quantum_value, given, then)
+                         for given, then in (("C+inf", "D-inf"), ("C-inf", "D+inf"),
+                                             ("D-0", "C+inf"), ("D+0", "C-inf")))
+    det = gedanken.DETECTORS
     joint_dd0 = qcore.born_probability(
-        psi, qcore.Projector(det.d_plus_0.matrix @ det.d_minus_0.matrix))
+        gedanken.STATE, qcore.Projector(det.d_plus_0.matrix @ det.d_minus_0.matrix))
     if joint_dd0 <= GATE_TOL:
         raise InvalidParameterError("<D+0 D-0> unexpectedly zero; cannot build required event")
     return ConstraintSystem(
         variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),
-        implications=(
-            Implication(cid="P(D-inf|C+inf)=1", antecedents=(("C+inf", True),),
-                        consequent=("D-inf", True)),
-            Implication(cid="P(D+inf|C-inf)=1", antecedents=(("C-inf", True),),
-                        consequent=("D+inf", True)),
-            Implication(cid="P(C+inf|D-0)=1", antecedents=(("D-0", True),),
-                        consequent=("C+inf", True)),
-            Implication(cid="P(C-inf|D+0)=1", antecedents=(("D+0", True),),
-                        consequent=("C-inf", True)),
-        ),
-        exclusions=(Exclusion(cid="<C+inf C-inf>=0",
-                              literals=(("C+inf", True), ("C-inf", True))),),
+        implications=implications,
+        exclusions=(exclusion,),
         required_positive=(RequiredEvent(cid="<D+0 D-0>>0",
                                          literals=(("D+0", True), ("D-0", True))),),
     )

@@ -64,9 +64,8 @@ def test_criterion_2_gedanken_chain(scenario):
 
 
 def test_criterion_3_complement_test():
-    rep = gedanken.disturbance_test_complement()
-    trace = rep["complement_electron_trace"].quantum_value
-    full = rep["complement_full_space"].quantum_value
+    trace = gedanken.full_report()["complement_electron_trace"].quantum_value
+    full = gedanken.full_report()["complement_full_space"].quantum_value
     ok = (abs(trace - 0.5) <= 1e-12 and abs(full - 0.75) <= 1e-12
           and trace != 1.0 and full != 1.0)
     report(3, f"electron-sector trace {trace}, full-space conditional {full}", ok)
@@ -197,7 +196,7 @@ def test_criterion_11_certificates():
                "unrealizable by an enumeration written in the test", ok)
 
 
-def test_criterion_12_determinism():
+def test_criterion_12_determinism(cli_env):
     commands = [
         ["gedanken"],
         ["hardy", "--alpha", "0.6"],
@@ -213,7 +212,7 @@ def test_criterion_12_determinism():
     ok = True
     for argv in commands:
         runs = [subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
-                               capture_output=True, check=True).stdout
+                               capture_output=True, check=True, env=cli_env).stdout
                 for _ in range(2)]
         if runs[0] != runs[1]:
             ok = False

@@ -143,6 +143,14 @@ class TestBellCommand:
         assert code == 0
         assert payload["monte_carlo"]["passed"] is True
 
+    def test_monte_carlo_parses_each_vector_once(self, capsys, monkeypatch):
+        parsed = []
+        parse = cli._parse_vector
+        monkeypatch.setattr(cli, "_parse_vector", lambda text: parsed.append(text) or parse(text))
+        assert cli.run(["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,1,0",
+                        "--mc-samples", "1000"]) == 0
+        assert parsed == ["0,0,1", "1,0,0", "0,1,0"]
+
     def test_scan(self, capsys):
         code, payload = run_json(capsys, ["bell", "--scan", "100", "--seed", "5"])
         assert code == 0
@@ -340,12 +348,12 @@ class TestAlphaRange:
                 assert payload["certificate"]["status"] == "paradox"
 
 
-def test_closed_pipe_exits_0_without_traceback():
+def test_closed_pipe_exits_0_without_traceback(cli_env):
     # more output than a pipe buffer holds, so the write after the close must fail
     proc = subprocess.Popen(
         [sys.executable, "-m", "hardylab.cli", "--format", "csv", "hardy", "--sweep",
          "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "1000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env)
     assert proc.stdout.readline().startswith(b"alpha,beta,")
     proc.stdout.close()
     err = proc.stderr.read()

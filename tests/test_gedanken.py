@@ -22,6 +22,12 @@ def raw_conditional(psi_vec, a, b):
     return num / den
 
 
+def electron_factor(p):
+    """The 2x2 factor P of an electron detector 1 (x) P: its top-left block on the
+    particle sector [u+u-, u+v-, v+u-, v+v-]."""
+    return qcore.Projector(p.matrix[1:3, 1:3])
+
+
 class TestState:
     def test_normalized(self, psi):
         assert np.vdot(psi.amplitudes, psi.amplitudes).real == pytest.approx(1.0, abs=1e-12)
@@ -64,32 +70,34 @@ class TestDetectors:
             for m in minus:
                 assert qcore.commutator_norm(p, m) <= 1e-12
 
-    def test_qubit_detectors_rank1(self):
-        qd = gedanken.build_qubit_detectors()
-        for p in vars(qd).values():
-            assert p.trace == pytest.approx(1.0, abs=1e-12)
+    def test_qubit_detectors_rank1(self, det):
+        for p in (det.c_minus_inf, det.d_minus_inf, det.c_minus_0, det.d_minus_0):
+            assert electron_factor(p).trace == pytest.approx(1.0, abs=1e-12)
 
-    def test_qubit_disturbance_half(self):
-        qd = gedanken.build_qubit_detectors()
-        assert qcore.disturbance_metrics(qd.d_0, qd.d_inf).c == pytest.approx(0.5, abs=1e-12)
+    def test_qubit_disturbance_half(self, det):
+        d_0, d_inf = electron_factor(det.d_minus_0), electron_factor(det.d_minus_inf)
+        assert qcore.disturbance_metrics(d_0, d_inf).c == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBaseRelations:
     def test_values(self):
-        rep = gedanken.verify_base_relations()
+        rep = gedanken.full_report()
         assert rep["joint_Cplus_Cminus"].quantum_value == pytest.approx(0.0, abs=1e-12)
         assert rep["P(D-inf|C+inf)"].quantum_value == pytest.approx(1.0, abs=1e-12)
         assert rep["P(D+inf|C-inf)"].quantum_value == pytest.approx(1.0, abs=1e-12)
         assert rep["joint_Dplus_Dminus"].quantum_value == pytest.approx(0.25, abs=1e-12)
 
     def test_no_discrepancy(self):
-        for r in gedanken.verify_base_relations().values():
+        rep = gedanken.full_report()
+        for key in ("joint_Cplus_Cminus", "P(D-inf|C+inf)", "P(D+inf|C-inf)",
+                    "joint_Dplus_Dminus"):
+            r = rep[key]
             assert r.discrepancy <= 1e-12
 
 
 class TestChain:
     def test_conditionals_are_one(self):
-        rep = gedanken.verify_chain()
+        rep = gedanken.full_report()
         assert rep["P(C+inf|D-0)"].quantum_value == pytest.approx(1.0, abs=1e-12)
         assert rep["P(C-inf|D+0)"].quantum_value == pytest.approx(1.0, abs=1e-12)
 
@@ -99,7 +107,7 @@ class TestChain:
 
 class TestDisturbance:
     def test_direct(self, psi, det):
-        rep = gedanken.disturbance_test_direct()
+        rep = gedanken.full_report()
         r = rep["P(D-inf|D-0)"]
         assert r.quantum_value == pytest.approx(0.5, abs=1e-12)
         assert r.hv_prediction == 1.0
@@ -109,10 +117,10 @@ class TestDisturbance:
         assert r.quantum_value == pytest.approx(oracle, abs=1e-12)
 
     def test_complement(self, psi, det):
-        rep = gedanken.disturbance_test_complement()
+        rep = gedanken.full_report()
         assert rep["complement_electron_trace"].quantum_value == pytest.approx(0.5, abs=1e-12)
         assert rep["complement_full_space"].quantum_value == pytest.approx(0.75, abs=1e-12)
-        for r in rep.values():
+        for r in (rep["complement_electron_trace"], rep["complement_full_space"]):
             assert r.hv_prediction == 1.0
             assert r.quantum_value < 1.0
         eye = np.eye(5)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,28 @@ class TestMetrics:
         m = hardy4.build_model(alpha)
         closed = hardy4.closed_form_metrics(m.params).p_D1
         assert abs(hardy4.compute_metrics(m).p_D1 - closed) <= 1e-13 * closed
+
+    def test_c_bar_and_commutator_exact_on_the_same_doubles(self):
+        """Closed-form c_bar within 1e-15 relative of the exact ab/((b-a)^2+ab), and the
+        commutator within about 1e-15 of the exact sqrt(c_bar (1 - c_bar)), computed
+        with Fractions on the same alpha and beta, alpha or 1-alpha down to 2e-14."""
+        grid = np.geomspace(2e-14, 1e-2, 60)
+        for alpha in [float(x) for x in grid] + [1.0 - float(x) for x in grid] + [0.3, 0.6, 0.9]:
+            params = hardy4.HardyParams.from_alpha(alpha)
+            a, b = Fraction(params.alpha), Fraction(params.beta)
+            c_bar = a * b / ((b - a) ** 2 + a * b)
+            comm_sq = c_bar * (1 - c_bar)
+            closed = hardy4.closed_form_metrics(params)
+            assert abs(Fraction(closed.c_bar) - c_bar) <= Fraction(1e-15) * c_bar, alpha
+            assert (abs(Fraction(closed.commutator_D1U1) ** 2 - comm_sq)
+                    <= Fraction(2e-15) * comm_sq), alpha
+
+    def test_cross_check_covers_the_commutator(self):
+        m = hardy4.build_model(0.6)
+        good = hardy4.compute_metrics(m)
+        bad = dataclasses.replace(good, commutator_D1U1=good.commutator_D1U1 + 1e-6)
+        with pytest.raises(InternalConsistencyError, match="commutator_D1U1"):
+            hardy4.cross_check(bad, hardy4.closed_form_metrics(m.params))
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=alphas)

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import hardy4, hvlogic
+from hardylab import gedanken, hardy4, hvlogic, qcore
 from hardylab.errors import InvalidParameterError
 from hardylab.hvlogic import (
     ConstraintSystem,
@@ -246,6 +247,25 @@ class TestQuantumGatedSystems:
             required_positive=sys_.required_positive,
         )
         assert check(relaxed).status == "satisfiable"
+
+    def test_gedanken_system_gates_on_the_report(self, monkeypatch):
+        report = gedanken.full_report()
+        chain = report["P(C+inf|D-0)"]
+        off = dataclasses.replace(chain, quantum_value=chain.quantum_value - 1e-9)
+        monkeypatch.setattr(gedanken, "full_report", lambda: {**report, "P(C+inf|D-0)": off})
+        with pytest.raises(InvalidParameterError, match=re.escape("'P(C+inf|D-0)=1'")):
+            hvlogic.gedanken_system()
+
+    def test_gedanken_system_computes_only_the_required_event(self, monkeypatch):
+        report = gedanken.full_report()
+        monkeypatch.setattr(gedanken, "full_report", lambda: report)
+        calls = []
+        for name in ("born_probability", "conditional_probability"):
+            fn = getattr(qcore, name)
+            monkeypatch.setattr(qcore, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        hvlogic.gedanken_system()
+        assert calls == ["born_probability"]  # <D+0 D-0>, which the report does not carry
 
     def test_serialization_round_trip_fields(self):
         sys_ = hardy_system_at(0.6)
