@@ -11,6 +11,15 @@ joint-set measures are exact interval arithmetic, never discretization.
 The model reproduces every single-projector Born probability; the
 classical (Bayes) conditional mu[b & a]/mu[a] is compared against the
 quantum conditional <m|P_n|m> to exhibit where it fails.
+
+`compare` evaluates one triple through the matrix pipeline and
+`LambdaSet` arithmetic.  Scans evaluate all their rows at once from the
+closed forms (`conditional_rows`): the quantum conditional (1 + m.n)/2
+and the overlap of two response intervals.  Each trial still draws from
+its own stream `_trial_rng(seed, trial)`, so every per-seed result is
+unchanged.  Scalar `compare` is the oracle: it re-checks the printed
+maximum and SCAN_RECHECKS seeded rows of every scan, and a disagreement
+raises InternalConsistencyError (exit 3 on the command line).
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import InvalidParameterError, ZeroProbabilityError
+from .errors import InternalConsistencyError, InvalidParameterError, ZeroProbabilityError
 from .qcore import Projector, StateVector
 
 UNIT_TOL = 1e-12
@@ -31,6 +40,15 @@ MIN_MEASURE = 1e-14
 # Largest scan and Monte Carlo sizes accepted, checked before any work.
 MAX_TRIALS = 1_000_000
 MAX_SAMPLES = 10_000_000
+# Trials per block of closed-form rows: bounds a scan's working arrays.
+SCAN_CHUNK = 1 << 14
+# Seeded rows of each scan that scalar `compare` re-checks, besides the maximum.
+SCAN_RECHECKS = 4
+# A closed-form row must match `compare` within RECHECK_TOL on the quantum side
+# and RECHECK_TOL / measure on the classical side, since the Bayes ratio
+# amplifies the rounding of s.m by 1/measure.  On 3,000 scan rows the quantum
+# residual stayed below 1.5e-14, and the classical sides were equal.
+RECHECK_TOL = 1e-12
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -188,12 +206,16 @@ def state_from_bloch(s) -> StateVector:
     return StateVector.normalize(vecs[:, int(np.argmax(vals))])
 
 
+def _empty_conditioning(m, measure: float) -> ZeroProbabilityError:
+    return ZeroProbabilityError(f"conditioning set for m={unit_vector(m).tolist()} has hidden-"
+                                f"variable measure {float(measure)!r} <= {MIN_MEASURE!r}")
+
+
 def classical_conditional(s, m, n) -> float:
     """Bayes rule mu[b & a]/mu[a] over the hidden-variable sets."""
     a = hv_response(s, m)
     if a.measure <= MIN_MEASURE:
-        raise ZeroProbabilityError(f"conditioning set for m={unit_vector(m).tolist()} has hidden-"
-                                   f"variable measure {float(a.measure)!r} <= {MIN_MEASURE!r}")
+        raise _empty_conditioning(m, a.measure)
     return hv_response(s, n).intersection(a).measure / a.measure
 
 
@@ -227,41 +249,131 @@ def sample_direction(rng: np.random.Generator) -> np.ndarray:
     return np.array([r * math.cos(phi), r * math.sin(phi), z])
 
 
+def _trial_draws(seed: int, trial: int, count: int) -> list[np.ndarray]:
+    """The first `count` sample_direction draws of one trial's stream."""
+    rng = _trial_rng(seed, trial)
+    return [sample_direction(rng) for _ in range(count)]
+
+
+def _blocks(trials: int):
+    """range(trials) as consecutive ranges of at most SCAN_CHUNK trials."""
+    return (range(start, min(start + SCAN_CHUNK, trials))
+            for start in range(0, trials, SCAN_CHUNK))
+
+
+def _trial_directions(seed: int, trials: range, count: int) -> np.ndarray:
+    """(len(trials), count, 3): _trial_draws for each trial, bit for bit.
+
+    uniform(lo, hi) is lo + (hi - lo) * random(), so one random(2 * count)
+    per stream gives the same doubles as `count` sample_direction calls.
+    """
+    u = np.empty((len(trials), 2 * count))
+    for row, trial in zip(u, trials):
+        _trial_rng(seed, trial).random(out=row)
+    z = -1.0 + 2.0 * u[:, 0::2]
+    phi = 2.0 * math.pi * u[:, 1::2]
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.stack((r * np.cos(phi), r * np.sin(phi), z), axis=-1)
+
+
+def _dots(a, b) -> np.ndarray:
+    """Row-wise dot products of (..., 3) arrays.
+
+    matmul, not einsum: with numpy 2.4 on OpenBLAS it rounds each row as
+    np.dot does in hv_response (einsum differed on 1,332 of 3,000 rows), so
+    the classical side matched `compare` to the bit.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _interval_ends(dot):
+    """hv_response over arrays: ends [lo, hi) of {lambda : response = 1} for s.m = dot."""
+    lo = np.where(dot > 0.0, -0.5 * dot, np.where(dot < 0.0, -0.5, 0.0))
+    hi = np.where(dot < 0.0, 0.5 * dot, 0.5)
+    return lo, hi
+
+
+def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form (quantum, classical, measure) for rows of Bloch vectors.
+
+    s, m and n are (..., 3) arrays that broadcast against each other.
+    quantum is (1 + m.n)/2, the rank-1 conditional on any state; classical
+    is the overlap of the two response intervals over the measure
+    (1 + s.m)/2 of the conditioning one.  Where measure <= MIN_MEASURE the
+    classical value means nothing: callers refuse or skip those rows.
+    """
+    a_lo, a_hi = _interval_ends(_dots(s, m))
+    b_lo, b_hi = _interval_ends(_dots(s, n))
+    measure = a_hi - a_lo
+    overlap = np.maximum(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        classical = overlap / measure
+    return tuple(np.broadcast_arrays((1.0 + _dots(m, n)) / 2.0, classical, measure))
+
+
+def _rechecked(triple, quantum: float, classical: float, measure: float) -> ConditionalComparison:
+    """Scalar `compare` on one closed-form row; raise if the two disagree."""
+    cmp = compare(*triple)
+    if (abs(cmp.quantum - quantum) > RECHECK_TOL
+            or abs(cmp.classical - classical) > RECHECK_TOL / measure):
+        raise InternalConsistencyError(
+            f"closed-form row (quantum {float(quantum)!r}, classical {float(classical)!r}) "
+            f"disagrees with compare (quantum {cmp.quantum!r}, classical {cmp.classical!r}) "
+            f"at s={cmp.s.tolist()}, m={cmp.m.tolist()}, n={cmp.n.tolist()}")
+    return cmp
+
+
 def scan_discrepancy(trials: int, seed: int) -> ScanResult:
-    """Seeded random (s, m, n) triples; max discrepancy and a 20-bin histogram."""
+    """Seeded random (s, m, n) triples; max discrepancy and a 20-bin histogram.
+
+    Rows come from `conditional_rows`, SCAN_CHUNK trials at a time.  Scalar
+    `compare` re-checks the maximum row, whose values it reports, and
+    SCAN_RECHECKS rows drawn from default_rng(seed).
+    """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
-    bins = [0] * 20
-    best: ConditionalComparison | None = None
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        s, m, n = (sample_direction(rng) for _ in range(3))
-        cmp = compare(s, m, n)
-        bins[min(int(cmp.discrepancy * 20.0), 19)] += 1
-        if best is None or cmp.discrepancy > best.discrepancy:
-            best = cmp
-    return ScanResult(max=best, histogram=tuple(bins))
+    quantum, classical, measure = np.empty((3, trials))
+    for block in _blocks(trials):
+        s, m, n = _trial_directions(seed, block, 3).transpose(1, 0, 2)
+        rows = slice(block.start, block.stop)
+        quantum[rows], classical[rows], measure[rows] = conditional_rows(s, m, n)
+        empty = np.flatnonzero(measure[rows] <= MIN_MEASURE)
+        if empty.size:
+            raise _empty_conditioning(m[empty[0]], measure[rows][empty[0]])
+    discrepancy = np.abs(quantum - classical)
+    bins = np.bincount(np.minimum((discrepancy * 20.0).astype(np.intp), 19), minlength=20)
+
+    def recheck(i: int) -> ConditionalComparison:
+        return _rechecked(_trial_draws(seed, i, 3), quantum[i], classical[i], measure[i])
+
+    best = recheck(int(np.argmax(discrepancy)))  # the first maximum, as a running `>` keeps
+    for i in np.random.default_rng(seed).integers(trials, size=SCAN_RECHECKS):
+        recheck(int(i))
+    return ScanResult(max=best, histogram=tuple(int(b) for b in bins))
 
 
 def malley_search(m, n, trials: int, seed: int) -> MalleyResult:
     """Look for a state s where Bayes and quantum conditionals disagree.
 
     For non-commuting P_m, P_n (m != +-n) a violating state is found
-    quickly; for commuting pairs the search comes up empty.
+    quickly; for commuting pairs the search comes up empty.  Rows come
+    from `conditional_rows`; scalar `compare` confirms the one returned.
     """
     m = unit_vector(m)
     n = unit_vector(n)
     worst = 0.0
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        s = sample_direction(rng)
-        try:
-            cmp = compare(s, m, n)
-        except ZeroProbabilityError:
-            continue  # s opposite m: nothing to condition on
-        worst = max(worst, cmp.discrepancy)
-        if cmp.discrepancy > 1e-6:
-            return MalleyResult(violating_s=s, discrepancy=cmp.discrepancy)
+    for block in _blocks(trials):
+        s = _trial_directions(seed, block, 1)[:, 0]
+        quantum, classical, measure = conditional_rows(s, m, n)
+        # s opposite m: nothing to condition on
+        discrepancy = np.where(measure > MIN_MEASURE, np.abs(quantum - classical), 0.0)
+        hits = np.flatnonzero(discrepancy > 1e-6)
+        if hits.size:
+            j = hits[0]
+            cmp = _rechecked(_trial_draws(seed, block[j], 1) + [m, n],
+                             quantum[j], classical[j], measure[j])
+            return MalleyResult(violating_s=cmp.s, discrepancy=cmp.discrepancy)
+        worst = max(worst, float(discrepancy.max()))
     return MalleyResult(violating_s=None, discrepancy=worst)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -192,7 +193,10 @@ def _mode(args) -> str:
     return mode
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args returns a fresh namespace and leaves
+    # the parser as it was, also when a usage error exits.
     # Global flags are accepted both before and after the subcommand.
     # SUPPRESS keeps the subparser from clobbering values parsed by the
     # main parser; real defaults are applied in run().

@@ -140,6 +140,16 @@ def _joint(a: Projector, b: Projector, name: str) -> Projector:
     return Projector(a.matrix @ b.matrix, name=name)
 
 
+def _u_perp(params: HardyParams) -> Projector:
+    """1 - U as |u_perp><u_perp|, u_perp = (sqrt(alpha)|+> - sqrt(beta)|->)/sqrt(alpha + beta).
+
+    Subtracting U from the identity cancels to rounding as alpha nears 0
+    or 1, where c_bar = Tr D(1-U) is about alpha*beta; the ket keeps every digit.
+    """
+    a, b = params.alpha, params.beta
+    return Projector.from_ket(np.array([math.sqrt(a), -math.sqrt(b)]), name="1-U")
+
+
 def compute_metrics(model: HardyModel) -> HardyMetrics:
     """All model statistics by direct matrix evaluation (no closed forms)."""
     psi = model.psi
@@ -150,7 +160,7 @@ def compute_metrics(model: HardyModel) -> HardyMetrics:
         p_cond_D2_given_D1=qcore.conditional_probability(psi, model.D1, model.D2),
         p_joint_U1U2=qcore.born_probability(psi, _joint(model.U1, model.U2, "U1U2")),
         p_joint_D1D2=qcore.born_probability(psi, _joint(model.D1, model.D2, "D1D2")),
-        c_bar=qcore.disturbance_metrics(model.d_local, model.u_local.complement()).c,
+        c_bar=qcore.disturbance_metrics(model.d_local, _u_perp(model.params)).c,
         commutator_D1U1=qcore.commutator_norm(model.d_local, model.u_local),
     )
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import bellhv, qcore
+from hardylab import bellhv, cli, qcore
 from hardylab.bellhv import X_HAT, Y_HAT, Z_HAT, LambdaSet
 from hardylab.errors import InvalidParameterError, ZeroProbabilityError
 
@@ -177,6 +177,121 @@ class TestScan:
     def test_discrepancies_bounded(self):
         result = bellhv.scan_discrepancy(200, 1)
         assert 0.0 <= result.max.discrepancy <= 1.0
+
+
+def scalar_draws(seed, trials, count=3):
+    """sample_direction on each trial's own stream, one trial at a time."""
+    out = []
+    for i in range(trials):
+        rng = bellhv._trial_rng(seed, i)
+        out.append([bellhv.sample_direction(rng) for _ in range(count)])
+    return np.array(out)
+
+
+def agrees_with_compare(s, m, n, quantum, classical, measure):
+    if measure <= bellhv.MIN_MEASURE:  # both sides refuse an empty conditioning set
+        with pytest.raises(ZeroProbabilityError):
+            bellhv.compare(s, m, n)
+        return True
+    cmp = bellhv.compare(s, m, n)
+    return (abs(cmp.quantum - quantum) <= bellhv.RECHECK_TOL
+            and abs(cmp.classical - classical) <= bellhv.RECHECK_TOL / measure)
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("seed", [0, 9, 42, 2**32 - 1])
+    def test_directions_are_the_scalar_draws(self, seed):
+        assert np.array_equal(bellhv._trial_directions(seed, range(400), 3),
+                              scalar_draws(seed, 400))
+
+    def test_shorter_scan_rows_are_a_prefix(self):
+        long = bellhv._trial_directions(7, range(300), 3)
+        assert np.array_equal(bellhv._trial_directions(7, range(120), 3), long[:120])
+        assert np.array_equal(bellhv._trial_directions(7, range(120, 300), 3), long[120:])
+        rows = [bellhv.conditional_rows(*d.transpose(1, 0, 2)) for d in (long[:120], long)]
+        assert all(np.array_equal(short, full[:120]) for short, full in zip(*rows))
+
+    def test_rows_agree_with_compare(self):
+        """Random triples plus s = +-m, n = +-m and s orthogonal to m."""
+        rng = np.random.default_rng(2024)
+        s, m, n = (np.array([bellhv.sample_direction(rng) for _ in range(2000)]) for _ in range(3))
+        special = []
+        for i in range(100):
+            a, b = s[i], n[i]
+            ortho = np.cross(a, b) / np.linalg.norm(np.cross(a, b))
+            special += [(a, a, b), (-a, a, b), (a, b, b), (a, b, -b), (ortho, a, b),
+                        (a, ortho, b)]
+        special += [(Z_HAT, X_HAT, Z_HAT), (X_HAT, Z_HAT, Y_HAT), (Z_HAT, Z_HAT, -Z_HAT),
+                    (Y_HAT, X_HAT, -X_HAT), (-Z_HAT, Y_HAT, Z_HAT)]
+        # s.m exactly 0, s.n neither 0 nor +-1: the sign(0) = +1 branch decides the value
+        for n_row in ([0.6, 0.0, 0.8], [0.6, 0.0, -0.8], [-0.28, 0.0, 0.96]):
+            special += [(Z_HAT, X_HAT, np.array(n_row)), (Z_HAT, -X_HAT, np.array(n_row))]
+        s, m, n = (np.concatenate([col, np.array(extra)])
+                   for col, extra in zip((s, m, n), zip(*special)))
+        rows = bellhv.conditional_rows(s, m, n)
+        assert len(rows[0]) >= 2000
+        assert all(agrees_with_compare(*triple, *values)
+                   for triple, values in zip(zip(s, m, n), zip(*rows)))
+
+    @pytest.mark.parametrize("seed, trials", [(0, 1), (5, 37), (42, 300), (2**32 - 1, 64)])
+    def test_scan_equals_a_scalar_loop(self, seed, trials):
+        bins = [0] * 20
+        best = None
+        for s, m, n in scalar_draws(seed, trials):
+            cmp = bellhv.compare(s, m, n)
+            bins[min(int(cmp.discrepancy * 20.0), 19)] += 1
+            if best is None or cmp.discrepancy > best.discrepancy:
+                best = cmp
+        result = bellhv.scan_discrepancy(trials, seed)
+        assert result.histogram == tuple(bins)
+        assert result.max.to_dict() == best.to_dict()
+
+    def test_rechecks_the_maximum_and_seeded_rows(self, monkeypatch):
+        seed, trials = 8, 200
+        draws = scalar_draws(seed, trials)
+        expected = [int(np.argmax([bellhv.compare(*t).discrepancy for t in draws]))]
+        expected += list(np.random.default_rng(seed).integers(trials, size=bellhv.SCAN_RECHECKS))
+        checked = []
+        compare = bellhv.compare
+
+        def spy(s, m, n):
+            checked.append(s)
+            return compare(s, m, n)
+        monkeypatch.setattr(bellhv, "compare", spy)
+        bellhv.scan_discrepancy(trials, seed)
+        assert np.array_equal(checked, draws[expected, 0])
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        whole = bellhv.scan_discrepancy(100, 3)
+        monkeypatch.setattr(bellhv, "SCAN_CHUNK", 7)
+        blocked = bellhv.scan_discrepancy(100, 3)
+        assert blocked.histogram == whole.histogram
+        assert blocked.max.to_dict() == whole.max.to_dict()
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_kernel_off_by_1e9_exits_3(self, capsys, monkeypatch, side):
+        kernel = bellhv.conditional_rows
+
+        def off(s, m, n):
+            rows = [r.copy() for r in kernel(s, m, n)]
+            rows[side] += 1e-9
+            return tuple(rows)
+        monkeypatch.setattr(bellhv, "conditional_rows", off)
+        assert cli.run(["bell", "--scan", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal cross-check failed: closed-form row")
+
+    def test_empty_conditioning_row_raises_the_scalar_message(self, monkeypatch):
+        s, n = rand_dir(1), rand_dir(2)
+        rows = np.array([[s, rand_dir(3), n], [Z_HAT, -Z_HAT, n], [s, -s, n]])
+        monkeypatch.setattr(bellhv, "_trial_directions", lambda seed, trials, count: rows)
+        with pytest.raises(ZeroProbabilityError) as scalar:
+            bellhv.compare(Z_HAT, -Z_HAT, n)
+        with pytest.raises(ZeroProbabilityError) as scan:
+            bellhv.scan_discrepancy(3, 0)
+        assert str(scan.value) == str(scalar.value) == (
+            "conditioning set for m=[-0.0, -0.0, -1.0] has hidden-variable measure 0.0 <= 1e-14")
 
 
 class TestMalley:

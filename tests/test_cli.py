@@ -284,24 +284,37 @@ SWEEP = ["--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "3"]
 VECTORS = ["--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"]
 
 
+# (argv, stderr message) pairs that exit 2
+UNREAD_FLAG = [
+    (["certify", "--scenario", "gedanken", "--alpha", "0.3"],
+     "--alpha: no effect on certify --scenario gedanken"),
+    (["hardy", "--optimize", "--alpha", "0.3"], "--alpha: no effect on hardy --optimize"),
+    (["hardy", "--alpha", "0.3", "--steps", "4"], "--steps: no effect on hardy --alpha"),
+    (["bell", "--scan", "3", "--s", "0,0,1", "--mc-samples", "5"],
+     "--s, --mc-samples: no effect on bell --scan"),
+    (["hardy", *SWEEP, "--alpha", "0.3"], "--alpha: no effect on hardy --sweep"),
+    (["hardy", "--alpha", "0.3", "--alpha-min", "0.2"],
+     "--alpha-min: no effect on hardy --alpha"),
+    (["hardy", "--optimize", *SWEEP],
+     "--sweep, --alpha-min, --alpha-max, --steps: no effect on hardy --optimize"),
+    (["bell", *VECTORS, "--scan", "3"], "--s, --m, --n: no effect on bell --scan"),
+    (["bell", "--scan", "3", "--mc-samples", "100"], "--mc-samples: no effect on bell --scan"),
+    (["certify", "--scenario", "gedanken", "--alpha", "0.6"],
+     "--alpha: no effect on certify --scenario gedanken"),
+]
+MISSING_FLAG = [
+    (["hardy", "--sweep", "--alpha-min", "0.1"], "hardy --sweep requires --alpha-max, --steps"),
+    (["bell", "--s", "0,0,1"], "bell --s/--m/--n requires --m, --n"),
+    (["bell", "--mc-samples", "5"], "bell --s/--m/--n --mc-samples requires --s, --m, --n"),
+]
+
+
+def argv_id(value):
+    return " ".join(value) if isinstance(value, list) else ""
+
+
 class TestModeTable:
-    @pytest.mark.parametrize("argv, message", [
-        (["certify", "--scenario", "gedanken", "--alpha", "0.3"],
-         "--alpha: no effect on certify --scenario gedanken"),
-        (["hardy", "--optimize", "--alpha", "0.3"], "--alpha: no effect on hardy --optimize"),
-        (["hardy", "--alpha", "0.3", "--steps", "4"], "--steps: no effect on hardy --alpha"),
-        (["bell", "--scan", "3", "--s", "0,0,1", "--mc-samples", "5"],
-         "--s, --mc-samples: no effect on bell --scan"),
-        (["hardy", *SWEEP, "--alpha", "0.3"], "--alpha: no effect on hardy --sweep"),
-        (["hardy", "--alpha", "0.3", "--alpha-min", "0.2"],
-         "--alpha-min: no effect on hardy --alpha"),
-        (["hardy", "--optimize", *SWEEP],
-         "--sweep, --alpha-min, --alpha-max, --steps: no effect on hardy --optimize"),
-        (["bell", *VECTORS, "--scan", "3"], "--s, --m, --n: no effect on bell --scan"),
-        (["bell", "--scan", "3", "--mc-samples", "100"], "--mc-samples: no effect on bell --scan"),
-        (["certify", "--scenario", "gedanken", "--alpha", "0.6"],
-         "--alpha: no effect on certify --scenario gedanken"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    @pytest.mark.parametrize("argv, message", UNREAD_FLAG, ids=argv_id)
     def test_flag_unread_by_mode_exit_2(self, capsys, argv, message):
         assert cli.run(argv) == 2
         assert message in capsys.readouterr().err
@@ -315,14 +328,38 @@ class TestModeTable:
         err = capsys.readouterr().err
         assert all(mode in err for mode in modes)
 
-    @pytest.mark.parametrize("argv, message", [
-        (["hardy", "--sweep", "--alpha-min", "0.1"], "hardy --sweep requires --alpha-max, --steps"),
-        (["bell", "--s", "0,0,1"], "bell --s/--m/--n requires --m, --n"),
-        (["bell", "--mc-samples", "5"], "bell --s/--m/--n --mc-samples requires --s, --m, --n"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    @pytest.mark.parametrize("argv, message", MISSING_FLAG, ids=argv_id)
     def test_missing_required_flag_exit_2(self, capsys, argv, message):
         assert cli.run(argv) == 2
         assert message in capsys.readouterr().err
+
+
+class TestCachedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_errors_leave_the_parser_usable(self, capsys):
+        """Rejected argv, usage errors (SystemExit) among them, interleaved with accepted
+        argv: a second pass through the same parser gives the same codes and output."""
+        rejected = [argv for argv, _ in UNREAD_FLAG + MISSING_FLAG] + [
+            ["certify", "--scenario", "nonsense"], ["gedanken", "--bogus"], ["bell", "--m", "-1,0,0"],
+            ["hardy"], ["--eps-cond", "1e-12", "gedanken"]]
+        accepted = [["gedanken"], ["hardy", "--alpha", "0.6"], ["bell", "--scan", "10", "--seed", "3"],
+                    ["--format", "csv", "hardy", *SWEEP], ["certify", "--scenario", "gedanken"],
+                    ["bell", *VECTORS]]
+        argvs = [argv for pair in zip(rejected, accepted * 3) for argv in pair]
+
+        def outcome(argv):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first, second = ([outcome(argv) for argv in argvs] for _ in range(2))
+        assert first == second
+        assert [code for code, _, _ in first] == [2, 0] * len(rejected)
 
 
 class TestAlphaRange:

@@ -90,6 +90,17 @@ class TestMetrics:
         closed = hardy4.closed_form_metrics(m.params).p_D1
         assert abs(hardy4.compute_metrics(m).p_D1 - closed) <= 1e-13 * closed
 
+    @settings(max_examples=100, deadline=None)
+    @given(exponent=st.floats(min_value=math.log10(2e-14), max_value=-2.0),
+           near_one=st.booleans())
+    def test_c_bar_relative_accuracy_at_the_extremes(self, exponent, near_one):
+        """Matrix c_bar = Tr D(1-U) within 1e-13 relative of t/((b-a)^2+t), alpha or
+        1-alpha in [2e-14, 1e-2]: 1-U must not be formed by subtracting U from 1."""
+        alpha = 1.0 - 10.0 ** exponent if near_one else 10.0 ** exponent
+        m = hardy4.build_model(alpha)
+        closed = hardy4.closed_form_metrics(m.params).c_bar
+        assert abs(hardy4.compute_metrics(m).c_bar - closed) <= 1e-13 * closed
+
     def test_c_bar_and_commutator_exact_on_the_same_doubles(self):
         """Closed-form c_bar within 1e-15 relative of the exact ab/((b-a)^2+ab), and the
         commutator within about 1e-15 of the exact sqrt(c_bar (1 - c_bar)), computed
