@@ -60,13 +60,15 @@ Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 def unit_vector(v) -> np.ndarray:
-    """Validate a Bloch vector: 3 real components, unit norm."""
+    """Validate a Bloch vector: 3 finite real components, unit norm."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise InvalidParameterError(f"Bloch vector must have 3 components, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_TOL:
-        raise InvalidParameterError(f"Bloch vector must be unit length, |v| = {norm!r}")
+    # `not <=`: a NaN component makes the norm NaN, which must fail too
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise InvalidParameterError(
+            f"Bloch vector {v.tolist()} must be finite with unit length, |v| = {norm!r}")
     return v
 
 

@@ -34,12 +34,9 @@ from .errors import HardyLabError, InternalConsistencyError, InvalidParameterErr
 @dataclass(frozen=True)
 class RunConfig:
     format: str = "json"
-    tol: float = hardy4.DEFAULT_TOL
     seed: int = 42
 
     def __post_init__(self):
-        if not (0.0 < self.tol <= 1e-3):
-            raise InvalidParameterError(f"--tol must be in (0, 1e-3], got {self.tol!r}")
         if self.seed < 0:
             raise InvalidParameterError(f"--seed must be >= 0, got {self.seed!r}")
 
@@ -65,6 +62,8 @@ def _parse_vector(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise InvalidParameterError(f"vector must have 3 components, got {text!r}")
     v = np.asarray(parts)
+    if not np.all(np.isfinite(v)):
+        raise InvalidParameterError(f"vector {text!r} has a non-finite component")
     norm = float(np.linalg.norm(v))
     if norm < 1e-6:
         raise InvalidParameterError(f"vector {text!r} too close to zero to normalize")
@@ -84,7 +83,7 @@ def _run_hardy_point(args, cfg: RunConfig) -> dict:
     model = hardy4.build_model(args.alpha)
     metrics = hardy4.compute_metrics(model)
     closed = hardy4.closed_form_metrics(model.params)
-    hardy4.cross_check(metrics, closed, tol=cfg.tol)
+    hardy4.cross_check(metrics, closed, model.params)
     cert = hvlogic.check(hvlogic.hardy_system(model, metrics))
     return {
         "alpha": model.params.alpha,
@@ -97,14 +96,14 @@ def _run_hardy_point(args, cfg: RunConfig) -> dict:
 
 
 def _run_hardy_sweep(args, cfg: RunConfig) -> dict | list[str]:
-    rows = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps, tol=cfg.tol)
+    rows = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps)
     if cfg.format == "csv":
         return hardy4.sweep_csv_rows(rows)
     return {"rows": [dict(alpha=a, **dataclasses.asdict(m)) for a, m in rows]}
 
 
 def _run_hardy_optimize(args, cfg: RunConfig) -> dict:
-    return dataclasses.asdict(hardy4.optimize_paradox(tol=cfg.tol))
+    return dataclasses.asdict(hardy4.optimize_paradox())
 
 
 def _run_bell_scan(args, cfg: RunConfig) -> dict:
@@ -159,10 +158,10 @@ def _run_certify_gedanken(args, cfg: RunConfig) -> dict:
 # destination.  `--format json` is read by every mode.
 _MODES = {
     "gedanken": (_run_gedanken, (), ()),
-    "hardy --alpha": (_run_hardy_point, (), ("alpha", "tol")),
+    "hardy --alpha": (_run_hardy_point, (), ("alpha",)),
     "hardy --sweep": (_run_hardy_sweep, ("alpha_min", "alpha_max", "steps"),
-                      ("sweep", "alpha_min", "alpha_max", "steps", "tol", "format")),
-    "hardy --optimize": (_run_hardy_optimize, (), ("optimize", "tol")),
+                      ("sweep", "alpha_min", "alpha_max", "steps", "format")),
+    "hardy --optimize": (_run_hardy_optimize, (), ("optimize",)),
     "bell --scan": (_run_bell_scan, (), ("scan", "seed")),
     "bell --s/--m/--n": (_run_bell_compare, ("s", "m", "n"), ("s", "m", "n")),
     "bell --s/--m/--n --mc-samples": (_run_bell_compare, ("s", "m", "n"),
@@ -201,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps the subparser from clobbering values parsed by the
     # main parser; real defaults are applied in run().
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help=f"cross-check tolerance (default {hardy4.DEFAULT_TOL:g})")
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)

@@ -17,6 +17,13 @@ Closed forms used as cross-checks against the matrix pipeline:
     [D, U]        = sqrt(P(D2|D1) c_bar)   (max-entry norm)
     <D1 D2>       = t^2 (1-2t) / (1-t)^2   with t = alpha beta
 
+Each matrix value must lie within qcore.bound(closed, 4, cond) of its
+closed form: the rounding model of qcore.zero_threshold, with condition
+number cond = 1 + 1/|beta - alpha| for the three forms through beta - alpha
+(P(D2|D1), <D1 D2> and the commutator) and 1 for the others.  No tolerance
+is set by hand, so a relative error shows at any alpha, however small the
+value.
+
 Everything here is real and non-negative by construction; alpha is the
 single free parameter, beta = sqrt(1 - alpha^2).
 """
@@ -35,8 +42,8 @@ from .qcore import Projector, StateVector
 # alpha values closer than this to beta are treated as maximally entangled.
 EQUAL_PARAM_TOL = 1e-9
 
-# Default absolute tolerance of the closed-form cross-checks.
-DEFAULT_TOL = 1e-10
+# Dimension of the two-qubit space, which sets the rounding bound of every check.
+DIM = 4
 # optimize_paradox checks that <D1D2> is lower this far either side of alpha*.
 OPT_STEP = 1e-3
 # sweep refuses more rows than this before building any.
@@ -190,30 +197,48 @@ def closed_form_metrics(params: HardyParams) -> HardyMetrics:
 _CHECKED_FIELDS = ("p_D1", "p_cond_U2_given_D1", "p_cond_U1_given_D2",
                    "p_cond_D2_given_D1", "p_joint_U1U2", "p_joint_D1D2", "c_bar",
                    "commutator_D1U1")
+# Closed forms that pass through beta - alpha: its rounding is amplified by
+# 1/|beta - alpha| as alpha nears 1/sqrt2.  No float alpha gives beta == alpha.
+_THROUGH_GAP = ("p_cond_D2_given_D1", "p_joint_D1D2", "commutator_D1U1")
 
 
-def cross_check(matrix: HardyMetrics, closed: HardyMetrics, tol: float = DEFAULT_TOL) -> None:
-    """Raise if the matrix pipeline disagrees with the closed forms."""
+def _bound(name: str, exact: float, params: HardyParams) -> float:
+    """qcore.bound for field `name`, with condition number 1 + 1/|beta - alpha|
+    for the fields in _THROUGH_GAP and 1 for the others."""
+    cond = 1.0 + 1.0 / abs(params.beta - params.alpha) if name in _THROUGH_GAP else 1.0
+    return qcore.bound(exact, DIM, cond)
+
+
+def cross_check(matrix: HardyMetrics, closed: HardyMetrics, params: HardyParams) -> None:
+    """Raise if the matrix pipeline disagrees with the closed forms beyond rounding."""
     for name in _CHECKED_FIELDS:
         m, c = getattr(matrix, name), getattr(closed, name)
-        if abs(m - c) > tol:
-            raise InternalConsistencyError(
-                f"closed-form cross-check failed for {name}: matrix {m!r} vs closed {c!r}"
-            )
+        allowed = _bound(name, c, params)
+        if not abs(m - c) <= allowed:
+            raise InternalConsistencyError(f"closed-form cross-check failed for {name}: "
+                                           f"matrix {m!r} vs closed {c!r} (bound {allowed!r})")
 
 
 def disturbance_contradiction(model: HardyModel) -> ContradictionResult:
-    """Two-step contradiction: hv forces P(1-U1|D1)=1, quantum gives c_bar."""
+    """Two-step contradiction: hv forces P(1-U1|D1)=1, quantum gives c_bar.
+
+    The two-qubit conditional must equal the one-qubit c_bar = Tr D(1-U) of
+    closed_form_metrics within its rounding bound (the paper's relation).
+    """
     if model.params.maximally_entangled:
         return ContradictionResult(status="no_contradiction", hv_value=1.0,
                                    quantum_value=None, discrepancy=None)
     quantum = qcore.conditional_probability(model.psi, model.D1, model.U1.complement())
+    c_bar = closed_form_metrics(model.params).c_bar
+    allowed = _bound("c_bar", c_bar, model.params)
+    if not abs(quantum - c_bar) <= allowed:
+        raise InternalConsistencyError(f"P(1-U1|D1) = {quantum!r} disagrees with the "
+                                       f"closed-form c_bar {c_bar!r} (bound {allowed!r})")
     return ContradictionResult(status="contradiction", hv_value=1.0,
                                quantum_value=quantum, discrepancy=1.0 - quantum)
 
 
-def sweep(alpha_min: float, alpha_max: float, steps: int,
-          tol: float = DEFAULT_TOL) -> list[tuple[float, HardyMetrics]]:
+def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[tuple[float, HardyMetrics]]:
     """Uniform alpha grid, endpoints included; every row is cross-checked."""
     if not (0.0 < alpha_min < alpha_max < 1.0):
         raise InvalidParameterError(
@@ -226,27 +251,28 @@ def sweep(alpha_min: float, alpha_max: float, steps: int,
         alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
         model = build_model(alpha)
         metrics = compute_metrics(model)
-        cross_check(metrics, closed_form_metrics(model.params), tol=tol)
+        cross_check(metrics, closed_form_metrics(model.params), model.params)
         rows.append((alpha, metrics))
     return rows
 
 
-def optimize_paradox(tol: float = DEFAULT_TOL) -> Optimum:
+def optimize_paradox() -> Optimum:
     """Maximum of the joint paradox probability <D1 D2> over alpha.
 
     <D1D2> = t^2(1-2t)/(1-t)^2 peaks at t* = (3-sqrt5)/2 with
     p_max = (5 sqrt5 - 11)/2 (Hardy 1993).  alpha* is the smaller root of
     alpha beta = t*.  The matrix pipeline must agree with p_max at alpha*
-    within tol and fall below it at alpha* +- OPT_STEP.
+    within the <D1D2> bound of cross_check and fall below it at alpha* +- OPT_STEP.
     """
     t_star = (3.0 - math.sqrt(5.0)) / 2.0
     alpha_star = math.sqrt((1.0 - math.sqrt(1.0 - 4.0 * t_star ** 2)) / 2.0)
     p_max = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
     below, at, above = (compute_metrics(build_model(a)).p_joint_D1D2
                         for a in (alpha_star - OPT_STEP, alpha_star, alpha_star + OPT_STEP))
-    if abs(at - p_max) > tol or not (below < at and above < at):
+    allowed = _bound("p_joint_D1D2", p_max, HardyParams.from_alpha(alpha_star))
+    if not abs(at - p_max) <= allowed or not (below < at and above < at):
         raise InternalConsistencyError(f"matrix <D1D2> at alpha* -h, 0, +h is {below!r}, {at!r}, "
-                                       f"{above!r}; closed-form p_max {p_max!r}")
+                                       f"{above!r}; closed-form p_max {p_max!r} (bound {allowed!r})")
     return Optimum(alpha_star=alpha_star, p_max=p_max)
 
 

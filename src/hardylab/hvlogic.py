@@ -1,6 +1,6 @@
 """Local-realism satisfiability checker over dichotomic value assignments.
 
-Quantum facts with probability exactly 0 or 1 become logical constraints
+Quantum facts with probability 0 or 1 become logical constraints
 over 0/1 hidden-variable assignments: probability-1 conditionals become
 implications, probability-0 joints become exclusions, and strictly
 positive joints become events that must be realized by at least one
@@ -17,8 +17,6 @@ from . import gedanken, hardy4, qcore
 from .errors import InvalidParameterError
 
 MAX_VARIABLES = 20
-# A probability must be within this of 0 or 1 to become a logical constraint.
-GATE_TOL = 1e-10
 
 Literal = tuple[str, bool]
 
@@ -283,23 +281,25 @@ def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, list[Impl
     return system, derived
 
 
-def _gate(value: float, target: float, cid: str) -> None:
-    if abs(value - target) > GATE_TOL:
-        raise InvalidParameterError(
-            f"constraint {cid!r} not quantum-justified: value {value!r} vs target {target!r}"
-        )
+def _gate(value: float, target: float, cid: str, dim: int) -> None:
+    """Raise unless `value` is `target` (0 or 1) to rounding in dimension `dim`:
+    within qcore.bound(1, dim) of 1, or at most qcore.zero_threshold(dim) = bound(0, dim)."""
+    allowed = qcore.bound(target, dim)
+    if not abs(value - target) <= allowed:
+        raise InvalidParameterError(f"constraint {cid!r} not quantum-justified: value {value!r} "
+                                    f"vs target {target!r} (bound {allowed!r})")
 
 
-def _implication(p: float, given: str, then: str) -> Implication:
+def _implication(p: float, given: str, then: str, dim: int) -> Implication:
     """`given=1 -> then=1`, once P(then|given) is verified to be 1."""
     cid = f"P({then}|{given})=1"
-    _gate(p, 1.0, cid)
+    _gate(p, 1.0, cid, dim)
     return Implication(cid=cid, antecedents=((given, True),), consequent=(then, True))
 
 
-def _exclusion(p: float, cid: str, a: str, b: str) -> Exclusion:
+def _exclusion(p: float, cid: str, a: str, b: str, dim: int) -> Exclusion:
     """Forbid `a=1 & b=1`, once their joint probability p is verified to be 0."""
-    _gate(p, 0.0, cid)
+    _gate(p, 0.0, cid, dim)
     return Exclusion(cid=cid, literals=((a, True), (b, True)))
 
 
@@ -307,19 +307,21 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> Cons
     """Constraint encoding of the two-qubit model, from the caller's metrics.
 
     Every constraint is inserted only after the corresponding quantum
-    probability is verified to be exactly 0 or 1 (within GATE_TOL).  The
-    event <D1D2> > 0 is required exactly when alpha != beta, the rule of
-    hardy4.disturbance_contradiction: t^2(1-2t)/(1-t)^2 is positive there.
+    probability is verified to be 0 or 1 to rounding in the state's
+    dimension (see _gate).  The event <D1D2> > 0 is required exactly when
+    alpha != beta, the rule of hardy4.disturbance_contradiction:
+    t^2(1-2t)/(1-t)^2 is positive there.
     """
+    dim = model.psi.dim
     required = ()
     if not model.params.maximally_entangled:
         required = (RequiredEvent(cid="<D1D2>>0",
                                   literals=(("D1", True), ("D2", True))),)
     return ConstraintSystem(
         variables=("D1", "D2", "U1", "U2"),
-        implications=(_implication(metrics.p_cond_U2_given_D1, "D1", "U2"),
-                      _implication(metrics.p_cond_U1_given_D2, "D2", "U1")),
-        exclusions=(_exclusion(metrics.p_joint_U1U2, "<U1U2>=0", "U1", "U2"),),
+        implications=(_implication(metrics.p_cond_U2_given_D1, "D1", "U2", dim),
+                      _implication(metrics.p_cond_U1_given_D2, "D2", "U1", dim)),
+        exclusions=(_exclusion(metrics.p_joint_U1U2, "<U1U2>=0", "U1", "U2", dim),),
         required_positive=required,
     )
 
@@ -329,18 +331,20 @@ def gedanken_system() -> ConstraintSystem:
 
     The exclusion and the four implications are gated on the values of
     gedanken.full_report(); only <D+0 D-0>, which the report does not
-    carry, is computed here.
+    carry, is computed here and must exceed qcore.zero_threshold.
     """
+    dim = gedanken.STATE.dim
     report = gedanken.full_report()
     exclusion = _exclusion(report["joint_Cplus_Cminus"].quantum_value,
-                           "<C+inf C-inf>=0", "C+inf", "C-inf")
-    implications = tuple(_implication(report[f"P({then}|{given})"].quantum_value, given, then)
-                         for given, then in (("C+inf", "D-inf"), ("C-inf", "D+inf"),
-                                             ("D-0", "C+inf"), ("D+0", "C-inf")))
+                           "<C+inf C-inf>=0", "C+inf", "C-inf", dim)
+    implications = tuple(
+        _implication(report[f"P({then}|{given})"].quantum_value, given, then, dim)
+        for given, then in (("C+inf", "D-inf"), ("C-inf", "D+inf"),
+                            ("D-0", "C+inf"), ("D+0", "C-inf")))
     det = gedanken.DETECTORS
     joint_dd0 = qcore.born_probability(
         gedanken.STATE, qcore.Projector(det.d_plus_0.matrix @ det.d_minus_0.matrix))
-    if joint_dd0 <= GATE_TOL:
+    if not joint_dd0 > qcore.zero_threshold(dim):
         raise InvalidParameterError("<D+0 D-0> unexpectedly zero; cannot build required event")
     return ConstraintSystem(
         variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),

@@ -163,6 +163,16 @@ def zero_threshold(dim: int) -> float:
     return (16 * dim * sys.float_info.epsilon) ** 2
 
 
+def bound(exact: float, dim: int, cond: float = 1.0) -> float:
+    """Largest rounding residual of a computed probability whose exact value is `exact`.
+
+    The same model as zero_threshold: 16*dim*eps relative, times the condition
+    number `cond` of the formula, plus zero_threshold(dim).  Compare as
+    `not residual <= bound`, so that a NaN fails; bound(0, dim) is zero_threshold(dim).
+    """
+    return 16 * dim * sys.float_info.epsilon * abs(exact) * cond + zero_threshold(dim)
+
+
 def _nonzero(p_a: float, a: Projector, action: str) -> float:
     zero = zero_threshold(a.dim)
     if p_a <= zero:

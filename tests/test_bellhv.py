@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +95,21 @@ class TestResponse:
         s, m = rand_dir(11), rand_dir(12)
         assert bellhv.hv_expectation(s, m) == pytest.approx(
             (1.0 + float(np.dot(s, m))) / 2.0, abs=1e-15)
+
+
+class TestUnitVector:
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0],
+                                     [0.0, 0.0, -math.inf]], ids=str)
+    @pytest.mark.parametrize("call", [
+        lambda v: bellhv.unit_vector(v),
+        lambda v: bellhv.classical_conditional(v, X_HAT, Z_HAT),
+        lambda v: bellhv.classical_conditional(Z_HAT, v, Z_HAT),
+        lambda v: bellhv.quantum_conditional_qubit(Z_HAT, X_HAT, v),
+        lambda v: bellhv.monte_carlo_check(v, X_HAT, Z_HAT, 1000, 0),
+    ], ids=["unit_vector", "classical s", "classical m", "quantum n", "monte_carlo s"])
+    def test_non_finite_component_rejected(self, call, bad):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"Bloch vector {bad}")):
+            call(np.array(bad))
 
 
 class TestClassicalConditional:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -69,17 +70,6 @@ class TestHardyCommand:
             payload = json.loads(out.getvalue())
             assert ((payload["paradox"] == "present")
                     == (payload["disturbance_contradiction"]["status"] == "contradiction"))
-
-    def test_optimize_reads_tol(self, capsys, monkeypatch):
-        seen = []
-        optimize = hardy4.optimize_paradox
-
-        def recorded(tol):
-            seen.append(tol)
-            return optimize(tol=tol)
-        monkeypatch.setattr(hardy4, "optimize_paradox", recorded)
-        assert cli.run(["hardy", "--optimize", "--tol", "1e-9"]) == 0
-        assert seen == [1e-9]
 
     def test_optimize(self, capsys):
         code, payload = run_json(capsys, ["hardy", "--optimize"])
@@ -161,6 +151,17 @@ class TestBellCommand:
         assert cli.run(["bell", "--s", "0,0", "--m", "1,0,0", "--n", "0,0,1"]) == 2
         assert cli.run(["bell", "--s", "0,0,1e-9", "--m", "1,0,0", "--n", "0,0,1"]) == 2
 
+    @pytest.mark.parametrize("flag, text", [("--s", "inf,0,1"), ("--n", "0,nan,1")])
+    def test_non_finite_vector_exit_2(self, cli_env, flag, text):
+        vectors = {"--s": "0,0,1", "--m": "1,0,0", "--n": "0,0,1", flag: text}
+        proc = subprocess.run([sys.executable, "-m", "hardylab.cli", "bell",
+                               *(f"{k}={v}" for k, v in vectors.items())],
+                              capture_output=True, env=cli_env)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        # only the error line: no numpy warning from normalizing the vector first
+        assert proc.stderr == f"error: vector {text!r} has a non-finite component\n".encode()
+
     def test_missing_vectors_exit_2(self, capsys):
         assert cli.run(["bell"]) == 2
 
@@ -217,9 +218,6 @@ class TestGlobalFlags:
             cli.run(["gedanken", "--bogus"])
         assert excinfo.value.code == 2
 
-    def test_bad_tol_exit_2(self, capsys):
-        assert cli.run(["--tol", "0.5", "gedanken"]) == 2
-
     def test_seed_after_subcommand(self, capsys):
         assert cli.run(["bell", "--scan", "10", "--seed", "3"]) == 0
 
@@ -235,10 +233,6 @@ class TestGlobalFlags:
         ["hardy", "--alpha", "0.6", "--seed", "1"],
         ["certify", "--scenario", "hardy", "--seed", "1"],
         ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--seed", "1"],
-        ["--tol", "1e-9", "gedanken"],
-        ["bell", "--scan", "10", "--tol", "1e-9"],
-        ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--tol", "1e-9"],
-        ["certify", "--scenario", "gedanken", "--tol", "1e-9"],
         ["--format", "csv", "gedanken"],
         ["hardy", "--alpha", "0.6", "--format", "csv"],
         ["--format", "csv", "hardy", "--optimize"],
@@ -250,10 +244,8 @@ class TestGlobalFlags:
         assert "no effect" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["--tol", "1e-9", "hardy", "--alpha", "0.6"],
-        ["hardy", "--optimize", "--tol", "1e-9"],
         ["hardy", "--sweep", "--alpha-min", "0.2", "--alpha-max", "0.8", "--steps", "3",
-         "--format", "csv", "--tol", "1e-9"],
+         "--format", "csv"],
         ["--seed", "3", "bell", "--scan", "10"],
         ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--mc-samples", "1000",
          "--seed", "3"],
@@ -278,6 +270,24 @@ class TestGlobalFlags:
         with pytest.raises(SystemExit) as excinfo:
             cli.run(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "0.5", "gedanken"],
+        ["--tol", "1e-9", "gedanken"],
+        ["bell", "--scan", "10", "--tol", "1e-9"],
+        ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--tol", "1e-9"],
+        ["certify", "--scenario", "gedanken", "--tol", "1e-9"],
+        ["--tol", "1e-9", "hardy", "--alpha", "0.6"],
+        ["hardy", "--optimize", "--tol", "1e-9"],
+        ["hardy", "--sweep", "--alpha-min", "0.2", "--alpha-max", "0.8", "--steps", "3",
+         "--format", "csv", "--tol", "1e-9"],
+    ], ids=" ".join)
+    def test_tol_rejected(self, capsys, argv):
+        # every check derives its bound from rounding (qcore.bound); there is no flag for it
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: hardylab")
 
 
 SWEEP = ["--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "3"]
@@ -385,6 +395,34 @@ class TestAlphaRange:
                 assert payload["certificate"]["status"] == "paradox"
 
 
+def ulps_from_half_sqrt2(k: int) -> float:
+    """The float k units in the last place away from sqrt(0.5)."""
+    bits = struct.unpack("<q", struct.pack("<d", math.sqrt(0.5)))[0]
+    return struct.unpack("<d", struct.pack("<q", bits + k))[0]
+
+
+LOG_DISTANCE = st.floats(min_value=math.log10(2e-14), max_value=-1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.one_of(LOG_DISTANCE.map(lambda x: 10.0 ** x),
+                       LOG_DISTANCE.map(lambda x: 1.0 - 10.0 ** x),
+                       st.integers(-10 ** 6, 10 ** 6).map(ulps_from_half_sqrt2)))
+@example(alpha=2e-14)
+@example(alpha=0.9999999999999999)
+@example(alpha=ulps_from_half_sqrt2(1))
+def test_rounding_bound_holds_on_working_code(alpha):
+    """No cross-check, gate or relation check fires: alpha or 1-alpha log-uniform in
+    [2e-14, 0.1], or within 10^6 ulps of 1/sqrt2, where 1/|beta-alpha| is largest."""
+    for argv in (["hardy", "--alpha", repr(alpha)],
+                 ["certify", "--scenario", "hardy", "--alpha", repr(alpha)],
+                 ["certify", "--scenario", "two-step", "--alpha", repr(alpha)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert (code, err.getvalue()) == (0, ""), argv
+
+
 def test_closed_pipe_exits_0_without_traceback(cli_env):
     # more output than a pipe buffer holds, so the write after the close must fail
     proc = subprocess.Popen(
@@ -394,6 +432,7 @@ def test_closed_pipe_exits_0_without_traceback(cli_env):
     assert proc.stdout.readline().startswith(b"alpha,beta,")
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in err
     assert err == b""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -75,7 +76,7 @@ class TestMetrics:
     def test_matrix_matches_closed_forms(self, alpha):
         m = hardy4.build_model(alpha)
         hardy4.cross_check(hardy4.compute_metrics(m),
-                           hardy4.closed_form_metrics(m.params), tol=1e-10)
+                           hardy4.closed_form_metrics(m.params), m.params)
 
     @settings(max_examples=100, deadline=None)
     @given(exponent=st.floats(min_value=math.log10(2e-14), max_value=-2.0),
@@ -83,7 +84,7 @@ class TestMetrics:
     def test_p_d1_relative_accuracy_at_the_extremes(self, exponent, near_one):
         """Matrix <D1> within 1e-13 relative of t^2/(1-t), alpha or 1-alpha in [2e-14, 1e-2].
 
-        The absolute --tol passes any value this small; a relative bound does not.
+        An absolute tolerance passes any value this small; a relative bound does not.
         """
         alpha = 1.0 - 10.0 ** exponent if near_one else 10.0 ** exponent
         m = hardy4.build_model(alpha)
@@ -121,7 +122,7 @@ class TestMetrics:
         good = hardy4.compute_metrics(m)
         bad = dataclasses.replace(good, commutator_D1U1=good.commutator_D1U1 + 1e-6)
         with pytest.raises(InternalConsistencyError, match="commutator_D1U1"):
-            hardy4.cross_check(bad, hardy4.closed_form_metrics(m.params))
+            hardy4.cross_check(bad, hardy4.closed_form_metrics(m.params), m.params)
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=alphas)
@@ -152,7 +153,50 @@ class TestMetrics:
         good = hardy4.compute_metrics(m)
         bad = hardy4.HardyMetrics(**{**good.__dict__, "p_D1": good.p_D1 + 1e-6})
         with pytest.raises(InternalConsistencyError):
-            hardy4.cross_check(bad, hardy4.closed_form_metrics(m.params))
+            hardy4.cross_check(bad, hardy4.closed_form_metrics(m.params), m.params)
+
+
+SHIFT_ALPHAS = [1e-6, 0.6, 1.0 - 1e-6]
+
+
+class TestRoundingBound:
+    """Agreement with a closed form means within qcore.bound(closed, 4, cond) of it."""
+
+    @pytest.mark.parametrize("alpha", SHIFT_ALPHAS)
+    @pytest.mark.parametrize("name", [f for f in hardy4._CHECKED_FIELDS if f != "p_joint_U1U2"])
+    def test_relative_shift_of_a_field_raises(self, alpha, name):
+        """A 1e-12 relative error shows at any alpha, also where the value is near 1e-12."""
+        m = hardy4.build_model(alpha)
+        good, closed = hardy4.compute_metrics(m), hardy4.closed_form_metrics(m.params)
+        hardy4.cross_check(good, closed, m.params)
+        assert getattr(closed, name) != 0.0
+        bad = dataclasses.replace(good, **{name: getattr(good, name) * (1.0 + 1e-12)})
+        with pytest.raises(InternalConsistencyError, match=f"for {name}:"):
+            hardy4.cross_check(bad, closed, m.params)
+
+    @pytest.mark.parametrize("alpha", SHIFT_ALPHAS)
+    @pytest.mark.parametrize("value", [10 * qcore.zero_threshold(4), math.nan])
+    def test_zero_field_above_threshold_or_nan_raises(self, alpha, value):
+        m = hardy4.build_model(alpha)
+        bad = dataclasses.replace(hardy4.compute_metrics(m), p_joint_U1U2=value)
+        with pytest.raises(InternalConsistencyError, match="p_joint_U1U2"):
+            hardy4.cross_check(bad, hardy4.closed_form_metrics(m.params), m.params)
+
+    def test_bound_is_relative_to_the_closed_value(self):
+        params = hardy4.HardyParams.from_alpha(1e-6)
+        assert hardy4._bound("p_D1", 1e-12, params) == qcore.bound(1e-12, 4)
+        cond = 1.0 + 1.0 / abs(params.beta - params.alpha)
+        assert hardy4._bound("p_joint_D1D2", 1e-12, params) == qcore.bound(1e-12, 4, cond)
+
+    def test_p_max_off_by_1e_14_raises(self, monkeypatch):
+        compute = hardy4.compute_metrics
+
+        def shifted(model):
+            m = compute(model)
+            return dataclasses.replace(m, p_joint_D1D2=m.p_joint_D1D2 + 1e-14)
+        monkeypatch.setattr(hardy4, "compute_metrics", shifted)
+        with pytest.raises(InternalConsistencyError, match="p_max"):
+            hardy4.optimize_paradox()
 
 
 class TestContradiction:
@@ -162,6 +206,25 @@ class TestContradiction:
         assert result.hv_value == 1.0
         assert result.quantum_value == pytest.approx(1.0 - 0.04 / 0.52, abs=1e-12)
         assert result.discrepancy == pytest.approx(0.04 / 0.52, abs=1e-12)
+
+    def test_quantum_value_is_c_bar_at_the_extremes(self):
+        """P(1-U1|D1) on two qubits equals the one-qubit c_bar within its rounding bound,
+        alpha or 1-alpha from 2e-14 to 0.1."""
+        grid = [float(x) for x in np.geomspace(2e-14, 0.1, 40)]
+        for alpha in grid + [1.0 - x for x in grid] + [0.3, 0.6, 0.9]:
+            model = hardy4.build_model(alpha)
+            result = hardy4.disturbance_contradiction(model)
+            c_bar = hardy4.closed_form_metrics(model.params).c_bar
+            assert abs(result.quantum_value - c_bar) <= qcore.bound(c_bar, 4), alpha
+
+    @pytest.mark.parametrize("alpha", SHIFT_ALPHAS)
+    def test_shifted_quantum_value_raises(self, monkeypatch, alpha):
+        model = hardy4.build_model(alpha)
+        conditional = qcore.conditional_probability
+        monkeypatch.setattr(qcore, "conditional_probability",
+                            lambda *args: conditional(*args) * (1.0 + 1e-12))
+        with pytest.raises(InternalConsistencyError, match=re.escape("P(1-U1|D1)")):
+            hardy4.disturbance_contradiction(model)
 
     def test_maximally_entangled_no_contradiction(self):
         result = hardy4.disturbance_contradiction(hardy4.build_model(1.0 / math.sqrt(2.0)))
@@ -244,7 +307,7 @@ class TestOptimizer:
             return dataclasses.replace(m, p_joint_D1D2=m.p_joint_D1D2 + 1e-9)
         monkeypatch.setattr(hardy4, "compute_metrics", shifted)
         with pytest.raises(InternalConsistencyError):
-            hardy4.optimize_paradox(tol=1e-10)
+            hardy4.optimize_paradox()
 
     def test_flat_neighbourhood_raises(self, monkeypatch):
         # with no step, the neighbours equal the centre instead of lying below it

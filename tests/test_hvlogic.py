@@ -213,6 +213,39 @@ class TestDeriveTwoStep:
         assert result.discrepancy > 0.0
 
 
+class TestGates:
+    """0 and 1 mean 0 and 1 to rounding in the state's dimension (qcore.bound)."""
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_exclusion_at_the_zero_threshold(self, dim):
+        exc = hvlogic._exclusion(qcore.zero_threshold(dim), "<U1U2>=0", "U1", "U2", dim)
+        assert exc.literals == (("U1", True), ("U2", True))
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-27, math.nan])
+    def test_exclusion_of_a_positive_joint_raises(self, p):
+        with pytest.raises(InvalidParameterError, match="'<U1U2>=0' not quantum-justified"):
+            hvlogic._exclusion(p, "<U1U2>=0", "U1", "U2", 4)
+
+    @pytest.mark.parametrize("p", [1.0, 1.0 - 3 * 2.0 ** -52, 1.0 - qcore.bound(1.0, 4) / 2])
+    def test_implication_within_the_bound_of_one(self, p):
+        imp = hvlogic._implication(p, "D1", "U2", 4)
+        assert (imp.cid, imp.antecedents, imp.consequent) == ("P(U2|D1)=1", (("D1", True),),
+                                                              ("U2", True))
+
+    @pytest.mark.parametrize("p", [1.0 - 1e-12, 1.0 - 2 * qcore.bound(1.0, 4), math.nan])
+    def test_implication_off_one_raises(self, p):
+        with pytest.raises(InvalidParameterError, match=re.escape("'P(U2|D1)=1'")):
+            hvlogic._implication(p, "D1", "U2", 4)
+
+    def test_hardy_gates_take_the_dimension_of_the_state(self, monkeypatch):
+        seen = []
+        gate = hvlogic._gate
+        monkeypatch.setattr(hvlogic, "_gate", lambda *a: seen.append(a[-1]) or gate(*a))
+        hardy_system_at(0.6)
+        hvlogic.gedanken_system()
+        assert seen == [4, 4, 4, 5, 5, 5, 5, 5]
+
+
 class TestQuantumGatedSystems:
     def test_hardy_system_paradox_at_06(self):
         assert check(hardy_system_at(0.6)).status == "paradox"
@@ -266,6 +299,30 @@ class TestQuantumGatedSystems:
                                 lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
         hvlogic.gedanken_system()
         assert calls == ["born_probability"]  # <D+0 D-0>, which the report does not carry
+
+    @pytest.mark.parametrize("joint", [qcore.zero_threshold(5), math.nan, 1e-12])
+    def test_gedanken_required_event_above_zero_threshold(self, monkeypatch, joint):
+        report = gedanken.full_report()
+        monkeypatch.setattr(gedanken, "full_report", lambda: report)
+        monkeypatch.setattr(qcore, "born_probability", lambda *a: joint)
+        if joint > qcore.zero_threshold(5):
+            assert hvlogic.gedanken_system().required_positive[0].cid == "<D+0 D-0>>0"
+        else:
+            with pytest.raises(InvalidParameterError, match="<D\\+0 D-0> unexpectedly zero"):
+                hvlogic.gedanken_system()
+
+    def test_gated_values_sit_on_their_targets(self):
+        """Every gated value is within a few eps of 0 or 1, far inside the bound."""
+        eps = 2.0 ** -52
+        report = gedanken.full_report()
+        assert report["joint_Cplus_Cminus"].quantum_value == 0.0
+        for rid in ("P(D-inf|C+inf)", "P(D+inf|C-inf)", "P(C+inf|D-0)", "P(C-inf|D+0)"):
+            assert report[rid].quantum_value == 1.0, rid
+        for alpha in (2e-14, 1e-6, 0.6, 1.0 - 1e-6, 0.9999999999999999):
+            m = hardy4.compute_metrics(hardy4.build_model(alpha))
+            assert abs(m.p_cond_U2_given_D1 - 1.0) <= 4 * eps, alpha
+            assert abs(m.p_cond_U1_given_D2 - 1.0) <= 4 * eps, alpha
+            assert m.p_joint_U1U2 <= qcore.zero_threshold(4), alpha
 
     def test_serialization_round_trip_fields(self):
         sys_ = hardy_system_at(0.6)

@@ -119,6 +119,13 @@ class TestConditionalProbability:
         assert repr(qcore.zero_threshold(4)) == "2.0194839173657902e-28"
         assert qcore.zero_threshold(2) == qcore.zero_threshold(4) / 4
 
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    def test_bound_shares_the_rounding_model(self, dim):
+        zero = qcore.zero_threshold(dim)
+        assert qcore.bound(0.0, dim) == zero
+        assert qcore.bound(1.0, dim) == math.sqrt(zero) + zero
+        assert qcore.bound(-0.5, dim, cond=3.0) == 1.5 * math.sqrt(zero) + zero
+
     def test_generic_position_zero_is_zero(self):
         # rounding leaves ||A psi||^2 near 1e-31 here, <psi|A|psi> near 1e-16
         for seed in range(200):
