@@ -15,11 +15,13 @@ quantum conditional <m|P_n|m> to exhibit where it fails.
 `compare` evaluates one triple through the matrix pipeline and
 `LambdaSet` arithmetic.  Scans evaluate all their rows at once from the
 closed forms (`conditional_rows`): the quantum conditional (1 + m.n)/2
-and the overlap of two response intervals.  Each trial still draws from
-its own stream `_trial_rng(seed, trial)`, so every per-seed result is
-unchanged.  Scalar `compare` is the oracle: it re-checks the printed
-maximum and SCAN_RECHECKS seeded rows of every scan, and a disagreement
-raises InternalConsistencyError (exit 3 on the command line).
+and the overlap of two response intervals.  A scan draws from one PCG64
+stream per seed, in which trial i owns draws 6i..6i+5; PCG64 jumps ahead
+by n draws in O(log n) steps, so `_trial_rng(seed, trial)` redraws any
+one trial alone.  Scalar `compare` is the oracle: it re-checks the
+printed maximum and SCAN_RECHECKS seeded rows of every scan, each from
+its own redrawn trial, and a disagreement raises
+InternalConsistencyError (exit 3 on the command line).
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ SCAN_RECHECKS = 4
 # residual stayed below 1.5e-14, and the classical sides were equal.
 RECHECK_TOL = 1e-12
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# Draws of a scan's stream that each trial owns: z and azimuth of s, m and n.
+TRIAL_DRAWS = 6
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -194,11 +195,10 @@ def hv_expectation(s, m) -> float:
 
 
 def projector_from_axis(m, name: str = "") -> Projector:
-    """P_m = (1 + m.sigma)/2."""
-    m = unit_vector(m)
-    mat = 0.5 * (np.eye(2, dtype=complex)
-                 + m[0] * _SIGMA_X + m[1] * _SIGMA_Y + m[2] * _SIGMA_Z)
-    return Projector(mat, name=name or f"P({m[0]:g},{m[1]:g},{m[2]:g})")
+    """P_m = (1 + m.sigma)/2 = [[1 + z, x - iy], [x + iy, 1 - z]]/2."""
+    x, y, z = unit_vector(m).tolist()
+    mat = 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]])
+    return Projector(mat, name=name or f"P({x:g},{y:g},{z:g})")
 
 
 def state_from_bloch(s) -> StateVector:
@@ -239,8 +239,13 @@ def compare(s, m, n) -> ConditionalComparison:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # per-trial sub-seed: identical results whether trials run serially or not
-    return np.random.default_rng(np.random.SeedSequence((seed, trial)))
+    """The seed's PCG64 stream, moved on to the first of trial `trial`'s draws.
+
+    Trial 0 starts the stream, so `_trial_rng(seed, 0)` draws as
+    default_rng(seed) does.
+    """
+    stream = np.random.PCG64(np.random.SeedSequence(seed))
+    return np.random.Generator(stream.advance(TRIAL_DRAWS * trial))
 
 
 def sample_direction(rng: np.random.Generator) -> np.ndarray:
@@ -266,12 +271,11 @@ def _blocks(trials: int):
 def _trial_directions(seed: int, trials: range, count: int) -> np.ndarray:
     """(len(trials), count, 3): _trial_draws for each trial, bit for bit.
 
-    uniform(lo, hi) is lo + (hi - lo) * random(), so one random(2 * count)
-    per stream gives the same doubles as `count` sample_direction calls.
+    `trials` is consecutive, so its draws are one stretch of the stream.
+    uniform(lo, hi) is lo + (hi - lo) * random(), so each trial's first
+    2 * count doubles give the same directions as `count` sample_direction calls.
     """
-    u = np.empty((len(trials), 2 * count))
-    for row, trial in zip(u, trials):
-        _trial_rng(seed, trial).random(out=row)
+    u = _trial_rng(seed, trials.start).random((len(trials), TRIAL_DRAWS))[:, :2 * count]
     z = -1.0 + 2.0 * u[:, 0::2]
     phi = 2.0 * math.pi * u[:, 1::2]
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -330,7 +334,7 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
 
     Rows come from `conditional_rows`, SCAN_CHUNK trials at a time.  Scalar
     `compare` re-checks the maximum row, whose values it reports, and
-    SCAN_RECHECKS rows drawn from default_rng(seed).
+    SCAN_RECHECKS rows drawn from the stream after the last trial.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
@@ -349,7 +353,7 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
         return _rechecked(_trial_draws(seed, i, 3), quantum[i], classical[i], measure[i])
 
     best = recheck(int(np.argmax(discrepancy)))  # the first maximum, as a running `>` keeps
-    for i in np.random.default_rng(seed).integers(trials, size=SCAN_RECHECKS):
+    for i in _trial_rng(seed, trials).integers(trials, size=SCAN_RECHECKS):
         recheck(int(i))
     return ScanResult(max=best, histogram=tuple(int(b) for b in bins))
 

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -64,8 +65,14 @@ def _parse_vector(text: str) -> np.ndarray:
     v = np.asarray(parts)
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError(f"vector {text!r} has a non-finite component")
+    # Scaled by the power of two at its largest component, the squares in the
+    # norm cannot overflow, and v / |v| keeps every digit: the scale is exact.
+    exp = math.frexp(float(np.abs(v).max()))[1]
+    v = np.ldexp(v, -exp)
     norm = float(np.linalg.norm(v))
-    if norm < 1e-6:
+    # |v| itself while exp <= 0; beyond, |v| >= 1/2 passes either way, and the
+    # capped exponent keeps ldexp from overflowing
+    if math.ldexp(norm, min(exp, 0)) < 1e-6:
         raise InvalidParameterError(f"vector {text!r} too close to zero to normalize")
     return v / norm
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import gedanken, hardy4, qcore
-from .errors import InvalidParameterError
+from .errors import InternalConsistencyError, InvalidParameterError
 
 MAX_VARIABLES = 20
 
@@ -283,11 +283,12 @@ def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, list[Impl
 
 def _gate(value: float, target: float, cid: str, dim: int) -> None:
     """Raise unless `value` is `target` (0 or 1) to rounding in dimension `dim`:
-    within qcore.bound(1, dim) of 1, or at most qcore.zero_threshold(dim) = bound(0, dim)."""
+    within qcore.bound(1, dim) of 1, or at most qcore.zero_threshold(dim) = bound(0, dim).
+    The encodings are fixed, so an off-target value is a bug: InternalConsistencyError."""
     allowed = qcore.bound(target, dim)
     if not abs(value - target) <= allowed:
-        raise InvalidParameterError(f"constraint {cid!r} not quantum-justified: value {value!r} "
-                                    f"vs target {target!r} (bound {allowed!r})")
+        raise InternalConsistencyError(f"constraint {cid!r} not quantum-justified: value "
+                                       f"{value!r} vs target {target!r} (bound {allowed!r})")
 
 
 def _implication(p: float, given: str, then: str, dim: int) -> Implication:
@@ -345,7 +346,7 @@ def gedanken_system() -> ConstraintSystem:
     joint_dd0 = qcore.born_probability(
         gedanken.STATE, qcore.Projector(det.d_plus_0.matrix @ det.d_minus_0.matrix))
     if not joint_dd0 > qcore.zero_threshold(dim):
-        raise InvalidParameterError("<D+0 D-0> unexpectedly zero; cannot build required event")
+        raise InternalConsistencyError("<D+0 D-0> unexpectedly zero; cannot build required event")
     return ConstraintSystem(
         variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),
         implications=implications,

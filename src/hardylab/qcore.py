@@ -82,12 +82,12 @@ class Projector:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise InvalidParameterError("projector matrix must be square and non-empty")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise InvalidParameterError("projector matrix must be finite")
-        herm = np.max(np.abs(mat - mat.conj().T))
+        herm = np.abs(mat - mat.conj().T).max()
         if herm > TOL_PROJECTOR:
             raise InvalidParameterError(f"projector {self.name!r} is not Hermitian (defect {herm:.3e})")
-        idem = np.max(np.abs(mat @ mat - mat))
+        idem = np.abs(mat @ mat - mat).max()
         if idem > TOL_PROJECTOR:
             raise InvalidParameterError(f"projector {self.name!r} is not idempotent (defect {idem:.3e})")
         mat.flags.writeable = False

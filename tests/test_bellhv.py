@@ -97,6 +97,23 @@ class TestResponse:
             (1.0 + float(np.dot(s, m))) / 2.0, abs=1e-15)
 
 
+class TestProjectorFromAxis:
+    def test_equals_the_sigma_sum(self):
+        """The literal [[1+z, x-iy], [x+iy, 1-z]]/2 is (1 + m.sigma)/2 by value."""
+        sigma = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                 np.array([[1, 0], [0, -1]]))
+        rng = np.random.default_rng(17)
+        axes = [bellhv.sample_direction(rng) for _ in range(1000)]
+        axes += [sign * e for e in (X_HAT, Y_HAT, Z_HAT) for sign in (1.0, -1.0)]
+        for m in axes:
+            expected = 0.5 * (np.eye(2) + m[0] * sigma[0] + m[1] * sigma[1] + m[2] * sigma[2])
+            assert np.array_equal(bellhv.projector_from_axis(m).matrix, expected), m
+
+    def test_default_name(self):
+        assert bellhv.projector_from_axis(-X_HAT).name == "P(-1,-0,-0)"
+        assert bellhv.projector_from_axis(Z_HAT, "P_m").name == "P_m"
+
+
 class TestUnitVector:
     @pytest.mark.parametrize("bad", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0],
                                      [0.0, 0.0, -math.inf]], ids=str)
@@ -183,7 +200,8 @@ class TestScan:
         assert len(result.histogram) == 20
 
     def test_prefix_stability(self):
-        """Per-trial sub-seeding: a longer scan extends, not reshuffles."""
+        """Trial i owns draws 6i..6i+5 of the seed's stream: a longer scan
+        extends a shorter one, not reshuffles it."""
         short = bellhv.scan_discrepancy(50, 9)
         long = bellhv.scan_discrepancy(100, 9)
         assert long.max.discrepancy >= short.max.discrepancy
@@ -221,6 +239,21 @@ class TestScanKernel:
     def test_directions_are_the_scalar_draws(self, seed):
         assert np.array_equal(bellhv._trial_directions(seed, range(400), 3),
                               scalar_draws(seed, 400))
+
+    def test_blocks_are_the_scalar_draws_across_a_chunk_boundary(self, monkeypatch):
+        """malley_search's path: one direction per trial, SCAN_CHUNK trials at a time."""
+        monkeypatch.setattr(bellhv, "SCAN_CHUNK", 7)
+        blocks = list(bellhv._blocks(20))
+        assert [(b.start, b.stop) for b in blocks] == [(0, 7), (7, 14), (14, 20)]
+        for block in blocks:
+            assert np.array_equal(bellhv._trial_directions(9, block, 1),
+                                  np.array([bellhv._trial_draws(9, i, 1) for i in block]))
+
+    def test_one_stream_per_seed(self):
+        """Trial 0 starts default_rng(seed)'s stream, and trial i + 1 follows trial i."""
+        rng = np.random.default_rng(11)
+        stream = [bellhv.sample_direction(rng) for _ in range(9)]
+        assert np.array_equal(bellhv._trial_directions(11, range(3), 3).reshape(9, 3), stream)
 
     def test_shorter_scan_rows_are_a_prefix(self):
         long = bellhv._trial_directions(7, range(300), 3)
@@ -268,7 +301,8 @@ class TestScanKernel:
         seed, trials = 8, 200
         draws = scalar_draws(seed, trials)
         expected = [int(np.argmax([bellhv.compare(*t).discrepancy for t in draws]))]
-        expected += list(np.random.default_rng(seed).integers(trials, size=bellhv.SCAN_RECHECKS))
+        after_last_trial = bellhv._trial_rng(seed, trials)
+        expected += list(after_last_trial.integers(trials, size=bellhv.SCAN_RECHECKS))
         checked = []
         compare = bellhv.compare
 
@@ -278,6 +312,13 @@ class TestScanKernel:
         monkeypatch.setattr(bellhv, "compare", spy)
         bellhv.scan_discrepancy(trials, seed)
         assert np.array_equal(checked, draws[expected, 0])
+
+    def test_seed_42_golden(self):
+        """Pins the stream layout: a change to it must edit this test."""
+        result = bellhv.scan_discrepancy(1000, 42)
+        assert result.histogram == (99, 110, 101, 86, 64, 68, 63, 53, 59, 43,
+                                    39, 39, 29, 42, 33, 20, 15, 20, 13, 4)
+        assert result.max.to_dict() == bellhv.compare(*bellhv._trial_draws(42, 482, 3)).to_dict()
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         whole = bellhv.scan_discrepancy(100, 3)

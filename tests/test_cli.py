@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import bellhv, cli, hardy4, qcore
+from hardylab.errors import InvalidParameterError
 
 
 def run_json(capsys, argv):
@@ -161,6 +162,31 @@ class TestBellCommand:
         assert proc.stdout == b""
         # only the error line: no numpy warning from normalizing the vector first
         assert proc.stderr == f"error: vector {text!r} has a non-finite component\n".encode()
+
+    def test_huge_vector_normalizes_without_overflow(self, cli_env):
+        def bell(s):
+            return subprocess.run([sys.executable, "-m", "hardylab.cli", "bell", "--s", s,
+                                   "--m", "1,0,0", "--n", "0,0,1"],
+                                  capture_output=True, env=cli_env)
+        huge, plain = bell("1e200,1e200,0"), bell("1,1,0")
+        assert (huge.returncode, huge.stderr) == (0, b"")
+        assert huge.stdout == plain.stdout
+
+    @pytest.mark.parametrize("k", [-19, 0, 7, 510, 600, 1023 - 4])
+    def test_power_of_two_scale_moves_no_digit(self, k):
+        expected = np.array([3.0, -4.0, 12.0]) / 13.0
+        text = ",".join(repr(math.ldexp(c, k)) for c in (3.0, -4.0, 12.0))
+        assert np.array_equal(cli._parse_vector(text), expected)
+
+    @pytest.mark.parametrize("text", ["1e-300,-1e-300,0", "5e-324,0,0", "5.7e-7,5.7e-7,5.7e-7"])
+    def test_norm_below_1e_6_rejected(self, text):
+        with pytest.raises(InvalidParameterError, match="too close to zero"):
+            cli._parse_vector(text)
+
+    def test_norm_above_1e_6_accepted(self):
+        """|(5.8e-7, 5.8e-7, 5.8e-7)| = 1.005e-6: the threshold is on |v|, not on a component."""
+        v = cli._parse_vector("5.8e-7,5.8e-7,5.8e-7")
+        assert np.allclose(v, np.ones(3) / math.sqrt(3.0), rtol=0, atol=1e-15)
 
     def test_missing_vectors_exit_2(self, capsys):
         assert cli.run(["bell"]) == 2

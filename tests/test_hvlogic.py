@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import gedanken, hardy4, hvlogic, qcore
-from hardylab.errors import InvalidParameterError
+from hardylab import cli, gedanken, hardy4, hvlogic, qcore
+from hardylab.errors import InternalConsistencyError, InvalidParameterError
 from hardylab.hvlogic import (
     ConstraintSystem,
     Exclusion,
@@ -223,7 +223,7 @@ class TestGates:
 
     @pytest.mark.parametrize("p", [1e-12, 1e-27, math.nan])
     def test_exclusion_of_a_positive_joint_raises(self, p):
-        with pytest.raises(InvalidParameterError, match="'<U1U2>=0' not quantum-justified"):
+        with pytest.raises(InternalConsistencyError, match="'<U1U2>=0' not quantum-justified"):
             hvlogic._exclusion(p, "<U1U2>=0", "U1", "U2", 4)
 
     @pytest.mark.parametrize("p", [1.0, 1.0 - 3 * 2.0 ** -52, 1.0 - qcore.bound(1.0, 4) / 2])
@@ -234,7 +234,7 @@ class TestGates:
 
     @pytest.mark.parametrize("p", [1.0 - 1e-12, 1.0 - 2 * qcore.bound(1.0, 4), math.nan])
     def test_implication_off_one_raises(self, p):
-        with pytest.raises(InvalidParameterError, match=re.escape("'P(U2|D1)=1'")):
+        with pytest.raises(InternalConsistencyError, match=re.escape("'P(U2|D1)=1'")):
             hvlogic._implication(p, "D1", "U2", 4)
 
     def test_hardy_gates_take_the_dimension_of_the_state(self, monkeypatch):
@@ -286,8 +286,20 @@ class TestQuantumGatedSystems:
         chain = report["P(C+inf|D-0)"]
         off = dataclasses.replace(chain, quantum_value=chain.quantum_value - 1e-9)
         monkeypatch.setattr(gedanken, "full_report", lambda: {**report, "P(C+inf|D-0)": off})
-        with pytest.raises(InvalidParameterError, match=re.escape("'P(C+inf|D-0)=1'")):
+        with pytest.raises(InternalConsistencyError, match=re.escape("'P(C+inf|D-0)=1'")):
             hvlogic.gedanken_system()
+
+    def test_failed_gate_exits_3(self, capsys, monkeypatch):
+        """On a fixed encoding an off-target value is a bug, never bad input."""
+        report = gedanken.full_report()
+        chain = report["P(C+inf|D-0)"]
+        off = dataclasses.replace(chain, quantum_value=chain.quantum_value - 1e-9)
+        monkeypatch.setattr(gedanken, "full_report", lambda: {**report, "P(C+inf|D-0)": off})
+        assert cli.run(["certify", "--scenario", "gedanken"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal cross-check failed: constraint 'P(C+inf|D-0)=1' not quantum-justified")
 
     def test_gedanken_system_computes_only_the_required_event(self, monkeypatch):
         report = gedanken.full_report()
@@ -308,7 +320,7 @@ class TestQuantumGatedSystems:
         if joint > qcore.zero_threshold(5):
             assert hvlogic.gedanken_system().required_positive[0].cid == "<D+0 D-0>>0"
         else:
-            with pytest.raises(InvalidParameterError, match="<D\\+0 D-0> unexpectedly zero"):
+            with pytest.raises(InternalConsistencyError, match="<D\\+0 D-0> unexpectedly zero"):
                 hvlogic.gedanken_system()
 
     def test_gated_values_sit_on_their_targets(self):
