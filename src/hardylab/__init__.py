@@ -9,11 +9,11 @@ from .errors import (
     InvalidParameterError,
     ZeroProbabilityError,
 )
-from .qcore import DisturbanceMetrics, Projector, StateVector
+from .qcore import Projector, StateVector
 
 __all__ = [
     "bellhv", "gedanken", "hardy4", "hvlogic", "qcore",
-    "StateVector", "Projector", "DisturbanceMetrics",
+    "StateVector", "Projector",
     "HardyLabError", "DimensionMismatchError", "ZeroProbabilityError",
     "InvalidParameterError", "InternalConsistencyError",
 ]

@@ -13,7 +13,8 @@ classical (Bayes) conditional mu[b & a]/mu[a] is compared against the
 quantum conditional <m|P_n|m> to exhibit where it fails.
 
 `compare` evaluates one triple through the matrix pipeline and
-`LambdaSet` arithmetic.  Scans evaluate all their rows at once from the
+`LambdaSet` arithmetic, on the closed-form ket of the Bloch vector
+(`state_from_bloch`).  Scans evaluate all their rows at once from the
 closed forms (`conditional_rows`): the quantum conditional (1 + m.n)/2
 and the overlap of two response intervals.  A scan draws from one PCG64
 stream per seed, in which trial i owns draws 6i..6i+5; PCG64 jumps ahead
@@ -46,11 +47,6 @@ MAX_SAMPLES = 10_000_000
 SCAN_CHUNK = 1 << 14
 # Seeded rows of each scan that scalar `compare` re-checks, besides the maximum.
 SCAN_RECHECKS = 4
-# A closed-form row must match `compare` within RECHECK_TOL on the quantum side
-# and RECHECK_TOL / measure on the classical side, since the Bayes ratio
-# amplifies the rounding of s.m by 1/measure.  On 3,000 scan rows the quantum
-# residual stayed below 1.5e-14, and the classical sides were equal.
-RECHECK_TOL = 1e-12
 
 # Draws of a scan's stream that each trial owns: z and azimuth of s, m and n.
 TRIAL_DRAWS = 6
@@ -202,10 +198,15 @@ def projector_from_axis(m, name: str = "") -> Projector:
 
 
 def state_from_bloch(s) -> StateVector:
-    """Pure qubit state with Bloch vector s (eigenvector of P_s)."""
-    rho = projector_from_axis(unit_vector(s)).matrix
-    vals, vecs = np.linalg.eigh(rho)
-    return StateVector.normalize(vecs[:, int(np.argmax(vals))])
+    """Pure qubit state with Bloch vector s = (x, y, z): (a, (x + iy)/(2a)) with
+    a = sqrt((1 + z)/2) for z >= 0, else the same ray ((x - iy)/(2b), b) with
+    b = sqrt((1 - z)/2).  The divisor is at least sqrt(1/2), so nothing cancels."""
+    x, y, z = unit_vector(s).tolist()
+    if z >= 0.0:
+        a = math.sqrt((1.0 + z) / 2.0)
+        return StateVector(np.array([a, complex(x, y) / (2.0 * a)]))
+    b = math.sqrt((1.0 - z) / 2.0)
+    return StateVector(np.array([complex(x, -y) / (2.0 * b), b]))
 
 
 def _empty_conditioning(m, measure: float) -> ZeroProbabilityError:
@@ -318,10 +319,12 @@ def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _rechecked(triple, quantum: float, classical: float, measure: float) -> ConditionalComparison:
-    """Scalar `compare` on one closed-form row; raise if the two disagree."""
+    """Scalar `compare` on one closed-form row; raise unless both sides agree within
+    qcore.bound(1, 2, 1 + 1/measure), as the Bayes ratio scales the rounding of s.m
+    by 1/measure.  A NaN on either side fails."""
     cmp = compare(*triple)
-    if (abs(cmp.quantum - quantum) > RECHECK_TOL
-            or abs(cmp.classical - classical) > RECHECK_TOL / measure):
+    tol = qcore.bound(1.0, 2, 1.0 + 1.0 / measure)
+    if not (abs(cmp.quantum - quantum) <= tol and abs(cmp.classical - classical) <= tol):
         raise InternalConsistencyError(
             f"closed-form row (quantum {float(quantum)!r}, classical {float(classical)!r}) "
             f"disagrees with compare (quantum {cmp.quantum!r}, classical {cmp.classical!r}) "

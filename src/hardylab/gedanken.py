@@ -116,7 +116,7 @@ def full_report() -> GedankenReport:
     # On the electron qubit 1-D(0) = C(0) and 1-D(inf) = C(inf), both rank 1,
     # so the electron-sector trace Tr (1-D(0))(1-D(inf)) is Tr C(0) C(inf).
     trace_value = qcore.disturbance_metrics(Projector(_rank1(_C0_KET), name="C(0)"),
-                                            Projector(_rank1(_U), name="C(inf)")).c
+                                            Projector(_rank1(_U), name="C(inf)"))
     return {
         "joint_Cplus_Cminus": RelationResult(qcore.born_probability(psi, joint_cc), 0.0),
         "P(D-inf|C+inf)": RelationResult(

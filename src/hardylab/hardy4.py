@@ -167,7 +167,7 @@ def compute_metrics(model: HardyModel) -> HardyMetrics:
         p_cond_D2_given_D1=qcore.conditional_probability(psi, model.D1, model.D2),
         p_joint_U1U2=qcore.born_probability(psi, _joint(model.U1, model.U2, "U1U2")),
         p_joint_D1D2=qcore.born_probability(psi, _joint(model.D1, model.D2, "D1D2")),
-        c_bar=qcore.disturbance_metrics(model.d_local, _u_perp(model.params)).c,
+        c_bar=qcore.disturbance_metrics(model.d_local, _u_perp(model.params)),
         commutator_D1U1=qcore.commutator_norm(model.d_local, model.u_local),
     )
 

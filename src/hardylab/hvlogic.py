@@ -61,8 +61,14 @@ class ConstraintSystem:
             raise InvalidParameterError("variable names must be unique")
         if len(self.variables) > MAX_VARIABLES:
             raise InvalidParameterError(f"at most {MAX_VARIABLES} variables supported")
+        groups = (self.implications, self.exclusions, self.required_positive)
+        # a chain step names its constraint by id, so an id must name one constraint
+        ids = [item.cid for group in groups for item in group]
+        if len(set(ids)) != len(ids):
+            repeated = sorted({cid for cid in ids if ids.count(cid) > 1})
+            raise InvalidParameterError(f"constraint ids must be unique, repeated: {repeated}")
         declared = set(self.variables)
-        for group in (self.implications, self.exclusions, self.required_positive):
+        for group in groups:
             for item in group:
                 lits = (item.literals if hasattr(item, "literals")
                         else item.antecedents + (item.consequent,))

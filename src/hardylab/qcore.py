@@ -10,9 +10,8 @@ immutable values.
 
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from .errors import (
 
 TOL_NORM = 1e-12
 TOL_PROJECTOR = 1e-12
-# Raw Born values outside [-EPS_PROB, 1+EPS_PROB] signal an algebra bug.
-EPS_PROB = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,38 +116,9 @@ class Projector:
         return self.name or f"<projector dim={self.dim}>"
 
 
-@dataclass(frozen=True)
-class DisturbanceMetrics:
-    """Disturbance of a sharp observable by a preceding rank-1 measurement.
-
-    c is the retention probability, sigma_f the post-measurement standard
-    deviation sqrt(c(1-c)), and entropic_bound = -ln(c) (natural log;
-    math.inf when c = 0).
-    """
-
-    c: float
-    sigma_f: float = field(init=False)
-    entropic_bound: float = field(init=False)
-
-    def __post_init__(self):
-        c = float(self.c)
-        if not (-EPS_PROB <= c <= 1.0 + EPS_PROB):
-            raise InternalConsistencyError(f"disturbance c = {c!r} outside [0,1]")
-        c = min(max(c, 0.0), 1.0)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "sigma_f", math.sqrt(c * (1.0 - c)))
-        object.__setattr__(self, "entropic_bound", math.inf if c == 0.0 else -math.log(c))
-
-
 def _check_dims(*dims: int) -> None:
     if len(set(dims)) > 1:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
-
-
-def _clamp_probability(value: float, context: str) -> float:
-    if not (-EPS_PROB <= value <= 1.0 + EPS_PROB):
-        raise InternalConsistencyError(f"{context}: raw value {value!r} outside [0,1] tolerance band")
-    return min(max(value, 0.0), 1.0)
 
 
 def _norm_sq(amplitudes: np.ndarray) -> float:
@@ -173,6 +141,15 @@ def bound(exact: float, dim: int, cond: float = 1.0) -> float:
     return 16 * dim * sys.float_info.epsilon * abs(exact) * cond + zero_threshold(dim)
 
 
+def _clamp_probability(value: float, context: str, dim: int, cond: float = 1.0) -> float:
+    """Clamp to [0,1]; a raw value further out than bound(1, dim, cond), or NaN, is a bug."""
+    slack = bound(1.0, dim, cond)
+    if not -slack <= value <= 1.0 + slack:
+        raise InternalConsistencyError(
+            f"{context}: raw value {value!r} outside [0,1] by more than the rounding bound {slack!r}")
+    return min(max(value, 0.0), 1.0)
+
+
 def _nonzero(p_a: float, a: Projector, action: str) -> float:
     zero = zero_threshold(a.dim)
     if p_a <= zero:
@@ -181,18 +158,20 @@ def _nonzero(p_a: float, a: Projector, action: str) -> float:
 
 
 def born_probability(psi: StateVector, a: Projector) -> float:
-    """Born rule <psi|A|psi> = ||A psi||^2, clamped to [0,1] after a tolerance check."""
+    """Born rule <psi|A|psi> = ||A psi||^2, clamped to [0,1] within the rounding bound."""
     _check_dims(psi.dim, a.dim)
     return _clamp_probability(_norm_sq(a.matrix @ psi.amplitudes),
-                              f"born_probability({a.label()})")
+                              f"born_probability({a.label()})", a.dim)
 
 
 def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> float:
-    """P(B|A) = ||B A psi||^2 / ||A psi||^2: measure A first, then B."""
+    """P(B|A) = ||B A psi||^2 / ||A psi||^2: measure A first, then B.  Dividing
+    by P(A) scales the rounding by 1/P(A), so the clamp takes cond = 1 + 1/P(A)."""
     _check_dims(psi.dim, a.dim, b.dim)
     p_a = _nonzero(born_probability(psi, a), a, "condition on")
     return _clamp_probability(_norm_sq((b.matrix @ a.matrix) @ psi.amplitudes) / p_a,
-                              f"conditional_probability({b.label()}|{a.label()})")
+                              f"conditional_probability({b.label()}|{a.label()})",
+                              a.dim, 1.0 + 1.0 / p_a)
 
 
 def post_measurement_state(psi: StateVector, a: Projector) -> StateVector:
@@ -201,35 +180,28 @@ def post_measurement_state(psi: StateVector, a: Projector) -> StateVector:
     return StateVector.normalize(a.matrix @ psi.amplitudes)
 
 
-def deviation(psi: StateVector, a: Projector) -> float:
-    """Standard deviation sqrt(<A^2> - <A>^2) = sqrt(p(1-p)) of a projector."""
-    p = born_probability(psi, a)
-    return math.sqrt(p * (1.0 - p))
-
-
-def disturbance_metrics(p_first: Projector, p_second: Projector) -> DisturbanceMetrics:
-    """Disturbance of p_second caused by first measuring rank-1 p_first.
+def disturbance_metrics(p_first: Projector, p_second: Projector) -> float:
+    """Retention c of p_second after first measuring rank-1 p_first.
 
     Uses the operator identity P A P = Tr(PA) P for rank-1 P, so
-    c = Tr(p_first p_second).
+    c = Tr(p_first p_second), clamped to [0,1] within the rounding bound.
     """
     _check_dims(p_first.dim, p_second.dim)
     if abs(p_first.trace - 1.0) > TOL_PROJECTOR:
         raise InvalidParameterError(
             f"first projector {p_first.label()} must be rank 1 (trace {p_first.trace!r})"
         )
-    c = float(np.trace(p_first.matrix @ p_second.matrix).real)
-    return DisturbanceMetrics(c=c)
+    return _clamp_probability(float(np.trace(p_first.matrix @ p_second.matrix).real),
+                              f"disturbance_metrics({p_first.label()}, {p_second.label()})",
+                              p_first.dim)
 
 
-def tensor(a, b):
-    """Kronecker product of two states or two projectors."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Projector) and isinstance(b, Projector):
-        name = f"{a.name}(x){b.name}" if (a.name or b.name) else ""
-        return Projector(np.kron(a.matrix, b.matrix), name=name)
-    raise InvalidParameterError("tensor expects two StateVectors or two Projectors")
+def tensor(a: Projector, b: Projector) -> Projector:
+    """Kronecker product of two projectors."""
+    if not (isinstance(a, Projector) and isinstance(b, Projector)):
+        raise InvalidParameterError("tensor expects two Projectors")
+    name = f"{a.name}(x){b.name}" if (a.name or b.name) else ""
+    return Projector(np.kron(a.matrix, b.matrix), name=name)
 
 
 def commutator_norm(a: Projector, b: Projector) -> float:

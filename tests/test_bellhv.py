@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -11,6 +12,7 @@ from hardylab.bellhv import X_HAT, Y_HAT, Z_HAT, LambdaSet
 from hardylab.errors import InvalidParameterError, ZeroProbabilityError
 
 seeds = st.integers(0, 2**32 - 1)
+PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
 
 
 def rand_dir(seed):
@@ -100,13 +102,11 @@ class TestResponse:
 class TestProjectorFromAxis:
     def test_equals_the_sigma_sum(self):
         """The literal [[1+z, x-iy], [x+iy, 1-z]]/2 is (1 + m.sigma)/2 by value."""
-        sigma = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-                 np.array([[1, 0], [0, -1]]))
         rng = np.random.default_rng(17)
         axes = [bellhv.sample_direction(rng) for _ in range(1000)]
         axes += [sign * e for e in (X_HAT, Y_HAT, Z_HAT) for sign in (1.0, -1.0)]
         for m in axes:
-            expected = 0.5 * (np.eye(2) + m[0] * sigma[0] + m[1] * sigma[1] + m[2] * sigma[2])
+            expected = 0.5 * (np.eye(2) + m[0] * PAULI[0] + m[1] * PAULI[1] + m[2] * PAULI[2])
             assert np.array_equal(bellhv.projector_from_axis(m).matrix, expected), m
 
     def test_default_name(self):
@@ -215,6 +215,21 @@ class TestScan:
         assert 0.0 <= result.max.discrepancy <= 1.0
 
 
+class TestStateFromBloch:
+    def test_bloch_vector_within_the_bound(self):
+        """<psi|sigma|psi> of the closed-form ket is s, on both branches and at the poles."""
+        rng = np.random.default_rng(23)
+        axes = [bellhv.sample_direction(rng) for _ in range(1000)]
+        axes += [sign * e for e in (X_HAT, Y_HAT, Z_HAT) for sign in (1.0, -1.0)]
+        z = 1.0 - 2.0**-52
+        axes += [np.array([math.sqrt(1.0 - z * z), 0.0, sign * z]) for sign in (1.0, -1.0)]
+        tol = qcore.bound(1.0, 2)
+        for s in axes:
+            amps = bellhv.state_from_bloch(s).amplitudes
+            bloch = np.array([np.vdot(amps, p @ amps).real for p in PAULI])
+            assert np.all(np.abs(bloch - s) <= tol), s
+
+
 def scalar_draws(seed, trials, count=3):
     """sample_direction on each trial's own stream, one trial at a time."""
     out = []
@@ -230,8 +245,8 @@ def agrees_with_compare(s, m, n, quantum, classical, measure):
             bellhv.compare(s, m, n)
         return True
     cmp = bellhv.compare(s, m, n)
-    return (abs(cmp.quantum - quantum) <= bellhv.RECHECK_TOL
-            and abs(cmp.classical - classical) <= bellhv.RECHECK_TOL / measure)
+    tol = qcore.bound(1.0, 2, 1.0 + 1.0 / measure)
+    return abs(cmp.quantum - quantum) <= tol and abs(cmp.classical - classical) <= tol
 
 
 class TestScanKernel:
@@ -340,6 +355,15 @@ class TestScanKernel:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal cross-check failed: closed-form row")
+
+    @pytest.mark.parametrize("side", ["quantum", "classical"])
+    def test_nan_recheck_exits_3(self, capsys, monkeypatch, side):
+        """A NaN residual fails the re-check: it is not <= any bound."""
+        compare = bellhv.compare
+        monkeypatch.setattr(bellhv, "compare", lambda s, m, n: dataclasses.replace(
+            compare(s, m, n), **{side: math.nan}))
+        assert cli.run(["bell", "--scan", "100"]) == 3
+        assert capsys.readouterr().err.startswith("internal cross-check failed: closed-form row")
 
     def test_empty_conditioning_row_raises_the_scalar_message(self, monkeypatch):
         s, n = rand_dir(1), rand_dir(2)

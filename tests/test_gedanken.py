@@ -76,7 +76,7 @@ class TestDetectors:
 
     def test_qubit_disturbance_half(self, det):
         d_0, d_inf = electron_factor(det.d_minus_0), electron_factor(det.d_minus_inf)
-        assert qcore.disturbance_metrics(d_0, d_inf).c == pytest.approx(0.5, abs=1e-12)
+        assert qcore.disturbance_metrics(d_0, d_inf) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBaseRelations:

@@ -51,6 +51,26 @@ class TestValidation:
                                           consequent=("B", True)),),
             )
 
+    @pytest.mark.parametrize("exclusion_id, event_id", [("x", "e"), ("y", "x"), ("e", "e")])
+    def test_duplicate_constraint_ids(self, exclusion_id, event_id):
+        """A -> B, forbid A & B, event A=1: with a shared id the paradox chain names
+        two constraints at once, and replay could not tell which one it cites."""
+        def system(exclusion_id, event_id):
+            return ConstraintSystem(
+                variables=("A", "B"),
+                implications=(Implication(cid="x", antecedents=(("A", True),),
+                                          consequent=("B", True)),),
+                exclusions=(Exclusion(cid=exclusion_id, literals=(("A", True), ("B", True))),),
+                required_positive=(RequiredEvent(cid=event_id, literals=(("A", True),)),),
+            )
+
+        with pytest.raises(InvalidParameterError, match="unique"):
+            system(exclusion_id, event_id)
+        distinct = system("y", "e")
+        cert = check(distinct)
+        assert cert.status == "paradox" and cert.violated_constraint == "y"
+        assert replay(distinct, cert)
+
     def test_variable_limit(self):
         with pytest.raises(InvalidParameterError):
             ConstraintSystem(variables=tuple(f"v{i}" for i in range(21)))

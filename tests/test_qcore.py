@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hardylab import bellhv, qcore
 from hardylab.errors import (
     DimensionMismatchError,
+    InternalConsistencyError,
     InvalidParameterError,
     ZeroProbabilityError,
 )
@@ -102,6 +103,47 @@ class TestBornProbability:
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+class TestClampBand:
+    """Raw values are clamped to [0,1] within qcore.bound(1, dim, cond), and raise beyond it."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    def test_born_band_is_the_rounding_bound(self, dim, monkeypatch):
+        psi, a = StateVector.normalize(np.eye(dim)[0]), Projector.identity(dim)
+        slack = qcore.bound(1.0, dim)
+        for raw, clamped in ((1.0 + slack / 2, 1.0), (-slack / 2, 0.0)):
+            monkeypatch.setattr(qcore, "_norm_sq", lambda amps, raw=raw: raw)
+            assert qcore.born_probability(psi, a) == clamped
+        for raw in (1.0 + 2 * slack, -2 * slack, math.nan):
+            monkeypatch.setattr(qcore, "_norm_sq", lambda amps, raw=raw: raw)
+            with pytest.raises(InternalConsistencyError, match="rounding bound"):
+                qcore.born_probability(psi, a)
+
+    def test_conditional_band_takes_one_over_p_a(self, monkeypatch):
+        psi, a = StateVector.normalize([1.0, 0.0]), Projector.identity(2)
+        p_a = 1e-3
+        slack = qcore.bound(1.0, 2, 1.0 + 1.0 / p_a)
+        for excess, ok in ((slack / 2, True), (2 * slack, False)):
+            raws = iter([p_a, p_a * (1.0 + excess)])
+            monkeypatch.setattr(qcore, "_norm_sq", lambda amps: next(raws))
+            if ok:
+                assert qcore.conditional_probability(psi, a, a) == 1.0
+            else:
+                with pytest.raises(InternalConsistencyError, match="rounding bound"):
+                    qcore.conditional_probability(psi, a, a)
+
+    def test_disturbance_of_opposite_axes_clamps_to_zero(self):
+        """Tr P_s P_-s is 0; rounding leaves it within about 2e-16 of 0, on either side."""
+        negative = 0
+        for seed in range(200):
+            s = bellhv.sample_direction(np.random.default_rng(seed))
+            p, q = bellhv.projector_from_axis(s), bellhv.projector_from_axis(-s)
+            raw = float(np.trace(p.matrix @ q.matrix).real)
+            c = qcore.disturbance_metrics(p, q)
+            assert c == max(raw, 0.0) and c <= qcore.bound(1.0, 2)
+            negative += raw < 0.0
+        assert negative > 0  # some raw traces round below zero: the clamp is exercised
+
+
 class TestConditionalProbability:
     def test_idempotence_b_equals_a(self):
         rng = np.random.default_rng(1)
@@ -182,17 +224,6 @@ class TestPostMeasurementState:
 
 
 class TestDeviation:
-    def test_eigenstate_zero(self):
-        psi = StateVector.normalize([1.0, 0.0])
-        assert qcore.deviation(psi, Projector.from_ket([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-
-    def test_plug_in_value(self):
-        # p = 0.04/0.52 -> sqrt(p(1-p))
-        p = 0.04 / 0.52
-        psi = StateVector.normalize([math.sqrt(p), math.sqrt(1.0 - p)])
-        a = Projector.from_ket([1.0, 0.0])
-        assert qcore.deviation(psi, a) == pytest.approx(math.sqrt(p * (1.0 - p)), abs=1e-12)
-
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_post_measurement_deviation_matches_disturbance(self, seed):
@@ -203,31 +234,21 @@ class TestDeviation:
         psi = random_state(rng, dim)
         if qcore.born_probability(psi, a) <= 1e-6:
             return
-        c = qcore.disturbance_metrics(a, b).c
-        dev = qcore.deviation(qcore.post_measurement_state(psi, a), b)
-        assert dev == pytest.approx(math.sqrt(c * (1.0 - c)), abs=1e-12)
+        c = qcore.disturbance_metrics(a, b)
+        p = qcore.born_probability(qcore.post_measurement_state(psi, a), b)
+        assert math.sqrt(p * (1.0 - p)) == pytest.approx(math.sqrt(c * (1.0 - c)), abs=1e-12)
 
 
 class TestDisturbanceMetrics:
     def test_same_projector(self):
         p = Projector.from_ket([1.0, 0.0])
-        m = qcore.disturbance_metrics(p, p)
-        assert m.c == pytest.approx(1.0, abs=1e-12)
-        assert m.sigma_f == pytest.approx(0.0, abs=1e-12)
-        assert m.entropic_bound == pytest.approx(0.0, abs=1e-12)
+        assert qcore.disturbance_metrics(p, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_gives_infinite_bound(self):
+        """c = 0, where the entropic bound -ln c is infinite."""
         p = Projector.from_ket([1.0, 0.0])
         q = Projector.from_ket([0.0, 1.0])
-        m = qcore.disturbance_metrics(p, q)
-        assert m.c == 0.0
-        assert m.entropic_bound == math.inf
-
-    def test_sigma_invariant(self):
-        p = Projector.from_ket([1.0, 1.0])
-        q = Projector.from_ket([1.0, 0.0])
-        m = qcore.disturbance_metrics(p, q)
-        assert m.sigma_f == pytest.approx(math.sqrt(m.c * (1.0 - m.c)), abs=1e-12)
+        assert qcore.disturbance_metrics(p, q) == 0.0
 
     def test_rank_requirement(self):
         with pytest.raises(InvalidParameterError):
@@ -262,11 +283,6 @@ class TestTensor:
         b = random_projector(rng, 3)
         t = qcore.tensor(a, b)  # construction re-validates Hermiticity/idempotence
         assert t.dim == 6
-
-    def test_states(self):
-        a = StateVector.normalize([1.0, 1.0])
-        b = StateVector.normalize([1.0, -1.0])
-        assert qcore.tensor(a, b).dim == 4
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(InvalidParameterError):
