@@ -24,12 +24,23 @@ number cond = 1 + 1/|beta - alpha| for the three forms through beta - alpha
 is set by hand, so a relative error shows at any alpha, however small the
 value.
 
+Two matrix pipelines compute these statistics.  The scalar one
+(build_model, compute_metrics) serves one alpha through validated qcore
+Projectors; `hardy --alpha` and `certify` use it.  The array kernel
+(metrics_arrays) serves many alphas at once: it stacks the local
+projectors and their Kronecker products as (N, 4, 4) arrays, validates
+every stack, takes probabilities as squared norms under qcore's clamp band
+and zero rule, and cross-checks every row against the closed forms.
+`hardy --sweep` and `hardy --optimize` use the kernel, and the scalar
+pipeline is the oracle at each sweep's two endpoint rows.
+
 Everything here is real and non-negative by construction; alpha is the
 single free parameter, beta = sqrt(1 - alpha^2).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -48,6 +59,8 @@ DIM = 4
 OPT_STEP = 1e-3
 # sweep refuses more rows than this before building any.
 MAX_STEPS = 100_000
+# Rows metrics_arrays stacks at once: each (BLOCK_ROWS, 4, 4) projector stack is 128 KB.
+BLOCK_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -121,24 +134,41 @@ class Optimum:
     p_max: float
 
 
+_EYE = Projector.identity(2)
+
+
+def _local_kets(a, b):
+    """|u> and |d> of the module docstring: (2,) kets for floats, (N, 2) rows for (N,) arrays."""
+    u = np.array([np.sqrt(b), np.sqrt(a)]) / np.sqrt(a + b)
+    d = np.array([b ** 1.5, -(a ** 1.5)]) / np.sqrt(a ** 3 + b ** 3)
+    return u.T, d.T
+
+
+def _u_perp_ket(a, b):
+    """(sqrt(alpha)|+> - sqrt(beta)|->), unnormalized, which spans 1 - U; shaped as _local_kets.
+
+    Subtracting U from the identity cancels to rounding as alpha nears 0
+    or 1, where c_bar = Tr D(1-U) is about alpha*beta; the ket keeps every digit.
+    """
+    return np.array([np.sqrt(a), -np.sqrt(b)]).T
+
+
 def build_model(alpha: float) -> HardyModel:
     params = HardyParams.from_alpha(alpha)
     a, b = params.alpha, params.beta
-    u_ket = np.array([math.sqrt(b), math.sqrt(a)]) / math.sqrt(a + b)
-    d_ket = np.array([b ** 1.5, -(a ** 1.5)]) / math.sqrt(a ** 3 + b ** 3)
+    u_ket, d_ket = _local_kets(a, b)
     psi = StateVector(np.array([a, 0.0, 0.0, -b], dtype=complex))
     u_local = Projector.from_ket(u_ket, name="U")
     d_local = Projector.from_ket(d_ket, name="D")
-    eye = Projector.identity(2)
     return HardyModel(
         params=params,
         psi=psi,
         u_local=u_local,
         d_local=d_local,
-        U1=qcore.tensor(u_local, eye),
-        U2=qcore.tensor(eye, u_local),
-        D1=qcore.tensor(d_local, eye),
-        D2=qcore.tensor(eye, d_local),
+        U1=qcore.tensor(u_local, _EYE),
+        U2=qcore.tensor(_EYE, u_local),
+        D1=qcore.tensor(d_local, _EYE),
+        D2=qcore.tensor(_EYE, d_local),
     )
 
 
@@ -147,19 +177,10 @@ def _joint(a: Projector, b: Projector, name: str) -> Projector:
     return Projector(a.matrix @ b.matrix, name=name)
 
 
-def _u_perp(params: HardyParams) -> Projector:
-    """1 - U as |u_perp><u_perp|, u_perp = (sqrt(alpha)|+> - sqrt(beta)|->)/sqrt(alpha + beta).
-
-    Subtracting U from the identity cancels to rounding as alpha nears 0
-    or 1, where c_bar = Tr D(1-U) is about alpha*beta; the ket keeps every digit.
-    """
-    a, b = params.alpha, params.beta
-    return Projector.from_ket(np.array([math.sqrt(a), -math.sqrt(b)]), name="1-U")
-
-
 def compute_metrics(model: HardyModel) -> HardyMetrics:
     """All model statistics by direct matrix evaluation (no closed forms)."""
     psi = model.psi
+    u_perp = Projector.from_ket(_u_perp_ket(model.params.alpha, model.params.beta), name="1-U")
     return HardyMetrics(
         p_D1=qcore.born_probability(psi, model.D1),
         p_cond_U2_given_D1=qcore.conditional_probability(psi, model.D1, model.U2),
@@ -167,13 +188,13 @@ def compute_metrics(model: HardyModel) -> HardyMetrics:
         p_cond_D2_given_D1=qcore.conditional_probability(psi, model.D1, model.D2),
         p_joint_U1U2=qcore.born_probability(psi, _joint(model.U1, model.U2, "U1U2")),
         p_joint_D1D2=qcore.born_probability(psi, _joint(model.D1, model.D2, "D1D2")),
-        c_bar=qcore.disturbance_metrics(model.d_local, _u_perp(model.params)),
+        c_bar=qcore.disturbance_metrics(model.d_local, u_perp),
         commutator_D1U1=qcore.commutator_norm(model.d_local, model.u_local),
     )
 
 
 def closed_form_metrics(params: HardyParams) -> HardyMetrics:
-    """The same statistics from the analytic closed forms."""
+    """The same statistics from the analytic closed forms, for float or (N,) array params."""
     a, b = params.alpha, params.beta
     t = params.t
     p_d1 = (a * b) ** 2 / (1.0 - t)
@@ -190,13 +211,12 @@ def closed_form_metrics(params: HardyParams) -> HardyMetrics:
         c_bar=c_bar,
         # |<u|d>|^2 = P(D2|D1), and the commutator of two rank-1 projectors
         # is |<u|d>| sqrt(1 - |<u|d>|^2).
-        commutator_D1U1=math.sqrt(p_cond * c_bar),
+        # (math.sqrt keeps one alpha's value a Python float)
+        commutator_D1U1=np.sqrt(p_cond * c_bar) if np.ndim(t) else math.sqrt(p_cond * c_bar),
     )
 
 
-_CHECKED_FIELDS = ("p_D1", "p_cond_U2_given_D1", "p_cond_U1_given_D2",
-                   "p_cond_D2_given_D1", "p_joint_U1U2", "p_joint_D1D2", "c_bar",
-                   "commutator_D1U1")
+_CHECKED_FIELDS = tuple(f.name for f in dataclasses.fields(HardyMetrics))
 # Closed forms that pass through beta - alpha: its rounding is amplified by
 # 1/|beta - alpha| as alpha nears 1/sqrt2.  No float alpha gives beta == alpha.
 _THROUGH_GAP = ("p_cond_D2_given_D1", "p_joint_D1D2", "commutator_D1U1")
@@ -209,14 +229,23 @@ def _bound(name: str, exact: float, params: HardyParams) -> float:
     return qcore.bound(exact, DIM, cond)
 
 
-def cross_check(matrix: HardyMetrics, closed: HardyMetrics, params: HardyParams) -> None:
-    """Raise if the matrix pipeline disagrees with the closed forms beyond rounding."""
+def cross_check(matrix: HardyMetrics, closed: HardyMetrics, params: HardyParams,
+                reference: str = "closed-form") -> None:
+    """Raise if the matrix pipeline disagrees with `closed` beyond rounding.
+
+    `reference` names what `closed` holds: the closed forms, or the scalar
+    pipeline where it re-checks a row of metrics_arrays.  Fields and params
+    may be floats or (N,) arrays; an array names the first row that fails.
+    """
     for name in _CHECKED_FIELDS:
         m, c = getattr(matrix, name), getattr(closed, name)
         allowed = _bound(name, c, params)
-        if not abs(m - c) <= allowed:
-            raise InternalConsistencyError(f"closed-form cross-check failed for {name}: "
-                                           f"matrix {m!r} vs closed {c!r} (bound {allowed!r})")
+        failure = qcore.first_failure(abs(m - c) <= allowed, m, c, allowed, params.alpha)
+        if failure is not None:
+            _, m, c, allowed, alpha = failure
+            at = f" at alpha {alpha!r}" if np.ndim(params.alpha) else ""
+            raise InternalConsistencyError(f"{reference} cross-check failed for {name}{at}: "
+                                           f"matrix {m!r} vs {reference} {c!r} (bound {allowed!r})")
 
 
 def disturbance_contradiction(model: HardyModel) -> ContradictionResult:
@@ -238,21 +267,143 @@ def disturbance_contradiction(model: HardyModel) -> ContradictionResult:
                                quantum_value=quantum, discrepancy=1.0 - quantum)
 
 
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, left to right.  np.einsum and stacked matmul may
+    pick a summation order by array size, so a row would round differently in
+    another block; this order is the same for every row of every block."""
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
+
+
+def _rank1_rows(kets: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) projectors |k><k| onto the normalized (N, 2) rows `kets`."""
+    k = kets / np.sqrt(_norm_sq(kets))[:, None]
+    return k[:, :, None] * k[:, None, :]
+
+
+def _apply(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """A_n v_n for each row n of an (N, d, d) stack and (N, d) vectors."""
+    return _ordered_sum(ops * vecs[:, None, :])
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A_n B_n for each row n of two (N, d, d) stacks."""
+    return _ordered_sum(a[:, :, None, :] * b.swapaxes(1, 2)[:, None, :, :])
+
+
+def _norm_sq(vecs: np.ndarray) -> np.ndarray:
+    return _ordered_sum(vecs * vecs)
+
+
+def _raise_zero_probability(alpha: float, zero: float):
+    """The scalar pipeline's ZeroProbabilityError at `alpha`, where the kernel found
+    P(D1) or P(D2) zero: its message is the one `hardy --alpha` gives."""
+    compute_metrics(build_model(alpha))
+    raise InternalConsistencyError(f"the array kernel finds P(D1) or P(D2) <= {zero!r} at alpha "
+                                   f"{alpha!r}, where the scalar pipeline does not")
+
+
+def _matrix_metrics(params: HardyParams) -> HardyMetrics:
+    """compute_metrics for (N,) arrays of alpha and beta, on stacked projectors.
+
+    It validates every projector and clamps every probability as qcore does;
+    metrics_arrays cross-checks the result.  Everything is real, so the
+    stacks are float64, and a real product rounds as its complex twin does.
+    """
+    a, b = params.alpha, params.beta
+    u_ket, d_ket = _local_kets(a, b)
+    u, d, u_perp = (_rank1_rows(k) for k in (u_ket, d_ket, _u_perp_ket(a, b)))
+    eye = np.eye(2)
+    stacks = {"U": u, "D": d, "1-U": u_perp, "U(x)1": qcore.kron(u, eye),
+              "1(x)U": qcore.kron(eye, u), "D(x)1": qcore.kron(d, eye),
+              "1(x)D": qcore.kron(eye, d), "U1U2": qcore.kron(u, u), "D1D2": qcore.kron(d, d)}
+    for name, stack in stacks.items():
+        qcore.validate_projectors(stack, name)
+    failure = qcore.first_failure(abs(a * a + b * b - 1.0) <= qcore.TOL_NORM, a)
+    if failure is not None:
+        raise InvalidParameterError(f"state is not normalized at alpha {failure[1]!r}")
+    psi = np.zeros((a.size, DIM))
+    psi[:, 0], psi[:, 3] = a, -b
+
+    def born(name: str) -> np.ndarray:
+        return qcore._clamp_probability(_norm_sq(_apply(stacks[name], psi)),
+                                        f"born_probability({name})", DIM)
+
+    def conditional(second: str, first: str, p_first: np.ndarray) -> np.ndarray:
+        raw = _norm_sq(_apply(stacks[second], _apply(stacks[first], psi))) / p_first
+        return qcore._clamp_probability(raw, f"conditional_probability({second}|{first})",
+                                        DIM, 1.0 + 1.0 / p_first)
+
+    p_d1, p_d2 = born("D(x)1"), born("1(x)D")
+    zero = qcore.zero_threshold(DIM)
+    failure = qcore.first_failure((p_d1 > zero) & (p_d2 > zero), a)
+    if failure is not None:
+        _raise_zero_probability(failure[1], zero)
+    failure = qcore.first_failure(abs(d[:, 0, 0] + d[:, 1, 1] - 1.0) <= qcore.TOL_PROJECTOR, a)
+    if failure is not None:
+        raise InvalidParameterError(f"first projector D must be rank 1 at alpha {failure[1]!r}")
+    return HardyMetrics(
+        p_D1=p_d1,
+        p_cond_U2_given_D1=conditional("1(x)U", "D(x)1", p_d1),
+        p_cond_U1_given_D2=conditional("U(x)1", "1(x)D", p_d2),
+        p_cond_D2_given_D1=conditional("1(x)D", "D(x)1", p_d1),
+        p_joint_U1U2=born("U1U2"),
+        p_joint_D1D2=born("D1D2"),
+        # Tr D(1-U) = sum_ij D_ij (1-U)_ij, both being symmetric
+        c_bar=qcore._clamp_probability(_ordered_sum((d * u_perp).reshape(-1, 4)),
+                                       "disturbance_metrics(D, 1-U)", 2),
+        commutator_D1U1=np.abs(_matmul(d, u) - _matmul(u, d)).max(axis=(1, 2)),
+    )
+
+
+def metrics_arrays(alphas) -> HardyMetrics:
+    """compute_metrics for each alpha of a 1-d array, as one (N,) array per field.
+
+    Rows go through _matrix_metrics BLOCK_ROWS at a time, and every row is
+    cross-checked against the closed forms, as cross_check does for one alpha.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    invalid = qcore.first_failure((0.0 < alphas) & (alphas < 1.0), alphas)
+    if invalid is not None:
+        HardyParams.from_alpha(invalid[1])  # raises its InvalidParameterError
+    out = np.empty((len(_CHECKED_FIELDS), alphas.size))
+    for start in range(0, alphas.size, BLOCK_ROWS):
+        a = alphas[start:start + BLOCK_ROWS]
+        params = HardyParams(alpha=a, beta=np.sqrt(1.0 - a * a))
+        metrics = _matrix_metrics(params)
+        cross_check(metrics, closed_form_metrics(params), params)
+        out[:, start:start + a.size] = [getattr(metrics, name) for name in _CHECKED_FIELDS]
+    return HardyMetrics(*out)
+
+
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[tuple[float, HardyMetrics]]:
-    """Uniform alpha grid, endpoints included; every row is cross-checked."""
+    """Uniform alpha grid, endpoints included.
+
+    metrics_arrays computes and cross-checks every row; scalar compute_metrics
+    re-checks the two endpoint rows within the same per-field bound.
+    """
     if not (0.0 < alpha_min < alpha_max < 1.0):
         raise InvalidParameterError(
             f"need 0 < alpha_min < alpha_max < 1, got ({alpha_min!r}, {alpha_max!r})"
         )
     if not 2 <= steps <= MAX_STEPS:
         raise InvalidParameterError(f"steps must be in [2, {MAX_STEPS}], got {steps!r}")
+    # i as a float, as Python converts it in (alpha_max - alpha_min) * i: the same bits
+    alphas = alpha_min + (alpha_max - alpha_min) * np.arange(steps, dtype=float) / (steps - 1)
+    metrics = metrics_arrays(alphas)
+    # Python floats a block at a time: lists of whole columns would add about
+    # 5 MB to the peak RSS of a 100,000-row CSV sweep.
     rows = []
-    for i in range(steps):
-        alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
+    for start in range(0, steps, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        columns = [getattr(metrics, name)[block].tolist() for name in _CHECKED_FIELDS]
+        rows += [(alpha, HardyMetrics(*values))
+                 for alpha, *values in zip(alphas[block].tolist(), *columns)]
+    for alpha, row in (rows[0], rows[-1]):
         model = build_model(alpha)
-        metrics = compute_metrics(model)
-        cross_check(metrics, closed_form_metrics(model.params), model.params)
-        rows.append((alpha, metrics))
+        cross_check(row, compute_metrics(model), model.params, reference="scalar")
     return rows
 
 
@@ -261,14 +412,15 @@ def optimize_paradox() -> Optimum:
 
     <D1D2> = t^2(1-2t)/(1-t)^2 peaks at t* = (3-sqrt5)/2 with
     p_max = (5 sqrt5 - 11)/2 (Hardy 1993).  alpha* is the smaller root of
-    alpha beta = t*.  The matrix pipeline must agree with p_max at alpha*
-    within the <D1D2> bound of cross_check and fall below it at alpha* +- OPT_STEP.
+    alpha beta = t*.  The matrix pipeline (one metrics_arrays call over
+    alpha* - OPT_STEP, alpha*, alpha* + OPT_STEP) must agree with p_max at
+    alpha* within the <D1D2> bound of cross_check and fall below it on both sides.
     """
     t_star = (3.0 - math.sqrt(5.0)) / 2.0
     alpha_star = math.sqrt((1.0 - math.sqrt(1.0 - 4.0 * t_star ** 2)) / 2.0)
     p_max = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
-    below, at, above = (compute_metrics(build_model(a)).p_joint_D1D2
-                        for a in (alpha_star - OPT_STEP, alpha_star, alpha_star + OPT_STEP))
+    below, at, above = metrics_arrays(
+        [alpha_star - OPT_STEP, alpha_star, alpha_star + OPT_STEP]).p_joint_D1D2.tolist()
     allowed = _bound("p_joint_D1D2", p_max, HardyParams.from_alpha(alpha_star))
     if not abs(at - p_max) <= allowed or not (below < at and above < at):
         raise InternalConsistencyError(f"matrix <D1D2> at alpha* -h, 0, +h is {below!r}, {at!r}, "
@@ -280,13 +432,16 @@ CSV_HEADER = ("alpha,beta,p_D1,p_D2_given_D1,p_U2_given_D1,p_U1_given_D2,"
               "p_U1U2,p_D1D2,c_bar,comm_D1U1")
 
 
+# One %-format per row: the same digits as format(v, ".15g") for each value.
+_CSV_ROW = ",".join(["%.15g"] * 10)
+
+
 def sweep_csv_rows(rows: list[tuple[float, HardyMetrics]]) -> list[str]:
     """Serialize sweep rows to the documented 10-column CSV layout."""
     out = [CSV_HEADER]
     for alpha, m in rows:
         beta = math.sqrt(1.0 - alpha * alpha)
-        values = (alpha, beta, m.p_D1, m.p_cond_D2_given_D1, m.p_cond_U2_given_D1,
-                  m.p_cond_U1_given_D2, m.p_joint_U1U2, m.p_joint_D1D2,
-                  m.c_bar, m.commutator_D1U1)
-        out.append(",".join(f"{v:.15g}" for v in values))
+        out.append(_CSV_ROW % (alpha, beta, m.p_D1, m.p_cond_D2_given_D1, m.p_cond_U2_given_D1,
+                               m.p_cond_U1_given_D2, m.p_joint_U1U2, m.p_joint_D1D2,
+                               m.c_bar, m.commutator_D1U1))
     return out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import hardy4, qcore
+from hardylab import cli, hardy4, qcore
 from hardylab.errors import InternalConsistencyError, InvalidParameterError
 
 alphas = st.floats(min_value=0.05, max_value=0.95)
@@ -159,6 +159,18 @@ class TestMetrics:
 SHIFT_ALPHAS = [1e-6, 0.6, 1.0 - 1e-6]
 
 
+def shift_kernel_joint(monkeypatch, shift, rows=slice(None)):
+    """Add `shift` to the kernel's <D1D2> in `rows`, after its own cross-check."""
+    kernel = hardy4.metrics_arrays
+
+    def shifted(alphas):
+        m = kernel(alphas)
+        joint = m.p_joint_D1D2.copy()
+        joint[rows] += shift
+        return dataclasses.replace(m, p_joint_D1D2=joint)
+    monkeypatch.setattr(hardy4, "metrics_arrays", shifted)
+
+
 class TestRoundingBound:
     """Agreement with a closed form means within qcore.bound(closed, 4, cond) of it."""
 
@@ -189,12 +201,7 @@ class TestRoundingBound:
         assert hardy4._bound("p_joint_D1D2", 1e-12, params) == qcore.bound(1e-12, 4, cond)
 
     def test_p_max_off_by_1e_14_raises(self, monkeypatch):
-        compute = hardy4.compute_metrics
-
-        def shifted(model):
-            m = compute(model)
-            return dataclasses.replace(m, p_joint_D1D2=m.p_joint_D1D2 + 1e-14)
-        monkeypatch.setattr(hardy4, "compute_metrics", shifted)
+        shift_kernel_joint(monkeypatch, 1e-14)
         with pytest.raises(InternalConsistencyError, match="p_max"):
             hardy4.optimize_paradox()
 
@@ -257,11 +264,106 @@ class TestSweep:
         rows = hardy4.sweep(0.5, 1.0 / math.sqrt(2.0), 3)
         assert rows[-1][1].p_joint_D1D2 == pytest.approx(0.0, abs=1e-12)
 
+    def test_csv_digits_are_format_15g(self):
+        rows = hardy4.sweep(2e-14, 0.9999999999999999, 301)
+        for line, (alpha, m) in zip(hardy4.sweep_csv_rows(rows)[1:], rows):
+            values = (alpha, math.sqrt(1.0 - alpha * alpha), m.p_D1, m.p_cond_D2_given_D1,
+                      m.p_cond_U2_given_D1, m.p_cond_U1_given_D2, m.p_joint_U1U2,
+                      m.p_joint_D1D2, m.c_bar, m.commutator_D1U1)
+            assert line == ",".join(format(v, ".15g") for v in values)
+
     def test_csv_layout(self):
         lines = hardy4.sweep_csv_rows(hardy4.sweep(0.2, 0.8, 4))
         assert lines[0] == hardy4.CSV_HEADER
         assert len(lines) == 5
         assert all(len(line.split(",")) == 10 for line in lines[1:])
+
+
+NEAR_ZERO = [float(x) for x in np.geomspace(2e-14, 0.05, 60)]
+# toward 1 - 1e-16, which rounds to 0.9999999999999999
+NEAR_ONE = [1.0 - float(x) for x in np.geomspace(1e-16, 0.05, 60)]
+NEAR_MAX_ENTANGLEMENT = [float(x) for x in np.linspace(-1e-6, 1e-6, 101) + 1.0 / math.sqrt(2.0)]
+UNIFORM = [float(x) for x in np.linspace(0.01, 0.99, 99)]
+
+
+class TestKernel:
+    """metrics_arrays, the array kernel behind hardy --sweep and hardy --optimize."""
+
+    @pytest.mark.parametrize("grid", [NEAR_ZERO, NEAR_ONE, NEAR_MAX_ENTANGLEMENT, UNIFORM],
+                             ids=["near_zero", "near_one", "near_max_entanglement", "uniform"])
+    def test_matches_the_scalar_pipeline(self, grid):
+        kernel = hardy4.metrics_arrays(grid)
+        for i, alpha in enumerate(grid):
+            model = hardy4.build_model(alpha)
+            scalar, closed = hardy4.compute_metrics(model), hardy4.closed_form_metrics(model.params)
+            for name in hardy4._CHECKED_FIELDS:
+                got, want = getattr(kernel, name)[i], getattr(scalar, name)
+                assert abs(got - want) <= hardy4._bound(name, getattr(closed, name),
+                                                        model.params), (alpha, name)
+
+    @pytest.mark.parametrize("lo, hi, steps", [(0.05, 0.95, 181), (2e-14, 0.9999999999999999, 1001),
+                                               (0.1, 0.3, 7), (0.7071067, 0.70710679, 2001)])
+    def test_alpha_column_is_the_scalar_grid(self, lo, hi, steps):
+        alphas = [alpha for alpha, _ in hardy4.sweep(lo, hi, steps)]
+        assert alphas == [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+    def test_corrupted_interior_row_raises(self, monkeypatch, capsys):
+        matrix_metrics = hardy4._matrix_metrics
+
+        def corrupted(params):
+            m = matrix_metrics(params)
+            joint = m.p_joint_D1D2.copy()
+            joint[4] += 1e-9
+            return dataclasses.replace(m, p_joint_D1D2=joint)
+        monkeypatch.setattr(hardy4, "_matrix_metrics", corrupted)
+        alpha = 0.1 + (0.9 - 0.1) * 4 / 8
+        with pytest.raises(InternalConsistencyError, match=f"p_joint_D1D2 at alpha {alpha!r}"):
+            hardy4.sweep(0.1, 0.9, 9)
+        assert cli.run(["hardy", "--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9",
+                        "--steps", "9"]) == 3
+        assert "p_joint_D1D2" in capsys.readouterr().err
+
+    def test_zero_probability_row_keeps_the_scalar_message(self, capsys):
+        assert cli.run(["hardy", "--sweep", "--alpha-min", "1e-14", "--alpha-max", "0.5",
+                        "--steps", "3"]) == 2
+        assert capsys.readouterr().err == ("error: cannot condition on D(x)1: probability "
+                                           "1.00000000000001e-28 <= 2.0194839173657902e-28\n")
+
+    def test_zero_probability_the_scalar_pipeline_does_not_see_raises(self, monkeypatch):
+        monkeypatch.setattr(hardy4, "compute_metrics", lambda model: None)
+        with pytest.raises(InternalConsistencyError, match="scalar pipeline does not"):
+            hardy4.metrics_arrays([0.5, 1e-14])
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
+    def test_invalid_alpha_raises_as_from_alpha(self, bad):
+        with pytest.raises(InvalidParameterError, match="strictly in"):
+            hardy4.metrics_arrays([0.5, bad])
+
+    def test_endpoint_disagreement_with_the_scalar_pipeline_raises(self, monkeypatch):
+        compute = hardy4.compute_metrics
+        monkeypatch.setattr(hardy4, "compute_metrics", lambda model: dataclasses.replace(
+            compute(model), c_bar=compute(model).c_bar * (1.0 + 1e-12)))
+        with pytest.raises(InternalConsistencyError, match="scalar cross-check failed for c_bar"):
+            hardy4.sweep(0.2, 0.8, 5)
+
+    def test_blocks_do_not_change_the_rows(self, monkeypatch):
+        whole = hardy4.metrics_arrays(UNIFORM)
+        monkeypatch.setattr(hardy4, "BLOCK_ROWS", 7)
+        blocked = hardy4.metrics_arrays(UNIFORM)
+        for name in hardy4._CHECKED_FIELDS:
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+    def test_largest_sweep_over_the_full_range(self):
+        """Every row of a MAX_STEPS sweep from 2e-14 to 0.9999999999999999 passes the
+        kernel's checks, and <D1D2> is t^2(1-2t)/(1-t)^2 to 1e-12 relative, or to
+        1e-15 where 1 - 2t cancels near 1/sqrt2."""
+        rows = hardy4.sweep(2e-14, 0.9999999999999999, hardy4.MAX_STEPS)
+        assert len(rows) == hardy4.MAX_STEPS
+        alpha = np.array([a for a, _ in rows])
+        joint = np.array([m.p_joint_D1D2 for _, m in rows])
+        t = alpha * np.sqrt(1.0 - alpha * alpha)
+        expected = t * t * (1.0 - 2.0 * t) / (1.0 - t) ** 2
+        assert np.all(np.abs(joint - expected) <= 1e-12 * expected + 1e-15)
 
 
 class TestOptimizer:
@@ -287,26 +389,28 @@ class TestOptimizer:
         assert p == pytest.approx(0.0, abs=1e-12)
         assert hardy4.optimize_paradox().p_max > p
 
-    def test_three_model_builds(self, monkeypatch):
+    def test_one_kernel_call_over_the_three_alphas(self, monkeypatch):
         calls = []
-        build = hardy4.build_model
+        kernel = hardy4.metrics_arrays
 
-        def counted(alpha):
-            calls.append(alpha)
-            return build(alpha)
-        monkeypatch.setattr(hardy4, "build_model", counted)
+        def counted(alphas):
+            calls.append(list(alphas))
+            return kernel(alphas)
+        monkeypatch.setattr(hardy4, "metrics_arrays", counted)
         opt = hardy4.optimize_paradox()
-        assert len(calls) == 3
-        assert calls[1] == opt.alpha_star
+        assert len(calls) == 1
+        assert calls[0] == [opt.alpha_star - hardy4.OPT_STEP, opt.alpha_star,
+                            opt.alpha_star + hardy4.OPT_STEP]
 
     def test_matrix_pipeline_disagreement_raises(self, monkeypatch):
-        compute = hardy4.compute_metrics
-
-        def shifted(model):
-            m = compute(model)
-            return dataclasses.replace(m, p_joint_D1D2=m.p_joint_D1D2 + 1e-9)
-        monkeypatch.setattr(hardy4, "compute_metrics", shifted)
+        shift_kernel_joint(monkeypatch, 1e-9)
         with pytest.raises(InternalConsistencyError):
+            hardy4.optimize_paradox()
+
+    def test_neighbour_above_the_centre_raises(self, monkeypatch):
+        # alpha* + h raised by 0.01, above the centre's <D1D2> of about 0.09
+        shift_kernel_joint(monkeypatch, 1e-2, rows=2)
+        with pytest.raises(InternalConsistencyError, match="alpha"):
             hardy4.optimize_paradox()
 
     def test_flat_neighbourhood_raises(self, monkeypatch):

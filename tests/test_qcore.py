@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,56 @@ class TestClampBand:
         assert negative > 0  # some raw traces round below zero: the clamp is exercised
 
 
+    def test_rows_share_the_band(self):
+        """An array is clamped row by row, each row within its own cond's band."""
+        cond = np.array([1.0, 1e6])
+        slack = qcore.bound(1.0, 4, cond)
+        raw = 1.0 + slack / 2
+        clamped = qcore._clamp_probability(raw, "rows", 4, cond)
+        assert isinstance(clamped, np.ndarray) and np.array_equal(clamped, [1.0, 1.0])
+        raw[1] = 1.0 + 2 * slack[1]
+        with pytest.raises(InternalConsistencyError,
+                           match=re.escape(f"rows row 1: raw value {float(raw[1])!r}")):
+            qcore._clamp_probability(raw, "rows", 4, cond)
+
+    def test_a_float_stays_a_float(self):
+        assert type(qcore._clamp_probability(0.25, "float", 2)) is float
+
+
+class TestFirstFailure:
+    def test_scalars(self):
+        assert qcore.first_failure(True, 1.0) is None
+        assert qcore.first_failure(False, 1.0, 2.0) == (0, 1.0, 2.0)
+
+    def test_first_false_row_and_its_values(self):
+        values = np.array([1.0, 5.0, 2.0, 6.0])
+        assert qcore.first_failure(values <= 3.0, values, 7.0) == (1, 5.0, 7.0)
+        assert qcore.first_failure(values[::2] <= 3.0, values[::2]) is None
+
+    def test_nan_fails(self):
+        row, value = qcore.first_failure(np.array([0.0, math.nan]) <= 1.0, [0.0, math.nan])
+        assert row == 1 and math.isnan(value)
+
+
+class TestValidateProjectors:
+    def test_a_valid_stack_passes(self):
+        rng = np.random.default_rng(5)
+        qcore.validate_projectors(np.array([random_projector(rng, 3).matrix for _ in range(4)]))
+
+    @pytest.mark.parametrize("kind, corrupt", [("Hermitian", lambda m: m + [[0, 1e-9], [0, 0]]),
+                                               ("idempotent", lambda m: 2 * m)],
+                             ids=["hermitian", "idempotent"])
+    def test_a_stack_names_its_worst_row(self, kind, corrupt):
+        stack = np.array([Projector.from_ket([1.0, float(k)]).matrix for k in range(4)])
+        stack[2] = corrupt(stack[2])
+        with pytest.raises(InvalidParameterError, match=f"'P' in row 2 is not {kind}"):
+            qcore.validate_projectors(stack, "P")
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            qcore.validate_projectors(np.full((3, 2, 2), math.nan))
+
+
 class TestConditionalProbability:
     def test_idempotence_b_equals_a(self):
         rng = np.random.default_rng(1)
@@ -283,6 +334,25 @@ class TestTensor:
         b = random_projector(rng, 3)
         t = qcore.tensor(a, b)  # construction re-validates Hermiticity/idempotence
         assert t.dim == 6
+
+    def test_bit_identical_to_np_kron(self):
+        """The broadcast product rounds each entry as np.kron does, sign bits included."""
+        rng = np.random.default_rng(6)
+        for dims in [(2, 2)] * 200 + [(2, 3), (3, 2), (4, 2)] * 20:
+            a, b = (random_projector(rng, d) for d in dims)
+            got, want = qcore.tensor(a, b).matrix, np.kron(a.matrix, b.matrix)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+    def test_kron_broadcasts_over_stacks(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([random_projector(rng, 2).matrix for _ in range(5)])
+        eye = np.eye(2)
+        for got, m in zip(qcore.kron(stack, eye), stack):
+            assert np.array_equal(got, np.kron(m, eye))
+        for got, m in zip(qcore.kron(eye, stack), stack):
+            assert np.array_equal(got, np.kron(eye, m))
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(InvalidParameterError):
