@@ -14,15 +14,18 @@ quantum conditional <m|P_n|m> to exhibit where it fails.
 
 `compare` evaluates one triple through the matrix pipeline and
 `LambdaSet` arithmetic, on the closed-form ket of the Bloch vector
-(`state_from_bloch`).  Scans evaluate all their rows at once from the
-closed forms (`conditional_rows`): the quantum conditional (1 + m.n)/2
-and the overlap of two response intervals.  A scan draws from one PCG64
-stream per seed, in which trial i owns draws 6i..6i+5; PCG64 jumps ahead
-by n draws in O(log n) steps, so `_trial_rng(seed, trial)` redraws any
-one trial alone.  Scalar `compare` is the oracle: it re-checks the
-printed maximum and SCAN_RECHECKS seeded rows of every scan, each from
-its own redrawn trial, and a disagreement raises
-InternalConsistencyError (exit 3 on the command line).
+(`state_from_bloch`).  It validates s, m and n once each, then runs the
+private cores that the public step functions run after validating.
+Scans evaluate all their rows at once from the closed forms
+(`conditional_rows`): the quantum conditional (1 + m.n)/2 and the
+overlap of two response intervals.  A scan draws from one PCG64 stream
+per seed, in which trial i owns draws 6i..6i+5; PCG64 jumps ahead by n
+draws in O(log n) steps, so `_trial_rng(seed, trial)` redraws any one
+trial alone.  Scalar `compare` is the oracle: it re-checks the printed
+maximum and SCAN_RECHECKS seeded rows of every scan, each from its own
+redrawn trial, and a disagreement raises InternalConsistencyError (exit
+3 on the command line).  The re-checks of one scan share one PCG64,
+reset to its start state and jumped ahead for each.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise InvalidParameterError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a real 1-d array
     # `not <=`: a NaN component makes the norm NaN, which must fail too
     if not abs(norm - 1.0) <= UNIT_TOL:
         raise InvalidParameterError(
@@ -139,7 +142,7 @@ class ConditionalComparison:
 
     def to_dict(self) -> dict:
         return {
-            "s": list(self.s), "m": list(self.m), "n": list(self.n),
+            "s": self.s.tolist(), "m": self.m.tolist(), "n": self.n.tolist(),
             "quantum": self.quantum, "classical": self.classical,
             "discrepancy": self.discrepancy,
         }
@@ -176,9 +179,11 @@ def response_value(s, m, lam: float) -> float:
     return float(_response(float(np.dot(unit_vector(s), unit_vector(m))), lam))
 
 
-def hv_response(s, m) -> LambdaSet:
-    """Closed-form lambda-set {lambda : response = 1}; measure (1 + s.m)/2."""
-    sm = float(np.dot(unit_vector(s), unit_vector(m)))
+# Each step below has one implementation, a private core on validated
+# vectors; the public function of the same step validates, then calls it.
+
+def _response_set(sm: float) -> LambdaSet:
+    """{lambda : response = 1} for s.m = sm."""
     if sm > 0.0:
         return LambdaSet(((-0.5 * sm, 0.5),))
     if sm < 0.0:
@@ -186,22 +191,28 @@ def hv_response(s, m) -> LambdaSet:
     return LambdaSet(((0.0, 0.5),))
 
 
+def hv_response(s, m) -> LambdaSet:
+    """Closed-form lambda-set {lambda : response = 1}; measure (1 + s.m)/2."""
+    return _response_set(float(np.dot(unit_vector(s), unit_vector(m))))
+
+
 def hv_expectation(s, m) -> float:
     return hv_response(s, m).measure
 
 
-def projector_from_axis(m, name: str = "") -> Projector:
-    """P_m = (1 + m.sigma)/2 = [[1 + z, x - iy], [x + iy, 1 - z]]/2."""
-    x, y, z = unit_vector(m).tolist()
+def _axis_projector(m: np.ndarray, name: str) -> Projector:
+    x, y, z = m.tolist()
     mat = 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]])
     return Projector(mat, name=name or f"P({x:g},{y:g},{z:g})")
 
 
-def state_from_bloch(s) -> StateVector:
-    """Pure qubit state with Bloch vector s = (x, y, z): (a, (x + iy)/(2a)) with
-    a = sqrt((1 + z)/2) for z >= 0, else the same ray ((x - iy)/(2b), b) with
-    b = sqrt((1 - z)/2).  The divisor is at least sqrt(1/2), so nothing cancels."""
-    x, y, z = unit_vector(s).tolist()
+def projector_from_axis(m, name: str = "") -> Projector:
+    """P_m = (1 + m.sigma)/2 = [[1 + z, x - iy], [x + iy, 1 - z]]/2."""
+    return _axis_projector(unit_vector(m), name)
+
+
+def _bloch_state(s: np.ndarray) -> StateVector:
+    x, y, z = s.tolist()
     if z >= 0.0:
         a = math.sqrt((1.0 + z) / 2.0)
         return StateVector(np.array([a, complex(x, y) / (2.0 * a)]))
@@ -209,34 +220,46 @@ def state_from_bloch(s) -> StateVector:
     return StateVector(np.array([complex(x, -y) / (2.0 * b), b]))
 
 
-def _empty_conditioning(m, measure: float) -> ZeroProbabilityError:
-    return ZeroProbabilityError(f"conditioning set for m={unit_vector(m).tolist()} has hidden-"
+def state_from_bloch(s) -> StateVector:
+    """Pure qubit state with Bloch vector s = (x, y, z): (a, (x + iy)/(2a)) with
+    a = sqrt((1 + z)/2) for z >= 0, else the same ray ((x - iy)/(2b), b) with
+    b = sqrt((1 - z)/2).  The divisor is at least sqrt(1/2), so nothing cancels."""
+    return _bloch_state(unit_vector(s))
+
+
+def _empty_conditioning(m: np.ndarray, measure: float) -> ZeroProbabilityError:
+    return ZeroProbabilityError(f"conditioning set for m={m.tolist()} has hidden-"
                                 f"variable measure {float(measure)!r} <= {MIN_MEASURE!r}")
+
+
+def _classical(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
+    a = _response_set(float(np.dot(s, m)))
+    if a.measure <= MIN_MEASURE:
+        raise _empty_conditioning(m, a.measure)
+    return _response_set(float(np.dot(s, n))).intersection(a).measure / a.measure
 
 
 def classical_conditional(s, m, n) -> float:
     """Bayes rule mu[b & a]/mu[a] over the hidden-variable sets."""
-    a = hv_response(s, m)
-    if a.measure <= MIN_MEASURE:
-        raise _empty_conditioning(m, a.measure)
-    return hv_response(s, n).intersection(a).measure / a.measure
+    return _classical(unit_vector(s), unit_vector(m), unit_vector(n))
+
+
+def _quantum(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
+    return qcore.conditional_probability(_bloch_state(s), _axis_projector(m, "P_m"),
+                                         _axis_projector(n, "P_n"))
 
 
 def quantum_conditional_qubit(s, m, n) -> float:
     """Quantum conditional P(P_n | P_m) on the state with Bloch vector s."""
-    psi = state_from_bloch(s)
-    return qcore.conditional_probability(psi, projector_from_axis(m, "P_m"),
-                                         projector_from_axis(n, "P_n"))
+    return _quantum(unit_vector(s), unit_vector(m), unit_vector(n))
 
 
 def compare(s, m, n) -> ConditionalComparison:
+    s, m, n = unit_vector(s), unit_vector(m), unit_vector(n)
     # The classical side runs first: its measure check refuses a near-empty
     # conditioning set before the quantum side divides by it.
-    classical = classical_conditional(s, m, n)
-    return ConditionalComparison(
-        quantum=quantum_conditional_qubit(s, m, n), classical=classical,
-        s=unit_vector(s), m=unit_vector(m), n=unit_vector(n),
-    )
+    classical = _classical(s, m, n)
+    return ConditionalComparison(quantum=_quantum(s, m, n), classical=classical, s=s, m=m, n=n)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -250,9 +273,13 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def sample_direction(rng: np.random.Generator) -> np.ndarray:
-    """Uniform direction: z ~ U(-1,1), azimuth ~ U(0, 2pi)."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
+    """Uniform direction: z ~ U(-1,1), azimuth ~ U(0, 2pi).
+
+    Both from one random(2) call: uniform(lo, hi) is lo + (hi - lo) * random(),
+    so this draws the same bits as uniform(-1, 1) and then uniform(0, 2pi)."""
+    u_z, u_phi = rng.random(2).tolist()
+    z = -1.0 + 2.0 * u_z
+    phi = 2.0 * math.pi * u_phi
     r = math.sqrt(max(1.0 - z * z, 0.0))
     return np.array([r * math.cos(phi), r * math.sin(phi), z])
 
@@ -326,7 +353,7 @@ def _rechecked(triple, quantum: float, classical: float, measure: float) -> Cond
     tol = qcore.bound(1.0, 2, 1.0 + 1.0 / measure)
     if not (abs(cmp.quantum - quantum) <= tol and abs(cmp.classical - classical) <= tol):
         raise InternalConsistencyError(
-            f"closed-form row (quantum {float(quantum)!r}, classical {float(classical)!r}) "
+            f"closed-form row (quantum {quantum!r}, classical {classical!r}) "
             f"disagrees with compare (quantum {cmp.quantum!r}, classical {cmp.classical!r}) "
             f"at s={cmp.s.tolist()}, m={cmp.m.tolist()}, n={cmp.n.tolist()}")
     return cmp
@@ -337,7 +364,9 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
 
     Rows come from `conditional_rows`, SCAN_CHUNK trials at a time.  Scalar
     `compare` re-checks the maximum row, whose values it reports, and
-    SCAN_RECHECKS rows drawn from the stream after the last trial.
+    SCAN_RECHECKS rows drawn from the stream after the last trial.  The
+    re-checks share one PCG64: each restores its start state and jumps
+    ahead to the trial it needs.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
@@ -352,13 +381,24 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     discrepancy = np.abs(quantum - classical)
     bins = np.bincount(np.minimum((discrepancy * 20.0).astype(np.intp), 19), minlength=20)
 
+    rng = _trial_rng(seed, 0)
+    stream, start = rng.bit_generator, rng.bit_generator.state
+
+    def at_trial(trial: int) -> np.random.Generator:
+        """`rng`, moved to the first of trial `trial`'s draws, as _trial_rng(seed, trial)."""
+        stream.state = start
+        stream.advance(TRIAL_DRAWS * trial)
+        return rng
+
     def recheck(i: int) -> ConditionalComparison:
-        return _rechecked(_trial_draws(seed, i, 3), quantum[i], classical[i], measure[i])
+        at_trial(i)
+        return _rechecked([sample_direction(rng) for _ in range(3)],
+                          float(quantum[i]), float(classical[i]), float(measure[i]))
 
     best = recheck(int(np.argmax(discrepancy)))  # the first maximum, as a running `>` keeps
-    for i in _trial_rng(seed, trials).integers(trials, size=SCAN_RECHECKS):
-        recheck(int(i))
-    return ScanResult(max=best, histogram=tuple(int(b) for b in bins))
+    for i in at_trial(trials).integers(trials, size=SCAN_RECHECKS).tolist():
+        recheck(i)
+    return ScanResult(max=best, histogram=tuple(bins.tolist()))
 
 
 def malley_search(m, n, trials: int, seed: int) -> MalleyResult:
@@ -380,7 +420,7 @@ def malley_search(m, n, trials: int, seed: int) -> MalleyResult:
         if hits.size:
             j = hits[0]
             cmp = _rechecked(_trial_draws(seed, block[j], 1) + [m, n],
-                             quantum[j], classical[j], measure[j])
+                             float(quantum[j]), float(classical[j]), float(measure[j]))
             return MalleyResult(violating_s=cmp.s, discrepancy=cmp.discrepancy)
         worst = max(worst, float(discrepancy.max()))
     return MalleyResult(violating_s=None, discrepancy=worst)
@@ -395,14 +435,14 @@ def monte_carlo_check(s, m, n, samples: int, seed: int) -> MonteCarloResult:
     """
     if not 100 <= samples <= MAX_SAMPLES:
         raise InvalidParameterError(f"samples must be in [100, {MAX_SAMPLES}], got {samples!r}")
-    exact = classical_conditional(s, m, n)
-    s = unit_vector(s)
+    s, m, n = unit_vector(s), unit_vector(m), unit_vector(n)
+    exact = _classical(s, m, n)
     lam = np.random.default_rng(seed).uniform(-0.5, 0.5, size=samples)
-    in_a = _response(float(np.dot(s, unit_vector(m))), lam) == 1.0
+    in_a = _response(float(np.dot(s, m)), lam) == 1.0
     n_a = int(np.count_nonzero(in_a))
     if n_a == 0:
         raise ZeroProbabilityError("no Monte Carlo samples fell in the conditioning set")
-    in_b = _response(float(np.dot(s, unit_vector(n))), lam) == 1.0
+    in_b = _response(float(np.dot(s, n)), lam) == 1.0
     estimate = float(np.count_nonzero(in_a & in_b)) / n_a
     se = math.sqrt(exact * (1.0 - exact) / n_a)
     se_guard = se if se > 0.0 else 1.0 / n_a

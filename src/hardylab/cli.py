@@ -55,6 +55,12 @@ def _round15(value):
     return value
 
 
+def _fields(result) -> dict:
+    """A flat result dataclass as a new dict of its fields: a shallow copy, as
+    no result holds a container; dataclasses.asdict would deep-copy each value."""
+    return dict(vars(result))
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         parts = [float(p) for p in text.split(",")]
@@ -95,10 +101,10 @@ def _run_hardy_point(args, cfg: RunConfig) -> dict:
     return {
         "alpha": model.params.alpha,
         "beta": model.params.beta,
-        "matrix": dataclasses.asdict(metrics),
-        "closed_form": dataclasses.asdict(closed),
+        "matrix": _fields(metrics),
+        "closed_form": _fields(closed),
         "paradox": "present" if cert.status == "paradox" else "absent",
-        "disturbance_contradiction": dataclasses.asdict(hardy4.disturbance_contradiction(model)),
+        "disturbance_contradiction": _fields(hardy4.disturbance_contradiction(model)),
     }
 
 
@@ -106,11 +112,11 @@ def _run_hardy_sweep(args, cfg: RunConfig) -> dict | list[str]:
     rows = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps)
     if cfg.format == "csv":
         return hardy4.sweep_csv_rows(rows)
-    return {"rows": [dict(alpha=a, **dataclasses.asdict(m)) for a, m in rows]}
+    return {"rows": [dict(alpha=a, **vars(m)) for a, m in rows]}
 
 
 def _run_hardy_optimize(args, cfg: RunConfig) -> dict:
-    return dataclasses.asdict(hardy4.optimize_paradox())
+    return _fields(hardy4.optimize_paradox())
 
 
 def _run_bell_scan(args, cfg: RunConfig) -> dict:
@@ -123,7 +129,7 @@ def _run_bell_compare(args, cfg: RunConfig) -> dict:
     s, m, n = map(_parse_vector, (args.s, args.m, args.n))
     payload = bellhv.compare(s, m, n).to_dict()
     if args.mc_samples is not None:
-        payload["monte_carlo"] = dataclasses.asdict(
+        payload["monte_carlo"] = _fields(
             bellhv.monte_carlo_check(s, m, n, args.mc_samples, cfg.seed))
     return payload
 
@@ -153,7 +159,7 @@ def _run_certify_two_step(args, cfg: RunConfig) -> dict:
     system, derived = hvlogic.two_step_system(base)
     payload = _certified("two-step", system)
     payload["derived_implications"] = [d.to_text() for d in derived]
-    payload["quantum_vs_hv"] = dataclasses.asdict(hardy4.disturbance_contradiction(model))
+    payload["quantum_vs_hv"] = _fields(hardy4.disturbance_contradiction(model))
     return payload
 
 

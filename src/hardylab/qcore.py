@@ -36,10 +36,12 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
             raise InvalidParameterError("state amplitudes must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(amps)):
-            raise InvalidParameterError("state amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > TOL_NORM:
+        # `not <=`: an inf or NaN amplitude makes norm_sq NaN or inf, so only a
+        # vector that fails here needs the finiteness test
+        if not abs(norm_sq - 1.0) <= TOL_NORM:
+            if not np.isfinite(amps).all():
+                raise InvalidParameterError("state amplitudes must be finite")
             raise InvalidParameterError(
                 f"state is not normalized: ||psi||^2 = {norm_sq!r}; use StateVector.normalize"
             )

@@ -114,19 +114,86 @@ class TestProjectorFromAxis:
         assert bellhv.projector_from_axis(Z_HAT, "P_m").name == "P_m"
 
 
+# Every public entry point that takes a Bloch vector, at each vector it takes.
+VALIDATING_CALLS = {
+    "unit_vector": lambda v: bellhv.unit_vector(v),
+    "classical s": lambda v: bellhv.classical_conditional(v, X_HAT, Z_HAT),
+    "classical m": lambda v: bellhv.classical_conditional(Z_HAT, v, Z_HAT),
+    "quantum n": lambda v: bellhv.quantum_conditional_qubit(Z_HAT, X_HAT, v),
+    "monte_carlo s": lambda v: bellhv.monte_carlo_check(v, X_HAT, Z_HAT, 1000, 0),
+    "classical n": lambda v: bellhv.classical_conditional(Z_HAT, X_HAT, v),
+    "quantum s": lambda v: bellhv.quantum_conditional_qubit(v, X_HAT, Z_HAT),
+    "quantum m": lambda v: bellhv.quantum_conditional_qubit(Z_HAT, v, Z_HAT),
+    "compare s": lambda v: bellhv.compare(v, X_HAT, Z_HAT),
+    "compare m": lambda v: bellhv.compare(Z_HAT, v, Z_HAT),
+    "compare n": lambda v: bellhv.compare(Z_HAT, X_HAT, v),
+    "monte_carlo m": lambda v: bellhv.monte_carlo_check(Z_HAT, v, Z_HAT, 1000, 0),
+    "monte_carlo n": lambda v: bellhv.monte_carlo_check(Z_HAT, X_HAT, v, 1000, 0),
+    "hv_response s": lambda v: bellhv.hv_response(v, Z_HAT),
+    "hv_response m": lambda v: bellhv.hv_response(Z_HAT, v),
+    "hv_expectation m": lambda v: bellhv.hv_expectation(X_HAT, v),
+    "response_value s": lambda v: bellhv.response_value(v, Z_HAT, 0.0),
+    "projector_from_axis": lambda v: bellhv.projector_from_axis(v),
+    "state_from_bloch": lambda v: bellhv.state_from_bloch(v),
+    "malley m": lambda v: bellhv.malley_search(v, Z_HAT, 10, 0),
+}
+
+
 class TestUnitVector:
     @pytest.mark.parametrize("bad", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0],
                                      [0.0, 0.0, -math.inf]], ids=str)
-    @pytest.mark.parametrize("call", [
-        lambda v: bellhv.unit_vector(v),
-        lambda v: bellhv.classical_conditional(v, X_HAT, Z_HAT),
-        lambda v: bellhv.classical_conditional(Z_HAT, v, Z_HAT),
-        lambda v: bellhv.quantum_conditional_qubit(Z_HAT, X_HAT, v),
-        lambda v: bellhv.monte_carlo_check(v, X_HAT, Z_HAT, 1000, 0),
-    ], ids=["unit_vector", "classical s", "classical m", "quantum n", "monte_carlo s"])
+    @pytest.mark.parametrize("call", VALIDATING_CALLS.values(), ids=VALIDATING_CALLS.keys())
     def test_non_finite_component_rejected(self, call, bad):
         with pytest.raises(InvalidParameterError, match=re.escape(f"Bloch vector {bad}")):
             call(np.array(bad))
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 2.0], [0.6, 0.0, 0.8 + 1e-9]], ids=str)
+    @pytest.mark.parametrize("call", VALIDATING_CALLS.values(), ids=VALIDATING_CALLS.keys())
+    def test_non_unit_rejected(self, call, bad):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"Bloch vector {bad}")):
+            call(np.array(bad))
+
+
+    def test_compare_validates_each_vector_once(self, monkeypatch):
+        calls = []
+        unit_vector = bellhv.unit_vector
+
+        def spy(v):
+            calls.append(v)
+            return unit_vector(v)
+        monkeypatch.setattr(bellhv, "unit_vector", spy)
+        s, m, n = rand_dir(1), rand_dir(2), rand_dir(3)
+        bellhv.compare(s, m, n)
+        assert len(calls) == 3
+        assert all(a is b for a, b in zip(calls, (s, m, n)))
+
+    def test_norm_is_the_numpy_norm(self):
+        """The norm in the error message is np.linalg.norm's, bit for bit, for random,
+        tiny (squares in the subnormal range or below it) and overflowing components."""
+        rng = np.random.default_rng(31)
+        vectors = list(rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1)))
+        vectors += list(rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-200, -150, size=(200, 1)))
+        vectors += [np.array([1e200, 1e200, 0.0]), np.array([0.0, -1e200, 0.0]),
+                    np.array([5e-324, 0.0, 0.0]), np.zeros(3)]
+        for v in vectors:
+            with np.errstate(over="ignore"):
+                expected = float(np.linalg.norm(v))
+                with pytest.raises(InvalidParameterError) as exc:
+                    bellhv.unit_vector(v)
+            assert str(exc.value).endswith(f"|v| = {expected!r}"), v
+
+
+class TestSampleDirection:
+    def test_one_call_is_the_two_uniform_formula(self):
+        """Bit for bit, sign bits included, on 10,000 draws of one stream."""
+        ours, reference = np.random.default_rng(37), np.random.default_rng(37)
+        for _ in range(10_000):
+            z = reference.uniform(-1.0, 1.0)
+            phi = reference.uniform(0.0, 2.0 * math.pi)
+            r = math.sqrt(max(1.0 - z * z, 0.0))
+            expected = np.array([r * math.cos(phi), r * math.sin(phi), z])
+            assert bellhv.sample_direction(ours).tobytes() == expected.tobytes()
+        assert ours.random() == reference.random()
 
 
 class TestClassicalConditional:
@@ -327,6 +394,22 @@ class TestScanKernel:
         monkeypatch.setattr(bellhv, "compare", spy)
         bellhv.scan_discrepancy(trials, seed)
         assert np.array_equal(checked, draws[expected, 0])
+
+    def test_rechecks_share_one_stream(self, monkeypatch):
+        """One PCG64 per block of rows, and one for all the re-checks of the scan."""
+        monkeypatch.setattr(bellhv, "SCAN_CHUNK", 7)
+        expected = bellhv.scan_discrepancy(20, 4)
+        built = []
+        pcg64 = np.random.PCG64
+
+        def spy(*args):
+            built.append(args)
+            return pcg64(*args)
+        monkeypatch.setattr(np.random, "PCG64", spy)
+        result = bellhv.scan_discrepancy(20, 4)
+        assert len(built) == len(list(bellhv._blocks(20))) + 1 == 4
+        assert result.histogram == expected.histogram
+        assert result.max.to_dict() == expected.max.to_dict()
 
     def test_seed_42_golden(self):
         """Pins the stream layout: a change to it must edit this test."""

@@ -53,6 +53,20 @@ class TestStateVector:
         with pytest.raises(InvalidParameterError):
             StateVector(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf),
+                                     complex(math.nan, 0.0)], ids=str)
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_non_finite_amplitude_named(self, bad, at):
+        """Finiteness is tested only once the norm check fails; it still names the cause."""
+        amps = np.array([1.0, 0.0], dtype=complex)
+        amps[at] = bad
+        with pytest.raises(InvalidParameterError, match="^state amplitudes must be finite$"):
+            StateVector(amps)
+
+    def test_overflowing_norm_is_not_normalized(self):
+        with pytest.raises(InvalidParameterError, match="not normalized"):
+            StateVector(np.array([1e200, 0.0]))
+
     def test_same_ray_ignores_global_phase(self):
         psi = StateVector.normalize([1.0, 1.0j])
         phi = StateVector(psi.amplitudes * np.exp(0.37j))
