@@ -92,19 +92,24 @@ def _run_gedanken(args, cfg: RunConfig) -> dict:
                           for rid, r in gedanken.full_report().items()}}
 
 
-def _run_hardy_point(args, cfg: RunConfig) -> dict:
-    model = hardy4.build_model(args.alpha)
+def _hardy_encoding(args) -> tuple[hardy4.HardyModel, hardy4.HardyMetrics,
+                                   hvlogic.ConstraintSystem]:
+    model = hardy4.build_model(0.6 if args.alpha is None else args.alpha)
     metrics = hardy4.compute_metrics(model)
+    return model, metrics, hvlogic.hardy_system(model, metrics)
+
+
+def _run_hardy_point(args, cfg: RunConfig) -> dict:
+    model, metrics, system = _hardy_encoding(args)
     closed = hardy4.closed_form_metrics(model.params)
     hardy4.cross_check(metrics, closed, model.params)
-    cert = hvlogic.check(hvlogic.hardy_system(model, metrics))
     return {
         "alpha": model.params.alpha,
         "beta": model.params.beta,
         "matrix": _fields(metrics),
         "closed_form": _fields(closed),
-        "paradox": "present" if cert.status == "paradox" else "absent",
-        "disturbance_contradiction": _fields(hardy4.disturbance_contradiction(model)),
+        "paradox": "present" if hvlogic.check(system).status == "paradox" else "absent",
+        "disturbance_contradiction": _fields(hardy4.disturbance_contradiction(model, metrics)),
     }
 
 
@@ -145,21 +150,16 @@ def _certified(scenario: str, system: hvlogic.ConstraintSystem) -> dict:
     return payload
 
 
-def _hardy_encoding(args) -> tuple[hardy4.HardyModel, hvlogic.ConstraintSystem]:
-    model = hardy4.build_model(0.6 if args.alpha is None else args.alpha)
-    return model, hvlogic.hardy_system(model, hardy4.compute_metrics(model))
-
-
 def _run_certify_hardy(args, cfg: RunConfig) -> dict:
-    return _certified("hardy", _hardy_encoding(args)[1])
+    return _certified("hardy", _hardy_encoding(args)[2])
 
 
 def _run_certify_two_step(args, cfg: RunConfig) -> dict:
-    model, base = _hardy_encoding(args)
+    model, metrics, base = _hardy_encoding(args)
     system, derived = hvlogic.two_step_system(base)
     payload = _certified("two-step", system)
     payload["derived_implications"] = [d.to_text() for d in derived]
-    payload["quantum_vs_hv"] = _fields(hardy4.disturbance_contradiction(model))
+    payload["quantum_vs_hv"] = _fields(hardy4.disturbance_contradiction(model, metrics))
     return payload
 
 

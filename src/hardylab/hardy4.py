@@ -1,4 +1,4 @@
-"""Parametric two-qubit model exhibiting the paradox for alpha != beta.
+"""Parametric two-qubit model exhibiting the paradox away from maximal entanglement.
 
 The state is alpha|++> - beta|--> with alpha^2 + beta^2 = 1, measured by
 rank-1 projectors U_i = |u><u| and D_i = |d><d| on each qubit:
@@ -35,7 +35,9 @@ and zero rule, and cross-checks every row against the closed forms.
 pipeline is the oracle at each sweep's two endpoint rows.
 
 Everything here is real and non-negative by construction; alpha is the
-single free parameter, beta = sqrt(1 - alpha^2).
+single free parameter, beta = sqrt(1 - alpha^2).  The paradox exists where
+the matrix <D1 D2>, about (beta - alpha)^2 near 1/sqrt2, is above
+qcore.zero_threshold(4) (paradox_event): more than about 7e-15 from 1/sqrt2.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ import numpy as np
 from . import qcore
 from .errors import InternalConsistencyError, InvalidParameterError
 from .qcore import Projector, StateVector
-
-# alpha values closer than this to beta are treated as maximally entangled.
-EQUAL_PARAM_TOL = 1e-9
 
 # Dimension of the two-qubit space, which sets the rounding bound of every check.
 DIM = 4
@@ -81,10 +80,6 @@ class HardyParams:
     def t(self) -> float:
         """Entanglement parameter t = alpha * beta, in (0, 1/2]."""
         return self.alpha * self.beta
-
-    @property
-    def maximally_entangled(self) -> bool:
-        return abs(self.alpha - self.beta) <= EQUAL_PARAM_TOL
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,8 @@ class ContradictionResult:
 
     status: str  # "contradiction" | "no_contradiction"
     hv_value: float
-    quantum_value: float | None
-    discrepancy: float | None
+    quantum_value: float
+    discrepancy: float
 
 
 @dataclass(frozen=True)
@@ -248,23 +243,30 @@ def cross_check(matrix: HardyMetrics, closed: HardyMetrics, params: HardyParams,
                                            f"matrix {m!r} vs {reference} {c!r} (bound {allowed!r})")
 
 
-def disturbance_contradiction(model: HardyModel) -> ContradictionResult:
-    """Two-step contradiction: hv forces P(1-U1|D1)=1, quantum gives c_bar.
+def paradox_event(metrics: HardyMetrics) -> bool:
+    """Whether D1=1, D2=1 can happen: the matrix <D1 D2> is above qcore.zero_threshold(DIM)."""
+    return metrics.p_joint_D1D2 > qcore.zero_threshold(DIM)
 
-    The two-qubit conditional must equal the one-qubit c_bar = Tr D(1-U) of
-    closed_form_metrics within its rounding bound (the paper's relation).
-    """
-    if model.params.maximally_entangled:
-        return ContradictionResult(status="no_contradiction", hv_value=1.0,
-                                   quantum_value=None, discrepancy=None)
-    quantum = qcore.conditional_probability(model.psi, model.D1, model.U1.complement())
-    c_bar = closed_form_metrics(model.params).c_bar
-    allowed = _bound("c_bar", c_bar, model.params)
-    if not abs(quantum - c_bar) <= allowed:
-        raise InternalConsistencyError(f"P(1-U1|D1) = {quantum!r} disagrees with the "
-                                       f"closed-form c_bar {c_bar!r} (bound {allowed!r})")
-    return ContradictionResult(status="contradiction", hv_value=1.0,
-                               quantum_value=quantum, discrepancy=1.0 - quantum)
+
+def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics) -> ContradictionResult:
+    """Two-step contradiction where paradox_event(metrics) holds: hv forces P(1-U1|D1) = 1,
+    quantum gives c_bar, and the discrepancy is P(U1|D1), else 0.  Each must match its closed
+    form within its rounding bound: P(1-U1|D1) the one-qubit c_bar = Tr D(1-U) (the paper's
+    relation), and P(U1|D1), a squared norm of its own, not the cancelling 1 - P(1-U1|D1),
+    the closed-form P(D2|D1)."""
+    closed, values = closed_form_metrics(model.params), []
+    for label, then, name in (("P(1-U1|D1)", model.U1.complement(), "c_bar"),
+                              ("P(U1|D1)", model.U1, "p_cond_D2_given_D1")):
+        value = qcore.conditional_probability(model.psi, model.D1, then)
+        exact = getattr(closed, name)
+        allowed = _bound(name, exact, model.params)
+        if not abs(value - exact) <= allowed:
+            raise InternalConsistencyError(f"{label} = {value!r} disagrees with the "
+                                           f"closed-form {name} {exact!r} (bound {allowed!r})")
+        values.append(value)
+    present = paradox_event(metrics)
+    return ContradictionResult("contradiction" if present else "no_contradiction", 1.0,
+                               values[0], values[1] if present else 0.0)
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:

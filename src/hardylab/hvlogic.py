@@ -316,14 +316,12 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> Cons
     Every constraint is inserted only after the corresponding quantum
     probability is verified to be 0 or 1 to rounding in the state's
     dimension (see _gate).  The event <D1D2> > 0 is required exactly when
-    alpha != beta, the rule of hardy4.disturbance_contradiction:
-    t^2(1-2t)/(1-t)^2 is positive there.
+    hardy4.paradox_event(metrics) holds (<D1D2> above qcore.zero_threshold(4)),
+    the decision hardy4.disturbance_contradiction reads too.
     """
     dim = model.psi.dim
-    required = ()
-    if not model.params.maximally_entangled:
-        required = (RequiredEvent(cid="<D1D2>>0",
-                                  literals=(("D1", True), ("D2", True))),)
+    required = ((RequiredEvent(cid="<D1D2>>0", literals=(("D1", True), ("D2", True))),)
+                if hardy4.paradox_event(metrics) else ())
     return ConstraintSystem(
         variables=("D1", "D2", "U1", "U2"),
         implications=(_implication(metrics.p_cond_U2_given_D1, "D1", "U2", dim),

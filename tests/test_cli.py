@@ -39,19 +39,20 @@ class TestHardyCommand:
         assert payload["matrix"]["p_cond_D2_given_D1"] == pytest.approx(0.04 / 0.52, abs=1e-10)
         assert payload["closed_form"]["c_bar"] == pytest.approx(1.0 - 0.04 / 0.52, abs=1e-12)
 
-    def test_maximally_entangled_absent(self, capsys):
+    def test_maximal_entanglement_absent(self, capsys):
         code, payload = run_json(capsys, ["hardy", "--alpha", str(1.0 / math.sqrt(2.0))])
         assert code == 0
         assert payload["paradox"] == "absent"
         assert payload["disturbance_contradiction"]["status"] == "no_contradiction"
 
-    @pytest.mark.parametrize("alpha", [1e-6, 1e-5, math.sqrt(0.5) + 1e-8, math.sqrt(0.5) + 1e-6])
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-5, math.sqrt(0.5) + 1e-10, math.sqrt(0.5) + 1e-8,
+                                       math.sqrt(0.5) + 1e-6])
     def test_paradox_present_off_maximal_entanglement(self, capsys, alpha):
         code, payload = run_json(capsys, ["hardy", "--alpha", repr(alpha)])
         assert code == 0
         assert payload["paradox"] == "present"
 
-    @pytest.mark.parametrize("alpha", [math.sqrt(0.5), math.sqrt(0.5) + 1e-10])
+    @pytest.mark.parametrize("alpha", [math.sqrt(0.5)])
     def test_paradox_absent_at_maximal_entanglement(self, capsys, alpha):
         code, payload = run_json(capsys, ["hardy", "--alpha", repr(alpha)])
         assert code == 0
@@ -69,8 +70,29 @@ class TestHardyCommand:
         assert code in (0, 2)
         if code == 0:
             payload = json.loads(out.getvalue())
+            contradiction = payload["disturbance_contradiction"]
             assert ((payload["paradox"] == "present")
-                    == (payload["disturbance_contradiction"]["status"] == "contradiction"))
+                    == (contradiction["status"] == "contradiction")
+                    == (contradiction["discrepancy"] > 0.0))
+
+    @pytest.mark.parametrize("alpha", [math.sqrt(0.5) + sign * 10.0 ** k
+                                       for k in range(-16, -2) for sign in (-1, 1)]
+                             + [math.nextafter(math.sqrt(0.5), 0.0),
+                                math.nextafter(math.sqrt(0.5), 1.0)])
+    def test_one_zero_rule_near_maximal_entanglement(self, capsys, alpha):
+        """The paradox, the contradiction, a positive discrepancy and a certified paradox
+        all hold exactly when the matrix <D1D2> is above qcore.zero_threshold(4)."""
+        code, payload = run_json(capsys, ["hardy", "--alpha", repr(alpha)])
+        assert code == 0
+        contradiction = payload["disturbance_contradiction"]
+        positive = payload["matrix"]["p_joint_D1D2"] > qcore.zero_threshold(4)
+        assert (payload["paradox"] == "present") == positive
+        assert (contradiction["status"] == "contradiction") == positive
+        assert (contradiction["discrepancy"] > 0.0) == positive
+        code, payload = run_json(capsys, ["certify", "--scenario", "hardy", "--alpha", repr(alpha)])
+        assert code == 0
+        assert (payload["certificate"]["status"] == "paradox") == positive
+        assert payload.get("replay_ok", False) == positive
 
     def test_optimize(self, capsys):
         code, payload = run_json(capsys, ["hardy", "--optimize"])

@@ -226,7 +226,7 @@ class TestDeriveTwoStep:
     def test_derived_conflicts_with_quantum_cbar(self):
         # hv concludes P(1-U1|D1) = 1; the quantum value is c_bar < 1
         model = hardy4.build_model(0.6)
-        result = hardy4.disturbance_contradiction(model)
+        result = hardy4.disturbance_contradiction(model, hardy4.compute_metrics(model))
         derived = derive_two_step(hardy_system_at(0.6))
         assert any(d.consequent == ("U1", False) for d in derived)
         assert result.quantum_value < 1.0
