@@ -200,15 +200,15 @@ def hv_expectation(s, m) -> float:
     return hv_response(s, m).measure
 
 
-def _axis_projector(m: np.ndarray, name: str) -> Projector:
+def _axis_matrix(m: np.ndarray) -> np.ndarray:
     x, y, z = m.tolist()
-    mat = 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]])
-    return Projector(mat, name=name or f"P({x:g},{y:g},{z:g})")
+    return 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]])
 
 
 def projector_from_axis(m, name: str = "") -> Projector:
     """P_m = (1 + m.sigma)/2 = [[1 + z, x - iy], [x + iy, 1 - z]]/2."""
-    return _axis_projector(unit_vector(m), name)
+    m = unit_vector(m)
+    return Projector(_axis_matrix(m), name=name or "P({:g},{:g},{:g})".format(*m.tolist()))
 
 
 def _bloch_state(s: np.ndarray) -> StateVector:
@@ -245,8 +245,8 @@ def classical_conditional(s, m, n) -> float:
 
 
 def _quantum(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
-    return qcore.conditional_probability(_bloch_state(s), _axis_projector(m, "P_m"),
-                                         _axis_projector(n, "P_n"))
+    p_m, p_n = qcore.projectors([_axis_matrix(m), _axis_matrix(n)], ("P_m", "P_n"))
+    return qcore.conditional_probability(_bloch_state(s), p_m, p_n)
 
 
 def quantum_conditional_qubit(s, m, n) -> float:

@@ -75,29 +75,19 @@ def build_state() -> StateVector:
     return StateVector(amps)
 
 
-def _embed(positron: np.ndarray, electron: np.ndarray, name: str) -> Projector:
-    """Embed a positron (x) electron operator into the 5-dim space, zero on gamma."""
-    mat = np.zeros((5, 5), dtype=complex)
-    mat[1:, 1:] = np.kron(positron, electron)
-    return Projector(mat, name=name)
-
-
 def _rank1(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
 def build_detectors() -> DetectorSet:
+    """Each detector's positron (x) electron operator, zero on gamma, validated as one stack."""
     eye = np.eye(2, dtype=complex)
-    return DetectorSet(
-        c_plus_inf=_embed(_rank1(_U), eye, "C+(inf)"),
-        d_plus_inf=_embed(_rank1(_V), eye, "D+(inf)"),
-        c_minus_inf=_embed(eye, _rank1(_U), "C-(inf)"),
-        d_minus_inf=_embed(eye, _rank1(_V), "D-(inf)"),
-        c_plus_0=_embed(_rank1(_C0_KET), eye, "C+(0)"),
-        d_plus_0=_embed(_rank1(_D0_KET), eye, "D+(0)"),
-        c_minus_0=_embed(eye, _rank1(_C0_KET), "C-(0)"),
-        d_minus_0=_embed(eye, _rank1(_D0_KET), "D-(0)"),
-    )
+    c_inf, d_inf, c_0, d_0 = (_rank1(k) for k in (_U, _V, _C0_KET, _D0_KET))
+    mats = np.zeros((8, 5, 5), dtype=complex)
+    mats[:, 1:, 1:] = qcore.kron(np.array([c_inf, d_inf, eye, eye, c_0, d_0, eye, eye]),
+                                 np.array([eye, eye, c_inf, d_inf, eye, eye, c_0, d_0]))
+    return DetectorSet(*qcore.projectors(mats, ("C+(inf)", "D+(inf)", "C-(inf)", "D-(inf)",
+                                                "C+(0)", "D+(0)", "C-(0)", "D-(0)")))
 
 
 STATE = build_state()
@@ -110,13 +100,17 @@ def full_report() -> GedankenReport:
     # The four paradox-free relations among the path detectors: quantum and
     # local-realistic readings agree here; paradoxes only arise once the
     # time-0 detectors enter.
-    joint_cc = Projector(det.c_plus_inf.matrix @ det.c_minus_inf.matrix, name="C+(inf)C-(inf)")
-    joint_dd = Projector(det.d_plus_inf.matrix @ det.d_minus_inf.matrix, name="D+(inf)D-(inf)")
+    eye = np.eye(5, dtype=complex)
+    joint_cc, joint_dd, not_d_minus_inf, not_d_minus_0 = qcore.projectors(
+        [det.c_plus_inf.matrix @ det.c_minus_inf.matrix,
+         det.d_plus_inf.matrix @ det.d_minus_inf.matrix,
+         eye - det.d_minus_inf.matrix, eye - det.d_minus_0.matrix],
+        ("C+(inf)C-(inf)", "D+(inf)D-(inf)", "1-D-(inf)", "1-D-(0)"))
     p_dd = qcore.born_probability(psi, joint_dd)
     # On the electron qubit 1-D(0) = C(0) and 1-D(inf) = C(inf), both rank 1,
     # so the electron-sector trace Tr (1-D(0))(1-D(inf)) is Tr C(0) C(inf).
-    trace_value = qcore.disturbance_metrics(Projector(_rank1(_C0_KET), name="C(0)"),
-                                            Projector(_rank1(_U), name="C(inf)"))
+    trace_value = qcore.disturbance_metrics(
+        *qcore.projectors([_rank1(_C0_KET), _rank1(_U)], ("C(0)", "C(inf)")))
     return {
         "joint_Cplus_Cminus": RelationResult(qcore.born_probability(psi, joint_cc), 0.0),
         "P(D-inf|C+inf)": RelationResult(
@@ -140,5 +134,5 @@ def full_report() -> GedankenReport:
         # the local-realistic 1, so the paradox shows either way.
         "complement_electron_trace": RelationResult(trace_value, 1.0),
         "complement_full_space": RelationResult(qcore.conditional_probability(
-            psi, det.d_minus_inf.complement(), det.d_minus_0.complement()), 1.0),
+            psi, not_d_minus_inf, not_d_minus_0), 1.0),
     }

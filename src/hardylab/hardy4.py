@@ -25,12 +25,13 @@ is set by hand, so a relative error shows at any alpha, however small the
 value.
 
 Two matrix pipelines compute these statistics.  The scalar one
-(build_model, compute_metrics) serves one alpha through validated qcore
-Projectors; `hardy --alpha` and `certify` use it.  The array kernel
-(metrics_arrays) serves many alphas at once: it stacks the local
-projectors and their Kronecker products as (N, 4, 4) arrays, validates
-every stack, takes probabilities as squared norms under qcore's clamp band
-and zero rule, and cross-checks every row against the closed forms.
+(build_model, compute_metrics) serves one alpha through ten qcore
+Projectors, validated as two stacks by qcore.projectors; `hardy --alpha`
+and `certify` use it.  The array kernel (metrics_arrays) serves many
+alphas at once: it stacks the local projectors and their Kronecker
+products as (N, 4, 4) arrays, validates every stack, takes probabilities
+as squared norms under qcore's clamp band and zero rule, and
+cross-checks every row against the closed forms.
 `hardy --sweep` and `hardy --optimize` use the kernel, and the scalar
 pipeline is the oracle at each sweep's two endpoint rows.
 
@@ -88,17 +89,22 @@ class HardyModel:
 
     U1/D1 act on qubit 1 (tensored with identity on qubit 2) and vice
     versa; u_local/d_local are the 2x2 single-qubit projectors shared by
-    both parties.
+    both parties, and u_perp_local is 1 - U.  U1U2 and D1D2 are the joint
+    products and U1_perp is 1 - U1: every operator the metrics read.
     """
 
     params: HardyParams
     psi: StateVector
     u_local: Projector
     d_local: Projector
+    u_perp_local: Projector
     U1: Projector
     U2: Projector
     D1: Projector
     D2: Projector
+    U1U2: Projector
+    D1D2: Projector
+    U1_perp: Projector
 
 
 @dataclass(frozen=True)
@@ -129,9 +135,6 @@ class Optimum:
     p_max: float
 
 
-_EYE = Projector.identity(2)
-
-
 def _local_kets(a, b):
     """|u> and |d> of the module docstring: (2,) kets for floats, (N, 2) rows for (N,) arrays."""
     u = np.array([np.sqrt(b), np.sqrt(a)]) / np.sqrt(a + b)
@@ -149,41 +152,33 @@ def _u_perp_ket(a, b):
 
 
 def build_model(alpha: float) -> HardyModel:
+    """The state and ten projectors of one alpha, validated as a 2x2 and a 4x4 stack."""
     params = HardyParams.from_alpha(alpha)
     a, b = params.alpha, params.beta
     u_ket, d_ket = _local_kets(a, b)
-    psi = StateVector(np.array([a, 0.0, 0.0, -b], dtype=complex))
-    u_local = Projector.from_ket(u_ket, name="U")
-    d_local = Projector.from_ket(d_ket, name="D")
-    return HardyModel(
-        params=params,
-        psi=psi,
-        u_local=u_local,
-        d_local=d_local,
-        U1=qcore.tensor(u_local, _EYE),
-        U2=qcore.tensor(_EYE, u_local),
-        D1=qcore.tensor(d_local, _EYE),
-        D2=qcore.tensor(_EYE, d_local),
-    )
-
-
-def _joint(a: Projector, b: Projector, name: str) -> Projector:
-    # Product of commuting projectors is again a projector.
-    return Projector(a.matrix @ b.matrix, name=name)
+    local = np.array([qcore.rank1(k) for k in (u_ket, d_ket, _u_perp_ket(a, b))])
+    u, d = local[:2]
+    eye = np.eye(2, dtype=complex)
+    u1, u2, d1, d2 = qcore.kron(np.array([u, eye, d, eye]), np.array([eye, u, eye, d]))
+    # products of commuting projectors, so again projectors
+    joint = np.array([u1, u2, d1, d2, u1 @ u2, d1 @ d2, np.eye(DIM, dtype=complex) - u1])
+    return HardyModel(params, StateVector(np.array([a, 0.0, 0.0, -b], dtype=complex)),
+                      *qcore.projectors(local, ("U", "D", "1-U")),
+                      *qcore.projectors(joint, ("U(x)1", "1(x)U", "D(x)1", "1(x)D",
+                                                "U1U2", "D1D2", "1-U(x)1")))
 
 
 def compute_metrics(model: HardyModel) -> HardyMetrics:
     """All model statistics by direct matrix evaluation (no closed forms)."""
     psi = model.psi
-    u_perp = Projector.from_ket(_u_perp_ket(model.params.alpha, model.params.beta), name="1-U")
     return HardyMetrics(
         p_D1=qcore.born_probability(psi, model.D1),
         p_cond_U2_given_D1=qcore.conditional_probability(psi, model.D1, model.U2),
         p_cond_U1_given_D2=qcore.conditional_probability(psi, model.D2, model.U1),
         p_cond_D2_given_D1=qcore.conditional_probability(psi, model.D1, model.D2),
-        p_joint_U1U2=qcore.born_probability(psi, _joint(model.U1, model.U2, "U1U2")),
-        p_joint_D1D2=qcore.born_probability(psi, _joint(model.D1, model.D2, "D1D2")),
-        c_bar=qcore.disturbance_metrics(model.d_local, u_perp),
+        p_joint_U1U2=qcore.born_probability(psi, model.U1U2),
+        p_joint_D1D2=qcore.born_probability(psi, model.D1D2),
+        c_bar=qcore.disturbance_metrics(model.d_local, model.u_perp_local),
         commutator_D1U1=qcore.commutator_norm(model.d_local, model.u_local),
     )
 
@@ -255,7 +250,7 @@ def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics) -> Contr
     relation), and P(U1|D1), a squared norm of its own, not the cancelling 1 - P(1-U1|D1),
     the closed-form P(D2|D1)."""
     closed, values = closed_form_metrics(model.params), []
-    for label, then, name in (("P(1-U1|D1)", model.U1.complement(), "c_bar"),
+    for label, then, name in (("P(1-U1|D1)", model.U1_perp, "c_bar"),
                               ("P(U1|D1)", model.U1, "p_cond_D2_given_D1")):
         value = qcore.conditional_probability(model.psi, model.D1, then)
         exact = getattr(closed, name)

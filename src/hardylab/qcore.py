@@ -96,8 +96,7 @@ class Projector:
     @classmethod
     def from_ket(cls, ket, name: str = "") -> "Projector":
         """Rank-1 projector |k><k| onto the (normalized) given ket."""
-        k = StateVector.normalize(ket).amplitudes
-        return cls(np.outer(k, k.conj()), name=name)
+        return cls(rank1(ket), name=name)
 
     @classmethod
     def identity(cls, dim: int, name: str = "1") -> "Projector":
@@ -111,11 +110,36 @@ class Projector:
         return self.name or f"<projector dim={self.dim}>"
 
 
+def rank1(ket) -> np.ndarray:
+    """The matrix |k><k| of Projector.from_ket: the outer product of the normalized ket."""
+    k = StateVector.normalize(ket).amplitudes
+    return np.outer(k, k.conj())
+
+
+def projectors(mats, names) -> tuple[Projector, ...]:
+    """The Projectors named `names` on the rows of a (k, d, d) stack: one validate_projectors
+    call for the stack, none per Projector.  A failing row raises Projector(row, name)'s error."""
+    mats = np.asarray(mats, dtype=complex)
+    if 0 in mats.shape or mats.shape != (len(names),) + mats.shape[-1:] * 2:
+        raise InvalidParameterError("projectors needs a non-empty (k, d, d) stack and k names")
+    try:
+        validate_projectors(mats)
+    except InvalidParameterError:
+        for mat, name in zip(mats, names):
+            validate_projectors(mat, name)
+        raise
+    mats.flags.writeable = False
+    family = tuple(object.__new__(Projector) for _ in names)
+    for p, mat, name in zip(family, mats, names):
+        vars(p).update(matrix=mat, name=name)  # the fields Projector.__init__ would set
+    return family
+
+
 def validate_projectors(mats: np.ndarray, name: str = "") -> None:
     """Raise unless `mats`, one (d, d) matrix or a (..., d, d) stack of them, is
     finite, Hermitian and idempotent within TOL_PROJECTOR."""
     if not np.isfinite(mats).all():
-        raise InvalidParameterError("projector matrix must be finite")
+        raise InvalidParameterError(f"projector {name!r} is not finite")
     herm = np.abs(mats - mats.conj().swapaxes(-1, -2))
     if herm.max() > TOL_PROJECTOR:
         _defect_error(herm, name, "Hermitian")

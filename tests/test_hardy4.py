@@ -13,6 +13,27 @@ from hardylab.errors import InternalConsistencyError, InvalidParameterError
 
 alphas = st.floats(min_value=0.05, max_value=0.95)
 
+# log grids toward 0 and 1, and 1/sqrt2 +- 1e-16 .. 1e-2
+OPERATOR_GRID = ([10.0 ** -k for k in range(1, 16)] + [1.0 - 10.0 ** -k for k in range(1, 16)]
+                 + [1.0 / math.sqrt(2.0) + sign * 10.0 ** k
+                    for k in range(-16, -1) for sign in (1.0, -1.0)])
+
+
+def one_by_one_operators(params: hardy4.HardyParams) -> dict[str, qcore.Projector]:
+    """HardyModel's operator fields as one validated Projector each."""
+    a, b = params.alpha, params.beta
+    u_ket, d_ket = hardy4._local_kets(a, b)
+    u, d = qcore.Projector.from_ket(u_ket, name="U"), qcore.Projector.from_ket(d_ket, name="D")
+    eye = qcore.Projector.identity(2)
+    u1, u2 = qcore.tensor(u, eye), qcore.tensor(eye, u)
+    d1, d2 = qcore.tensor(d, eye), qcore.tensor(eye, d)
+    return {"u_local": u, "d_local": d,
+            "u_perp_local": qcore.Projector.from_ket(hardy4._u_perp_ket(a, b), name="1-U"),
+            "U1": u1, "U2": u2, "D1": d1, "D2": d2,
+            "U1U2": qcore.Projector(u1.matrix @ u2.matrix, name="U1U2"),
+            "D1D2": qcore.Projector(d1.matrix @ d2.matrix, name="D1D2"),
+            "U1_perp": u1.complement()}
+
 
 class TestParams:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.7, float("nan")])
@@ -48,6 +69,16 @@ class TestModel:
         m = hardy4.build_model(0.6)
         for a, b in [(m.D1, m.U2), (m.D2, m.U1), (m.D1, m.D2), (m.U1, m.U2)]:
             assert qcore.commutator_norm(a, b) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", OPERATOR_GRID)
+    def test_operators_are_those_of_one_by_one_construction(self, alpha):
+        """build_model's stacked operators equal, to the bit and by name, the Projectors
+        of Projector.from_ket, qcore.tensor, @ and .complement(), each validated alone."""
+        model = hardy4.build_model(alpha)
+        for field, want in one_by_one_operators(model.params).items():
+            got = getattr(model, field)
+            assert got.name == want.name, field
+            assert np.array_equal(got.matrix, want.matrix), (alpha, field)
 
 
 class TestMetrics:
@@ -444,3 +475,24 @@ class TestOptimizer:
         monkeypatch.setattr(hardy4, "OPT_STEP", 0.0)
         with pytest.raises(InternalConsistencyError):
             hardy4.optimize_paradox()
+
+
+class TestValidationsPerCommand:
+    """Each command validates its projector families as stacks, not one Projector at a
+    time.  hardy --optimize runs the array kernel, which validates each of its nine
+    (N, d, d) operator stacks on its own: one call over all six (N, 4, 4) stacks
+    at once measured slower on a 1,024-row block."""
+
+    @pytest.mark.parametrize("argv, count", [("hardy --alpha 0.6", 2), ("gedanken", 2),
+                                             ("hardy --optimize", 9),
+                                             ("bell --s 0,0,1 --m 1,0,0 --n 0,0,1", 1)])
+    def test_validate_projectors_calls(self, monkeypatch, argv, count):
+        calls = []
+        validate = qcore.validate_projectors
+
+        def counted(mats, name=""):
+            calls.append(name)
+            validate(mats, name)
+        monkeypatch.setattr(qcore, "validate_projectors", counted)
+        assert cli.run(argv.split()) == 0
+        assert len(calls) == count, calls

@@ -209,6 +209,56 @@ class TestValidateProjectors:
             qcore.validate_projectors(np.full((3, 2, 2), math.nan))
 
 
+class TestProjectors:
+    NAMES = ("P0", "P1", "P2", "P3")
+
+    def test_same_as_one_by_one(self):
+        rng = np.random.default_rng(9)
+        mats = np.array([random_projector(rng, 3).matrix for _ in range(4)])
+        lone = [Projector(mat.copy(), name=name) for mat, name in zip(mats, self.NAMES)]
+        family = qcore.projectors(mats, self.NAMES)
+        assert len(family) == 4
+        for p, q in zip(family, lone):
+            assert type(p) is Projector and p.name == q.name and p.label() == q.label()
+            assert np.array_equal(p.matrix, q.matrix) and p.matrix.dtype == q.matrix.dtype
+            assert not p.matrix.flags.writeable
+
+    def test_one_validation_for_the_stack(self, monkeypatch):
+        stack = [Projector.from_ket([1.0, float(k)]).matrix for k in range(4)]
+        calls = []
+        validate = qcore.validate_projectors
+
+        def spy(mats, name=""):
+            calls.append(np.shape(mats))
+            validate(mats, name)
+        monkeypatch.setattr(qcore, "validate_projectors", spy)
+        qcore.projectors(stack, self.NAMES)
+        assert calls == [(4, 2, 2)]
+
+    @pytest.mark.parametrize("kind, corrupt", [("Hermitian", lambda m: m + [[0, 1e-9], [0, 0]]),
+                                               ("idempotent", lambda m: 2 * m),
+                                               ("finite", lambda m: m * math.nan)],
+                             ids=["hermitian", "idempotent", "nan"])
+    def test_a_bad_row_raises_what_its_lone_projector_raises(self, kind, corrupt):
+        stack = np.array([Projector.from_ket([1.0, float(k)]).matrix for k in range(4)])
+        stack[2] = corrupt(stack[2])
+        with pytest.raises(InvalidParameterError) as lone:
+            Projector(stack[2].copy(), name="P2")
+        with pytest.raises(InvalidParameterError) as family:
+            qcore.projectors(stack, self.NAMES)
+        assert str(family.value) == str(lone.value)
+        assert str(family.value).startswith(f"projector 'P2' is not {kind}")
+
+    @pytest.mark.parametrize("mats, names", [(np.eye(2), ("A", "B")),
+                                             (np.zeros((2, 2, 3)), ("A", "B")),
+                                             (np.zeros((0, 2, 2)), ()),
+                                             (np.array([np.eye(2)] * 2), ("A",))],
+                             ids=["one-matrix", "not-square", "empty", "names-short"])
+    def test_rejects_a_stack_without_one_name_per_square_matrix(self, mats, names):
+        with pytest.raises(InvalidParameterError, match="k names"):
+            qcore.projectors(mats, names)
+
+
 class TestConditionalProbability:
     def test_idempotence_b_equals_a(self):
         rng = np.random.default_rng(1)
