@@ -23,9 +23,10 @@ per seed, in which trial i owns draws 6i..6i+5; PCG64 jumps ahead by n
 draws in O(log n) steps, so `_trial_rng(seed, trial)` redraws any one
 trial alone.  Scalar `compare` is the oracle: it re-checks the printed
 maximum and SCAN_RECHECKS seeded rows of every scan, each from its own
-redrawn trial, and a disagreement raises InternalConsistencyError (exit
-3 on the command line).  The re-checks of one scan share one PCG64,
-reset to its start state and jumped ahead for each.
+redrawn trial.  Each side of a row must agree with `compare`'s within
+qcore.bound(1, 2, 1 + 1/measure) (qcore.agree); a disagreement raises
+InternalConsistencyError (exit 3 on the command line).  The re-checks of
+one scan share one PCG64, reset to its start state and jumped ahead for each.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import InternalConsistencyError, InvalidParameterError, ZeroProbabilityError
+from .errors import InvalidParameterError, ZeroProbabilityError
 from .qcore import Projector, StateVector
 
 UNIT_TOL = 1e-12
@@ -152,12 +153,6 @@ class ConditionalComparison:
 class ScanResult:
     max: ConditionalComparison
     histogram: tuple[int, ...]  # 20 bins over discrepancy in [0, 1]
-
-
-@dataclass(frozen=True)
-class MalleyResult:
-    violating_s: np.ndarray | None
-    discrepancy: float
 
 
 @dataclass(frozen=True)
@@ -296,14 +291,14 @@ def _blocks(trials: int):
             for start in range(0, trials, SCAN_CHUNK))
 
 
-def _trial_directions(seed: int, trials: range, count: int) -> np.ndarray:
-    """(len(trials), count, 3): _trial_draws for each trial, bit for bit.
+def _trial_directions(seed: int, trials: range) -> np.ndarray:
+    """(len(trials), 3, 3): _trial_draws(seed, i, 3) for each trial i, bit for bit.
 
     `trials` is consecutive, so its draws are one stretch of the stream.
-    uniform(lo, hi) is lo + (hi - lo) * random(), so each trial's first
-    2 * count doubles give the same directions as `count` sample_direction calls.
+    uniform(lo, hi) is lo + (hi - lo) * random(), so each trial's TRIAL_DRAWS
+    doubles give the same directions as 3 sample_direction calls.
     """
-    u = _trial_rng(seed, trials.start).random((len(trials), TRIAL_DRAWS))[:, :2 * count]
+    u = _trial_rng(seed, trials.start).random((len(trials), TRIAL_DRAWS))
     z = -1.0 + 2.0 * u[:, 0::2]
     phi = 2.0 * math.pi * u[:, 1::2]
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -345,17 +340,15 @@ def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.broadcast_arrays((1.0 + _dots(m, n)) / 2.0, classical, measure))
 
 
-def _rechecked(triple, quantum: float, classical: float, measure: float) -> ConditionalComparison:
-    """Scalar `compare` on one closed-form row; raise unless both sides agree within
+def _rechecked(row: int, triple, quantum: float, classical: float,
+               measure: float) -> ConditionalComparison:
+    """Scalar `compare` on closed-form row `row`; raise unless both sides agree within
     qcore.bound(1, 2, 1 + 1/measure), as the Bayes ratio scales the rounding of s.m
     by 1/measure.  A NaN on either side fails."""
     cmp = compare(*triple)
     tol = qcore.bound(1.0, 2, 1.0 + 1.0 / measure)
-    if not (abs(cmp.quantum - quantum) <= tol and abs(cmp.classical - classical) <= tol):
-        raise InternalConsistencyError(
-            f"closed-form row (quantum {quantum!r}, classical {classical!r}) "
-            f"disagrees with compare (quantum {cmp.quantum!r}, classical {cmp.classical!r}) "
-            f"at s={cmp.s.tolist()}, m={cmp.m.tolist()}, n={cmp.n.tolist()}")
+    qcore.agree(quantum, cmp.quantum, tol, f"closed-form row {row} quantum vs compare")
+    qcore.agree(classical, cmp.classical, tol, f"closed-form row {row} classical vs compare")
     return cmp
 
 
@@ -372,7 +365,7 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
         raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
     quantum, classical, measure = np.empty((3, trials))
     for block in _blocks(trials):
-        s, m, n = _trial_directions(seed, block, 3).transpose(1, 0, 2)
+        s, m, n = _trial_directions(seed, block).transpose(1, 0, 2)
         rows = slice(block.start, block.stop)
         quantum[rows], classical[rows], measure[rows] = conditional_rows(s, m, n)
         empty = np.flatnonzero(measure[rows] <= MIN_MEASURE)
@@ -392,38 +385,13 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
 
     def recheck(i: int) -> ConditionalComparison:
         at_trial(i)
-        return _rechecked([sample_direction(rng) for _ in range(3)],
+        return _rechecked(i, [sample_direction(rng) for _ in range(3)],
                           float(quantum[i]), float(classical[i]), float(measure[i]))
 
     best = recheck(int(np.argmax(discrepancy)))  # the first maximum, as a running `>` keeps
     for i in at_trial(trials).integers(trials, size=SCAN_RECHECKS).tolist():
         recheck(i)
     return ScanResult(max=best, histogram=tuple(bins.tolist()))
-
-
-def malley_search(m, n, trials: int, seed: int) -> MalleyResult:
-    """Look for a state s where Bayes and quantum conditionals disagree.
-
-    For non-commuting P_m, P_n (m != +-n) a violating state is found
-    quickly; for commuting pairs the search comes up empty.  Rows come
-    from `conditional_rows`; scalar `compare` confirms the one returned.
-    """
-    m = unit_vector(m)
-    n = unit_vector(n)
-    worst = 0.0
-    for block in _blocks(trials):
-        s = _trial_directions(seed, block, 1)[:, 0]
-        quantum, classical, measure = conditional_rows(s, m, n)
-        # s opposite m: nothing to condition on
-        discrepancy = np.where(measure > MIN_MEASURE, np.abs(quantum - classical), 0.0)
-        hits = np.flatnonzero(discrepancy > 1e-6)
-        if hits.size:
-            j = hits[0]
-            cmp = _rechecked(_trial_draws(seed, block[j], 1) + [m, n],
-                             float(quantum[j]), float(classical[j]), float(measure[j]))
-            return MalleyResult(violating_s=cmp.s, discrepancy=cmp.discrepancy)
-        worst = max(worst, float(discrepancy.max()))
-    return MalleyResult(violating_s=None, discrepancy=worst)
 
 
 def monte_carlo_check(s, m, n, samples: int, seed: int) -> MonteCarloResult:

@@ -94,8 +94,24 @@ STATE = build_state()
 DETECTORS = build_detectors()
 
 
+# Each relation's exact quantum value, the dimension it is computed in, and the
+# condition number of its formula: 1 + 1/P(A) for a conditional on A, else 1.
+_EXACT = {
+    "joint_Cplus_Cminus": (0.0, 5, 1.0),
+    "P(D-inf|C+inf)": (1.0, 5, 1 + 1 / 0.25),
+    "P(D+inf|C-inf)": (1.0, 5, 1 + 1 / 0.25),
+    "joint_Dplus_Dminus": (0.25, 5, 1.0),
+    "P(C+inf|D-0)": (1.0, 5, 1 + 1 / 0.125),
+    "P(C-inf|D+0)": (1.0, 5, 1 + 1 / 0.125),
+    "P(D-inf|D-0)": (0.5, 5, 1 + 1 / 0.125),
+    "complement_electron_trace": (0.5, 2, 1.0),
+    "complement_full_space": (0.75, 5, 1 + 1 / 0.5),
+}
+
+
 def full_report() -> GedankenReport:
-    """All nine relations, quantum value against local-realistic prediction."""
+    """All nine relations, quantum value against local-realistic prediction.  Each
+    quantum value must agree with its exact value: within qcore.bound(*_EXACT[rid])."""
     psi, det = STATE, DETECTORS
     # The four paradox-free relations among the path detectors: quantum and
     # local-realistic readings agree here; paradoxes only arise once the
@@ -111,7 +127,7 @@ def full_report() -> GedankenReport:
     # so the electron-sector trace Tr (1-D(0))(1-D(inf)) is Tr C(0) C(inf).
     trace_value = qcore.disturbance_metrics(
         *qcore.projectors([_rank1(_C0_KET), _rank1(_U)], ("C(0)", "C(inf)")))
-    return {
+    report = {
         "joint_Cplus_Cminus": RelationResult(qcore.born_probability(psi, joint_cc), 0.0),
         "P(D-inf|C+inf)": RelationResult(
             qcore.conditional_probability(psi, det.c_plus_inf, det.d_minus_inf), 1.0),
@@ -136,3 +152,7 @@ def full_report() -> GedankenReport:
         "complement_full_space": RelationResult(qcore.conditional_probability(
             psi, not_d_minus_inf, not_d_minus_0), 1.0),
     }
+    for rid, result in report.items():
+        exact, dim, cond = _EXACT[rid]
+        qcore.agree(result.quantum_value, exact, qcore.bound(exact, dim, cond), f"gedanken {rid}")
+    return report

@@ -18,8 +18,9 @@ Closed forms used as cross-checks against the matrix pipeline:
     <D1 D2>       = t^2 (1-2t) / (1-t)^2   with t = alpha beta
 
 Each matrix value must lie within qcore.bound(closed, 4, cond) of its
-closed form: the rounding model of qcore.zero_threshold, with condition
-number cond = 1 + 1/|beta - alpha| for the three forms through beta - alpha
+closed form, by qcore.agree, which makes every agreement check here: the
+rounding model of qcore.zero_threshold, with condition number
+cond = 1 + 1/|beta - alpha| for the three forms through beta - alpha
 (P(D2|D1), <D1 D2> and the commutator) and 1 for the others.  No tolerance
 is set by hand, so a relative error shows at any alpha, however small the
 value.
@@ -228,14 +229,9 @@ def cross_check(matrix: HardyMetrics, closed: HardyMetrics, params: HardyParams,
     may be floats or (N,) arrays; an array names the first row that fails.
     """
     for name in _CHECKED_FIELDS:
-        m, c = getattr(matrix, name), getattr(closed, name)
-        allowed = _bound(name, c, params)
-        failure = qcore.first_failure(abs(m - c) <= allowed, m, c, allowed, params.alpha)
-        if failure is not None:
-            _, m, c, allowed, alpha = failure
-            at = f" at alpha {alpha!r}" if np.ndim(params.alpha) else ""
-            raise InternalConsistencyError(f"{reference} cross-check failed for {name}{at}: "
-                                           f"matrix {m!r} vs {reference} {c!r} (bound {allowed!r})")
+        c = getattr(closed, name)
+        qcore.agree(getattr(matrix, name), c, _bound(name, c, params),
+                    f"{reference} cross-check failed for {name}", at=("alpha", params.alpha))
 
 
 def paradox_event(metrics: HardyMetrics) -> bool:
@@ -254,10 +250,8 @@ def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics) -> Contr
                               ("P(U1|D1)", model.U1, "p_cond_D2_given_D1")):
         value = qcore.conditional_probability(model.psi, model.D1, then)
         exact = getattr(closed, name)
-        allowed = _bound(name, exact, model.params)
-        if not abs(value - exact) <= allowed:
-            raise InternalConsistencyError(f"{label} = {value!r} disagrees with the "
-                                           f"closed-form {name} {exact!r} (bound {allowed!r})")
+        qcore.agree(value, exact, _bound(name, exact, model.params),
+                    f"{label} vs closed-form {name}")
         values.append(value)
     present = paradox_event(metrics)
     return ContradictionResult("contradiction" if present else "no_contradiction", 1.0,
@@ -418,10 +412,11 @@ def optimize_paradox() -> Optimum:
     p_max = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
     below, at, above = metrics_arrays(
         [alpha_star - OPT_STEP, alpha_star, alpha_star + OPT_STEP]).p_joint_D1D2.tolist()
-    allowed = _bound("p_joint_D1D2", p_max, HardyParams.from_alpha(alpha_star))
-    if not abs(at - p_max) <= allowed or not (below < at and above < at):
+    qcore.agree(at, p_max, _bound("p_joint_D1D2", p_max, HardyParams.from_alpha(alpha_star)),
+                "matrix <D1D2> at alpha* vs closed-form p_max")
+    if not (below < at and above < at):
         raise InternalConsistencyError(f"matrix <D1D2> at alpha* -h, 0, +h is {below!r}, {at!r}, "
-                                       f"{above!r}; closed-form p_max {p_max!r} (bound {allowed!r})")
+                                       f"{above!r}: no maximum at alpha*")
     return Optimum(alpha_star=alpha_star, p_max=p_max)
 
 

@@ -287,26 +287,18 @@ def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, list[Impl
     return system, derived
 
 
-def _gate(value: float, target: float, cid: str, dim: int) -> None:
-    """Raise unless `value` is `target` (0 or 1) to rounding in dimension `dim`:
-    within qcore.bound(1, dim) of 1, or at most qcore.zero_threshold(dim) = bound(0, dim).
-    The encodings are fixed, so an off-target value is a bug: InternalConsistencyError."""
-    allowed = qcore.bound(target, dim)
-    if not abs(value - target) <= allowed:
-        raise InternalConsistencyError(f"constraint {cid!r} not quantum-justified: value "
-                                       f"{value!r} vs target {target!r} (bound {allowed!r})")
-
-
 def _implication(p: float, given: str, then: str, dim: int) -> Implication:
-    """`given=1 -> then=1`, once P(then|given) is verified to be 1."""
+    """`given=1 -> then=1`, once P(then|given) is within qcore.bound(1, dim) of 1.  The
+    encodings are fixed, so an off-target value is a bug: InternalConsistencyError."""
     cid = f"P({then}|{given})=1"
-    _gate(p, 1.0, cid, dim)
+    qcore.agree(p, 1.0, qcore.bound(1.0, dim), f"constraint {cid!r} not quantum-justified")
     return Implication(cid=cid, antecedents=((given, True),), consequent=(then, True))
 
 
 def _exclusion(p: float, cid: str, a: str, b: str, dim: int) -> Exclusion:
-    """Forbid `a=1 & b=1`, once their joint probability p is verified to be 0."""
-    _gate(p, 0.0, cid, dim)
+    """Forbid `a=1 & b=1`, once their joint probability p is verified to be 0:
+    at most qcore.zero_threshold(dim) = qcore.bound(0, dim)."""
+    qcore.agree(p, 0.0, qcore.bound(0.0, dim), f"constraint {cid!r} not quantum-justified")
     return Exclusion(cid=cid, literals=((a, True), (b, True)))
 
 
@@ -315,8 +307,8 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> Cons
 
     Every constraint is inserted only after the corresponding quantum
     probability is verified to be 0 or 1 to rounding in the state's
-    dimension (see _gate).  The event <D1D2> > 0 is required exactly when
-    hardy4.paradox_event(metrics) holds (<D1D2> above qcore.zero_threshold(4)),
+    dimension (_implication, _exclusion).  The event <D1D2> > 0 is required exactly
+    when hardy4.paradox_event(metrics) holds (<D1D2> above qcore.zero_threshold(4)),
     the decision hardy4.disturbance_contradiction reads too.
     """
     dim = model.psi.dim
@@ -329,6 +321,11 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> Cons
         exclusions=(_exclusion(metrics.p_joint_U1U2, "<U1U2>=0", "U1", "U2", dim),),
         required_positive=required,
     )
+
+
+# <D+0 D-0>, a product of two commuting detectors and so a projector: built once.
+_D0_JOINT = qcore.Projector(
+    gedanken.DETECTORS.d_plus_0.matrix @ gedanken.DETECTORS.d_minus_0.matrix, "D+(0)D-(0)")
 
 
 def gedanken_system() -> ConstraintSystem:
@@ -346,9 +343,7 @@ def gedanken_system() -> ConstraintSystem:
         _implication(report[f"P({then}|{given})"].quantum_value, given, then, dim)
         for given, then in (("C+inf", "D-inf"), ("C-inf", "D+inf"),
                             ("D-0", "C+inf"), ("D+0", "C-inf")))
-    det = gedanken.DETECTORS
-    joint_dd0 = qcore.born_probability(
-        gedanken.STATE, qcore.Projector(det.d_plus_0.matrix @ det.d_minus_0.matrix))
+    joint_dd0 = qcore.born_probability(gedanken.STATE, _D0_JOINT)
     if not joint_dd0 > qcore.zero_threshold(dim):
         raise InternalConsistencyError("<D+0 D-0> unexpectedly zero; cannot build required event")
     return ConstraintSystem(

@@ -191,21 +191,41 @@ def bound(exact, dim: int, cond=1.0):
     return 16 * dim * sys.float_info.epsilon * abs(exact) * cond + zero_threshold(dim)
 
 
+def agree(value, exact, allowed, what: str, at: tuple[str, np.ndarray] | None = None) -> float:
+    """The worst residual / allowed, where each `value` must lie within `allowed` (> 0) of
+    `exact`; else InternalConsistencyError "{what}: {value!r} vs {exact!r} (bound {allowed!r})".
+
+    Floats or (N,) arrays, broadcast together.  The test is `not |value - exact| <= allowed`,
+    so a NaN fails.  An array failure names its first failing row i: `at ("alpha", alphas)`
+    reads " at alpha {alphas[i]!r}", no `at` reads " row {i}".
+    """
+    residual = abs(value - exact)
+    if type(residual) is float and type(allowed) is float:  # the scalar pipeline's hot path
+        if residual <= allowed:
+            return residual / allowed
+    else:
+        # A worst ratio below 1 puts every residual below its bound.  A NaN, or a
+        # ratio that rounds to 1, is left to the exact test.
+        worst = float((residual / allowed).max())
+        if worst < 1.0:
+            return worst
+        ok = residual <= allowed
+        failure = first_failure(ok, value, exact, allowed)
+        if failure is None:
+            return worst
+        row, value, exact, allowed = failure
+        if np.ndim(ok):
+            what += f" at {at[0]} {float(at[1][row])!r}" if at else f" row {row}"
+    raise InternalConsistencyError(f"{what}: {value!r} vs {exact!r} (bound {allowed!r})")
+
+
 def _clamp_probability(value, context: str, dim: int, cond=1.0):
     """Clamp to [0,1]; a raw value further out than bound(1, dim, cond), or NaN, is a bug.
 
     `value` and `cond` may be arrays, one row each; the first row out of its band is reported."""
-    slack = bound(1.0, dim, cond)
-    inside = (-slack <= value) & (value <= 1.0 + slack)
-    if inside is True:  # one float within its band: the scalar pipeline's hot path
-        return min(max(value, 0.0), 1.0)
-    failure = first_failure(inside, value, slack)
-    if failure is not None:
-        row, raw, band = failure
-        where = f" row {row}" if np.ndim(inside) else ""
-        raise InternalConsistencyError(f"{context}{where}: raw value {raw!r} outside [0,1] "
-                                       f"by more than the rounding bound {band!r}")
-    return np.clip(value, 0.0, 1.0)
+    clipped = min(max(value, 0.0), 1.0) if type(value) is float else np.clip(value, 0.0, 1.0)
+    agree(value, clipped, bound(1.0, dim, cond), context)
+    return clipped
 
 
 def _nonzero(p_a: float, a: Projector, action: str) -> float:

@@ -135,7 +135,6 @@ VALIDATING_CALLS = {
     "response_value s": lambda v: bellhv.response_value(v, Z_HAT, 0.0),
     "projector_from_axis": lambda v: bellhv.projector_from_axis(v),
     "state_from_bloch": lambda v: bellhv.state_from_bloch(v),
-    "malley m": lambda v: bellhv.malley_search(v, Z_HAT, 10, 0),
 }
 
 
@@ -319,28 +318,28 @@ def agrees_with_compare(s, m, n, quantum, classical, measure):
 class TestScanKernel:
     @pytest.mark.parametrize("seed", [0, 9, 42, 2**32 - 1])
     def test_directions_are_the_scalar_draws(self, seed):
-        assert np.array_equal(bellhv._trial_directions(seed, range(400), 3),
+        assert np.array_equal(bellhv._trial_directions(seed, range(400)),
                               scalar_draws(seed, 400))
 
     def test_blocks_are_the_scalar_draws_across_a_chunk_boundary(self, monkeypatch):
-        """malley_search's path: one direction per trial, SCAN_CHUNK trials at a time."""
+        """The scan's path: 3 directions per trial, SCAN_CHUNK trials at a time."""
         monkeypatch.setattr(bellhv, "SCAN_CHUNK", 7)
         blocks = list(bellhv._blocks(20))
         assert [(b.start, b.stop) for b in blocks] == [(0, 7), (7, 14), (14, 20)]
         for block in blocks:
-            assert np.array_equal(bellhv._trial_directions(9, block, 1),
-                                  np.array([bellhv._trial_draws(9, i, 1) for i in block]))
+            assert np.array_equal(bellhv._trial_directions(9, block),
+                                  np.array([bellhv._trial_draws(9, i, 3) for i in block]))
 
     def test_one_stream_per_seed(self):
         """Trial 0 starts default_rng(seed)'s stream, and trial i + 1 follows trial i."""
         rng = np.random.default_rng(11)
         stream = [bellhv.sample_direction(rng) for _ in range(9)]
-        assert np.array_equal(bellhv._trial_directions(11, range(3), 3).reshape(9, 3), stream)
+        assert np.array_equal(bellhv._trial_directions(11, range(3)).reshape(9, 3), stream)
 
     def test_shorter_scan_rows_are_a_prefix(self):
-        long = bellhv._trial_directions(7, range(300), 3)
-        assert np.array_equal(bellhv._trial_directions(7, range(120), 3), long[:120])
-        assert np.array_equal(bellhv._trial_directions(7, range(120, 300), 3), long[120:])
+        long = bellhv._trial_directions(7, range(300))
+        assert np.array_equal(bellhv._trial_directions(7, range(120)), long[:120])
+        assert np.array_equal(bellhv._trial_directions(7, range(120, 300)), long[120:])
         rows = [bellhv.conditional_rows(*d.transpose(1, 0, 2)) for d in (long[:120], long)]
         assert all(np.array_equal(short, full[:120]) for short, full in zip(*rows))
 
@@ -451,30 +450,13 @@ class TestScanKernel:
     def test_empty_conditioning_row_raises_the_scalar_message(self, monkeypatch):
         s, n = rand_dir(1), rand_dir(2)
         rows = np.array([[s, rand_dir(3), n], [Z_HAT, -Z_HAT, n], [s, -s, n]])
-        monkeypatch.setattr(bellhv, "_trial_directions", lambda seed, trials, count: rows)
+        monkeypatch.setattr(bellhv, "_trial_directions", lambda seed, trials: rows)
         with pytest.raises(ZeroProbabilityError) as scalar:
             bellhv.compare(Z_HAT, -Z_HAT, n)
         with pytest.raises(ZeroProbabilityError) as scan:
             bellhv.scan_discrepancy(3, 0)
         assert str(scan.value) == str(scalar.value) == (
             "conditioning set for m=[-0.0, -0.0, -1.0] has hidden-variable measure 0.0 <= 1e-14")
-
-
-class TestMalley:
-    def test_noncommuting_finds_violation(self):
-        result = bellhv.malley_search(X_HAT, Z_HAT, 100, 42)
-        assert result.violating_s is not None
-        assert result.discrepancy > 1e-6
-
-    def test_commuting_same_axis(self):
-        result = bellhv.malley_search(Z_HAT, Z_HAT, 200, 42)
-        assert result.violating_s is None
-        assert result.discrepancy <= 1e-12
-
-    def test_commuting_opposite_axis(self):
-        result = bellhv.malley_search(Z_HAT, -Z_HAT, 200, 42)
-        assert result.violating_s is None
-        assert result.discrepancy <= 1e-12
 
 
 class TestMonteCarlo:

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -441,6 +443,54 @@ class TestAlphaRange:
                     assert payload["matrix"][key] == payload["closed_form"][key]
             else:
                 assert payload["certificate"]["status"] == "paradox"
+
+
+def shifted(field: str, by: float):
+    """A HardyMetrics transform that adds `by` to one field."""
+    return lambda m: dataclasses.replace(m, **{field: getattr(m, field) + by})
+
+
+def rows_shifted(rows):
+    """bellhv.conditional_rows' rows with 1e-9 added to the quantum side."""
+    return (rows[0] + 1e-9,) + tuple(rows[1:])
+
+
+# Each agreement check (qcore.agree) a command reaches: the command, the step made to
+# return a wrong value (module, name and the change to its result) and the check's `what`.
+AGREEMENT_SITES = {
+    "cross_check": ("hardy --alpha 0.6", (hardy4, "compute_metrics", shifted("p_D1", 1e-9)),
+                    "closed-form cross-check failed for p_D1"),
+    "disturbance_contradiction": ("certify --scenario two-step",
+                                  (hardy4, "closed_form_metrics", shifted("c_bar", 1e-9)),
+                                  "P(1-U1|D1) vs closed-form c_bar"),
+    "optimize_paradox": ("hardy --optimize",
+                         (hardy4, "metrics_arrays", shifted("p_joint_D1D2", 1e-9)),
+                         "matrix <D1D2> at alpha* vs closed-form p_max"),
+    "hvlogic gate": ("hardy --alpha 0.6",
+                     (hardy4, "compute_metrics", shifted("p_joint_U1U2", 1e-9)),
+                     "constraint '<U1U2>=0' not quantum-justified"),
+    "bell re-check": ("bell --scan 100", (bellhv, "conditional_rows", rows_shifted),
+                      "closed-form row 20 quantum vs compare"),
+    "clamp": ("hardy --alpha 0.6", (qcore, "_norm_sq", lambda raw: 2.0),
+              "born_probability(D(x)1)"),
+    "gedanken": ("gedanken", (qcore, "disturbance_metrics", lambda c: c + 1e-9),
+                 "gedanken complement_electron_trace"),
+}
+ONE_LAYOUT = re.compile(r"internal cross-check failed: (.+): (\S+) vs (\S+) \(bound (\S+)\)\n")
+
+
+@pytest.mark.parametrize("argv, fault, what", AGREEMENT_SITES.values(), ids=AGREEMENT_SITES)
+def test_every_agreement_check_exits_3_in_one_layout(capsys, monkeypatch, argv, fault, what):
+    module, name, change = fault
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(fn(*args)))
+    assert cli.run(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    layout = ONE_LAYOUT.fullmatch(captured.err)
+    assert layout is not None, captured.err
+    assert layout[1] == what
+    assert all(math.isfinite(float(v)) for v in layout.groups()[1:])
 
 
 def ulps_from_half_sqrt2(k: int) -> float:

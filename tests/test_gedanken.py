@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardylab import gedanken, qcore
+from hardylab import cli, gedanken, qcore
 from hardylab.gedanken import GAMMA, UU, UV, VU, VV
 
 
@@ -149,3 +149,17 @@ def test_full_report_contains_all_relations():
         "P(C+inf|D-0)", "P(C-inf|D+0)", "P(D-inf|D-0)",
         "complement_electron_trace", "complement_full_space",
     }
+
+
+@pytest.mark.parametrize("step, relation", [("born_probability", "joint_Cplus_Cminus"),
+                                            ("conditional_probability", "P(D-inf|C+inf)"),
+                                            ("disturbance_metrics", "complement_electron_trace")])
+def test_relation_off_its_exact_value_exits_3(capsys, monkeypatch, step, relation):
+    """Each of the nine values is checked against its exact value: a 1e-9 shift of
+    the first relation a qcore step computes stops the report before any output."""
+    fn = getattr(qcore, step)
+    monkeypatch.setattr(qcore, step, lambda *args: fn(*args) + 1e-9)
+    assert cli.run(["gedanken"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal cross-check failed: gedanken {relation}: ")

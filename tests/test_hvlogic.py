@@ -258,12 +258,22 @@ class TestGates:
             hvlogic._implication(p, "D1", "U2", 4)
 
     def test_hardy_gates_take_the_dimension_of_the_state(self, monkeypatch):
+        report = gedanken.full_report()
+        monkeypatch.setattr(gedanken, "full_report", lambda: report)
         seen = []
-        gate = hvlogic._gate
-        monkeypatch.setattr(hvlogic, "_gate", lambda *a: seen.append(a[-1]) or gate(*a))
+        agree = qcore.agree
+
+        def spy(value, exact, allowed, what, at=None):
+            if what.startswith("constraint "):  # a gate, not a clamp
+                seen.append((exact, allowed))
+            return agree(value, exact, allowed, what, at)
+        monkeypatch.setattr(qcore, "agree", spy)
         hardy_system_at(0.6)
         hvlogic.gedanken_system()
-        assert seen == [4, 4, 4, 5, 5, 5, 5, 5]
+        assert [allowed for _, allowed in seen] == [
+            qcore.bound(target, dim) for target, dim in [(1.0, 4), (1.0, 4), (0.0, 4), (0.0, 5),
+                                                         (1.0, 5), (1.0, 5), (1.0, 5), (1.0, 5)]]
+        assert [exact for exact, _ in seen] == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
 
 
 class TestQuantumGatedSystems:

@@ -130,7 +130,7 @@ class TestClampBand:
             assert qcore.born_probability(psi, a) == clamped
         for raw in (1.0 + 2 * slack, -2 * slack, math.nan):
             monkeypatch.setattr(qcore, "_norm_sq", lambda amps, raw=raw: raw)
-            with pytest.raises(InternalConsistencyError, match="rounding bound"):
+            with pytest.raises(InternalConsistencyError, match=re.escape("(bound ")):
                 qcore.born_probability(psi, a)
 
     def test_conditional_band_takes_one_over_p_a(self, monkeypatch):
@@ -143,7 +143,7 @@ class TestClampBand:
             if ok:
                 assert qcore.conditional_probability(psi, a, a) == 1.0
             else:
-                with pytest.raises(InternalConsistencyError, match="rounding bound"):
+                with pytest.raises(InternalConsistencyError, match=re.escape("(bound ")):
                     qcore.conditional_probability(psi, a, a)
 
     def test_disturbance_of_opposite_axes_clamps_to_zero(self):
@@ -168,7 +168,7 @@ class TestClampBand:
         assert isinstance(clamped, np.ndarray) and np.array_equal(clamped, [1.0, 1.0])
         raw[1] = 1.0 + 2 * slack[1]
         with pytest.raises(InternalConsistencyError,
-                           match=re.escape(f"rows row 1: raw value {float(raw[1])!r}")):
+                           match=re.escape(f"rows row 1: {float(raw[1])!r} vs 1.0 (bound ")):
             qcore._clamp_probability(raw, "rows", 4, cond)
 
     def test_a_float_stays_a_float(self):
@@ -188,6 +188,49 @@ class TestFirstFailure:
     def test_nan_fails(self):
         row, value = qcore.first_failure(np.array([0.0, math.nan]) <= 1.0, [0.0, math.nan])
         assert row == 1 and math.isnan(value)
+
+
+class TestAgree:
+    def test_float_returns_the_ratio(self):
+        ratio = qcore.agree(0.5 + 2.0 ** -53, 0.5, 2.0 ** -50, "x")
+        assert type(ratio) is float and ratio == 0.125
+        assert qcore.agree(0.25, 0.25, 1e-15, "x") == 0.0
+
+    def test_float_at_the_bound_agrees(self):
+        assert qcore.agree(1.0 + 2.0 ** -50, 1.0, 2.0 ** -50, "x") == 1.0
+
+    def test_float_beyond_the_bound_raises_in_one_layout(self):
+        with pytest.raises(InternalConsistencyError) as err:
+            qcore.agree(0.5 + 2.0 ** -49, 0.5, 2.0 ** -50, "P(x)")
+        assert str(err.value) == (f"P(x): {0.5 + 2.0 ** -49!r} vs 0.5 "
+                                  f"(bound {2.0 ** -50!r})")
+
+    @pytest.mark.parametrize("value, exact", [(math.nan, 1.0), (1.0, math.nan),
+                                              (np.array([0.0, math.nan]), 0.0),
+                                              (0.0, np.array([0.0, math.nan]))])
+    def test_nan_on_either_side_fails(self, value, exact):
+        with pytest.raises(InternalConsistencyError, match="nan"):
+            qcore.agree(value, exact, 1.0, "x")
+
+    def test_array_returns_the_worst_ratio(self):
+        value = np.array([1.0, 2.0 + 1e-3, 3.0])
+        allowed = np.array([1e-2, 2e-3, 1e-2])
+        assert qcore.agree(value, np.array([1.0, 2.0, 3.0]), allowed, "x") == pytest.approx(0.5)
+
+    def test_array_names_its_first_failing_row(self):
+        value = np.array([1.0, 2.0, 3.5, 4.5])
+        exact = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InternalConsistencyError) as err:
+            qcore.agree(value, exact, 0.1, "field")
+        assert str(err.value) == "field row 2: 3.5 vs 3.0 (bound 0.1)"
+        with pytest.raises(InternalConsistencyError) as err:
+            qcore.agree(value, exact, 0.1, "field", at=("alpha", np.array([0.1, 0.2, 0.3, 0.4])))
+        assert str(err.value) == "field at alpha 0.3: 3.5 vs 3.0 (bound 0.1)"
+
+    def test_numpy_scalar_prints_as_a_float(self):
+        with pytest.raises(InternalConsistencyError) as err:
+            qcore.agree(np.float64(1.0), 2.0, 0.5, "x")
+        assert str(err.value) == "x: 1.0 vs 2.0 (bound 0.5)"
 
 
 class TestValidateProjectors:
