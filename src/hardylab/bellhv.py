@@ -14,19 +14,23 @@ quantum conditional <m|P_n|m> to exhibit where it fails.
 
 `compare` evaluates one triple through the matrix pipeline and
 `LambdaSet` arithmetic, on the closed-form ket of the Bloch vector
-(`state_from_bloch`).  It validates s, m and n once each, then runs the
-private cores that the public step functions run after validating.
+(`state_from_bloch`).  It is `_compare_rows` on one row: that core
+validates each s, m and n once, runs the private cores that the public
+step functions run after validating, and validates the projectors P_m
+and P_n of all its rows as one stack.
 Scans evaluate all their rows at once from the closed forms
 (`conditional_rows`): the quantum conditional (1 + m.n)/2 and the
 overlap of two response intervals.  A scan draws from one PCG64 stream
 per seed, in which trial i owns draws 6i..6i+5; PCG64 jumps ahead by n
 draws in O(log n) steps, so `_trial_rng(seed, trial)` redraws any one
-trial alone.  Scalar `compare` is the oracle: it re-checks the printed
-maximum and SCAN_RECHECKS seeded rows of every scan, each from its own
-redrawn trial.  Each side of a row must agree with `compare`'s within
+trial alone.  `compare`'s core is the oracle: one call re-checks the
+printed maximum and SCAN_RECHECKS seeded rows of every scan, a (5, 3, 3)
+stack of redrawn triples whose ten projectors are validated as one
+stack.  Each side of a row must agree with the oracle's within
 qcore.bound(1, 2, 1 + 1/measure) (qcore.agree); a disagreement raises
-InternalConsistencyError (exit 3 on the command line).  The re-checks of
-one scan share one PCG64, reset to its start state and jumped ahead for each.
+InternalConsistencyError (exit 3 on the command line).  A scan builds
+one PCG64: each block of rows and each re-checked row restores its start
+state and jumps ahead to its trial.
 """
 
 from __future__ import annotations
@@ -196,8 +200,18 @@ def hv_expectation(s, m) -> float:
 
 
 def _axis_matrix(m: np.ndarray) -> np.ndarray:
-    x, y, z = m.tolist()
-    return 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]])
+    """(..., 3) axes to (..., 2, 2) matrices [[1 + z, x - iy], [x + iy, 1 - z]]/2.
+
+    Real and imaginary parts are set apart, as complex(x, -y) does: x - 1j*y
+    would lose the sign of a zero y."""
+    x, y, z = np.moveaxis(m, -1, 0)
+    mat = np.zeros(m.shape[:-1] + (2, 2), dtype=complex)
+    mat.real[..., 0, 0] = 1.0 + z
+    mat.real[..., 1, 1] = 1.0 - z
+    mat.real[..., 0, 1] = mat.real[..., 1, 0] = x
+    mat.imag[..., 0, 1] = -y
+    mat.imag[..., 1, 0] = y
+    return 0.5 * mat
 
 
 def projector_from_axis(m, name: str = "") -> Projector:
@@ -239,22 +253,32 @@ def classical_conditional(s, m, n) -> float:
     return _classical(unit_vector(s), unit_vector(m), unit_vector(n))
 
 
-def _quantum(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
-    p_m, p_n = qcore.projectors([_axis_matrix(m), _axis_matrix(n)], ("P_m", "P_n"))
-    return qcore.conditional_probability(_bloch_state(s), p_m, p_n)
+def _quantum(rows) -> list[float]:
+    """The quantum conditional of each validated (s, m, n) of `rows`; the 2k
+    projectors P_m, P_n are validated as one stack."""
+    family = qcore.projectors(_axis_matrix(np.array([v for _, m, n in rows for v in (m, n)])),
+                              ("P_m", "P_n") * len(rows))
+    return [qcore.conditional_probability(_bloch_state(s), p_m, p_n)
+            for (s, _, _), p_m, p_n in zip(rows, family[0::2], family[1::2])]
 
 
 def quantum_conditional_qubit(s, m, n) -> float:
     """Quantum conditional P(P_n | P_m) on the state with Bloch vector s."""
-    return _quantum(unit_vector(s), unit_vector(m), unit_vector(n))
+    return _quantum([(unit_vector(s), unit_vector(m), unit_vector(n))])[0]
+
+
+def _compare_rows(triples) -> list[ConditionalComparison]:
+    """`compare` on each (s, m, n) of `triples`, each vector validated once."""
+    rows = [(unit_vector(s), unit_vector(m), unit_vector(n)) for s, m, n in triples]
+    # The classical sides run first: their measure check refuses a near-empty
+    # conditioning set before the quantum side divides by it.
+    classical = [_classical(*row) for row in rows]
+    return [ConditionalComparison(quantum=q, classical=c, s=s, m=m, n=n)
+            for (s, m, n), q, c in zip(rows, _quantum(rows), classical)]
 
 
 def compare(s, m, n) -> ConditionalComparison:
-    s, m, n = unit_vector(s), unit_vector(m), unit_vector(n)
-    # The classical side runs first: its measure check refuses a near-empty
-    # conditioning set before the quantum side divides by it.
-    classical = _classical(s, m, n)
-    return ConditionalComparison(quantum=_quantum(s, m, n), classical=classical, s=s, m=m, n=n)
+    return _compare_rows([(s, m, n)])[0]
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -291,14 +315,10 @@ def _blocks(trials: int):
             for start in range(0, trials, SCAN_CHUNK))
 
 
-def _trial_directions(seed: int, trials: range) -> np.ndarray:
-    """(len(trials), 3, 3): _trial_draws(seed, i, 3) for each trial i, bit for bit.
-
-    `trials` is consecutive, so its draws are one stretch of the stream.
-    uniform(lo, hi) is lo + (hi - lo) * random(), so each trial's TRIAL_DRAWS
-    doubles give the same directions as 3 sample_direction calls.
-    """
-    u = _trial_rng(seed, trials.start).random((len(trials), TRIAL_DRAWS))
+def _directions(u: np.ndarray) -> np.ndarray:
+    """(k, 3, 3) directions from (k, TRIAL_DRAWS) uniform draws, bit for bit the
+    3 sample_direction calls on each row's draws: uniform(lo, hi) is
+    lo + (hi - lo) * random(), so the same doubles give the same directions."""
     z = -1.0 + 2.0 * u[:, 0::2]
     phi = 2.0 * math.pi * u[:, 1::2]
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -340,40 +360,30 @@ def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.broadcast_arrays((1.0 + _dots(m, n)) / 2.0, classical, measure))
 
 
-def _rechecked(row: int, triple, quantum: float, classical: float,
-               measure: float) -> ConditionalComparison:
-    """Scalar `compare` on closed-form row `row`; raise unless both sides agree within
-    qcore.bound(1, 2, 1 + 1/measure), as the Bayes ratio scales the rounding of s.m
-    by 1/measure.  A NaN on either side fails."""
-    cmp = compare(*triple)
-    tol = qcore.bound(1.0, 2, 1.0 + 1.0 / measure)
-    qcore.agree(quantum, cmp.quantum, tol, f"closed-form row {row} quantum vs compare")
-    qcore.agree(classical, cmp.classical, tol, f"closed-form row {row} classical vs compare")
-    return cmp
+def _rechecked(rows: list[int], triples, quantum: list[float], classical: list[float],
+               measure: list[float]) -> list[ConditionalComparison]:
+    """`compare`'s core on closed-form rows `rows`, drawn again as `triples`, in one call;
+    raise unless both sides of each agree within qcore.bound(1, 2, 1 + 1/measure), as the
+    Bayes ratio scales the rounding of s.m by 1/measure.  A NaN on either side fails."""
+    checked = _compare_rows(triples)
+    for row, cmp, q, c, mu in zip(rows, checked, quantum, classical, measure):
+        tol = qcore.bound(1.0, 2, 1.0 + 1.0 / mu)
+        qcore.agree(q, cmp.quantum, tol, f"closed-form row {row} quantum vs compare")
+        qcore.agree(c, cmp.classical, tol, f"closed-form row {row} classical vs compare")
+    return checked
 
 
 def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     """Seeded random (s, m, n) triples; max discrepancy and a 20-bin histogram.
 
-    Rows come from `conditional_rows`, SCAN_CHUNK trials at a time.  Scalar
-    `compare` re-checks the maximum row, whose values it reports, and
-    SCAN_RECHECKS rows drawn from the stream after the last trial.  The
-    re-checks share one PCG64: each restores its start state and jumps
-    ahead to the trial it needs.
+    Rows come from `conditional_rows`, SCAN_CHUNK trials at a time.  `compare`'s
+    core re-checks the maximum row, whose values it reports, and SCAN_RECHECKS
+    rows drawn from the stream after the last trial, all five in one call.  One
+    PCG64 serves the scan: each block and each re-checked row restores its start
+    state and jumps ahead to the trial it needs.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
-    quantum, classical, measure = np.empty((3, trials))
-    for block in _blocks(trials):
-        s, m, n = _trial_directions(seed, block).transpose(1, 0, 2)
-        rows = slice(block.start, block.stop)
-        quantum[rows], classical[rows], measure[rows] = conditional_rows(s, m, n)
-        empty = np.flatnonzero(measure[rows] <= MIN_MEASURE)
-        if empty.size:
-            raise _empty_conditioning(m[empty[0]], measure[rows][empty[0]])
-    discrepancy = np.abs(quantum - classical)
-    bins = np.bincount(np.minimum((discrepancy * 20.0).astype(np.intp), 19), minlength=20)
-
     rng = _trial_rng(seed, 0)
     stream, start = rng.bit_generator, rng.bit_generator.state
 
@@ -383,14 +393,24 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
         stream.advance(TRIAL_DRAWS * trial)
         return rng
 
-    def recheck(i: int) -> ConditionalComparison:
-        at_trial(i)
-        return _rechecked(i, [sample_direction(rng) for _ in range(3)],
-                          float(quantum[i]), float(classical[i]), float(measure[i]))
+    quantum, classical, measure = np.empty((3, trials))
+    for block in _blocks(trials):
+        u = at_trial(block.start).random((len(block), TRIAL_DRAWS))
+        s, m, n = _directions(u).transpose(1, 0, 2)
+        rows = slice(block.start, block.stop)
+        quantum[rows], classical[rows], measure[rows] = conditional_rows(s, m, n)
+        empty = np.flatnonzero(measure[rows] <= MIN_MEASURE)
+        if empty.size:
+            raise _empty_conditioning(m[empty[0]], measure[rows][empty[0]])
+    discrepancy = np.abs(quantum - classical)
+    bins = np.bincount(np.minimum((discrepancy * 20.0).astype(np.intp), 19), minlength=20)
 
-    best = recheck(int(np.argmax(discrepancy)))  # the first maximum, as a running `>` keeps
-    for i in at_trial(trials).integers(trials, size=SCAN_RECHECKS).tolist():
-        recheck(i)
+    # the first maximum, as a running `>` keeps, then the seeded rows
+    picked = [int(np.argmax(discrepancy))] + at_trial(trials).integers(
+        trials, size=SCAN_RECHECKS).tolist()
+    triples = _directions(np.array([at_trial(i).random(TRIAL_DRAWS) for i in picked]))
+    best = _rechecked(picked, triples, quantum[picked].tolist(), classical[picked].tolist(),
+                      measure[picked].tolist())[0]
     return ScanResult(max=best, histogram=tuple(bins.tolist()))
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ class TestProjectorFromAxis:
         for m in axes:
             expected = 0.5 * (np.eye(2) + m[0] * PAULI[0] + m[1] * PAULI[1] + m[2] * PAULI[2])
             assert np.array_equal(bellhv.projector_from_axis(m).matrix, expected), m
+
+    def test_stack_is_the_per_vector_matrix_to_the_bit(self):
+        """One (k, 3) stack gives each row's matrix as projector_from_axis and the literal
+        complex(x, -y) form give it, by tobytes(), so the sign of every zero counts."""
+        rng = np.random.default_rng(41)
+        axes = [bellhv.sample_direction(rng) for _ in range(2000)]
+        axes += [sign * e for e in (X_HAT, Y_HAT, Z_HAT) for sign in (1.0, -1.0)]
+        axes += [np.array(v) for v in ([0.6, 0.0, 0.8], [0.6, -0.0, 0.8], [-0.6, 0.0, -0.8],
+                                       [-0.6, -0.0, -0.8], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0])]
+        stack = bellhv._axis_matrix(np.array(axes))
+        assert stack.shape == (len(axes), 2, 2)
+        for m, mat in zip(axes, stack):
+            x, y, z = m.tolist()
+            literal = 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]])
+            assert mat.tobytes() == bellhv.projector_from_axis(m).matrix.tobytes() == (
+                literal.tobytes()), m
 
     def test_default_name(self):
         assert bellhv.projector_from_axis(-X_HAT).name == "P(-1,-0,-0)"
@@ -305,6 +322,12 @@ def scalar_draws(seed, trials, count=3):
     return np.array(out)
 
 
+def stream_directions(seed, trials):
+    """The scan's directions for the consecutive `trials`: one stretch of the seed's stream."""
+    u = bellhv._trial_rng(seed, trials.start).random((len(trials), bellhv.TRIAL_DRAWS))
+    return bellhv._directions(u)
+
+
 def agrees_with_compare(s, m, n, quantum, classical, measure):
     if measure <= bellhv.MIN_MEASURE:  # both sides refuse an empty conditioning set
         with pytest.raises(ZeroProbabilityError):
@@ -318,7 +341,7 @@ def agrees_with_compare(s, m, n, quantum, classical, measure):
 class TestScanKernel:
     @pytest.mark.parametrize("seed", [0, 9, 42, 2**32 - 1])
     def test_directions_are_the_scalar_draws(self, seed):
-        assert np.array_equal(bellhv._trial_directions(seed, range(400)),
+        assert np.array_equal(stream_directions(seed, range(400)),
                               scalar_draws(seed, 400))
 
     def test_blocks_are_the_scalar_draws_across_a_chunk_boundary(self, monkeypatch):
@@ -327,19 +350,19 @@ class TestScanKernel:
         blocks = list(bellhv._blocks(20))
         assert [(b.start, b.stop) for b in blocks] == [(0, 7), (7, 14), (14, 20)]
         for block in blocks:
-            assert np.array_equal(bellhv._trial_directions(9, block),
+            assert np.array_equal(stream_directions(9, block),
                                   np.array([bellhv._trial_draws(9, i, 3) for i in block]))
 
     def test_one_stream_per_seed(self):
         """Trial 0 starts default_rng(seed)'s stream, and trial i + 1 follows trial i."""
         rng = np.random.default_rng(11)
         stream = [bellhv.sample_direction(rng) for _ in range(9)]
-        assert np.array_equal(bellhv._trial_directions(11, range(3)).reshape(9, 3), stream)
+        assert np.array_equal(stream_directions(11, range(3)).reshape(9, 3), stream)
 
     def test_shorter_scan_rows_are_a_prefix(self):
-        long = bellhv._trial_directions(7, range(300))
-        assert np.array_equal(bellhv._trial_directions(7, range(120)), long[:120])
-        assert np.array_equal(bellhv._trial_directions(7, range(120, 300)), long[120:])
+        long = stream_directions(7, range(300))
+        assert np.array_equal(stream_directions(7, range(120)), long[:120])
+        assert np.array_equal(stream_directions(7, range(120, 300)), long[120:])
         rows = [bellhv.conditional_rows(*d.transpose(1, 0, 2)) for d in (long[:120], long)]
         assert all(np.array_equal(short, full[:120]) for short, full in zip(*rows))
 
@@ -385,17 +408,20 @@ class TestScanKernel:
         after_last_trial = bellhv._trial_rng(seed, trials)
         expected += list(after_last_trial.integers(trials, size=bellhv.SCAN_RECHECKS))
         checked = []
-        compare = bellhv.compare
+        compare_rows = bellhv._compare_rows
 
-        def spy(s, m, n):
-            checked.append(s)
-            return compare(s, m, n)
-        monkeypatch.setattr(bellhv, "compare", spy)
+        def spy(triples):
+            checked.append(triples)
+            return compare_rows(triples)
+        monkeypatch.setattr(bellhv, "_compare_rows", spy)
         bellhv.scan_discrepancy(trials, seed)
-        assert np.array_equal(checked, draws[expected, 0])
+        assert len(checked) == 1
+        # bit for bit, signed zeros included: each row is _trial_draws(seed, i, 3)
+        assert [[v.tobytes() for v in triple] for triple in checked[0]] == [
+            [v.tobytes() for v in bellhv._trial_draws(seed, int(i), 3)] for i in expected]
 
     def test_rechecks_share_one_stream(self, monkeypatch):
-        """One PCG64 per block of rows, and one for all the re-checks of the scan."""
+        """One PCG64 per scan: every block of rows and every re-check draw from it."""
         monkeypatch.setattr(bellhv, "SCAN_CHUNK", 7)
         expected = bellhv.scan_discrepancy(20, 4)
         built = []
@@ -406,7 +432,8 @@ class TestScanKernel:
             return pcg64(*args)
         monkeypatch.setattr(np.random, "PCG64", spy)
         result = bellhv.scan_discrepancy(20, 4)
-        assert len(built) == len(list(bellhv._blocks(20))) + 1 == 4
+        assert len(list(bellhv._blocks(20))) == 3
+        assert len(built) == 1
         assert result.histogram == expected.histogram
         assert result.max.to_dict() == expected.max.to_dict()
 
@@ -441,22 +468,69 @@ class TestScanKernel:
     @pytest.mark.parametrize("side", ["quantum", "classical"])
     def test_nan_recheck_exits_3(self, capsys, monkeypatch, side):
         """A NaN residual fails the re-check: it is not <= any bound."""
-        compare = bellhv.compare
-        monkeypatch.setattr(bellhv, "compare", lambda s, m, n: dataclasses.replace(
-            compare(s, m, n), **{side: math.nan}))
+        compare_rows = bellhv._compare_rows
+        monkeypatch.setattr(bellhv, "_compare_rows", lambda triples: [
+            dataclasses.replace(cmp, **{side: math.nan}) for cmp in compare_rows(triples)])
         assert cli.run(["bell", "--scan", "100"]) == 3
         assert capsys.readouterr().err.startswith("internal cross-check failed: closed-form row")
 
     def test_empty_conditioning_row_raises_the_scalar_message(self, monkeypatch):
         s, n = rand_dir(1), rand_dir(2)
         rows = np.array([[s, rand_dir(3), n], [Z_HAT, -Z_HAT, n], [s, -s, n]])
-        monkeypatch.setattr(bellhv, "_trial_directions", lambda seed, trials: rows)
+        monkeypatch.setattr(bellhv, "_directions", lambda u: rows)
         with pytest.raises(ZeroProbabilityError) as scalar:
             bellhv.compare(Z_HAT, -Z_HAT, n)
         with pytest.raises(ZeroProbabilityError) as scan:
             bellhv.scan_discrepancy(3, 0)
         assert str(scan.value) == str(scalar.value) == (
             "conditioning set for m=[-0.0, -0.0, -1.0] has hidden-variable measure 0.0 <= 1e-14")
+
+
+def exact_sides(s, m, n):
+    """(quantum, classical, measure, s.m, s.n) with the float inputs taken exactly, as
+    Fractions: (1 + m.n)/2, and the overlap of the two response intervals over the
+    measure (1 + s.m)/2 of the conditioning one."""
+    s, m, n = ([Fraction(x) for x in v.tolist()] for v in (s, m, n))
+    sm, sn, mn = (sum(a * b for a, b in zip(u, v)) for u, v in ((s, m), (s, n), (m, n)))
+
+    def interval(dot):  # hv_response, sign(0) = +1
+        return (-dot / 2, Fraction(1, 2)) if dot >= 0 else (Fraction(-1, 2), dot / 2)
+    (a_lo, a_hi), (b_lo, b_hi) = interval(sm), interval(sn)
+    measure = a_hi - a_lo
+    overlap = max(min(a_hi, b_hi) - max(a_lo, b_lo), Fraction(0))
+    return (1 + mn) / 2, overlap / measure if measure else None, measure, sm, sn
+
+
+class TestExactOracle:
+    """Both pipelines, `compare` and `conditional_rows`, against exact rational arithmetic.
+
+    Triples with |s.m| or |s.n| below 1e-15 are left out: there the sign(0) = +1
+    convention makes the classical value jump, so a rounding of s.m across zero moves
+    it by far more than any rounding bound.  test_rows_agree_with_compare covers those
+    triples, rows against `compare`, as it does the empty conditioning sets that
+    `compare` refuses."""
+
+    @staticmethod
+    def assert_exact(triples):
+        exact = [exact_sides(*triple) for triple in triples]
+        kept = [(triple, sides[:3]) for triple, sides in zip(triples, exact)
+                if min(abs(sides[3]), abs(sides[4])) >= 1e-15 and sides[2] > bellhv.MIN_MEASURE]
+        rows = bellhv.conditional_rows(*(np.array(col) for col in zip(*(t for t, _ in kept))))
+        for ((s, m, n), (quantum, classical, measure)), q_row, c_row in zip(kept, *rows[:2]):
+            tol = qcore.bound(1.0, 2, 1.0 + 1.0 / float(measure))
+            cmp = bellhv.compare(s, m, n)
+            for what, got, want in (("compare quantum", cmp.quantum, quantum),
+                                    ("compare classical", cmp.classical, classical),
+                                    ("rows quantum", q_row, quantum),
+                                    ("rows classical", c_row, classical)):
+                assert abs(Fraction(float(got)) - want) <= tol, (what, s, m, n)
+
+    @settings(max_examples=300)
+    @given(s1=seeds, s2=seeds, s3=seeds)
+    def test_random_and_edge_triples(self, s1, s2, s3):
+        """A random triple, and with it n = m, n = -m and s = m."""
+        s, m, n = rand_dir(s1), rand_dir(s2), rand_dir(s3)
+        self.assert_exact([(s, m, n), (s, m, m), (s, m, -m), (m, m, n)])
 
 
 class TestMonteCarlo:

@@ -123,12 +123,93 @@ class TestHardyCommand:
                         "--steps", str(hardy4.MAX_STEPS + 1)]) == 2
 
 
+COMPARE_STDOUT = """\
+{
+  "classical": 1.0,
+  "discrepancy": 0.5,
+  "m": [
+    1.0,
+    0.0,
+    0.0
+  ],
+  "n": [
+    0.0,
+    0.0,
+    1.0
+  ],
+  "quantum": 0.5,
+  "s": [
+    0.0,
+    0.0,
+    1.0
+  ]
+}
+"""
+
+SCAN_1000_SEED_42_STDOUT = """\
+{
+  "histogram": [
+    99,
+    110,
+    101,
+    86,
+    64,
+    68,
+    63,
+    53,
+    59,
+    43,
+    39,
+    39,
+    29,
+    42,
+    33,
+    20,
+    15,
+    20,
+    13,
+    4
+  ],
+  "max": {
+    "classical": 0.0,
+    "discrepancy": 0.988884049052397,
+    "m": [
+      0.194653816209721,
+      0.120869079542731,
+      0.973396403037059
+    ],
+    "n": [
+      0.0898332591276067,
+      0.302201253241604,
+      0.949001785084578
+    ],
+    "quantum": 0.988884049052397,
+    "s": [
+      -0.747745657131734,
+      -0.620887029799452,
+      0.235320480339992
+    ]
+  }
+}
+"""
+
+
 class TestBellCommand:
     def test_compare(self, capsys):
         code, payload = run_json(capsys, ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"])
         assert code == 0
         assert payload["quantum"] == pytest.approx(0.5, abs=1e-12)
         assert payload["classical"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_compare_stdout_golden(self, capsys):
+        assert cli.run(["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"]) == 0
+        assert capsys.readouterr().out == COMPARE_STDOUT
+
+    def test_scan_stdout_golden(self, capsys):
+        """Every printed byte of one scan: the maximum comes from `compare`'s core, so a
+        changed digit there shows here, where a comparison with `compare` would not."""
+        assert cli.run(["bell", "--scan", "1000", "--seed", "42"]) == 0
+        assert capsys.readouterr().out == SCAN_1000_SEED_42_STDOUT
 
     def test_negative_first_component_needs_equals_form(self, capsys):
         code, payload = run_json(capsys, ["bell", "--s", "0,0,1", "--m=-1,0,0", "--n", "0,0,1"])

@@ -486,7 +486,8 @@ class TestValidationsPerCommand:
     @pytest.mark.parametrize("argv, count", [("hardy --alpha 0.6", 2), ("gedanken", 2),
                                              ("certify --scenario gedanken", 2),
                                              ("hardy --optimize", 9),
-                                             ("bell --s 0,0,1 --m 1,0,0 --n 0,0,1", 1)])
+                                             ("bell --s 0,0,1 --m 1,0,0 --n 0,0,1", 1),
+                                             ("bell --scan 100 --seed 5", 1)])
     def test_validate_projectors_calls(self, monkeypatch, argv, count):
         calls = []
         validate = qcore.validate_projectors
