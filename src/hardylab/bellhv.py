@@ -6,14 +6,15 @@ vector s, gets the dichotomic response
     A(lambda) = (1/2) [1 + sign(lambda + |s.m|/2) * sign(s.m)]
 
 with lambda uniform on [-1/2, 1/2] and the sign(0) = +1 convention.  The
-set {lambda : A(lambda) = 1} is a half-open interval, so all single- and
-joint-set measures are exact interval arithmetic, never discretization.
+set {lambda : A(lambda) = 1} is one half-open interval (`LambdaSet`), and
+the joint set of two responses is the overlap of their intervals, so
+every measure is exact interval arithmetic, never discretization.
 The model reproduces every single-projector Born probability; the
 classical (Bayes) conditional mu[b & a]/mu[a] is compared against the
 quantum conditional <m|P_n|m> to exhibit where it fails.
 
 `compare` evaluates one triple through the matrix pipeline and
-`LambdaSet` arithmetic, on the closed-form ket of the Bloch vector
+`LambdaSet` overlap, on the closed-form ket of the Bloch vector
 (`state_from_bloch`).  It is `_compare_rows` on one row: that core
 validates each s, m and n once, runs the private cores that the public
 step functions run after validating, and validates the projectors P_m
@@ -79,58 +80,21 @@ def unit_vector(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LambdaSet:
-    """Disjoint sorted half-open intervals [lo, hi) inside [-1/2, 1/2]."""
+    """One half-open interval [lo, hi) inside [-1/2, 1/2]; empty where hi <= lo."""
 
-    intervals: tuple[tuple[float, float], ...]
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        cleaned = []
-        prev_hi = -math.inf
-        for lo, hi in sorted(self.intervals):
-            if hi <= lo:
-                continue  # empty under the half-open convention
-            if lo < -0.5 - 1e-15 or hi > 0.5 + 1e-15:
-                raise InvalidParameterError(f"interval [{lo}, {hi}) outside [-1/2, 1/2]")
-            if lo < prev_hi:
-                raise InvalidParameterError("intervals must be disjoint")
-            cleaned.append((float(lo), float(hi)))
-            prev_hi = hi
-        object.__setattr__(self, "intervals", tuple(cleaned))
-
-    @classmethod
-    def empty(cls) -> "LambdaSet":
-        return cls(())
-
-    @classmethod
-    def full(cls) -> "LambdaSet":
-        return cls(((-0.5, 0.5),))
+        if self.hi > self.lo and (self.lo < -0.5 - 1e-15 or self.hi > 0.5 + 1e-15):
+            raise InvalidParameterError(f"interval [{self.lo}, {self.hi}) outside [-1/2, 1/2]")
 
     @property
     def measure(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
+        return max(self.hi - self.lo, 0.0)
 
     def intersection(self, other: "LambdaSet") -> "LambdaSet":
-        out = []
-        for lo1, hi1 in self.intervals:
-            for lo2, hi2 in other.intervals:
-                lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if hi > lo:
-                    out.append((lo, hi))
-        return LambdaSet(tuple(out))
-
-    def complement(self) -> "LambdaSet":
-        out = []
-        cursor = -0.5
-        for lo, hi in self.intervals:
-            if lo > cursor:
-                out.append((cursor, lo))
-            cursor = hi
-        if cursor < 0.5:
-            out.append((cursor, 0.5))
-        return LambdaSet(tuple(out))
-
-    def contains(self, lam: float) -> bool:
-        return any(lo <= lam < hi for lo, hi in self.intervals)
+        return LambdaSet(max(self.lo, other.lo), min(self.hi, other.hi))
 
 
 @dataclass(frozen=True)
@@ -184,10 +148,10 @@ def response_value(s, m, lam: float) -> float:
 def _response_set(sm: float) -> LambdaSet:
     """{lambda : response = 1} for s.m = sm."""
     if sm > 0.0:
-        return LambdaSet(((-0.5 * sm, 0.5),))
+        return LambdaSet(-0.5 * sm, 0.5)
     if sm < 0.0:
-        return LambdaSet(((-0.5, 0.5 * sm),))
-    return LambdaSet(((0.0, 0.5),))
+        return LambdaSet(-0.5, 0.5 * sm)
+    return LambdaSet(0.0, 0.5)
 
 
 def hv_response(s, m) -> LambdaSet:
@@ -242,39 +206,25 @@ def _empty_conditioning(m: np.ndarray, measure: float) -> ZeroProbabilityError:
 
 
 def _classical(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
+    """Bayes rule mu[b & a]/mu[a]: the overlap of the response intervals over a's measure."""
     a = _response_set(float(np.dot(s, m)))
     if a.measure <= MIN_MEASURE:
         raise _empty_conditioning(m, a.measure)
     return _response_set(float(np.dot(s, n))).intersection(a).measure / a.measure
 
 
-def classical_conditional(s, m, n) -> float:
-    """Bayes rule mu[b & a]/mu[a] over the hidden-variable sets."""
-    return _classical(unit_vector(s), unit_vector(m), unit_vector(n))
-
-
-def _quantum(rows) -> list[float]:
-    """The quantum conditional of each validated (s, m, n) of `rows`; the 2k
-    projectors P_m, P_n are validated as one stack."""
-    family = qcore.projectors(_axis_matrix(np.array([v for _, m, n in rows for v in (m, n)])),
-                              ("P_m", "P_n") * len(rows))
-    return [qcore.conditional_probability(_bloch_state(s), p_m, p_n)
-            for (s, _, _), p_m, p_n in zip(rows, family[0::2], family[1::2])]
-
-
-def quantum_conditional_qubit(s, m, n) -> float:
-    """Quantum conditional P(P_n | P_m) on the state with Bloch vector s."""
-    return _quantum([(unit_vector(s), unit_vector(m), unit_vector(n))])[0]
-
-
 def _compare_rows(triples) -> list[ConditionalComparison]:
-    """`compare` on each (s, m, n) of `triples`, each vector validated once."""
+    """`compare` on each (s, m, n) of `triples`, each vector validated once; the
+    2k projectors P_m, P_n of the k rows are validated as one stack."""
     rows = [(unit_vector(s), unit_vector(m), unit_vector(n)) for s, m, n in triples]
     # The classical sides run first: their measure check refuses a near-empty
     # conditioning set before the quantum side divides by it.
     classical = [_classical(*row) for row in rows]
-    return [ConditionalComparison(quantum=q, classical=c, s=s, m=m, n=n)
-            for (s, m, n), q, c in zip(rows, _quantum(rows), classical)]
+    family = qcore.projectors(_axis_matrix(np.array([v for _, m, n in rows for v in (m, n)])),
+                              ("P_m", "P_n") * len(rows))
+    return [ConditionalComparison(quantum=qcore.conditional_probability(_bloch_state(s), p_m, p_n),
+                                  classical=c, s=s, m=m, n=n)
+            for (s, m, n), c, p_m, p_n in zip(rows, classical, family[0::2], family[1::2])]
 
 
 def compare(s, m, n) -> ConditionalComparison:

@@ -93,16 +93,19 @@ def _run_gedanken(args, cfg: RunConfig) -> dict:
 
 
 def _hardy_encoding(args) -> tuple[hardy4.HardyModel, hardy4.HardyMetrics,
-                                   hvlogic.ConstraintSystem]:
+                                   hardy4.HardyMetrics, hvlogic.ConstraintSystem]:
+    """The model of --alpha, its matrix metrics cross-checked against the closed
+    forms, the closed forms, and the constraint system the metrics encode."""
     model = hardy4.build_model(0.6 if args.alpha is None else args.alpha)
     metrics = hardy4.compute_metrics(model)
-    return model, metrics, hvlogic.hardy_system(model, metrics)
+    system = hvlogic.hardy_system(model, metrics)
+    closed = hardy4.closed_form_metrics(model.params)
+    hardy4.cross_check(metrics, closed, model.params)
+    return model, metrics, closed, system
 
 
 def _run_hardy_point(args, cfg: RunConfig) -> dict:
-    model, metrics, system = _hardy_encoding(args)
-    closed = hardy4.closed_form_metrics(model.params)
-    hardy4.cross_check(metrics, closed, model.params)
+    model, metrics, closed, system = _hardy_encoding(args)
     return {
         "alpha": model.params.alpha,
         "beta": model.params.beta,
@@ -151,11 +154,11 @@ def _certified(scenario: str, system: hvlogic.ConstraintSystem) -> dict:
 
 
 def _run_certify_hardy(args, cfg: RunConfig) -> dict:
-    return _certified("hardy", _hardy_encoding(args)[2])
+    return _certified("hardy", _hardy_encoding(args)[3])
 
 
 def _run_certify_two_step(args, cfg: RunConfig) -> dict:
-    model, metrics, base = _hardy_encoding(args)
+    model, metrics, _, base = _hardy_encoding(args)
     system, derived = hvlogic.two_step_system(base)
     payload = _certified("two-step", system)
     payload["derived_implications"] = [d.to_text() for d in derived]

@@ -370,7 +370,7 @@ def metrics_arrays(alphas) -> HardyMetrics:
 
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[tuple[float, HardyMetrics]]:
-    """Uniform alpha grid, endpoints included.
+    """Uniform alpha grid from alpha_min to alpha_max, no point past alpha_max.
 
     metrics_arrays computes and cross-checks every row; scalar compute_metrics
     re-checks the two endpoint rows within the same per-field bound.
@@ -381,8 +381,10 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[tuple[float, H
         )
     if not 2 <= steps <= MAX_STEPS:
         raise InvalidParameterError(f"steps must be in [2, {MAX_STEPS}], got {steps!r}")
-    # i as a float, as Python converts it in (alpha_max - alpha_min) * i: the same bits
-    alphas = alpha_min + (alpha_max - alpha_min) * np.arange(steps, dtype=float) / (steps - 1)
+    # i as a float, as Python converts it in (alpha_max - alpha_min) * i: the same bits;
+    # a point that rounds past alpha_max (to 1.0 from 0.9999999999999999) is clamped to it
+    grid = alpha_min + (alpha_max - alpha_min) * np.arange(steps, dtype=float) / (steps - 1)
+    alphas = np.minimum(grid, alpha_max)
     metrics = metrics_arrays(alphas)
     # Python floats a block at a time: lists of whole columns would add about
     # 5 MB to the peak RSS of a 100,000-row CSV sweep.

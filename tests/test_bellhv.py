@@ -22,56 +22,52 @@ def rand_dir(seed):
 
 class TestLambdaSet:
     def test_empty_and_full(self):
-        assert LambdaSet.empty().measure == 0.0
-        assert LambdaSet.full().measure == 1.0
+        """An interval with hi <= lo is empty: measure 0.0, not a negative length."""
+        assert LambdaSet(0.5, -0.5).measure == 0.0
+        assert LambdaSet(-0.5, 0.5).measure == 1.0
 
     def test_half_open_drops_degenerate(self):
-        assert LambdaSet(((0.3, 0.3),)).intervals == ()
-
-    def test_rejects_overlap(self):
-        with pytest.raises(InvalidParameterError):
-            LambdaSet(((0.0, 0.3), (0.2, 0.4)))
+        """An empty interval is never range-checked, however far outside its ends lie."""
+        assert LambdaSet(0.3, 0.3).measure == 0.0
+        assert LambdaSet(0.7, -0.7).measure == 0.0
 
     def test_rejects_out_of_range(self):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape("interval [0.0, 0.7) outside [-1/2, 1/2]")):
+            LambdaSet(0.0, 0.7)
         with pytest.raises(InvalidParameterError):
-            LambdaSet(((0.0, 0.7),))
+            LambdaSet(-0.5 - 2e-15, 0.0)
+        assert LambdaSet(-0.5 - 1e-16, 0.5 + 1e-16).measure == 1.0 + 2e-16
 
     def test_intersection(self):
-        a = LambdaSet(((-0.5, 0.1),))
-        b = LambdaSet(((0.0, 0.5),))
-        assert a.intersection(b).intervals == ((0.0, 0.1),)
-
-    def test_complement_partition(self):
-        a = LambdaSet(((-0.3, 0.0), (0.2, 0.4)))
-        assert a.measure + a.complement().measure == pytest.approx(1.0, abs=0)
+        a = LambdaSet(-0.5, 0.1)
+        b = LambdaSet(0.0, 0.5)
+        assert a.intersection(b) == LambdaSet(0.0, 0.1)
+        assert a.intersection(LambdaSet(0.2, 0.5)).measure == 0.0
 
     @settings(max_examples=50)
     @given(s1=seeds, s2=seeds, s3=seeds)
     def test_measure_additivity_exact(self, s1, s2, s3):
-        """mu(a&b) + mu(a&~b) == mu(a); the sets partition exactly, the
-        measure subtraction rounds once per interval (<= 1 ulp)."""
+        """mu(a&b) + mu(a&~b) == mu(a); a response set touches one end of [-1/2, 1/2],
+        so its complement is one interval too.  The sets partition exactly, the measure
+        subtraction rounds once per interval (<= 1 ulp)."""
         s = rand_dir(s1)
         a = bellhv.hv_response(s, rand_dir(s2))
         b = bellhv.hv_response(s, rand_dir(s3))
-        lhs = a.intersection(b).measure + a.intersection(b.complement()).measure
+        not_b = LambdaSet(-0.5, b.lo) if b.hi == 0.5 else LambdaSet(b.hi, 0.5)
+        lhs = a.intersection(b).measure + a.intersection(not_b).measure
         assert abs(lhs - a.measure) <= 1e-15
-
-    def test_contains_half_open(self):
-        a = LambdaSet(((0.0, 0.5),))
-        assert a.contains(0.0)
-        assert not a.contains(0.5)
-        assert not a.contains(-0.1)
 
 
 class TestResponse:
     def test_aligned_full(self):
-        assert bellhv.hv_response(Z_HAT, Z_HAT).intervals == ((-0.5, 0.5),)
+        assert bellhv.hv_response(Z_HAT, Z_HAT) == LambdaSet(-0.5, 0.5)
 
     def test_anti_aligned_empty(self):
         assert bellhv.hv_response(Z_HAT, -Z_HAT).measure == 0.0
 
     def test_orthogonal_half(self):
-        assert bellhv.hv_response(Z_HAT, X_HAT).intervals == ((0.0, 0.5),)
+        assert bellhv.hv_response(Z_HAT, X_HAT) == LambdaSet(0.0, 0.5)
 
     def test_non_unit_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -84,7 +80,7 @@ class TestResponse:
         s, m = rand_dir(s1), rand_dir(s2)
         a = bellhv.hv_response(s, m)
         for lam in np.linspace(-0.499, 0.499, 101):
-            assert a.contains(lam) == (bellhv.response_value(s, m, lam) == 1.0)
+            assert (a.lo <= lam < a.hi) == (bellhv.response_value(s, m, lam) == 1.0)
 
     @settings(max_examples=60)
     @given(s1=seeds, s2=seeds)
@@ -134,13 +130,7 @@ class TestProjectorFromAxis:
 # Every public entry point that takes a Bloch vector, at each vector it takes.
 VALIDATING_CALLS = {
     "unit_vector": lambda v: bellhv.unit_vector(v),
-    "classical s": lambda v: bellhv.classical_conditional(v, X_HAT, Z_HAT),
-    "classical m": lambda v: bellhv.classical_conditional(Z_HAT, v, Z_HAT),
-    "quantum n": lambda v: bellhv.quantum_conditional_qubit(Z_HAT, X_HAT, v),
     "monte_carlo s": lambda v: bellhv.monte_carlo_check(v, X_HAT, Z_HAT, 1000, 0),
-    "classical n": lambda v: bellhv.classical_conditional(Z_HAT, X_HAT, v),
-    "quantum s": lambda v: bellhv.quantum_conditional_qubit(v, X_HAT, Z_HAT),
-    "quantum m": lambda v: bellhv.quantum_conditional_qubit(Z_HAT, v, Z_HAT),
     "compare s": lambda v: bellhv.compare(v, X_HAT, Z_HAT),
     "compare m": lambda v: bellhv.compare(Z_HAT, v, Z_HAT),
     "compare n": lambda v: bellhv.compare(Z_HAT, X_HAT, v),
@@ -216,36 +206,36 @@ class TestClassicalConditional:
     def test_same_axis_is_one(self):
         s = rand_dir(5)
         m = rand_dir(6)
-        assert bellhv.classical_conditional(s, m, m) == 1.0
+        assert bellhv.compare(s, m, m).classical == 1.0
 
     def test_aligned_state_agrees_with_quantum(self):
         m, n = rand_dir(7), rand_dir(8)
-        classical = bellhv.classical_conditional(m, m, n)
+        classical = bellhv.compare(m, m, n).classical
         assert classical == pytest.approx((1.0 + float(np.dot(m, n))) / 2.0, abs=1e-12)
 
     def test_z_x_z_is_one(self):
-        assert bellhv.classical_conditional(Z_HAT, X_HAT, Z_HAT) == 1.0
+        assert bellhv.compare(Z_HAT, X_HAT, Z_HAT).classical == 1.0
 
     def test_zero_measure_conditioning(self):
         with pytest.raises(ZeroProbabilityError):
-            bellhv.classical_conditional(Z_HAT, -Z_HAT, X_HAT)
+            bellhv.compare(Z_HAT, -Z_HAT, X_HAT)
 
 
 class TestQuantumConditional:
     def test_same_axis_is_one(self):
-        assert bellhv.quantum_conditional_qubit(Z_HAT, X_HAT, X_HAT) == pytest.approx(1.0, abs=1e-12)
+        assert bellhv.compare(Z_HAT, X_HAT, X_HAT).quantum == pytest.approx(1.0, abs=1e-12)
 
     def test_z_x_z_is_half(self):
-        assert bellhv.quantum_conditional_qubit(Z_HAT, X_HAT, Z_HAT) == pytest.approx(0.5, abs=1e-12)
+        assert bellhv.compare(Z_HAT, X_HAT, Z_HAT).quantum == pytest.approx(0.5, abs=1e-12)
 
     def test_anti_aligned_axes_zero(self):
-        assert bellhv.quantum_conditional_qubit(Z_HAT, X_HAT, -X_HAT) == pytest.approx(0.0, abs=1e-12)
+        assert bellhv.compare(Z_HAT, X_HAT, -X_HAT).quantum == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=40)
     @given(s1=seeds, s2=seeds, s3=seeds)
     def test_state_independent_for_rank1_conditioning(self, s1, s2, s3):
         s, m, n = rand_dir(s1), rand_dir(s2), rand_dir(s3)
-        q = bellhv.quantum_conditional_qubit(s, m, n)
+        q = bellhv.compare(s, m, n).quantum
         assert q == pytest.approx((1.0 + float(np.dot(m, n))) / 2.0, abs=1e-12)
 
 

@@ -122,6 +122,25 @@ class TestHardyCommand:
         assert cli.run(["hardy", "--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9",
                         "--steps", str(hardy4.MAX_STEPS + 1)]) == 2
 
+    @pytest.mark.parametrize("alpha_min, steps", [("0.35392958546780345", "2"),
+                                                  ("0.01870396532166641", "181")])
+    def test_sweep_whose_grid_rounds_past_alpha_max(self, capsys, monkeypatch, alpha_min, steps):
+        """The grid formula's last point rounds to 1.0 here; the sweep clamps it to
+        alpha_max instead of refusing a request that passed validation.  The printed
+        alpha has 15 digits, so the rows are read where the command builds them."""
+        built = []
+        sweep = hardy4.sweep
+
+        def spy(*args):
+            built.append(sweep(*args))
+            return built[-1]
+        monkeypatch.setattr(hardy4, "sweep", spy)
+        code, payload = run_json(capsys, ["hardy", "--sweep", "--alpha-min", alpha_min,
+                                          "--alpha-max", "0.9999999999999999", "--steps", steps])
+        assert code == 0
+        assert len(payload["rows"]) == int(steps)
+        assert built[0][-1][0] == 0.9999999999999999
+
 
 COMPARE_STDOUT = """\
 {
@@ -194,6 +213,66 @@ SCAN_1000_SEED_42_STDOUT = """\
 """
 
 
+COMPARE_MC_STDOUT = """\
+{
+  "classical": 1.0,
+  "discrepancy": 0.5,
+  "m": [
+    1.0,
+    0.0,
+    0.0
+  ],
+  "monte_carlo": {
+    "classical_estimate": 1.0,
+    "exact": 1.0,
+    "passed": true,
+    "z_score": 0.0
+  },
+  "n": [
+    0.0,
+    0.0,
+    1.0
+  ],
+  "quantum": 0.5,
+  "s": [
+    0.0,
+    0.0,
+    1.0
+  ]
+}
+"""
+
+# s = m = (1,1,1)/|(1,1,1)|: s.s rounds to 1.0000000000000002, so the response interval
+# starts at -0.5000000000000001, inside the 1e-15 slack of the range check
+SLACK_MC_STDOUT = """\
+{
+  "classical": 0.788675134594813,
+  "discrepancy": 2.22044604925031e-16,
+  "m": [
+    0.577350269189626,
+    0.577350269189626,
+    0.577350269189626
+  ],
+  "monte_carlo": {
+    "classical_estimate": 0.79,
+    "exact": 0.788675134594813,
+    "passed": true,
+    "z_score": 0.0725658668079235
+  },
+  "n": [
+    0.0,
+    0.0,
+    1.0
+  ],
+  "quantum": 0.788675134594813,
+  "s": [
+    0.577350269189626,
+    0.577350269189626,
+    0.577350269189626
+  ]
+}
+"""
+
 class TestBellCommand:
     def test_compare(self, capsys):
         code, payload = run_json(capsys, ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1"])
@@ -210,6 +289,17 @@ class TestBellCommand:
         changed digit there shows here, where a comparison with `compare` would not."""
         assert cli.run(["bell", "--scan", "1000", "--seed", "42"]) == 0
         assert capsys.readouterr().out == SCAN_1000_SEED_42_STDOUT
+
+    def test_monte_carlo_stdout_golden(self, capsys):
+        """The Monte Carlo path, whose exact value is `compare`'s classical core."""
+        assert cli.run(["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1",
+                        "--mc-samples", "100000"]) == 0
+        assert capsys.readouterr().out == COMPARE_MC_STDOUT
+
+    def test_interval_end_in_the_range_slack_stdout_golden(self, capsys):
+        assert cli.run(["bell", "--s=1,1,1", "--m=1,1,1", "--n=0,0,1", "--mc-samples", "500",
+                        "--seed", "3"]) == 0
+        assert capsys.readouterr().out == SLACK_MC_STDOUT
 
     def test_negative_first_component_needs_equals_form(self, capsys):
         code, payload = run_json(capsys, ["bell", "--s", "0,0,1", "--m=-1,0,0", "--n", "0,0,1"])
@@ -329,6 +419,41 @@ class TestCertifyCommand:
         assert code == 0
         assert payload["certificate"]["status"] == "satisfiable"
         assert payload["quantum_vs_hv"]["discrepancy"] == pytest.approx(0.04 / 0.52, abs=1e-10)
+
+    @pytest.mark.parametrize("field", ["p_D1", "p_joint_D1D2", "p_cond_D2_given_D1",
+                                       "commutator_D1U1"])
+    @pytest.mark.parametrize("argv", ["hardy --alpha 0.6", "certify --scenario hardy",
+                                      "certify --scenario two-step"])
+    def test_shifted_metric_fails_the_closed_form_cross_check(self, capsys, monkeypatch,
+                                                              argv, field):
+        """Every mode that encodes the matrix metrics checks them against the closed forms."""
+        compute = hardy4.compute_metrics
+        monkeypatch.setattr(hardy4, "compute_metrics", lambda model: dataclasses.replace(
+            compute(model), **{field: getattr(compute(model), field) * (1.0 + 1e-9)}))
+        assert cli.run(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"internal cross-check failed: closed-form cross-check failed for {field}: ")
+
+    @pytest.mark.parametrize("argv, closed_forms", [("hardy --alpha 0.6", 2),
+                                                    ("certify --scenario hardy", 1),
+                                                    ("certify --scenario two-step", 2)])
+    def test_one_cross_check_per_mode(self, capsys, monkeypatch, argv, closed_forms):
+        """One cross_check per mode; disturbance_contradiction takes the closed forms again."""
+        calls = []
+
+        def counted(name):
+            fn = getattr(hardy4, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+        for name in ("closed_form_metrics", "cross_check"):
+            monkeypatch.setattr(hardy4, name, counted(name))
+        assert cli.run(argv.split()) == 0
+        assert (calls.count("closed_form_metrics"), calls.count("cross_check")) == (closed_forms, 1)
 
     def test_alpha_defaults_to_06(self, capsys):
         for scenario in ("hardy", "two-step"):
@@ -541,8 +666,10 @@ def rows_shifted(rows):
 AGREEMENT_SITES = {
     "cross_check": ("hardy --alpha 0.6", (hardy4, "compute_metrics", shifted("p_D1", 1e-9)),
                     "closed-form cross-check failed for p_D1"),
+    # a wrong closed form would fail cross_check first, so 1 - U1 is built wrong
     "disturbance_contradiction": ("certify --scenario two-step",
-                                  (hardy4, "closed_form_metrics", shifted("c_bar", 1e-9)),
+                                  (hardy4, "build_model",
+                                   lambda model: dataclasses.replace(model, U1_perp=model.U1)),
                                   "P(1-U1|D1) vs closed-form c_bar"),
     "optimize_paradox": ("hardy --optimize",
                          (hardy4, "metrics_arrays", shifted("p_joint_D1D2", 1e-9)),

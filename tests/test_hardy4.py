@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import cli, hardy4, qcore
@@ -202,6 +202,49 @@ def shift_kernel_joint(monkeypatch, shift, rows=slice(None)):
     monkeypatch.setattr(hardy4, "metrics_arrays", shifted)
 
 
+HALF_SQRT2 = math.sqrt(0.5)
+LOG_DISTANCE = st.floats(min_value=math.log10(2e-14), max_value=-1.0)
+
+
+def exact_metrics(params: hardy4.HardyParams) -> dict[str, Fraction]:
+    """The Hardy fields at the float (alpha, beta) of `params`, exactly, as Fractions:
+    T = alpha beta and G = (beta - alpha)^2.  The commutator, sqrt(P(D2|D1) c_bar),
+    is irrational, so it has no entry."""
+    a, b = Fraction(params.alpha), Fraction(params.beta)
+    t, g = a * b, (b - a) ** 2
+    p_d1, p_cond = t * t / (1 - t), g / (g + t)
+    return {"p_D1": p_d1, "p_cond_U2_given_D1": Fraction(1), "p_cond_U1_given_D2": Fraction(1),
+            "p_cond_D2_given_D1": p_cond, "p_joint_U1U2": Fraction(0),
+            "p_joint_D1D2": p_d1 * p_cond, "c_bar": t / (g + t)}
+
+
+class TestExactOracle:
+    """Each pipeline on its own against exact rational arithmetic, within the bound
+    cross_check allows: the closed forms, the scalar matrix pipeline and the array kernel."""
+
+    # alpha or 1-alpha log-uniform in [2e-14, 0.1], or within 10^6 ulps of 1/sqrt2,
+    # where 1/|beta - alpha| is largest; every such alpha is a whole number of ulps away
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.one_of(LOG_DISTANCE.map(lambda x: 10.0 ** x),
+                           LOG_DISTANCE.map(lambda x: 1.0 - 10.0 ** x),
+                           st.integers(-10 ** 6, 10 ** 6).map(
+                               lambda k: HALF_SQRT2 + k * math.ulp(HALF_SQRT2))))
+    @example(alpha=2e-14)
+    @example(alpha=0.9999999999999999)
+    @example(alpha=math.nextafter(HALF_SQRT2, 0.0))
+    @example(alpha=math.nextafter(HALF_SQRT2, 1.0))
+    def test_every_pipeline_within_the_bound_of_the_exact_value(self, alpha):
+        params = hardy4.HardyParams.from_alpha(alpha)
+        pipelines = {"closed forms": hardy4.closed_form_metrics(params),
+                     "scalar": hardy4.compute_metrics(hardy4.build_model(alpha)),
+                     "kernel": hardy4.metrics_arrays([alpha])}
+        for name, exact in exact_metrics(params).items():
+            allowed = Fraction(hardy4._bound(name, float(exact), params))
+            for pipeline, metrics in pipelines.items():
+                got = Fraction(float(np.ravel(getattr(metrics, name))[0]))
+                assert abs(got - exact) <= allowed, (pipeline, name, alpha)
+
+
 class TestRoundingBound:
     """Agreement with a closed form means within qcore.bound(closed, 4, cond) of it."""
 
@@ -359,10 +402,13 @@ class TestKernel:
                                                         model.params), (alpha, name)
 
     @pytest.mark.parametrize("lo, hi, steps", [(0.05, 0.95, 181), (2e-14, 0.9999999999999999, 1001),
-                                               (0.1, 0.3, 7), (0.7071067, 0.70710679, 2001)])
+                                               (0.1, 0.3, 7), (0.7071067, 0.70710679, 2001),
+                                               (0.35392958546780345, 0.9999999999999999, 2)])
     def test_alpha_column_is_the_scalar_grid(self, lo, hi, steps):
+        """The formula's points, but none past hi: in the last case the formula's last
+        point rounds to 1.0, which is clamped to hi."""
         alphas = [alpha for alpha, _ in hardy4.sweep(lo, hi, steps)]
-        assert alphas == [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+        assert alphas == [min(lo + (hi - lo) * i / (steps - 1), hi) for i in range(steps)]
 
     def test_corrupted_interior_row_raises(self, monkeypatch, capsys):
         matrix_metrics = hardy4._matrix_metrics
