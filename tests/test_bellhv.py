@@ -58,6 +58,31 @@ class TestLambdaSet:
         lhs = a.intersection(b).measure + a.intersection(not_b).measure
         assert abs(lhs - a.measure) <= 1e-15
 
+    @settings(max_examples=50)
+    @given(s1=seeds, s2=seeds)
+    def test_complement_partition(self, s1, s2):
+        """A response set touches one end of [-1/2, 1/2], so its complement there is the
+        one interval on the other side of its inner end; the two measures sum to 1."""
+        s = rand_dir(s1)
+        for m in (rand_dir(s2), s, -s):
+            a = bellhv.hv_response(s, m)
+            assert a.lo == -0.5 or a.hi == 0.5
+            rest = LambdaSet(-0.5, a.lo) if a.hi == 0.5 else LambdaSet(a.hi, 0.5)
+            assert a.intersection(rest).measure == 0.0
+            assert abs(a.measure + rest.measure - 1.0) <= 1e-15
+
+    @settings(max_examples=50)
+    @given(s1=seeds, s2=seeds)
+    def test_contains_half_open(self, s1, s2):
+        """The inner end is half-open as the pointwise response is: lo is in, hi is out."""
+        s, m = rand_dir(s1), rand_dir(s2)
+        for a, v in ((bellhv.hv_response(s, m), m), (bellhv.hv_response(s, -m), -m)):
+            lo_is_inner = a.hi == 0.5
+            inner = a.lo if lo_is_inner else a.hi
+            below = np.nextafter(inner, -1.0)
+            assert bellhv.response_value(s, v, inner) == (1.0 if lo_is_inner else 0.0)
+            assert bellhv.response_value(s, v, below) == (0.0 if lo_is_inner else 1.0)
+
 
 class TestResponse:
     def test_aligned_full(self):
@@ -127,10 +152,17 @@ class TestProjectorFromAxis:
         assert bellhv.projector_from_axis(Z_HAT, "P_m").name == "P_m"
 
 
-# Every public entry point that takes a Bloch vector, at each vector it takes.
+# Every public entry point that takes a Bloch vector, at each vector it takes;
+# "classical" and "quantum" read each side of the Bell comparison through compare.
 VALIDATING_CALLS = {
     "unit_vector": lambda v: bellhv.unit_vector(v),
+    "classical s": lambda v: bellhv.compare(v, X_HAT, Z_HAT).classical,
+    "classical m": lambda v: bellhv.compare(Z_HAT, v, Z_HAT).classical,
+    "quantum n": lambda v: bellhv.compare(Z_HAT, X_HAT, v).quantum,
     "monte_carlo s": lambda v: bellhv.monte_carlo_check(v, X_HAT, Z_HAT, 1000, 0),
+    "classical n": lambda v: bellhv.compare(Z_HAT, X_HAT, v).classical,
+    "quantum s": lambda v: bellhv.compare(v, X_HAT, Z_HAT).quantum,
+    "quantum m": lambda v: bellhv.compare(Z_HAT, v, Z_HAT).quantum,
     "compare s": lambda v: bellhv.compare(v, X_HAT, Z_HAT),
     "compare m": lambda v: bellhv.compare(Z_HAT, v, Z_HAT),
     "compare n": lambda v: bellhv.compare(Z_HAT, X_HAT, v),
