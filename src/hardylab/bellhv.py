@@ -37,6 +37,7 @@ state and jumps ahead to its trial.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,13 @@ from . import qcore
 from .errors import InvalidParameterError, ZeroProbabilityError
 from .qcore import Projector, StateVector
 
-UNIT_TOL = 1e-12
+# An interval end is -s.m/2 or s.m/2, so rounding may put it a little outside
+# [-1/2, 1/2]: LambdaSet accepts ends up to RANGE_SLACK outside.
+RANGE_SLACK = 1e-15
+# unit_vector accepts |v| within _UNIT_SLACK of 1.  For |s|, |m| <= 1 + d, s.m is
+# at most 1 + 2d to first order, and rounding |s|, |m| and s.m adds at most about
+# 4 eps, so an end s.m/2 lies within d + 2 eps of [-1/2, 1/2]: d = RANGE_SLACK - 2 eps.
+_UNIT_SLACK = RANGE_SLACK - 2 * sys.float_info.epsilon
 # Interval ends are exact to rounding, about 1e-16, so a conditioning set of
 # measure (1 + s.m)/2 at or below this counts as empty, on both sides.
 MIN_MEASURE = 1e-14
@@ -66,13 +73,15 @@ Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 def unit_vector(v) -> np.ndarray:
-    """Validate a Bloch vector: 3 finite real components, unit norm."""
+    """Validate a Bloch vector: 3 finite real components, unit norm to within
+    _UNIT_SLACK (5.6e-16), so the response intervals of any two accepted vectors
+    lie within RANGE_SLACK of [-1/2, 1/2]."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise InvalidParameterError(f"Bloch vector must have 3 components, got shape {v.shape}")
     norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a real 1-d array
     # `not <=`: a NaN component makes the norm NaN, which must fail too
-    if not abs(norm - 1.0) <= UNIT_TOL:
+    if not abs(norm - 1.0) <= _UNIT_SLACK:
         raise InvalidParameterError(
             f"Bloch vector {v.tolist()} must be finite with unit length, |v| = {norm!r}")
     return v
@@ -86,7 +95,7 @@ class LambdaSet:
     hi: float
 
     def __post_init__(self):
-        if self.hi > self.lo and (self.lo < -0.5 - 1e-15 or self.hi > 0.5 + 1e-15):
+        if self.hi > self.lo and (self.lo < -0.5 - RANGE_SLACK or self.hi > 0.5 + RANGE_SLACK):
             raise InvalidParameterError(f"interval [{self.lo}, {self.hi}) outside [-1/2, 1/2]")
 
     @property

@@ -55,12 +55,6 @@ def _round15(value):
     return value
 
 
-def _fields(result) -> dict:
-    """A flat result dataclass as a new dict of its fields: a shallow copy, as
-    no result holds a container; dataclasses.asdict would deep-copy each value."""
-    return dict(vars(result))
-
-
 def _parse_vector(text: str) -> np.ndarray:
     try:
         parts = [float(p) for p in text.split(",")]
@@ -109,10 +103,10 @@ def _run_hardy_point(args, cfg: RunConfig) -> dict:
     return {
         "alpha": model.params.alpha,
         "beta": model.params.beta,
-        "matrix": _fields(metrics),
-        "closed_form": _fields(closed),
+        "matrix": vars(metrics),
+        "closed_form": vars(closed),
         "paradox": "present" if hvlogic.check(system).status == "paradox" else "absent",
-        "disturbance_contradiction": _fields(hardy4.disturbance_contradiction(model, metrics)),
+        "disturbance_contradiction": vars(hardy4.disturbance_contradiction(model, metrics)),
     }
 
 
@@ -124,7 +118,7 @@ def _run_hardy_sweep(args, cfg: RunConfig) -> dict | list[str]:
 
 
 def _run_hardy_optimize(args, cfg: RunConfig) -> dict:
-    return _fields(hardy4.optimize_paradox())
+    return vars(hardy4.optimize_paradox())
 
 
 def _run_bell_scan(args, cfg: RunConfig) -> dict:
@@ -137,7 +131,7 @@ def _run_bell_compare(args, cfg: RunConfig) -> dict:
     s, m, n = map(_parse_vector, (args.s, args.m, args.n))
     payload = bellhv.compare(s, m, n).to_dict()
     if args.mc_samples is not None:
-        payload["monte_carlo"] = _fields(
+        payload["monte_carlo"] = vars(
             bellhv.monte_carlo_check(s, m, n, args.mc_samples, cfg.seed))
     return payload
 
@@ -162,7 +156,7 @@ def _run_certify_two_step(args, cfg: RunConfig) -> dict:
     system, derived = hvlogic.two_step_system(base)
     payload = _certified("two-step", system)
     payload["derived_implications"] = [d.to_text() for d in derived]
-    payload["quantum_vs_hv"] = _fields(hardy4.disturbance_contradiction(model, metrics))
+    payload["quantum_vs_hv"] = vars(hardy4.disturbance_contradiction(model, metrics))
     return payload
 
 

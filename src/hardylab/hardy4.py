@@ -312,7 +312,8 @@ def _matrix_metrics(params: HardyParams) -> HardyMetrics:
               "1(x)D": qcore.kron(eye, d), "U1U2": qcore.kron(u, u), "D1D2": qcore.kron(d, d)}
     for name, stack in stacks.items():
         qcore.validate_projectors(stack, name)
-    failure = qcore.first_failure(abs(a * a + b * b - 1.0) <= qcore.TOL_NORM, a)
+    # the bounds of StateVector's norm check and disturbance_metrics' rank-1 check
+    failure = qcore.first_failure(abs(a * a + b * b - 1.0) <= qcore.bound(1.0, DIM), a)
     if failure is not None:
         raise InvalidParameterError(f"state is not normalized at alpha {failure[1]!r}")
     psi = np.zeros((a.size, DIM))
@@ -332,7 +333,7 @@ def _matrix_metrics(params: HardyParams) -> HardyMetrics:
     failure = qcore.first_failure((p_d1 > zero) & (p_d2 > zero), a)
     if failure is not None:
         _raise_zero_probability(failure[1], zero)
-    failure = qcore.first_failure(abs(d[:, 0, 0] + d[:, 1, 1] - 1.0) <= qcore.TOL_PROJECTOR, a)
+    failure = qcore.first_failure(abs(d[:, 0, 0] + d[:, 1, 1] - 1.0) <= qcore.bound(1.0, 2), a)
     if failure is not None:
         raise InvalidParameterError(f"first projector D must be rank 1 at alpha {failure[1]!r}")
     return HardyMetrics(

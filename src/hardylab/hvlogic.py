@@ -287,18 +287,19 @@ def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, list[Impl
     return system, derived
 
 
-def _implication(p: float, given: str, then: str, dim: int) -> Implication:
-    """`given=1 -> then=1`, once P(then|given) is within qcore.bound(1, dim) of 1.  The
-    encodings are fixed, so an off-target value is a bug: InternalConsistencyError."""
+def _implication(p: float, given: str, then: str, allowed: float) -> Implication:
+    """`given=1 -> then=1`, once P(then|given) is within `allowed` of 1: the bound the
+    module that computed p checks it with.  The encodings are fixed, so an off-target
+    value is a bug: InternalConsistencyError."""
     cid = f"P({then}|{given})=1"
-    qcore.agree(p, 1.0, qcore.bound(1.0, dim), f"constraint {cid!r} not quantum-justified")
+    qcore.agree(p, 1.0, allowed, f"constraint {cid!r} not quantum-justified")
     return Implication(cid=cid, antecedents=((given, True),), consequent=(then, True))
 
 
-def _exclusion(p: float, cid: str, a: str, b: str, dim: int) -> Exclusion:
-    """Forbid `a=1 & b=1`, once their joint probability p is verified to be 0:
-    at most qcore.zero_threshold(dim) = qcore.bound(0, dim)."""
-    qcore.agree(p, 0.0, qcore.bound(0.0, dim), f"constraint {cid!r} not quantum-justified")
+def _exclusion(p: float, cid: str, a: str, b: str, allowed: float) -> Exclusion:
+    """Forbid `a=1 & b=1`, once their joint probability p is verified to be 0: at most
+    `allowed`, the bound the module that computed p checks it with."""
+    qcore.agree(p, 0.0, allowed, f"constraint {cid!r} not quantum-justified")
     return Exclusion(cid=cid, literals=((a, True), (b, True)))
 
 
@@ -306,19 +307,26 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> Cons
     """Constraint encoding of the two-qubit model, from the caller's metrics.
 
     Every constraint is inserted only after the corresponding quantum
-    probability is verified to be 0 or 1 to rounding in the state's
-    dimension (_implication, _exclusion).  The event <D1D2> > 0 is required exactly
-    when hardy4.paradox_event(metrics) holds (<D1D2> above qcore.zero_threshold(4)),
-    the decision hardy4.disturbance_contradiction reads too.
+    probability is verified to be 0 or 1 within hardy4._bound, the bound its
+    cross-check against the closed form uses (_implication, _exclusion).  The
+    event <D1D2> > 0 is required exactly when hardy4.paradox_event(metrics) holds
+    (<D1D2> above qcore.zero_threshold(4)), the decision
+    hardy4.disturbance_contradiction reads too.
     """
-    dim = model.psi.dim
+    def allowed(name: str, exact: float) -> float:
+        return hardy4._bound(name, exact, model.params)
+
     required = ((RequiredEvent(cid="<D1D2>>0", literals=(("D1", True), ("D2", True))),)
                 if hardy4.paradox_event(metrics) else ())
     return ConstraintSystem(
         variables=("D1", "D2", "U1", "U2"),
-        implications=(_implication(metrics.p_cond_U2_given_D1, "D1", "U2", dim),
-                      _implication(metrics.p_cond_U1_given_D2, "D2", "U1", dim)),
-        exclusions=(_exclusion(metrics.p_joint_U1U2, "<U1U2>=0", "U1", "U2", dim),),
+        implications=(
+            _implication(metrics.p_cond_U2_given_D1, "D1", "U2",
+                         allowed("p_cond_U2_given_D1", 1.0)),
+            _implication(metrics.p_cond_U1_given_D2, "D2", "U1",
+                         allowed("p_cond_U1_given_D2", 1.0))),
+        exclusions=(_exclusion(metrics.p_joint_U1U2, "<U1U2>=0", "U1", "U2",
+                               allowed("p_joint_U1U2", 0.0)),),
         required_positive=required,
     )
 
@@ -332,23 +340,30 @@ def gedanken_system() -> ConstraintSystem:
     """Constraint encoding of the thought-experiment detector relations.
 
     The exclusion and the four implications are gated on the values of
-    gedanken.full_report(); only <D+0 D-0>, which the report does not
-    carry, is computed here and must exceed qcore.zero_threshold.
+    gedanken.full_report(), each within the bound the report checks it with,
+    qcore.bound(*gedanken._EXACT[rid]); only <D+0 D-0>, which the report does
+    not carry, is computed here and must exceed qcore.zero_threshold.
     """
-    dim = gedanken.STATE.dim
     report = gedanken.full_report()
-    exclusion = _exclusion(report["joint_Cplus_Cminus"].quantum_value,
-                           "<C+inf C-inf>=0", "C+inf", "C-inf", dim)
-    implications = tuple(
-        _implication(report[f"P({then}|{given})"].quantum_value, given, then, dim)
-        for given, then in (("C+inf", "D-inf"), ("C-inf", "D+inf"),
-                            ("D-0", "C+inf"), ("D+0", "C-inf")))
+
+    def gated(rid: str) -> tuple[float, float]:
+        """The report's value of relation `rid` and the bound the report checked it within."""
+        return report[rid].quantum_value, qcore.bound(*gedanken._EXACT[rid])
+
+    p, allowed = gated("joint_Cplus_Cminus")
+    exclusion = _exclusion(p, "<C+inf C-inf>=0", "C+inf", "C-inf", allowed)
+    implications = []
+    for given, then in (("C+inf", "D-inf"), ("C-inf", "D+inf"),
+                        ("D-0", "C+inf"), ("D+0", "C-inf")):
+        p, allowed = gated(f"P({then}|{given})")
+        implications.append(_implication(p, given, then, allowed))
+    dim = gedanken.STATE.dim
     joint_dd0 = qcore.born_probability(gedanken.STATE, _D0_JOINT)
     if not joint_dd0 > qcore.zero_threshold(dim):
         raise InternalConsistencyError("<D+0 D-0> unexpectedly zero; cannot build required event")
     return ConstraintSystem(
         variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),
-        implications=implications,
+        implications=tuple(implications),
         exclusions=(exclusion,),
         required_positive=(RequiredEvent(cid="<D+0 D-0>>0",
                                          literals=(("D+0", True), ("D-0", True))),),

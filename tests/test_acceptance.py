@@ -228,12 +228,15 @@ def test_criterion_12_determinism(cli_env):
         ["certify", "--scenario", "gedanken"],
         ["certify", "--scenario", "two-step", "--alpha", "0.6"],
     ]
+    # Two string-hash seeds: set and dict orders that hang on str hashing would differ.
     ok = True
     for argv in commands:
         runs = [subprocess.run([sys.executable, "-m", "hardylab.cli", *argv],
-                               capture_output=True, check=True, env=cli_env).stdout
-                for _ in range(2)]
+                               capture_output=True, check=True,
+                               env={**cli_env, "PYTHONHASHSEED": seed}).stdout
+                for seed in ("1", "2")]
         if runs[0] != runs[1]:
             ok = False
             break
-    report(12, f"{len(commands)} commands, two runs each, byte-identical output", ok)
+    report(12, f"{len(commands)} commands, two runs each (PYTHONHASHSEED 1 and 2), "
+               "byte-identical output", ok)

@@ -177,6 +177,21 @@ VALIDATING_CALLS = {
 }
 
 
+EPS = 2.0 ** -52
+
+
+def largest_accepted(direction, sign: float) -> np.ndarray:
+    """The last vector t*direction that unit_vector accepts, as t steps one ulp at a
+    time from 1 up (sign +1) or down (sign -1)."""
+    t, v = 1.0, bellhv.unit_vector(direction)
+    while True:
+        t = math.nextafter(t, 2.0 * sign)
+        try:
+            v = bellhv.unit_vector(t * np.asarray(direction))
+        except InvalidParameterError:
+            return v
+
+
 class TestUnitVector:
     @pytest.mark.parametrize("bad", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0],
                                      [0.0, 0.0, -math.inf]], ids=str)
@@ -185,11 +200,55 @@ class TestUnitVector:
         with pytest.raises(InvalidParameterError, match=re.escape(f"Bloch vector {bad}")):
             call(np.array(bad))
 
-    @pytest.mark.parametrize("bad", [[0.0, 0.0, 2.0], [0.6, 0.0, 0.8 + 1e-9]], ids=str)
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 2.0], [0.6, 0.0, 0.8 + 1e-9],
+                                     [0.0, 0.0, 1.0 + 9e-13], [0.0, 0.0, 1.0 + 3 * EPS]],
+                             ids=str)
     @pytest.mark.parametrize("call", VALIDATING_CALLS.values(), ids=VALIDATING_CALLS.keys())
     def test_non_unit_rejected(self, call, bad):
-        with pytest.raises(InvalidParameterError, match=re.escape(f"Bloch vector {bad}")):
+        """1 + 9e-13 once passed unit_vector and then failed the range check of
+        LambdaSet, or passed state_from_bloch; 1 + 3 eps is the first z past 1."""
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"Bloch vector {bad} must be finite with unit length")):
             call(np.array(bad))
+
+    @pytest.mark.parametrize("inside, outside", [(1.0 + 2 * EPS, 1.0 + 3 * EPS),
+                                                 (1.0 - 2.5 * EPS, 1.0 - 3 * EPS)])
+    def test_unit_slack_edge_on_an_axis(self, inside, outside):
+        """|v| may be 1e-15 - 2 eps = 5.6e-16 off 1: on an axis, 2 eps above 1 and 2.5 eps below."""
+        assert bellhv._UNIT_SLACK == bellhv.RANGE_SLACK - 2 * EPS
+        assert bellhv.unit_vector([0.0, 0.0, inside])[2] == inside
+        with pytest.raises(InvalidParameterError, match="must be finite with unit length"):
+            bellhv.unit_vector([0.0, 0.0, outside])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["long", "short"])
+    @pytest.mark.parametrize("direction", [Z_HAT, -X_HAT, np.ones(3) / math.sqrt(3.0)],
+                             ids=["z", "-x", "diagonal"])
+    def test_largest_accepted_deviation_passes_every_later_check(self, direction, sign):
+        """The longest and the shortest vector that unit_vector accepts along a direction
+        run through every entry point: no range, Born-clamp or validation check fires."""
+        v = largest_accepted(direction, sign)
+        for s, m in ((v, v), (-v, -v), (v, -v), (X_HAT, v), (v, Y_HAT)):
+            interval = bellhv.hv_response(s, m)
+            assert -0.5 - bellhv.RANGE_SLACK <= interval.lo
+            assert interval.hi <= 0.5 + bellhv.RANGE_SLACK
+        for s, m, n in ((v, v, v), (v, v, X_HAT), (-v, -v, v), (Y_HAT, v, v)):
+            row = bellhv.compare(s, m, n)
+            assert 0.0 <= row.quantum <= 1.0 and 0.0 <= row.classical <= 1.0
+            assert bellhv.monte_carlo_check(s, m, n, 1000, 0).passed
+        assert bellhv.state_from_bloch(v).dim == 2
+        assert bellhv.state_from_bloch(-v).dim == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed_s=seeds, seed_m=seeds, sign_s=st.sampled_from([1.0, -1.0]),
+           sign_m=st.sampled_from([1.0, -1.0]))
+    def test_any_two_accepted_vectors_keep_their_ends_in_range(self, seed_s, seed_m,
+                                                               sign_s, sign_m):
+        """The derivation of _UNIT_SLACK: random directions at the edge of acceptance,
+        as s and m in either order and either orientation, give in-range intervals."""
+        s = largest_accepted(rand_dir(seed_s), sign_s)
+        m = largest_accepted(rand_dir(seed_m), sign_m)
+        for a, b in ((s, m), (m, s), (s, s), (m, m), (s, -m)):
+            bellhv.hv_response(a, b)
 
 
     def test_compare_validates_each_vector_once(self, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardylab import bellhv, cli, hardy4, qcore
+from hardylab import bellhv, cli, gedanken, hardy4, qcore
 from hardylab.errors import InvalidParameterError
 
 
@@ -699,6 +699,23 @@ def test_every_agreement_check_exits_3_in_one_layout(capsys, monkeypatch, argv, 
     assert layout is not None, captured.err
     assert layout[1] == what
     assert all(math.isfinite(float(v)) for v in layout.groups()[1:])
+
+
+@pytest.mark.parametrize("shift, code", [(-5e-14, 0), (-2e-13, 3)])
+def test_gedanken_and_its_certificate_judge_a_value_alike(capsys, monkeypatch, shift, code):
+    """P(C+inf|D-0) moved by `shift`: `gedanken` checks it within qcore.bound(1, 5, 9),
+    1.6e-13, and `certify --scenario gedanken` gates it within the same bound, so both
+    commands pass it or both exit 3."""
+    conditional_probability = qcore.conditional_probability
+    det = gedanken.DETECTORS
+
+    def shifted(psi, a, b):
+        p = conditional_probability(psi, a, b)
+        return p + shift if a is det.d_minus_0 and b is det.c_plus_inf else p
+    monkeypatch.setattr(qcore, "conditional_probability", shifted)
+    assert [cli.run(["gedanken"]), cli.run(["certify", "--scenario", "gedanken"])] == [code] * 2
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.count("gedanken P(C+inf|D-0)") == 2
 
 
 def ulps_from_half_sqrt2(k: int) -> float:

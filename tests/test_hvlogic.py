@@ -234,28 +234,29 @@ class TestDeriveTwoStep:
 
 
 class TestGates:
-    """0 and 1 mean 0 and 1 to rounding in the state's dimension (qcore.bound)."""
+    """0 and 1 mean 0 and 1 within the bound the producing module checks the value with."""
 
     @pytest.mark.parametrize("dim", [4, 5])
     def test_exclusion_at_the_zero_threshold(self, dim):
-        exc = hvlogic._exclusion(qcore.zero_threshold(dim), "<U1U2>=0", "U1", "U2", dim)
+        exc = hvlogic._exclusion(qcore.zero_threshold(dim), "<U1U2>=0", "U1", "U2",
+                                 qcore.bound(0.0, dim))
         assert exc.literals == (("U1", True), ("U2", True))
 
     @pytest.mark.parametrize("p", [1e-12, 1e-27, math.nan])
     def test_exclusion_of_a_positive_joint_raises(self, p):
         with pytest.raises(InternalConsistencyError, match="'<U1U2>=0' not quantum-justified"):
-            hvlogic._exclusion(p, "<U1U2>=0", "U1", "U2", 4)
+            hvlogic._exclusion(p, "<U1U2>=0", "U1", "U2", qcore.bound(0.0, 4))
 
     @pytest.mark.parametrize("p", [1.0, 1.0 - 3 * 2.0 ** -52, 1.0 - qcore.bound(1.0, 4) / 2])
     def test_implication_within_the_bound_of_one(self, p):
-        imp = hvlogic._implication(p, "D1", "U2", 4)
+        imp = hvlogic._implication(p, "D1", "U2", qcore.bound(1.0, 4))
         assert (imp.cid, imp.antecedents, imp.consequent) == ("P(U2|D1)=1", (("D1", True),),
                                                               ("U2", True))
 
     @pytest.mark.parametrize("p", [1.0 - 1e-12, 1.0 - 2 * qcore.bound(1.0, 4), math.nan])
     def test_implication_off_one_raises(self, p):
         with pytest.raises(InternalConsistencyError, match=re.escape("'P(U2|D1)=1'")):
-            hvlogic._implication(p, "D1", "U2", 4)
+            hvlogic._implication(p, "D1", "U2", qcore.bound(1.0, 4))
 
     def test_hardy_gates_take_the_dimension_of_the_state(self, monkeypatch):
         report = gedanken.full_report()
@@ -270,9 +271,19 @@ class TestGates:
         monkeypatch.setattr(qcore, "agree", spy)
         hardy_system_at(0.6)
         hvlogic.gedanken_system()
-        assert [allowed for _, allowed in seen] == [
-            qcore.bound(target, dim) for target, dim in [(1.0, 4), (1.0, 4), (0.0, 4), (0.0, 5),
-                                                         (1.0, 5), (1.0, 5), (1.0, 5), (1.0, 5)]]
+        # each gate takes the bound its producer checks the value with: hardy4._bound
+        # (cond 1 for these three fields), and gedanken's, whose conditionals on
+        # P(C+-inf) = 1/4 and P(D+-0) = 1/8 take cond 5 and 9
+        params = hardy4.HardyParams.from_alpha(0.6)
+        producers = [hardy4._bound(name, target, params) for name, target in (
+            ("p_cond_U2_given_D1", 1.0), ("p_cond_U1_given_D2", 1.0), ("p_joint_U1U2", 0.0))]
+        producers += [qcore.bound(*gedanken._EXACT[rid]) for rid in (
+            "joint_Cplus_Cminus", "P(D-inf|C+inf)", "P(D+inf|C-inf)", "P(C+inf|D-0)",
+            "P(C-inf|D+0)")]
+        assert [allowed for _, allowed in seen] == producers == [
+            qcore.bound(target, dim, cond) for target, dim, cond in [
+                (1.0, 4, 1.0), (1.0, 4, 1.0), (0.0, 4, 1.0), (0.0, 5, 1.0),
+                (1.0, 5, 5.0), (1.0, 5, 5.0), (1.0, 5, 9.0), (1.0, 5, 9.0)]]
         assert [exact for exact, _ in seen] == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
 
 

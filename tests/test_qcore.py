@@ -16,6 +16,9 @@ from hardylab.errors import (
 from hardylab.qcore import Projector, StateVector
 
 
+EPS = 2.0 ** -52
+
+
 def random_state(rng, dim):
     raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector.normalize(raw)
@@ -66,6 +69,24 @@ class TestStateVector:
     def test_overflowing_norm_is_not_normalized(self):
         with pytest.raises(InvalidParameterError, match="not normalized"):
             StateVector(np.array([1e200, 0.0]))
+
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    @pytest.mark.parametrize("step", [EPS, -EPS / 2], ids=["long", "short"])
+    def test_norm_edge_is_the_rounding_bound(self, dim, step):
+        """||psi||^2 may be bound(1, dim) off 1, about 16*dim*eps: psi = (x, 0, ...) with
+        x = 1 + k*step has ||psi||^2 = 1 + 2k*step, inside for 2k*|step| = 16*dim*eps,
+        outside for one step more."""
+        allowed = qcore.bound(1.0, dim)
+        k = round(8 * dim * EPS / abs(step))
+        for k, inside in ((k, True), (k + 1, False)):
+            amps = np.zeros(dim)
+            amps[0] = 1.0 + k * step
+            assert (abs(float(amps @ amps) - 1.0) <= allowed) == inside
+            if inside:
+                StateVector(amps)
+            else:
+                with pytest.raises(InvalidParameterError, match="not normalized"):
+                    StateVector(amps)
 
     def test_same_ray_ignores_global_phase(self):
         psi = StateVector.normalize([1.0, 1.0j])
@@ -251,6 +272,39 @@ class TestValidateProjectors:
         with pytest.raises(InvalidParameterError, match="finite"):
             qcore.validate_projectors(np.full((3, 2, 2), math.nan))
 
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    def test_hermitian_edge_is_the_rounding_bound(self, dim):
+        """[[1, h], [0, 0]] is idempotent, and its Hermitian defect is h: bound(1, dim)
+        passes, the next double above it fails."""
+        allowed = qcore.bound(1.0, dim)
+        for h, inside in ((allowed, True), (math.nextafter(allowed, 1.0), False)):
+            mat = np.zeros((dim, dim))
+            mat[0, 0], mat[0, 1] = 1.0, h
+            if inside:
+                qcore.validate_projectors(mat, "P")
+            else:
+                with pytest.raises(InvalidParameterError, match="'P' is not Hermitian"):
+                    qcore.validate_projectors(mat, "P")
+
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    def test_idempotent_edge_is_the_rounding_bound(self, dim):
+        """diag(1 + k eps, 0, ...) has idempotent defect k eps, within bound(1, dim) for
+        k = 16*dim and outside it for one more; also as a row of a stack."""
+        allowed = qcore.bound(1.0, dim)
+        for k, inside in ((16 * dim, True), (16 * dim + 1, False)):
+            mat = np.zeros((dim, dim))
+            mat[0, 0] = 1.0 + k * EPS
+            assert bool(abs(mat[0, 0] * mat[0, 0] - mat[0, 0]) <= allowed) == inside
+            stack = np.array([np.eye(dim), mat])
+            if inside:
+                qcore.validate_projectors(mat, "P")
+                qcore.validate_projectors(stack, "P")
+            else:
+                with pytest.raises(InvalidParameterError, match="'P' is not idempotent"):
+                    qcore.validate_projectors(mat, "P")
+                with pytest.raises(InvalidParameterError, match="'P' in row 1 is not idempotent"):
+                    qcore.validate_projectors(stack, "P")
+
 
 class TestProjectors:
     NAMES = ("P0", "P1", "P2", "P3")
@@ -411,6 +465,19 @@ class TestDisturbanceMetrics:
     def test_rank_requirement(self):
         with pytest.raises(InvalidParameterError):
             qcore.disturbance_metrics(Projector.identity(2), Projector.from_ket([1.0, 0.0]))
+
+    def test_rank_edge_is_the_rounding_bound(self):
+        """diag(1 + k eps, k eps) is a projector to rounding (each defect k eps) with
+        trace 1 + 2k eps: rank 1 within bound(1, 2) for k = 16, not for k = 17."""
+        target = Projector.from_ket([1.0, 0.0])
+        for k, inside in ((16, True), (17, False)):
+            p = Projector(np.diag([1.0 + k * EPS, k * EPS]), "P")
+            assert (abs(p.trace - 1.0) <= qcore.bound(1.0, 2)) == inside
+            if inside:
+                assert qcore.disturbance_metrics(p, target) == 1.0
+            else:
+                with pytest.raises(InvalidParameterError, match="first projector P must be rank 1"):
+                    qcore.disturbance_metrics(p, target)
 
 
 class TestTensor:
