@@ -67,10 +67,6 @@ SCAN_RECHECKS = 4
 # Draws of a scan's stream that each trial owns: z and azimuth of s, m and n.
 TRIAL_DRAWS = 6
 
-X_HAT = np.array([1.0, 0.0, 0.0])
-Y_HAT = np.array([0.0, 1.0, 0.0])
-Z_HAT = np.array([0.0, 0.0, 1.0])
-
 
 def unit_vector(v) -> np.ndarray:
     """Validate a Bloch vector: 3 finite real components, unit norm to within
@@ -260,12 +256,6 @@ def sample_direction(rng: np.random.Generator) -> np.ndarray:
     phi = 2.0 * math.pi * u_phi
     r = math.sqrt(max(1.0 - z * z, 0.0))
     return np.array([r * math.cos(phi), r * math.sin(phi), z])
-
-
-def _trial_draws(seed: int, trial: int, count: int) -> list[np.ndarray]:
-    """The first `count` sample_direction draws of one trial's stream."""
-    rng = _trial_rng(seed, trial)
-    return [sample_direction(rng) for _ in range(count)]
 
 
 def _blocks(trials: int):

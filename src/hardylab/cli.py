@@ -44,8 +44,6 @@ class RunConfig:
 
 def _round15(value):
     """Recursively round floats to 15 significant digits for stable output."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         return float(f"{value:.15g}")
     if isinstance(value, dict):

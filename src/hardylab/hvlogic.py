@@ -11,7 +11,7 @@ paradox verdict comes with a replayable forced chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import gedanken, hardy4, qcore
 from .errors import InternalConsistencyError, InvalidParameterError
@@ -203,7 +203,9 @@ def replay(system: ConstraintSystem, cert: Certificate) -> bool:
     Each step must be licensed by the named constraint given the
     literals established so far (a seed literal by the failing event
     itself), and the terminal constraint must be violated by the
-    accumulated assignment.
+    accumulated assignment.  A fallback certificate, one that names no
+    violated constraint, holds only if replay's own enumeration finds no
+    admissible assignment realizing the event.
     """
     if cert.status != "paradox":
         return False
@@ -228,8 +230,18 @@ def replay(system: ConstraintSystem, cert: Certificate) -> bool:
             return cert.violated_constraint == step.constraint_id
         known[name] = value
     if cert.violated_constraint is None:
-        # fallback certificate: verify exhaustively that the event is unrealizable
-        return check(replace(system, required_positive=(event,))).status == "paradox"
+        # enumerated here, not through check, so the checker does not vouch for itself
+        names = system.variables
+        for idx in range(1 << len(names)):
+            assign = {var: bool((idx >> i) & 1) for i, var in enumerate(names)}
+            if (all(assign[nm] == v for nm, v in event.literals)
+                    and all(assign[c.consequent[0]] == c.consequent[1]
+                            or not all(assign[a] == v for a, v in c.antecedents)
+                            for c in system.implications)
+                    and not any(all(assign[nm] == v for nm, v in c.literals)
+                                for c in system.exclusions)):
+                return False
+        return True
     violated = constraints.get(cert.violated_constraint)
     if isinstance(violated, Exclusion):
         return all(known.get(nm) == v for nm, v in violated.literals)

@@ -59,14 +59,6 @@ class StateVector:
             raise InvalidParameterError("cannot normalize a zero or non-finite vector")
         return cls(raw / norm)
 
-    def overlap(self, other: "StateVector") -> complex:
-        _check_dims(self.dim, other.dim)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def same_ray(self, other: "StateVector", tol: float = 1e-10) -> bool:
-        """Equality up to global phase: | <a|b> | = 1."""
-        return abs(abs(self.overlap(other)) - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class Projector:
@@ -91,25 +83,12 @@ class Projector:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    @classmethod
-    def from_ket(cls, ket, name: str = "") -> "Projector":
-        """Rank-1 projector |k><k| onto the (normalized) given ket."""
-        return cls(rank1(ket), name=name)
-
-    @classmethod
-    def identity(cls, dim: int, name: str = "1") -> "Projector":
-        return cls(np.eye(dim, dtype=complex), name=name)
-
-    def complement(self) -> "Projector":
-        return Projector(np.eye(self.dim, dtype=complex) - self.matrix,
-                         name=f"1-{self.name}" if self.name else "")
-
     def label(self) -> str:
         return self.name or f"<projector dim={self.dim}>"
 
 
 def rank1(ket) -> np.ndarray:
-    """The matrix |k><k| of Projector.from_ket: the outer product of the normalized ket."""
+    """The rank-1 projector matrix |k><k|: the outer product of the normalized ket."""
     k = StateVector.normalize(ket).amplitudes
     return np.outer(k, k.conj())
 
@@ -229,13 +208,6 @@ def _clamp_probability(value, context: str, dim: int, cond=1.0):
     return clipped
 
 
-def _nonzero(p_a: float, a: Projector, action: str) -> float:
-    zero = zero_threshold(a.dim)
-    if p_a <= zero:
-        raise ZeroProbabilityError(f"cannot {action} {a.label()}: probability {p_a!r} <= {zero!r}")
-    return p_a
-
-
 def born_probability(psi: StateVector, a: Projector) -> float:
     """Born rule <psi|A|psi> = ||A psi||^2, clamped to [0,1] within the rounding bound."""
     _check_dims(psi.dim, a.dim)
@@ -247,16 +219,13 @@ def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> flo
     """P(B|A) = ||B A psi||^2 / ||A psi||^2: measure A first, then B.  Dividing
     by P(A) scales the rounding by 1/P(A), so the clamp takes cond = 1 + 1/P(A)."""
     _check_dims(psi.dim, a.dim, b.dim)
-    p_a = _nonzero(born_probability(psi, a), a, "condition on")
+    p_a, zero = born_probability(psi, a), zero_threshold(a.dim)
+    if p_a <= zero:
+        raise ZeroProbabilityError(
+            f"cannot condition on {a.label()}: probability {p_a!r} <= {zero!r}")
     return _clamp_probability(_norm_sq((b.matrix @ a.matrix) @ psi.amplitudes) / p_a,
                               f"conditional_probability({b.label()}|{a.label()})",
                               a.dim, 1.0 + 1.0 / p_a)
-
-
-def post_measurement_state(psi: StateVector, a: Projector) -> StateVector:
-    """Reduced state A|psi>/||A|psi>|| after observing A."""
-    _nonzero(born_probability(psi, a), a, "project onto")
-    return StateVector.normalize(a.matrix @ psi.amplitudes)
 
 
 def disturbance_metrics(p_first: Projector, p_second: Projector) -> float:

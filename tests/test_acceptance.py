@@ -143,7 +143,8 @@ def test_criterion_7_bell_model_reproduction():
 
 
 def test_criterion_8_bayes_rule_failure():
-    cmp = bellhv.compare(bellhv.Z_HAT, bellhv.X_HAT, bellhv.Z_HAT)
+    x_hat, z_hat = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    cmp = bellhv.compare(z_hat, x_hat, z_hat)
     scan = bellhv.scan_discrepancy(10_000, 42)
     ok = (abs(cmp.quantum - 0.5) <= 1e-12
           and abs(cmp.classical - 1.0) <= 1e-12

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab import bellhv, cli, qcore
-from hardylab.bellhv import X_HAT, Y_HAT, Z_HAT, LambdaSet
+from hardylab.bellhv import LambdaSet
 from hardylab.errors import InvalidParameterError, ZeroProbabilityError
 
 seeds = st.integers(0, 2**32 - 1)
+X_HAT = np.array([1.0, 0.0, 0.0])
+Y_HAT = np.array([0.0, 1.0, 0.0])
+Z_HAT = np.array([0.0, 0.0, 1.0])
 PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
 
 
@@ -394,13 +397,15 @@ class TestStateFromBloch:
             assert np.all(np.abs(bloch - s) <= tol), s
 
 
+def trial_draws(seed, trial, count=3):
+    """The first `count` sample_direction draws of one trial's stream."""
+    rng = bellhv._trial_rng(seed, trial)
+    return [bellhv.sample_direction(rng) for _ in range(count)]
+
+
 def scalar_draws(seed, trials, count=3):
     """sample_direction on each trial's own stream, one trial at a time."""
-    out = []
-    for i in range(trials):
-        rng = bellhv._trial_rng(seed, i)
-        out.append([bellhv.sample_direction(rng) for _ in range(count)])
-    return np.array(out)
+    return np.array([trial_draws(seed, i, count) for i in range(trials)])
 
 
 def stream_directions(seed, trials):
@@ -432,7 +437,7 @@ class TestScanKernel:
         assert [(b.start, b.stop) for b in blocks] == [(0, 7), (7, 14), (14, 20)]
         for block in blocks:
             assert np.array_equal(stream_directions(9, block),
-                                  np.array([bellhv._trial_draws(9, i, 3) for i in block]))
+                                  np.array([trial_draws(9, i) for i in block]))
 
     def test_one_stream_per_seed(self):
         """Trial 0 starts default_rng(seed)'s stream, and trial i + 1 follows trial i."""
@@ -497,9 +502,9 @@ class TestScanKernel:
         monkeypatch.setattr(bellhv, "_compare_rows", spy)
         bellhv.scan_discrepancy(trials, seed)
         assert len(checked) == 1
-        # bit for bit, signed zeros included: each row is _trial_draws(seed, i, 3)
+        # bit for bit, signed zeros included: each row is trial_draws(seed, i)
         assert [[v.tobytes() for v in triple] for triple in checked[0]] == [
-            [v.tobytes() for v in bellhv._trial_draws(seed, int(i), 3)] for i in expected]
+            [v.tobytes() for v in trial_draws(seed, int(i))] for i in expected]
 
     def test_rechecks_share_one_stream(self, monkeypatch):
         """One PCG64 per scan: every block of rows and every re-check draw from it."""
@@ -523,7 +528,7 @@ class TestScanKernel:
         result = bellhv.scan_discrepancy(1000, 42)
         assert result.histogram == (99, 110, 101, 86, 64, 68, 63, 53, 59, 43,
                                     39, 39, 29, 42, 33, 20, 15, 20, 13, 4)
-        assert result.max.to_dict() == bellhv.compare(*bellhv._trial_draws(42, 482, 3)).to_dict()
+        assert result.max.to_dict() == bellhv.compare(*trial_draws(42, 482)).to_dict()
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         whole = bellhv.scan_discrepancy(100, 3)

@@ -313,7 +313,7 @@ class TestBellCommand:
     def test_near_antiparallel_axis_exit_2(self, capsys, m_x, mode):
         # (1 + s.m)/2 lies above qcore's rounding threshold but at most bellhv.MIN_MEASURE
         m = np.array([float(m_x), 0.0, -1.0])
-        measure = (1.0 + float(np.dot(bellhv.Z_HAT, m / np.linalg.norm(m)))) / 2.0
+        measure = (1.0 + float(np.dot([0.0, 0.0, 1.0], m / np.linalg.norm(m)))) / 2.0
         assert qcore.zero_threshold(2) < measure <= bellhv.MIN_MEASURE
         assert cli.run(["bell", "--s", "0,0,1", f"--m={m_x},0,-1", "--n", "1,0,0", *mode]) == 2
         assert "hidden-variable measure" in capsys.readouterr().err
@@ -483,6 +483,12 @@ class TestGlobalFlags:
         cli.run(["bell", "--scan", "50", "--seed", "11"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_round15_rounds_floats_and_keeps_bools(self):
+        """bool is not a float subclass, so it passes unchanged; np.float64 is one, so it rounds."""
+        out = cli._round15({"flags": (True, False), "x": [np.float64(0.1 + 0.2), 0.1 + 0.2, 3]})
+        assert out == {"flags": [True, False], "x": [0.3, 0.3, 3]}
+        assert [type(v) for v in out["flags"] + out["x"]] == [bool, bool, float, float, int]
 
     @pytest.mark.parametrize("argv", [
         ["--seed", "1", "gedanken"],

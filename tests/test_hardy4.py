@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import re
 from fractions import Fraction
@@ -20,19 +21,26 @@ OPERATOR_GRID = ([10.0 ** -k for k in range(1, 16)] + [1.0 - 10.0 ** -k for k in
 
 
 def one_by_one_operators(params: hardy4.HardyParams) -> dict[str, qcore.Projector]:
-    """HardyModel's operator fields as one validated Projector each."""
+    """HardyModel's operator fields as one validated Projector each, from np.outer,
+    np.kron, @ and np.eye(4) - U1."""
     a, b = params.alpha, params.beta
+
+    def ket_projector(ket, name):
+        k = qcore.StateVector.normalize(ket).amplitudes
+        return qcore.Projector(np.outer(k, k.conj()), name=name)
+
     u_ket, d_ket = hardy4._local_kets(a, b)
-    u, d = qcore.Projector.from_ket(u_ket, name="U"), qcore.Projector.from_ket(d_ket, name="D")
-    eye = qcore.Projector.identity(2)
-    u1, u2 = qcore.tensor(u, eye), qcore.tensor(eye, u)
-    d1, d2 = qcore.tensor(d, eye), qcore.tensor(eye, d)
+    u, d = ket_projector(u_ket, "U"), ket_projector(d_ket, "D")
+    eye = np.eye(2)
+    u1, u2 = np.kron(u.matrix, eye), np.kron(eye, u.matrix)
+    d1, d2 = np.kron(d.matrix, eye), np.kron(eye, d.matrix)
     return {"u_local": u, "d_local": d,
-            "u_perp_local": qcore.Projector.from_ket(hardy4._u_perp_ket(a, b), name="1-U"),
-            "U1": u1, "U2": u2, "D1": d1, "D2": d2,
-            "U1U2": qcore.Projector(u1.matrix @ u2.matrix, name="U1U2"),
-            "D1D2": qcore.Projector(d1.matrix @ d2.matrix, name="D1D2"),
-            "U1_perp": u1.complement()}
+            "u_perp_local": ket_projector(hardy4._u_perp_ket(a, b), "1-U"),
+            "U1": qcore.Projector(u1, "U(x)1"), "U2": qcore.Projector(u2, "1(x)U"),
+            "D1": qcore.Projector(d1, "D(x)1"), "D2": qcore.Projector(d2, "1(x)D"),
+            "U1U2": qcore.Projector(u1 @ u2, "U1U2"),
+            "D1D2": qcore.Projector(d1 @ d2, "D1D2"),
+            "U1_perp": qcore.Projector(np.eye(4) - u1, "1-U(x)1")}
 
 
 class TestParams:
@@ -73,7 +81,7 @@ class TestModel:
     @pytest.mark.parametrize("alpha", OPERATOR_GRID)
     def test_operators_are_those_of_one_by_one_construction(self, alpha):
         """build_model's stacked operators equal, to the bit and by name, the Projectors
-        of Projector.from_ket, qcore.tensor, @ and .complement(), each validated alone."""
+        of np.outer, np.kron, @ and np.eye(4) - U1, each validated alone."""
         model = hardy4.build_model(alpha)
         for field, want in one_by_one_operators(model.params).items():
             got = getattr(model, field)
@@ -206,21 +214,37 @@ HALF_SQRT2 = math.sqrt(0.5)
 LOG_DISTANCE = st.floats(min_value=math.log10(2e-14), max_value=-1.0)
 
 
-def exact_metrics(params: hardy4.HardyParams) -> dict[str, Fraction]:
-    """The Hardy fields at the float (alpha, beta) of `params`, exactly, as Fractions:
-    T = alpha beta and G = (beta - alpha)^2.  The commutator, sqrt(P(D2|D1) c_bar),
-    is irrational, so it has no entry."""
+def sqrt_bracket(x: Fraction, digits: int = 60) -> tuple[Fraction, Fraction]:
+    """Fractions lo <= sqrt(x) <= hi, a relative 2 * 10^(5 - digits) apart: the
+    `digits`-digit decimal root, widened, and then checked by squaring exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        root = Fraction((decimal.Decimal(x.numerator) / x.denominator).sqrt())
+    widen = Fraction(1, 10 ** (digits - 5))
+    lo, hi = root * (1 - widen), root * (1 + widen)
+    assert lo * lo <= x <= hi * hi
+    return lo, hi
+
+
+def exact_metrics(params: hardy4.HardyParams) -> dict[str, tuple[Fraction, Fraction]]:
+    """The Hardy fields at the float (alpha, beta) of `params`, each as a bracket
+    (lo, hi) of Fractions that holds its exact value: T = alpha beta and
+    G = (beta - alpha)^2.  A rational field has lo == hi.  The commutator,
+    sqrt(P(D2|D1) c_bar) = sqrt(G T) / (G + T), is irrational: its bracket is sqrt_bracket's."""
     a, b = Fraction(params.alpha), Fraction(params.beta)
     t, g = a * b, (b - a) ** 2
     p_d1, p_cond = t * t / (1 - t), g / (g + t)
-    return {"p_D1": p_d1, "p_cond_U2_given_D1": Fraction(1), "p_cond_U1_given_D2": Fraction(1),
-            "p_cond_D2_given_D1": p_cond, "p_joint_U1U2": Fraction(0),
-            "p_joint_D1D2": p_d1 * p_cond, "c_bar": t / (g + t)}
+    rational = {"p_D1": p_d1, "p_cond_U2_given_D1": Fraction(1),
+                "p_cond_U1_given_D2": Fraction(1), "p_cond_D2_given_D1": p_cond,
+                "p_joint_U1U2": Fraction(0), "p_joint_D1D2": p_d1 * p_cond, "c_bar": t / (g + t)}
+    return {**{name: (x, x) for name, x in rational.items()},
+            "commutator_D1U1": sqrt_bracket(g * t / (g + t) ** 2)}
 
 
 class TestExactOracle:
     """Each pipeline on its own against exact rational arithmetic, within the bound
-    cross_check allows: the closed forms, the scalar matrix pipeline and the array kernel."""
+    cross_check allows: the closed forms, the scalar matrix pipeline and the array kernel.
+    The irrational commutator must lie within it of both ends of its 60-digit bracket."""
 
     # alpha or 1-alpha log-uniform in [2e-14, 0.1], or within 10^6 ulps of 1/sqrt2,
     # where 1/|beta - alpha| is largest; every such alpha is a whole number of ulps away
@@ -238,11 +262,11 @@ class TestExactOracle:
         pipelines = {"closed forms": hardy4.closed_form_metrics(params),
                      "scalar": hardy4.compute_metrics(hardy4.build_model(alpha)),
                      "kernel": hardy4.metrics_arrays([alpha])}
-        for name, exact in exact_metrics(params).items():
-            allowed = Fraction(hardy4._bound(name, float(exact), params))
+        for name, (lo, hi) in exact_metrics(params).items():
+            allowed = Fraction(hardy4._bound(name, float(lo), params))
             for pipeline, metrics in pipelines.items():
                 got = Fraction(float(np.ravel(getattr(metrics, name))[0]))
-                assert abs(got - exact) <= allowed, (pipeline, name, alpha)
+                assert max(abs(got - lo), abs(got - hi)) <= allowed, (pipeline, name, alpha)
 
 
 class TestRoundingBound:

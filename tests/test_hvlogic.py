@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import cli, gedanken, hardy4, hvlogic, qcore
@@ -30,6 +30,18 @@ def hardy_like_system(required=True):
         ),
         exclusions=(Exclusion(cid="<U1U2>=0", literals=(("U1", True), ("U2", True))),),
         required_positive=req,
+    )
+
+
+def fallback_system():
+    """X=1 is excluded with Z=1 and with Z=0: unit propagation from X=1 forces
+    nothing, so check's certificate for it names no violated constraint."""
+    return ConstraintSystem(
+        variables=("X", "Z"),
+        exclusions=(Exclusion(cid="x1", literals=(("X", True), ("Z", True))),
+                    Exclusion(cid="x0", literals=(("X", True), ("Z", False)))),
+        required_positive=(RequiredEvent(cid="X=1", literals=(("X", True),)),
+                           RequiredEvent(cid="X=0", literals=(("X", False),))),
     )
 
 
@@ -206,6 +218,30 @@ class TestReplay:
             violated_constraint=cert.violated_constraint,
         )
         assert not replay(sys_, tampered)
+
+    @staticmethod
+    def refuse_check(monkeypatch):
+        def refused(system):
+            raise AssertionError("replay must not call check")
+        monkeypatch.setattr(hvlogic, "check", refused)
+
+    def test_accepts_fallback_certificate_without_check(self, monkeypatch):
+        sys_ = fallback_system()
+        cert = check(sys_)
+        assert cert.status == "paradox" and cert.failing_event == "X=1"
+        assert cert.violated_constraint is None
+        self.refuse_check(monkeypatch)
+        assert replay(sys_, cert)
+
+    def test_rejects_fallback_certificate_of_realizable_event(self, monkeypatch):
+        sys_ = fallback_system()
+        forged = hvlogic.Certificate(
+            status="paradox",
+            failing_event="X=0",
+            forced_chain=(hvlogic.ChainStep(literal=("X", False), constraint_id="X=0"),),
+        )
+        self.refuse_check(monkeypatch)
+        assert not replay(sys_, forged)
 
 
 class TestDeriveTwoStep:
@@ -469,12 +505,12 @@ class TestReplaySoundness:
 
     @settings(max_examples=100, deadline=None)
     @given(system=systems())
+    @example(system=fallback_system())
     def test_check_paradox_certificates_replay(self, system):
         cert = check(system)
         if cert.status == "paradox":
             assert not _realizable(system, cert.failing_event)
-            if cert.violated_constraint is not None:
-                assert replay(system, cert)
+            assert replay(system, cert)
 
 
 def _first_witnesses(system):

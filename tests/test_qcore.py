@@ -33,6 +33,20 @@ def random_projector(rng, dim, rank=None):
     return Projector(cols @ cols.conj().T)
 
 
+def ket_projector(ket, name=""):
+    """|k><k| for the normalized ket, as one Projector."""
+    return Projector(qcore.rank1(ket), name=name)
+
+
+def identity(dim):
+    return Projector(np.eye(dim))
+
+
+def reduced_state(psi, a):
+    """The state A psi / ||A psi|| after observing A."""
+    return StateVector.normalize(a.matrix @ psi.amplitudes)
+
+
 def orthogonal_projector_family(rng, dim):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(raw)
@@ -88,11 +102,6 @@ class TestStateVector:
                 with pytest.raises(InvalidParameterError, match="not normalized"):
                     StateVector(amps)
 
-    def test_same_ray_ignores_global_phase(self):
-        psi = StateVector.normalize([1.0, 1.0j])
-        phi = StateVector(psi.amplitudes * np.exp(0.37j))
-        assert psi.same_ray(phi)
-
     def test_immutable(self):
         psi = StateVector.normalize([1.0, 0.0])
         with pytest.raises(ValueError):
@@ -100,8 +109,8 @@ class TestStateVector:
 
 
 class TestProjector:
-    def test_from_ket_rank1(self):
-        p = Projector.from_ket([1.0, 1.0j])
+    def test_rank1_has_trace_one(self):
+        p = ket_projector([1.0, 1.0j])
         assert abs(p.trace - 1.0) < 1e-12
 
     def test_rejects_non_hermitian(self):
@@ -112,22 +121,17 @@ class TestProjector:
         with pytest.raises(InvalidParameterError):
             Projector(0.5 * np.eye(2))
 
-    def test_complement(self):
-        p = Projector.from_ket([1.0, 0.0])
-        q = p.complement()
-        assert np.allclose(p.matrix + q.matrix, np.eye(2))
-
 
 class TestBornProbability:
     def test_identity_gives_one(self):
         rng = np.random.default_rng(0)
         psi = random_state(rng, 5)
-        assert qcore.born_probability(psi, Projector.identity(5)) == pytest.approx(1.0, abs=1e-12)
+        assert qcore.born_probability(psi, identity(5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         psi = StateVector.normalize([1.0, 0.0])
         with pytest.raises(DimensionMismatchError):
-            qcore.born_probability(psi, Projector.identity(3))
+            qcore.born_probability(psi, identity(3))
 
     @settings(max_examples=50)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 5]))
@@ -144,7 +148,7 @@ class TestClampBand:
 
     @pytest.mark.parametrize("dim", [2, 4, 5])
     def test_born_band_is_the_rounding_bound(self, dim, monkeypatch):
-        psi, a = StateVector.normalize(np.eye(dim)[0]), Projector.identity(dim)
+        psi, a = StateVector.normalize(np.eye(dim)[0]), identity(dim)
         slack = qcore.bound(1.0, dim)
         for raw, clamped in ((1.0 + slack / 2, 1.0), (-slack / 2, 0.0)):
             monkeypatch.setattr(qcore, "_norm_sq", lambda amps, raw=raw: raw)
@@ -155,7 +159,7 @@ class TestClampBand:
                 qcore.born_probability(psi, a)
 
     def test_conditional_band_takes_one_over_p_a(self, monkeypatch):
-        psi, a = StateVector.normalize([1.0, 0.0]), Projector.identity(2)
+        psi, a = StateVector.normalize([1.0, 0.0]), identity(2)
         p_a = 1e-3
         slack = qcore.bound(1.0, 2, 1.0 + 1.0 / p_a)
         for excess, ok in ((slack / 2, True), (2 * slack, False)):
@@ -263,7 +267,7 @@ class TestValidateProjectors:
                                                ("idempotent", lambda m: 2 * m)],
                              ids=["hermitian", "idempotent"])
     def test_a_stack_names_its_worst_row(self, kind, corrupt):
-        stack = np.array([Projector.from_ket([1.0, float(k)]).matrix for k in range(4)])
+        stack = np.array([ket_projector([1.0, float(k)]).matrix for k in range(4)])
         stack[2] = corrupt(stack[2])
         with pytest.raises(InvalidParameterError, match=f"'P' in row 2 is not {kind}"):
             qcore.validate_projectors(stack, "P")
@@ -321,7 +325,7 @@ class TestProjectors:
             assert not p.matrix.flags.writeable
 
     def test_one_validation_for_the_stack(self, monkeypatch):
-        stack = [Projector.from_ket([1.0, float(k)]).matrix for k in range(4)]
+        stack = [ket_projector([1.0, float(k)]).matrix for k in range(4)]
         calls = []
         validate = qcore.validate_projectors
 
@@ -337,7 +341,7 @@ class TestProjectors:
                                                ("finite", lambda m: m * math.nan)],
                              ids=["hermitian", "idempotent", "nan"])
     def test_a_bad_row_raises_what_its_lone_projector_raises(self, kind, corrupt):
-        stack = np.array([Projector.from_ket([1.0, float(k)]).matrix for k in range(4)])
+        stack = np.array([ket_projector([1.0, float(k)]).matrix for k in range(4)])
         stack[2] = corrupt(stack[2])
         with pytest.raises(InvalidParameterError) as lone:
             Projector(stack[2].copy(), name="P2")
@@ -365,9 +369,9 @@ class TestConditionalProbability:
 
     def test_zero_probability_error_names_projector(self):
         psi = StateVector.normalize([1.0, 0.0])
-        a = Projector.from_ket([0.0, 1.0], name="P_down")
+        a = ket_projector([0.0, 1.0], name="P_down")
         with pytest.raises(ZeroProbabilityError, match="P_down"):
-            qcore.conditional_probability(psi, a, Projector.identity(2))
+            qcore.conditional_probability(psi, a, identity(2))
 
     def test_zero_threshold_from_rounding(self):
         assert repr(qcore.zero_threshold(4)) == "2.0194839173657902e-28"
@@ -386,11 +390,11 @@ class TestConditionalProbability:
             s = bellhv.sample_direction(np.random.default_rng(seed))
             psi, opposite = bellhv.state_from_bloch(s), bellhv.projector_from_axis(-s)
             with pytest.raises(ZeroProbabilityError):
-                qcore.conditional_probability(psi, opposite, Projector.identity(2))
+                qcore.conditional_probability(psi, opposite, identity(2))
 
     def test_tiny_positive_probability_conditions(self):
         psi = StateVector.normalize([1.0, 1e-13])
-        a = Projector.from_ket([0.0, 1.0])
+        a = ket_projector([0.0, 1.0])
         assert qcore.born_probability(psi, a) == pytest.approx(1e-26, rel=1e-12)
         assert qcore.conditional_probability(psi, a, a) == 1.0
 
@@ -405,7 +409,7 @@ class TestConditionalProbability:
         if qcore.born_probability(psi, a) <= 1e-6:
             return
         via_cond = qcore.conditional_probability(psi, a, b)
-        via_reduced = qcore.born_probability(qcore.post_measurement_state(psi, a), b)
+        via_reduced = qcore.born_probability(reduced_state(psi, a), b)
         assert via_cond == pytest.approx(via_reduced, abs=1e-12)
 
     @settings(max_examples=50)
@@ -423,18 +427,6 @@ class TestConditionalProbability:
             assert qcore.conditional_probability(psi, a, b) == pytest.approx(expected, abs=1e-11)
 
 
-class TestPostMeasurementState:
-    def test_eigenstate_unchanged(self):
-        psi = StateVector.normalize([1.0, 0.0, 0.0])
-        a = Projector.from_ket([1.0, 0.0, 0.0])
-        assert qcore.post_measurement_state(psi, a).same_ray(psi)
-
-    def test_zero_projection_error(self):
-        psi = StateVector.normalize([1.0, 0.0])
-        with pytest.raises(ZeroProbabilityError):
-            qcore.post_measurement_state(psi, Projector.from_ket([0.0, 1.0]))
-
-
 class TestDeviation:
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -447,29 +439,29 @@ class TestDeviation:
         if qcore.born_probability(psi, a) <= 1e-6:
             return
         c = qcore.disturbance_metrics(a, b)
-        p = qcore.born_probability(qcore.post_measurement_state(psi, a), b)
+        p = qcore.born_probability(reduced_state(psi, a), b)
         assert math.sqrt(p * (1.0 - p)) == pytest.approx(math.sqrt(c * (1.0 - c)), abs=1e-12)
 
 
 class TestDisturbanceMetrics:
     def test_same_projector(self):
-        p = Projector.from_ket([1.0, 0.0])
+        p = ket_projector([1.0, 0.0])
         assert qcore.disturbance_metrics(p, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_gives_infinite_bound(self):
         """c = 0, where the entropic bound -ln c is infinite."""
-        p = Projector.from_ket([1.0, 0.0])
-        q = Projector.from_ket([0.0, 1.0])
+        p = ket_projector([1.0, 0.0])
+        q = ket_projector([0.0, 1.0])
         assert qcore.disturbance_metrics(p, q) == 0.0
 
     def test_rank_requirement(self):
         with pytest.raises(InvalidParameterError):
-            qcore.disturbance_metrics(Projector.identity(2), Projector.from_ket([1.0, 0.0]))
+            qcore.disturbance_metrics(identity(2), ket_projector([1.0, 0.0]))
 
     def test_rank_edge_is_the_rounding_bound(self):
         """diag(1 + k eps, k eps) is a projector to rounding (each defect k eps) with
         trace 1 + 2k eps: rank 1 within bound(1, 2) for k = 16, not for k = 17."""
-        target = Projector.from_ket([1.0, 0.0])
+        target = ket_projector([1.0, 0.0])
         for k, inside in ((16, True), (17, False)):
             p = Projector(np.diag([1.0 + k * EPS, k * EPS]), "P")
             assert (abs(p.trace - 1.0) <= qcore.bound(1.0, 2)) == inside
@@ -482,21 +474,21 @@ class TestDisturbanceMetrics:
 
 class TestTensor:
     def test_identity_tensor_identity(self):
-        t = qcore.tensor(Projector.identity(2), Projector.identity(2))
+        t = qcore.tensor(identity(2), identity(2))
         assert np.allclose(t.matrix, np.eye(4))
 
     def test_disjoint_factors_commute(self):
         rng = np.random.default_rng(3)
-        d1 = qcore.tensor(random_projector(rng, 2, rank=1), Projector.identity(2))
-        u2 = qcore.tensor(Projector.identity(2), random_projector(rng, 2, rank=1))
+        d1 = qcore.tensor(random_projector(rng, 2, rank=1), identity(2))
+        u2 = qcore.tensor(identity(2), random_projector(rng, 2, rank=1))
         assert qcore.commutator_norm(d1, u2) <= 1e-12
 
     def test_sandwich_identity(self):
         rng = np.random.default_rng(4)
         d = random_projector(rng, 2, rank=1)
         u = random_projector(rng, 2, rank=1)
-        d1 = qcore.tensor(d, Projector.identity(2))
-        u2 = qcore.tensor(Projector.identity(2), u)
+        d1 = qcore.tensor(d, identity(2))
+        u2 = qcore.tensor(identity(2), u)
         sandwich = d1.matrix @ u2.matrix @ d1.matrix
         assert np.max(np.abs(sandwich - qcore.tensor(d, u).matrix)) <= 1e-12
 
@@ -530,15 +522,15 @@ class TestTensor:
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(InvalidParameterError):
-            qcore.tensor(StateVector.normalize([1.0, 0.0]), Projector.identity(2))
+            qcore.tensor(StateVector.normalize([1.0, 0.0]), identity(2))
 
 
 class TestCommutatorNorm:
     def test_self_commutes(self):
-        p = Projector.from_ket([1.0, 2.0])
+        p = ket_projector([1.0, 2.0])
         assert qcore.commutator_norm(p, p) == 0.0
 
     def test_noncommuting_positive(self):
-        p = Projector.from_ket([1.0, 0.0])
-        q = Projector.from_ket([1.0, 1.0])
+        p = ket_projector([1.0, 0.0])
+        q = ket_projector([1.0, 1.0])
         assert qcore.commutator_norm(p, q) > 0.01
