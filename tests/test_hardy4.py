@@ -268,6 +268,17 @@ class TestExactOracle:
                 got = Fraction(float(np.ravel(getattr(metrics, name))[0]))
                 assert max(abs(got - lo), abs(got - hi)) <= allowed, (pipeline, name, alpha)
 
+    @pytest.mark.parametrize("alpha", [2e-14, 0.1, 0.5, math.nextafter(HALF_SQRT2, 0.0),
+                                       0.9, 0.9999999999999999])
+    def test_commutator_bracket_is_far_narrower_than_its_bound(self, alpha):
+        """The 60-digit bracket leaves the bound, not the bracket, to decide:
+        its width is under 10^-30 of what cross_check allows."""
+        params = hardy4.HardyParams.from_alpha(alpha)
+        lo, hi = exact_metrics(params)["commutator_D1U1"]
+        allowed = Fraction(hardy4._bound("commutator_D1U1", float(lo), params))
+        assert 0 < lo < hi
+        assert (hi - lo) * 10 ** 30 <= allowed, alpha
+
 
 class TestRoundingBound:
     """Agreement with a closed form means within qcore.bound(closed, 4, cond) of it."""

@@ -243,6 +243,23 @@ class TestReplay:
         self.refuse_check(monkeypatch)
         assert not replay(sys_, forged)
 
+    def test_fallback_enumeration_applies_implications(self, monkeypatch):
+        """X=1 is unrealizable only through the implications to W=1: an enumeration
+        that skipped them would find X=1, W=0 and reject the certificate."""
+        sys_ = ConstraintSystem(
+            variables=("X", "Z", "W"),
+            implications=(
+                Implication(cid="XZ->W", antecedents=(("X", True), ("Z", True)), consequent=("W", True)),
+                Implication(cid="X~Z->W", antecedents=(("X", True), ("Z", False)), consequent=("W", True)),
+            ),
+            exclusions=(Exclusion(cid="<XW>=0", literals=(("X", True), ("W", True))),),
+            required_positive=(RequiredEvent(cid="X=1", literals=(("X", True),)),),
+        )
+        cert = check(sys_)
+        assert cert.status == "paradox" and cert.violated_constraint is None
+        self.refuse_check(monkeypatch)
+        assert replay(sys_, cert)
+
 
 class TestDeriveTwoStep:
     def test_hardy_derivation(self):
