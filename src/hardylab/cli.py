@@ -85,24 +85,21 @@ def _run_gedanken(args, cfg: RunConfig) -> dict:
 
 
 def _hardy_encoding(args) -> tuple[hardy4.HardyModel, hardy4.HardyMetrics,
-                                   hardy4.HardyMetrics, hvlogic.ConstraintSystem]:
-    """The model of --alpha, its matrix metrics cross-checked against the closed
-    forms, the closed forms, and the constraint system the metrics encode."""
+                                   hvlogic.ConstraintSystem]:
+    """The model of --alpha, its matrix metrics, and the constraint system they
+    encode once hvlogic.hardy_system has cross-checked them against the closed forms."""
     model = hardy4.build_model(0.6 if args.alpha is None else args.alpha)
     metrics = hardy4.compute_metrics(model)
-    system = hvlogic.hardy_system(model, metrics)
-    closed = hardy4.closed_form_metrics(model.params)
-    hardy4.cross_check(metrics, closed, model.params)
-    return model, metrics, closed, system
+    return model, metrics, hvlogic.hardy_system(model, metrics)
 
 
 def _run_hardy_point(args, cfg: RunConfig) -> dict:
-    model, metrics, closed, system = _hardy_encoding(args)
+    model, metrics, system = _hardy_encoding(args)
     return {
         "alpha": model.params.alpha,
         "beta": model.params.beta,
         "matrix": vars(metrics),
-        "closed_form": vars(closed),
+        "closed_form": vars(hardy4.closed_form_metrics(model.params)),
         "paradox": "present" if hvlogic.check(system).status == "paradox" else "absent",
         "disturbance_contradiction": vars(hardy4.disturbance_contradiction(model, metrics)),
     }
@@ -146,11 +143,11 @@ def _certified(scenario: str, system: hvlogic.ConstraintSystem) -> dict:
 
 
 def _run_certify_hardy(args, cfg: RunConfig) -> dict:
-    return _certified("hardy", _hardy_encoding(args)[3])
+    return _certified("hardy", _hardy_encoding(args)[2])
 
 
 def _run_certify_two_step(args, cfg: RunConfig) -> dict:
-    model, metrics, _, base = _hardy_encoding(args)
+    model, metrics, base = _hardy_encoding(args)
     system, derived = hvlogic.two_step_system(base)
     payload = _certified("two-step", system)
     payload["derived_implications"] = [d.to_text() for d in derived]

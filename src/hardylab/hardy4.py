@@ -320,13 +320,13 @@ def _matrix_metrics(params: HardyParams) -> HardyMetrics:
     psi[:, 0], psi[:, 3] = a, -b
 
     def born(name: str) -> np.ndarray:
-        return qcore._clamp_probability(_norm_sq(_apply(stacks[name], psi)),
-                                        f"born_probability({name})", DIM)
+        return qcore.clamp_probability(_norm_sq(_apply(stacks[name], psi)),
+                                       f"born_probability({name})", DIM)
 
     def conditional(second: str, first: str, p_first: np.ndarray) -> np.ndarray:
         raw = _norm_sq(_apply(stacks[second], _apply(stacks[first], psi))) / p_first
-        return qcore._clamp_probability(raw, f"conditional_probability({second}|{first})",
-                                        DIM, 1.0 + 1.0 / p_first)
+        return qcore.clamp_probability(raw, f"conditional_probability({second}|{first})",
+                                       DIM, 1.0 + 1.0 / p_first)
 
     p_d1, p_d2 = born("D(x)1"), born("1(x)D")
     zero = qcore.zero_threshold(DIM)
@@ -344,8 +344,8 @@ def _matrix_metrics(params: HardyParams) -> HardyMetrics:
         p_joint_U1U2=born("U1U2"),
         p_joint_D1D2=born("D1D2"),
         # Tr D(1-U) = sum_ij D_ij (1-U)_ij, both being symmetric
-        c_bar=qcore._clamp_probability(_ordered_sum((d * u_perp).reshape(-1, 4)),
-                                       "disturbance_metrics(D, 1-U)", 2),
+        c_bar=qcore.clamp_probability(_ordered_sum((d * u_perp).reshape(-1, 4)),
+                                      "disturbance_metrics(D, 1-U)", 2),
         commutator_D1U1=np.abs(_matmul(d, u) - _matmul(u, d)).max(axis=(1, 2)),
     )
 

@@ -299,46 +299,34 @@ def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, list[Impl
     return system, derived
 
 
-def _implication(p: float, given: str, then: str, allowed: float) -> Implication:
-    """`given=1 -> then=1`, once P(then|given) is within `allowed` of 1: the bound the
-    module that computed p checks it with.  The encodings are fixed, so an off-target
-    value is a bug: InternalConsistencyError."""
-    cid = f"P({then}|{given})=1"
-    qcore.agree(p, 1.0, allowed, f"constraint {cid!r} not quantum-justified")
-    return Implication(cid=cid, antecedents=((given, True),), consequent=(then, True))
+def _implication(given: str, then: str) -> Implication:
+    """`given=1 -> then=1`: the encoding of P(then|given) = 1."""
+    return Implication(cid=f"P({then}|{given})=1", antecedents=((given, True),),
+                       consequent=(then, True))
 
 
-def _exclusion(p: float, cid: str, a: str, b: str, allowed: float) -> Exclusion:
-    """Forbid `a=1 & b=1`, once their joint probability p is verified to be 0: at most
-    `allowed`, the bound the module that computed p checks it with."""
-    qcore.agree(p, 0.0, allowed, f"constraint {cid!r} not quantum-justified")
+def _exclusion(cid: str, a: str, b: str) -> Exclusion:
+    """Forbid `a=1 & b=1`: the encoding of a joint probability of 0."""
     return Exclusion(cid=cid, literals=((a, True), (b, True)))
 
 
 def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> ConstraintSystem:
     """Constraint encoding of the two-qubit model, from the caller's metrics.
 
-    Every constraint is inserted only after the corresponding quantum
-    probability is verified to be 0 or 1 within hardy4._bound, the bound its
-    cross-check against the closed form uses (_implication, _exclusion).  The
-    event <D1D2> > 0 is required exactly when hardy4.paradox_event(metrics) holds
-    (<D1D2> above qcore.zero_threshold(4)), the decision
-    hardy4.disturbance_contradiction reads too.
+    The metrics must first pass hardy4.cross_check against the closed forms,
+    which are exactly 1, 1 and 0 for the three encoded fields; a metric off its
+    closed form is a bug, InternalConsistencyError.  The event <D1D2> > 0 is
+    required exactly when hardy4.paradox_event(metrics) holds (<D1D2> above
+    qcore.zero_threshold(4)), the decision hardy4.disturbance_contradiction
+    reads too.
     """
-    def allowed(name: str, exact: float) -> float:
-        return hardy4._bound(name, exact, model.params)
-
+    hardy4.cross_check(metrics, hardy4.closed_form_metrics(model.params), model.params)
     required = ((RequiredEvent(cid="<D1D2>>0", literals=(("D1", True), ("D2", True))),)
                 if hardy4.paradox_event(metrics) else ())
     return ConstraintSystem(
         variables=("D1", "D2", "U1", "U2"),
-        implications=(
-            _implication(metrics.p_cond_U2_given_D1, "D1", "U2",
-                         allowed("p_cond_U2_given_D1", 1.0)),
-            _implication(metrics.p_cond_U1_given_D2, "D2", "U1",
-                         allowed("p_cond_U1_given_D2", 1.0))),
-        exclusions=(_exclusion(metrics.p_joint_U1U2, "<U1U2>=0", "U1", "U2",
-                               allowed("p_joint_U1U2", 0.0)),),
+        implications=(_implication("D1", "U2"), _implication("D2", "U1")),
+        exclusions=(_exclusion("<U1U2>=0", "U1", "U2"),),
         required_positive=required,
     )
 
@@ -351,32 +339,20 @@ _D0_JOINT = qcore.Projector(
 def gedanken_system() -> ConstraintSystem:
     """Constraint encoding of the thought-experiment detector relations.
 
-    The exclusion and the four implications are gated on the values of
-    gedanken.full_report(), each within the bound the report checks it with,
-    qcore.bound(*gedanken._EXACT[rid]); only <D+0 D-0>, which the report does
-    not carry, is computed here and must exceed qcore.zero_threshold.
+    The exclusion and the four implications encode relations of
+    gedanken.full_report(), which raises unless each agrees with its exact
+    value; only <D+0 D-0>, which the report does not carry, is computed here
+    and must exceed qcore.zero_threshold.
     """
-    report = gedanken.full_report()
-
-    def gated(rid: str) -> tuple[float, float]:
-        """The report's value of relation `rid` and the bound the report checked it within."""
-        return report[rid].quantum_value, qcore.bound(*gedanken._EXACT[rid])
-
-    p, allowed = gated("joint_Cplus_Cminus")
-    exclusion = _exclusion(p, "<C+inf C-inf>=0", "C+inf", "C-inf", allowed)
-    implications = []
-    for given, then in (("C+inf", "D-inf"), ("C-inf", "D+inf"),
-                        ("D-0", "C+inf"), ("D+0", "C-inf")):
-        p, allowed = gated(f"P({then}|{given})")
-        implications.append(_implication(p, given, then, allowed))
-    dim = gedanken.STATE.dim
+    gedanken.full_report()
     joint_dd0 = qcore.born_probability(gedanken.STATE, _D0_JOINT)
-    if not joint_dd0 > qcore.zero_threshold(dim):
+    if not joint_dd0 > qcore.zero_threshold(gedanken.STATE.dim):
         raise InternalConsistencyError("<D+0 D-0> unexpectedly zero; cannot build required event")
     return ConstraintSystem(
         variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),
-        implications=tuple(implications),
-        exclusions=(exclusion,),
+        implications=tuple(_implication(given, then) for given, then in (
+            ("C+inf", "D-inf"), ("C-inf", "D+inf"), ("D-0", "C+inf"), ("D+0", "C-inf"))),
+        exclusions=(_exclusion("<C+inf C-inf>=0", "C+inf", "C-inf"),),
         required_positive=(RequiredEvent(cid="<D+0 D-0>>0",
                                          literals=(("D+0", True), ("D-0", True))),),
     )

@@ -199,7 +199,7 @@ def agree(value, exact, allowed, what: str, at: tuple[str, np.ndarray] | None = 
     raise InternalConsistencyError(f"{what}: {value!r} vs {exact!r} (bound {allowed!r})")
 
 
-def _clamp_probability(value, context: str, dim: int, cond=1.0):
+def clamp_probability(value, context: str, dim: int, cond=1.0):
     """Clamp to [0,1]; a raw value further out than bound(1, dim, cond), or NaN, is a bug.
 
     `value` and `cond` may be arrays, one row each; the first row out of its band is reported."""
@@ -211,8 +211,8 @@ def _clamp_probability(value, context: str, dim: int, cond=1.0):
 def born_probability(psi: StateVector, a: Projector) -> float:
     """Born rule <psi|A|psi> = ||A psi||^2, clamped to [0,1] within the rounding bound."""
     _check_dims(psi.dim, a.dim)
-    return _clamp_probability(_norm_sq(a.matrix @ psi.amplitudes),
-                              f"born_probability({a.label()})", a.dim)
+    return clamp_probability(_norm_sq(a.matrix @ psi.amplitudes),
+                             f"born_probability({a.label()})", a.dim)
 
 
 def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> float:
@@ -223,9 +223,9 @@ def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> flo
     if p_a <= zero:
         raise ZeroProbabilityError(
             f"cannot condition on {a.label()}: probability {p_a!r} <= {zero!r}")
-    return _clamp_probability(_norm_sq((b.matrix @ a.matrix) @ psi.amplitudes) / p_a,
-                              f"conditional_probability({b.label()}|{a.label()})",
-                              a.dim, 1.0 + 1.0 / p_a)
+    return clamp_probability(_norm_sq((b.matrix @ a.matrix) @ psi.amplitudes) / p_a,
+                             f"conditional_probability({b.label()}|{a.label()})",
+                             a.dim, 1.0 + 1.0 / p_a)
 
 
 def disturbance_metrics(p_first: Projector, p_second: Projector) -> float:
@@ -240,9 +240,9 @@ def disturbance_metrics(p_first: Projector, p_second: Projector) -> float:
         raise InvalidParameterError(
             f"first projector {p_first.label()} must be rank 1 (trace {p_first.trace!r})"
         )
-    return _clamp_probability(float(np.trace(p_first.matrix @ p_second.matrix).real),
-                              f"disturbance_metrics({p_first.label()}, {p_second.label()})",
-                              p_first.dim)
+    return clamp_probability(float(np.trace(p_first.matrix @ p_second.matrix).real),
+                             f"disturbance_metrics({p_first.label()}, {p_second.label()})",
+                             p_first.dim)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

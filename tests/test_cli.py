@@ -436,11 +436,12 @@ class TestCertifyCommand:
         assert captured.err.startswith(
             f"internal cross-check failed: closed-form cross-check failed for {field}: ")
 
-    @pytest.mark.parametrize("argv, closed_forms", [("hardy --alpha 0.6", 2),
+    @pytest.mark.parametrize("argv, closed_forms", [("hardy --alpha 0.6", 3),
                                                     ("certify --scenario hardy", 1),
                                                     ("certify --scenario two-step", 2)])
     def test_one_cross_check_per_mode(self, capsys, monkeypatch, argv, closed_forms):
-        """One cross_check per mode; disturbance_contradiction takes the closed forms again."""
+        """One cross_check per mode, in hvlogic.hardy_system; disturbance_contradiction takes
+        the closed forms again, and `hardy --alpha` once more for the ones it prints."""
         calls = []
 
         def counted(name):
@@ -680,9 +681,10 @@ AGREEMENT_SITES = {
     "optimize_paradox": ("hardy --optimize",
                          (hardy4, "metrics_arrays", shifted("p_joint_D1D2", 1e-9)),
                          "matrix <D1D2> at alpha* vs closed-form p_max"),
-    "hvlogic gate": ("hardy --alpha 0.6",
+    # hvlogic.hardy_system cross-checks the metrics it encodes before it builds a constraint
+    "hvlogic gate": ("certify --scenario hardy",
                      (hardy4, "compute_metrics", shifted("p_joint_U1U2", 1e-9)),
-                     "constraint '<U1U2>=0' not quantum-justified"),
+                     "closed-form cross-check failed for p_joint_U1U2"),
     "bell re-check": ("bell --scan 100", (bellhv, "conditional_rows", rows_shifted),
                       "closed-form row 20 quantum vs compare"),
     "clamp": ("hardy --alpha 0.6", (qcore, "_norm_sq", lambda raw: 2.0),
@@ -710,8 +712,8 @@ def test_every_agreement_check_exits_3_in_one_layout(capsys, monkeypatch, argv, 
 @pytest.mark.parametrize("shift, code", [(-5e-14, 0), (-2e-13, 3)])
 def test_gedanken_and_its_certificate_judge_a_value_alike(capsys, monkeypatch, shift, code):
     """P(C+inf|D-0) moved by `shift`: `gedanken` checks it within qcore.bound(1, 5, 9),
-    1.6e-13, and `certify --scenario gedanken` gates it within the same bound, so both
-    commands pass it or both exit 3."""
+    1.6e-13, and `certify --scenario gedanken` builds its constraint only after the same
+    check, so both commands pass it or both exit 3 with the same message."""
     conditional_probability = qcore.conditional_probability
     det = gedanken.DETECTORS
 

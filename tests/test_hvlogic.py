@@ -286,58 +286,91 @@ class TestDeriveTwoStep:
         assert result.discrepancy > 0.0
 
 
+def hardy_system_with(alpha, field, value):
+    """hvlogic.hardy_system at `alpha` on the matrix metrics with `field` set to `value`."""
+    model = hardy4.build_model(alpha)
+    metrics = dataclasses.replace(hardy4.compute_metrics(model), **{field: value})
+    return hvlogic.hardy_system(model, metrics)
+
+
+def set_gedanken_value(monkeypatch, relation, value):
+    """Make qcore return `value` for one quantum value gedanken.full_report computes:
+    "joint_Cplus_Cminus" or "P(C+inf|D-0)"."""
+    det = gedanken.DETECTORS
+    if relation == "joint_Cplus_Cminus":
+        born = qcore.born_probability
+        monkeypatch.setattr(qcore, "born_probability", lambda psi, a: (
+            value if a.name == "C+(inf)C-(inf)" else born(psi, a)))
+    else:
+        conditional = qcore.conditional_probability
+        monkeypatch.setattr(qcore, "conditional_probability", lambda psi, a, b: (
+            value if a is det.d_minus_0 and b is det.c_plus_inf else conditional(psi, a, b)))
+
+
+def gedanken_system_with(monkeypatch, relation, value):
+    """hvlogic.gedanken_system with `value` in place of one of the report's quantum values."""
+    set_gedanken_value(monkeypatch, relation, value)
+    return hvlogic.gedanken_system()
+
+
 class TestGates:
-    """0 and 1 mean 0 and 1 within the bound the producing module checks the value with."""
+    """0 and 1 mean 0 and 1 within the bound the producing module checks the value with:
+    hardy4.cross_check, which hardy_system runs first (dim 4), and gedanken.full_report,
+    which gedanken_system runs first (dim 5)."""
 
     @pytest.mark.parametrize("dim", [4, 5])
-    def test_exclusion_at_the_zero_threshold(self, dim):
-        exc = hvlogic._exclusion(qcore.zero_threshold(dim), "<U1U2>=0", "U1", "U2",
-                                 qcore.bound(0.0, dim))
-        assert exc.literals == (("U1", True), ("U2", True))
+    def test_exclusion_at_the_zero_threshold(self, dim, monkeypatch):
+        if dim == 4:
+            system = hardy_system_with(0.6, "p_joint_U1U2", qcore.zero_threshold(4))
+        else:
+            system = gedanken_system_with(monkeypatch, "joint_Cplus_Cminus",
+                                          qcore.zero_threshold(5))
+        assert system.exclusions[0].literals == (
+            (("U1", True), ("U2", True)) if dim == 4 else (("C+inf", True), ("C-inf", True)))
 
     @pytest.mark.parametrize("p", [1e-12, 1e-27, math.nan])
     def test_exclusion_of_a_positive_joint_raises(self, p):
-        with pytest.raises(InternalConsistencyError, match="'<U1U2>=0' not quantum-justified"):
-            hvlogic._exclusion(p, "<U1U2>=0", "U1", "U2", qcore.bound(0.0, 4))
+        with pytest.raises(InternalConsistencyError,
+                           match="closed-form cross-check failed for p_joint_U1U2"):
+            hardy_system_with(0.6, "p_joint_U1U2", p)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-27, math.nan])
+    def test_gedanken_exclusion_of_a_positive_joint_raises(self, monkeypatch, p):
+        with pytest.raises(InternalConsistencyError, match="gedanken joint_Cplus_Cminus"):
+            gedanken_system_with(monkeypatch, "joint_Cplus_Cminus", p)
 
     @pytest.mark.parametrize("p", [1.0, 1.0 - 3 * 2.0 ** -52, 1.0 - qcore.bound(1.0, 4) / 2])
     def test_implication_within_the_bound_of_one(self, p):
-        imp = hvlogic._implication(p, "D1", "U2", qcore.bound(1.0, 4))
+        imp = hardy_system_with(0.6, "p_cond_U2_given_D1", p).implications[0]
         assert (imp.cid, imp.antecedents, imp.consequent) == ("P(U2|D1)=1", (("D1", True),),
                                                               ("U2", True))
 
     @pytest.mark.parametrize("p", [1.0 - 1e-12, 1.0 - 2 * qcore.bound(1.0, 4), math.nan])
     def test_implication_off_one_raises(self, p):
-        with pytest.raises(InternalConsistencyError, match=re.escape("'P(U2|D1)=1'")):
-            hvlogic._implication(p, "D1", "U2", qcore.bound(1.0, 4))
+        with pytest.raises(InternalConsistencyError,
+                           match="closed-form cross-check failed for p_cond_U2_given_D1"):
+            hardy_system_with(0.6, "p_cond_U2_given_D1", p)
 
-    def test_hardy_gates_take_the_dimension_of_the_state(self, monkeypatch):
-        report = gedanken.full_report()
-        monkeypatch.setattr(gedanken, "full_report", lambda: report)
-        seen = []
-        agree = qcore.agree
+    # P(C+inf|D-0) conditions on P(D-0) = 1/8, so full_report checks it within bound(1, 5, 9)
+    @pytest.mark.parametrize("p", [1.0, 1.0 - qcore.bound(1.0, 5, 9) / 2])
+    def test_gedanken_implication_within_its_bound(self, monkeypatch, p):
+        imp = gedanken_system_with(monkeypatch, "P(C+inf|D-0)", p).implications[2]
+        assert (imp.cid, imp.antecedents, imp.consequent) == (
+            "P(C+inf|D-0)=1", (("D-0", True),), ("C+inf", True))
 
-        def spy(value, exact, allowed, what, at=None):
-            if what.startswith("constraint "):  # a gate, not a clamp
-                seen.append((exact, allowed))
-            return agree(value, exact, allowed, what, at)
-        monkeypatch.setattr(qcore, "agree", spy)
-        hardy_system_at(0.6)
-        hvlogic.gedanken_system()
-        # each gate takes the bound its producer checks the value with: hardy4._bound
-        # (cond 1 for these three fields), and gedanken's, whose conditionals on
-        # P(C+-inf) = 1/4 and P(D+-0) = 1/8 take cond 5 and 9
-        params = hardy4.HardyParams.from_alpha(0.6)
-        producers = [hardy4._bound(name, target, params) for name, target in (
-            ("p_cond_U2_given_D1", 1.0), ("p_cond_U1_given_D2", 1.0), ("p_joint_U1U2", 0.0))]
-        producers += [qcore.bound(*gedanken._EXACT[rid]) for rid in (
-            "joint_Cplus_Cminus", "P(D-inf|C+inf)", "P(D+inf|C-inf)", "P(C+inf|D-0)",
-            "P(C-inf|D+0)")]
-        assert [allowed for _, allowed in seen] == producers == [
-            qcore.bound(target, dim, cond) for target, dim, cond in [
-                (1.0, 4, 1.0), (1.0, 4, 1.0), (0.0, 4, 1.0), (0.0, 5, 1.0),
-                (1.0, 5, 5.0), (1.0, 5, 5.0), (1.0, 5, 9.0), (1.0, 5, 9.0)]]
-        assert [exact for exact, _ in seen] == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    @pytest.mark.parametrize("p", [1.0 - 2 * qcore.bound(1.0, 5, 9), math.nan])
+    def test_gedanken_implication_off_its_bound_raises(self, monkeypatch, p):
+        with pytest.raises(InternalConsistencyError, match=re.escape("gedanken P(C+inf|D-0)")):
+            gedanken_system_with(monkeypatch, "P(C+inf|D-0)", p)
+
+    @pytest.mark.parametrize("field, scale", [("p_joint_D1D2", 0.0), ("p_D1", 1.0 + 1e-9)])
+    def test_hardy_system_refuses_metrics_off_their_closed_forms(self, field, scale):
+        """The metrics decide <D1D2> > 0 too: at alpha 0.6 a zero <D1D2> (exactly 0.0341)
+        would drop the paradox event, so every field is cross-checked first."""
+        value = getattr(hardy4.compute_metrics(hardy4.build_model(0.6)), field) * scale
+        with pytest.raises(InternalConsistencyError,
+                           match=f"closed-form cross-check failed for {field}"):
+            hardy_system_with(0.6, field, value)
 
 
 class TestQuantumGatedSystems:
@@ -376,24 +409,18 @@ class TestQuantumGatedSystems:
         assert check(relaxed).status == "satisfiable"
 
     def test_gedanken_system_gates_on_the_report(self, monkeypatch):
-        report = gedanken.full_report()
-        chain = report["P(C+inf|D-0)"]
-        off = dataclasses.replace(chain, quantum_value=chain.quantum_value - 1e-9)
-        monkeypatch.setattr(gedanken, "full_report", lambda: {**report, "P(C+inf|D-0)": off})
-        with pytest.raises(InternalConsistencyError, match=re.escape("'P(C+inf|D-0)=1'")):
-            hvlogic.gedanken_system()
+        value = gedanken.full_report()["P(C+inf|D-0)"].quantum_value
+        with pytest.raises(InternalConsistencyError, match=re.escape("gedanken P(C+inf|D-0)")):
+            gedanken_system_with(monkeypatch, "P(C+inf|D-0)", value - 1e-9)
 
     def test_failed_gate_exits_3(self, capsys, monkeypatch):
         """On a fixed encoding an off-target value is a bug, never bad input."""
-        report = gedanken.full_report()
-        chain = report["P(C+inf|D-0)"]
-        off = dataclasses.replace(chain, quantum_value=chain.quantum_value - 1e-9)
-        monkeypatch.setattr(gedanken, "full_report", lambda: {**report, "P(C+inf|D-0)": off})
+        value = gedanken.full_report()["P(C+inf|D-0)"].quantum_value
+        set_gedanken_value(monkeypatch, "P(C+inf|D-0)", value - 1e-9)
         assert cli.run(["certify", "--scenario", "gedanken"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "internal cross-check failed: constraint 'P(C+inf|D-0)=1' not quantum-justified")
+        assert captured.err.startswith("internal cross-check failed: gedanken P(C+inf|D-0): ")
 
     def test_gedanken_system_computes_only_the_required_event(self, monkeypatch):
         report = gedanken.full_report()

@@ -189,15 +189,15 @@ class TestClampBand:
         cond = np.array([1.0, 1e6])
         slack = qcore.bound(1.0, 4, cond)
         raw = 1.0 + slack / 2
-        clamped = qcore._clamp_probability(raw, "rows", 4, cond)
+        clamped = qcore.clamp_probability(raw, "rows", 4, cond)
         assert isinstance(clamped, np.ndarray) and np.array_equal(clamped, [1.0, 1.0])
         raw[1] = 1.0 + 2 * slack[1]
         with pytest.raises(InternalConsistencyError,
                            match=re.escape(f"rows row 1: {float(raw[1])!r} vs 1.0 (bound ")):
-            qcore._clamp_probability(raw, "rows", 4, cond)
+            qcore.clamp_probability(raw, "rows", 4, cond)
 
     def test_a_float_stays_a_float(self):
-        assert type(qcore._clamp_probability(0.25, "float", 2)) is float
+        assert type(qcore.clamp_probability(0.25, "float", 2)) is float
 
 
 class TestFirstFailure:
