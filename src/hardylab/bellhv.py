@@ -17,8 +17,10 @@ quantum conditional <m|P_n|m> to exhibit where it fails.
 `LambdaSet` overlap, on the closed-form ket of the Bloch vector
 (`state_from_bloch`).  It is `_compare_rows` on one row: that core
 validates each s, m and n once, runs the private cores that the public
-step functions run after validating, and validates the projectors P_m
-and P_n of all its rows as one stack.
+step functions run after validating, validates the projectors P_m
+and P_n of all its rows as one stack, and evaluates the quantum
+conditionals of all its rows, each on its own row's state, as one
+family (qcore.conditional_probabilities).
 Scans evaluate all their rows at once from the closed forms
 (`conditional_rows`): the quantum conditional (1 + m.n)/2 and the
 overlap of two response intervals.  A scan draws from one PCG64 stream
@@ -220,16 +222,18 @@ def _classical(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
 
 def _compare_rows(triples) -> list[ConditionalComparison]:
     """`compare` on each (s, m, n) of `triples`, each vector validated once; the
-    2k projectors P_m, P_n of the k rows are validated as one stack."""
+    2k projectors P_m, P_n of the k rows are validated as one stack, and the k
+    quantum conditionals, each on its own row's state, evaluated as one family."""
     rows = [(unit_vector(s), unit_vector(m), unit_vector(n)) for s, m, n in triples]
     # The classical sides run first: their measure check refuses a near-empty
     # conditioning set before the quantum side divides by it.
     classical = [_classical(*row) for row in rows]
     family = qcore.projectors(_axis_matrix(np.array([v for _, m, n in rows for v in (m, n)])),
                               ("P_m", "P_n") * len(rows))
-    return [ConditionalComparison(quantum=qcore.conditional_probability(_bloch_state(s), p_m, p_n),
-                                  classical=c, s=s, m=m, n=n)
-            for (s, m, n), c, p_m, p_n in zip(rows, classical, family[0::2], family[1::2])]
+    quantum = qcore.conditional_probabilities([_bloch_state(s) for s, _, _ in rows],
+                                              family[0::2], family[1::2])
+    return [ConditionalComparison(quantum=q, classical=c, s=s, m=m, n=n)
+            for (s, m, n), c, q in zip(rows, classical, quantum)]
 
 
 def compare(s, m, n) -> ConditionalComparison:

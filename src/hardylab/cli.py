@@ -20,11 +20,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,15 +42,42 @@ class RunConfig:
             raise InvalidParameterError(f"--seed must be >= 0, got {self.seed!r}")
 
 
-def _round15(value):
-    """Recursively round floats to 15 significant digits for stable output."""
+def _json_text(value, indent: str = "") -> str:
+    """`value` as json.dumps(value, indent=2, sort_keys=True) writes it, each float
+    first rounded to 15 significant digits for stable output, in one pass.
+
+    Dicts (with str keys), lists and tuples nest; str, int, bool, None and
+    float (np.float64 too) are the leaves.  NaN and +-inf print as json
+    prints them.
+    """
     if isinstance(value, float):
-        return float(f"{value:.15g}")
+        value = float("%.15g" % value)
+        if math.isfinite(value):
+            return repr(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _round15(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = ",\n".join([f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                            for k, v in sorted(value.items())])
+        return f"{{\n{items}\n{indent}}}"
     if isinstance(value, (list, tuple)):
-        return [_round15(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        items = ",\n".join([inner + _json_text(v, inner) for v in value])
+        return f"[\n{items}\n{indent}]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -84,24 +111,27 @@ def _run_gedanken(args, cfg: RunConfig) -> dict:
                           for rid, r in gedanken.full_report().items()}}
 
 
-def _hardy_encoding(args) -> tuple[hardy4.HardyModel, hardy4.HardyMetrics,
+def _hardy_encoding(args) -> tuple[hardy4.HardyModel, hardy4.HardyMetrics, hardy4.HardyMetrics,
                                    hvlogic.ConstraintSystem]:
-    """The model of --alpha, its matrix metrics, and the constraint system they
-    encode once hvlogic.hardy_system has cross-checked them against the closed forms."""
+    """The model of --alpha, its matrix metrics, its closed forms, and the constraint
+    system the metrics encode once hvlogic.hardy_system has cross-checked them against
+    the closed forms."""
     model = hardy4.build_model(0.6 if args.alpha is None else args.alpha)
     metrics = hardy4.compute_metrics(model)
-    return model, metrics, hvlogic.hardy_system(model, metrics)
+    closed = hardy4.closed_form_metrics(model.params)
+    return model, metrics, closed, hvlogic.hardy_system(model, metrics, closed)
 
 
 def _run_hardy_point(args, cfg: RunConfig) -> dict:
-    model, metrics, system = _hardy_encoding(args)
+    model, metrics, closed, system = _hardy_encoding(args)
     return {
         "alpha": model.params.alpha,
         "beta": model.params.beta,
         "matrix": vars(metrics),
-        "closed_form": vars(hardy4.closed_form_metrics(model.params)),
+        "closed_form": vars(closed),
         "paradox": "present" if hvlogic.check(system).status == "paradox" else "absent",
-        "disturbance_contradiction": vars(hardy4.disturbance_contradiction(model, metrics)),
+        "disturbance_contradiction": vars(
+            hardy4.disturbance_contradiction(model, metrics, closed)),
     }
 
 
@@ -143,15 +173,15 @@ def _certified(scenario: str, system: hvlogic.ConstraintSystem) -> dict:
 
 
 def _run_certify_hardy(args, cfg: RunConfig) -> dict:
-    return _certified("hardy", _hardy_encoding(args)[2])
+    return _certified("hardy", _hardy_encoding(args)[3])
 
 
 def _run_certify_two_step(args, cfg: RunConfig) -> dict:
-    model, metrics, base = _hardy_encoding(args)
+    model, metrics, closed, base = _hardy_encoding(args)
     system, derived = hvlogic.two_step_system(base)
     payload = _certified("two-step", system)
     payload["derived_implications"] = [d.to_text() for d in derived]
-    payload["quantum_vs_hv"] = vars(hardy4.disturbance_contradiction(model, metrics))
+    payload["quantum_vs_hv"] = vars(hardy4.disturbance_contradiction(model, metrics, closed))
     return payload
 
 
@@ -259,8 +289,7 @@ def run(argv: list[str]) -> int:
     except HardyLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("\n".join(out) if isinstance(out, list)
-          else json.dumps(_round15(out), indent=2, sort_keys=True))
+    print("\n".join(out) if isinstance(out, list) else _json_text(out))
     return 0
 
 

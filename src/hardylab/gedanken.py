@@ -122,35 +122,36 @@ def full_report() -> GedankenReport:
          det.d_plus_inf.matrix @ det.d_minus_inf.matrix,
          eye - det.d_minus_inf.matrix, eye - det.d_minus_0.matrix],
         ("C+(inf)C-(inf)", "D+(inf)D-(inf)", "1-D-(inf)", "1-D-(0)"))
-    p_dd = qcore.born_probability(psi, joint_dd)
+    p_cc, p_dd = qcore.born_probabilities(psi, (joint_cc, joint_dd))
+    # The six conditionals as one family: each pair is (measured first, then).
+    dm_given_cp, dp_given_cm, cp_given_dm0, cm_given_dp0, dm_given_dm0, complement = (
+        qcore.conditional_probabilities(
+            psi, (det.c_plus_inf, det.c_minus_inf, det.d_minus_0, det.d_plus_0, det.d_minus_0,
+                  not_d_minus_inf),
+            (det.d_minus_inf, det.d_plus_inf, det.c_plus_inf, det.c_minus_inf, det.d_minus_inf,
+             not_d_minus_0)))
     # On the electron qubit 1-D(0) = C(0) and 1-D(inf) = C(inf), both rank 1,
     # so the electron-sector trace Tr (1-D(0))(1-D(inf)) is Tr C(0) C(inf).
     trace_value = qcore.disturbance_metrics(
         *qcore.projectors([_rank1(_C0_KET), _rank1(_U)], ("C(0)", "C(inf)")))
     report = {
-        "joint_Cplus_Cminus": RelationResult(qcore.born_probability(psi, joint_cc), 0.0),
-        "P(D-inf|C+inf)": RelationResult(
-            qcore.conditional_probability(psi, det.c_plus_inf, det.d_minus_inf), 1.0),
-        "P(D+inf|C-inf)": RelationResult(
-            qcore.conditional_probability(psi, det.c_minus_inf, det.d_plus_inf), 1.0),
+        "joint_Cplus_Cminus": RelationResult(p_cc, 0.0),
+        "P(D-inf|C+inf)": RelationResult(dm_given_cp, 1.0),
+        "P(D+inf|C-inf)": RelationResult(dp_given_cm, 1.0),
         "joint_Dplus_Dminus": RelationResult(p_dd, p_dd),
         # The probability-1 chain: D(0) on one party implies C(inf) on the other.
-        "P(C+inf|D-0)": RelationResult(
-            qcore.conditional_probability(psi, det.d_minus_0, det.c_plus_inf), 1.0),
-        "P(C-inf|D+0)": RelationResult(
-            qcore.conditional_probability(psi, det.d_plus_0, det.c_minus_inf), 1.0),
+        "P(C+inf|D-0)": RelationResult(cp_given_dm0, 1.0),
+        "P(C-inf|D+0)": RelationResult(cm_given_dp0, 1.0),
         # Local realism promotes the chain to P(D-(inf)|D-(0)) = 1; quantum
         # mechanically the first measurement disturbs the state and the
         # conditional equals c = Tr D-(0) D-(inf) = 1/2.
-        "P(D-inf|D-0)": RelationResult(
-            qcore.conditional_probability(psi, det.d_minus_0, det.d_minus_inf), 1.0),
+        "P(D-inf|D-0)": RelationResult(dm_given_dm0, 1.0),
         # Complementary reading: a null D-(inf) should force a null D-(0).  The
         # electron-sector trace gives 1/2, the conditional on the full 5-dim
         # space (where the gamma channel contributes) 3/4; both differ from
         # the local-realistic 1, so the paradox shows either way.
         "complement_electron_trace": RelationResult(trace_value, 1.0),
-        "complement_full_space": RelationResult(qcore.conditional_probability(
-            psi, not_d_minus_inf, not_d_minus_0), 1.0),
+        "complement_full_space": RelationResult(complement, 1.0),
     }
     for rid, result in report.items():
         exact, dim, cond = _EXACT[rid]

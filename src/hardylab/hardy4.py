@@ -27,8 +27,10 @@ value.
 
 Two matrix pipelines compute these statistics.  The scalar one
 (build_model, compute_metrics) serves one alpha through ten qcore
-Projectors, validated as two stacks by qcore.projectors; `hardy --alpha`
-and `certify` use it.  The array kernel (metrics_arrays) serves many
+Projectors, built from one stack of three kets (qcore.rank1) and
+validated as two stacks by qcore.projectors; its Born probabilities and
+its conditionals are each one qcore family call.  `hardy --alpha` and
+`certify` use it.  The array kernel (metrics_arrays) serves many
 alphas at once: it stacks the local projectors and their Kronecker
 products as (N, 4, 4) arrays, validates every stack, takes probabilities
 as squared norms under qcore's clamp band and zero rule, and
@@ -157,7 +159,7 @@ def build_model(alpha: float) -> HardyModel:
     params = HardyParams.from_alpha(alpha)
     a, b = params.alpha, params.beta
     u_ket, d_ket = _local_kets(a, b)
-    local = np.array([qcore.rank1(k) for k in (u_ket, d_ket, _u_perp_ket(a, b))])
+    local = qcore.rank1(np.array([u_ket, d_ket, _u_perp_ket(a, b)]))
     u, d = local[:2]
     eye = np.eye(2, dtype=complex)
     u1, u2, d1, d2 = qcore.kron(np.array([u, eye, d, eye]), np.array([eye, u, eye, d]))
@@ -170,15 +172,22 @@ def build_model(alpha: float) -> HardyModel:
 
 
 def compute_metrics(model: HardyModel) -> HardyMetrics:
-    """All model statistics by direct matrix evaluation (no closed forms)."""
+    """All model statistics by direct matrix evaluation (no closed forms): the Born
+    probabilities as one family and the conditionals as another, on P(D1) and P(D2)
+    from the first."""
     psi = model.psi
+    p_d1, p_d2, p_u1u2, p_d1d2 = qcore.born_probabilities(
+        psi, (model.D1, model.D2, model.U1U2, model.D1D2))
+    u2_given_d1, u1_given_d2, d2_given_d1 = qcore.conditional_probabilities(
+        psi, (model.D1, model.D2, model.D1), (model.U2, model.U1, model.D2),
+        p_first=(p_d1, p_d2, p_d1))
     return HardyMetrics(
-        p_D1=qcore.born_probability(psi, model.D1),
-        p_cond_U2_given_D1=qcore.conditional_probability(psi, model.D1, model.U2),
-        p_cond_U1_given_D2=qcore.conditional_probability(psi, model.D2, model.U1),
-        p_cond_D2_given_D1=qcore.conditional_probability(psi, model.D1, model.D2),
-        p_joint_U1U2=qcore.born_probability(psi, model.U1U2),
-        p_joint_D1D2=qcore.born_probability(psi, model.D1D2),
+        p_D1=p_d1,
+        p_cond_U2_given_D1=u2_given_d1,
+        p_cond_U1_given_D2=u1_given_d2,
+        p_cond_D2_given_D1=d2_given_d1,
+        p_joint_U1U2=p_u1u2,
+        p_joint_D1D2=p_d1d2,
         c_bar=qcore.disturbance_metrics(model.d_local, model.u_perp_local),
         commutator_D1U1=qcore.commutator_norm(model.d_local, model.u_local),
     )
@@ -239,20 +248,22 @@ def paradox_event(metrics: HardyMetrics) -> bool:
     return metrics.p_joint_D1D2 > qcore.zero_threshold(DIM)
 
 
-def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics) -> ContradictionResult:
+def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics,
+                              closed: HardyMetrics) -> ContradictionResult:
     """Two-step contradiction where paradox_event(metrics) holds: hv forces P(1-U1|D1) = 1,
     quantum gives c_bar, and the discrepancy is P(U1|D1), else 0.  Each must match its closed
     form within its rounding bound: P(1-U1|D1) the one-qubit c_bar = Tr D(1-U) (the paper's
     relation), and P(U1|D1), a squared norm of its own, not the cancelling 1 - P(1-U1|D1),
-    the closed-form P(D2|D1)."""
-    closed, values = closed_form_metrics(model.params), []
-    for label, then, name in (("P(1-U1|D1)", model.U1_perp, "c_bar"),
-                              ("P(U1|D1)", model.U1, "p_cond_D2_given_D1")):
-        value = qcore.conditional_probability(model.psi, model.D1, then)
+    the closed-form P(D2|D1), both fields of `closed`, the model's closed_form_metrics.
+    Both condition on metrics.p_D1, the P(D1) compute_metrics took."""
+    values = qcore.conditional_probabilities(model.psi, (model.D1, model.D1),
+                                             (model.U1_perp, model.U1),
+                                             p_first=(metrics.p_D1, metrics.p_D1))
+    for value, label, name in zip(values, ("P(1-U1|D1)", "P(U1|D1)"),
+                                  ("c_bar", "p_cond_D2_given_D1")):
         exact = getattr(closed, name)
         qcore.agree(value, exact, _bound(name, exact, model.params),
                     f"{label} vs closed-form {name}")
-        values.append(value)
     present = paradox_event(metrics)
     return ContradictionResult("contradiction" if present else "no_contradiction", 1.0,
                                values[0], values[1] if present else 0.0)

@@ -310,17 +310,18 @@ def _exclusion(cid: str, a: str, b: str) -> Exclusion:
     return Exclusion(cid=cid, literals=((a, True), (b, True)))
 
 
-def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics) -> ConstraintSystem:
+def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics,
+                 closed: hardy4.HardyMetrics) -> ConstraintSystem:
     """Constraint encoding of the two-qubit model, from the caller's metrics.
 
-    The metrics must first pass hardy4.cross_check against the closed forms,
-    which are exactly 1, 1 and 0 for the three encoded fields; a metric off its
-    closed form is a bug, InternalConsistencyError.  The event <D1D2> > 0 is
-    required exactly when hardy4.paradox_event(metrics) holds (<D1D2> above
-    qcore.zero_threshold(4)), the decision hardy4.disturbance_contradiction
-    reads too.
+    The metrics must first pass hardy4.cross_check against `closed`, the
+    model's hardy4.closed_form_metrics, which are exactly 1, 1 and 0 for the
+    three encoded fields; a metric off its closed form is a bug,
+    InternalConsistencyError.  The event <D1D2> > 0 is required exactly when
+    hardy4.paradox_event(metrics) holds (<D1D2> above qcore.zero_threshold(4)),
+    the decision hardy4.disturbance_contradiction reads too.
     """
-    hardy4.cross_check(metrics, hardy4.closed_form_metrics(model.params), model.params)
+    hardy4.cross_check(metrics, closed, model.params)
     required = ((RequiredEvent(cid="<D1D2>>0", literals=(("D1", True), ("D2", True))),)
                 if hardy4.paradox_event(metrics) else ())
     return ConstraintSystem(

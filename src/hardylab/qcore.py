@@ -6,6 +6,13 @@ probabilities are squared norms ||A psi||^2; conditional measurement
 (measure A, then B) is <psi|ABA|psi>/<psi|A|psi> = ||BA psi||^2/||A psi||^2,
 i.e. with state reduction included.  Everything is a pure function over
 immutable values.
+
+Families of projectors are evaluated as one stack: born_probabilities and
+conditional_probabilities take a sequence of Projectors (and of pairs), on
+one state or one state per row, and rank1 a (k, d) stack of kets.  Each
+makes the same BLAS call on each row that the one-row arithmetic makes, so
+every value is the same to the bit, and each row passes the same checks;
+born_probability and conditional_probability are the stack of one.
 """
 
 from __future__ import annotations
@@ -87,10 +94,26 @@ class Projector:
         return self.name or f"<projector dim={self.dim}>"
 
 
-def rank1(ket) -> np.ndarray:
-    """The rank-1 projector matrix |k><k|: the outer product of the normalized ket."""
-    k = StateVector.normalize(ket).amplitudes
-    return np.outer(k, k.conj())
+def rank1(kets) -> np.ndarray:
+    """The rank-1 projector |k><k| of a (d,) ket, or the (k, d, d) stack of a (k, d) stack of
+    kets: the outer product of each ket normalized as StateVector.normalize does, to the bit.
+    A failing row raises StateVector.normalize(row)'s error."""
+    raw = np.asarray(kets, dtype=complex)
+    if raw.ndim not in (1, 2) or raw.size == 0:
+        raise InvalidParameterError("rank1 needs a non-empty (d,) ket or (k, d) stack of kets")
+    rows = raw.reshape(-1, raw.shape[-1])
+    # np.linalg.norm of each row, by the same two BLAS dots
+    norms = np.sqrt(_dots(rows.real) + _dots(rows.imag))
+    ok = np.isfinite(norms).all() and norms.all()
+    if ok:
+        k = rows / norms[:, None]
+        ok = (abs(_norm_sq(k) - 1.0) <= bound(1.0, k.shape[1])).all()
+    if not ok:
+        for row in rows:
+            StateVector.normalize(row)
+        raise InternalConsistencyError("rank1 refused a stack whose rows each normalize alone")
+    out = k[:, :, None] * k.conj()[:, None, :]
+    return out if raw.ndim == 2 else out[0]
 
 
 def projectors(mats, names) -> tuple[Projector, ...]:
@@ -150,8 +173,15 @@ def _check_dims(*dims: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
 
 
-def _norm_sq(amplitudes: np.ndarray) -> float:
-    return float(np.vdot(amplitudes, amplitudes).real)
+def _dots(vecs: np.ndarray) -> np.ndarray:
+    """v.dot(v) for each row v of a real (k, d) stack.  A row-by-column matmul makes the
+    one BLAS dot call, with the same strides, that v.dot(v) makes."""
+    return (vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
+
+
+def _norm_sq(vecs: np.ndarray) -> np.ndarray:
+    """np.vdot(v, v).real for each row v of a complex (k, d) stack, by the same BLAS dot."""
+    return (vecs.conj()[:, None, :] @ vecs[:, :, None])[:, 0, 0].real
 
 
 def zero_threshold(dim: int) -> float:
@@ -208,24 +238,71 @@ def clamp_probability(value, context: str, dim: int, cond=1.0):
     return clipped
 
 
+def _applied(psi, mats: np.ndarray) -> np.ndarray:
+    """A_i psi_i for each row i of a (k, d, d) stack: one gemv per row, as A @ psi.
+    `psi` is one StateVector for every row, or a sequence of k of them, one per row."""
+    if isinstance(psi, StateVector):
+        return mats @ psi.amplitudes
+    return (mats @ np.array([s.amplitudes for s in psi])[:, :, None])[:, :, 0]
+
+
+def _family_dim(psi, *families) -> int:
+    """The dimension every state and projector shares; each family has one row per state."""
+    states = (psi,) if isinstance(psi, StateVector) else psi
+    k = len(families[0])
+    if not k or any(len(f) != k for f in families) or len(states) not in (1, k):
+        raise InvalidParameterError("needs non-empty families of one length, "
+                                    "and one state or one state per row")
+    _check_dims(*[s.dim for s in states], *[p.dim for f in families for p in f])
+    return states[0].dim
+
+
+def _born_rows(psi, mats: np.ndarray, family, dim: int) -> list[float]:
+    """born_probabilities on `mats`, the stacked matrices of `family`.  A value in [0, 1]
+    is its own clamp; any other goes through clamp_probability, which clamps or raises."""
+    return [p if 0.0 <= p <= 1.0 else clamp_probability(p, f"born_probability({a.label()})", dim)
+            for p, a in zip(_norm_sq(_applied(psi, mats)).tolist(), family)]
+
+
+def born_probabilities(psi, family) -> list[float]:
+    """born_probability(psi, A) for each Projector A of the sequence `family`, to the bit,
+    from one stacked evaluation; psi is one state or one state per row.  Each row is
+    clamped within its own band, and a row out of it raises born_probability's error."""
+    dim = _family_dim(psi, family)
+    return _born_rows(psi, np.array([a.matrix for a in family]), family, dim)
+
+
 def born_probability(psi: StateVector, a: Projector) -> float:
     """Born rule <psi|A|psi> = ||A psi||^2, clamped to [0,1] within the rounding bound."""
-    _check_dims(psi.dim, a.dim)
-    return clamp_probability(_norm_sq(a.matrix @ psi.amplitudes),
-                             f"born_probability({a.label()})", a.dim)
+    return born_probabilities(psi, (a,))[0]
+
+
+def conditional_probabilities(psi, firsts, seconds, p_first=None) -> list[float]:
+    """conditional_probability(psi, A, B) for each pair (A, B) of the sequences `firsts` and
+    `seconds`, to the bit, from one stacked evaluation; psi is one state or one state per
+    row.  `p_first`, if given, is born_probabilities(psi, firsts), for callers that need
+    P(A) too.  Each row passes the zero rule and its own clamp band, and a row that fails
+    raises conditional_probability's error."""
+    dim = _family_dim(psi, firsts, seconds)
+    a_mats = np.array([a.matrix for a in firsts])
+    if p_first is None:
+        p_first = _born_rows(psi, a_mats, firsts, dim)
+    raw = _norm_sq(_applied(psi, np.array([b.matrix for b in seconds]) @ a_mats)).tolist()
+    zero, out = zero_threshold(dim), []
+    for r, p_a, a, b in zip(raw, p_first, firsts, seconds, strict=True):
+        if p_a <= zero:
+            raise ZeroProbabilityError(
+                f"cannot condition on {a.label()}: probability {p_a!r} <= {zero!r}")
+        p = r / p_a
+        out.append(p if 0.0 <= p <= 1.0 else clamp_probability(
+            p, f"conditional_probability({b.label()}|{a.label()})", dim, 1.0 + 1.0 / p_a))
+    return out
 
 
 def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> float:
     """P(B|A) = ||B A psi||^2 / ||A psi||^2: measure A first, then B.  Dividing
     by P(A) scales the rounding by 1/P(A), so the clamp takes cond = 1 + 1/P(A)."""
-    _check_dims(psi.dim, a.dim, b.dim)
-    p_a, zero = born_probability(psi, a), zero_threshold(a.dim)
-    if p_a <= zero:
-        raise ZeroProbabilityError(
-            f"cannot condition on {a.label()}: probability {p_a!r} <= {zero!r}")
-    return clamp_probability(_norm_sq((b.matrix @ a.matrix) @ psi.amplitudes) / p_a,
-                             f"conditional_probability({b.label()}|{a.label()})",
-                             a.dim, 1.0 + 1.0 / p_a)
+    return conditional_probabilities(psi, (a,), (b,))[0]
 
 
 def disturbance_metrics(p_first: Projector, p_second: Projector) -> float:

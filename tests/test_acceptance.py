@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from hardylab import bellhv, gedanken, hardy4, hvlogic, qcore
+from hardylab import bellhv, cli, gedanken, hardy4, hvlogic, qcore
 
 
 def report(number, description, ok):
@@ -203,7 +203,8 @@ def _realizable(system, event_id):
 
 def test_criterion_11_certificates():
     model = hardy4.build_model(0.6)
-    hardy_sys = hvlogic.hardy_system(model, hardy4.compute_metrics(model))
+    hardy_sys = hvlogic.hardy_system(model, hardy4.compute_metrics(model),
+                                     hardy4.closed_form_metrics(model.params))
     ged_sys = hvlogic.gedanken_system()
     results = []
     for system in (hardy_sys, ged_sys):
@@ -216,19 +217,22 @@ def test_criterion_11_certificates():
                "unrealizable by an enumeration written in the test", ok)
 
 
+DETERMINISM_COMMANDS = [
+    ["gedanken"],
+    ["hardy", "--alpha", "0.6"],
+    ["--format", "csv", "hardy", "--sweep",
+     "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "9"],
+    ["hardy", "--optimize"],
+    ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--mc-samples", "1000"],
+    ["bell", "--scan", "300", "--seed", "5"],
+    ["certify", "--scenario", "hardy", "--alpha", "0.6"],
+    ["certify", "--scenario", "gedanken"],
+    ["certify", "--scenario", "two-step", "--alpha", "0.6"],
+]
+
+
 def test_criterion_12_determinism(cli_env):
-    commands = [
-        ["gedanken"],
-        ["hardy", "--alpha", "0.6"],
-        ["--format", "csv", "hardy", "--sweep",
-         "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "9"],
-        ["hardy", "--optimize"],
-        ["bell", "--s", "0,0,1", "--m", "1,0,0", "--n", "0,0,1", "--mc-samples", "1000"],
-        ["bell", "--scan", "300", "--seed", "5"],
-        ["certify", "--scenario", "hardy", "--alpha", "0.6"],
-        ["certify", "--scenario", "gedanken"],
-        ["certify", "--scenario", "two-step", "--alpha", "0.6"],
-    ]
+    commands = DETERMINISM_COMMANDS
     # Two string-hash seeds: set and dict orders that hang on str hashing would differ.
     ok = True
     for argv in commands:
@@ -241,3 +245,17 @@ def test_criterion_12_determinism(cli_env):
             break
     report(12, f"{len(commands)} commands, two runs each (PYTHONHASHSEED 1 and 2), "
                "byte-identical output", ok)
+
+
+@pytest.mark.parametrize("argv", DETERMINISM_COMMANDS, ids=" ".join)
+def test_criterion_12_output_reserializes_to_itself(capsys, argv):
+    """Each JSON stdout is what the json module writes for its own parse, and each CSV
+    field what "%.15g" writes for its own float: the writer agrees with code it does not share."""
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    if "csv" in argv:
+        header, *rows = out.splitlines()
+        assert header.startswith("alpha,beta,") and len(rows) == 9
+        assert all("%.15g" % float(field) == field for row in rows for field in row.split(","))
+    else:
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out

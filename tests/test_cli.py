@@ -17,6 +17,18 @@ from hardylab import bellhv, cli, gedanken, hardy4, qcore
 from hardylab.errors import InvalidParameterError
 
 
+# JSON-shaped payloads: nested dicts (str keys), lists and tuples over str (non-ASCII too),
+# float (np.float64 too; NaN, +-inf and -0.0 among them), int, bool and None.
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(), FLOATS,
+              FLOATS.map(np.float64), st.sampled_from([1e15, 1e16, 1e-5, -0.0])),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=20)
+
+
 def run_json(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr().out
@@ -436,12 +448,12 @@ class TestCertifyCommand:
         assert captured.err.startswith(
             f"internal cross-check failed: closed-form cross-check failed for {field}: ")
 
-    @pytest.mark.parametrize("argv, closed_forms", [("hardy --alpha 0.6", 3),
-                                                    ("certify --scenario hardy", 1),
-                                                    ("certify --scenario two-step", 2)])
-    def test_one_cross_check_per_mode(self, capsys, monkeypatch, argv, closed_forms):
-        """One cross_check per mode, in hvlogic.hardy_system; disturbance_contradiction takes
-        the closed forms again, and `hardy --alpha` once more for the ones it prints."""
+    @pytest.mark.parametrize("argv", ["hardy --alpha 0.6", "certify --scenario hardy",
+                                      "certify --scenario two-step"])
+    def test_one_cross_check_per_mode(self, capsys, monkeypatch, argv):
+        """One cross_check per mode, in hvlogic.hardy_system, and one closed_form_metrics:
+        the closed forms it checks against are the ones `hardy --alpha` prints and
+        disturbance_contradiction compares with."""
         calls = []
 
         def counted(name):
@@ -454,7 +466,7 @@ class TestCertifyCommand:
         for name in ("closed_form_metrics", "cross_check"):
             monkeypatch.setattr(hardy4, name, counted(name))
         assert cli.run(argv.split()) == 0
-        assert (calls.count("closed_form_metrics"), calls.count("cross_check")) == (closed_forms, 1)
+        assert (calls.count("closed_form_metrics"), calls.count("cross_check")) == (1, 1)
 
     def test_alpha_defaults_to_06(self, capsys):
         for scenario in ("hardy", "two-step"):
@@ -485,11 +497,25 @@ class TestGlobalFlags:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_round15_rounds_floats_and_keeps_bools(self):
-        """bool is not a float subclass, so it passes unchanged; np.float64 is one, so it rounds."""
-        out = cli._round15({"flags": (True, False), "x": [np.float64(0.1 + 0.2), 0.1 + 0.2, 3]})
-        assert out == {"flags": [True, False], "x": [0.3, 0.3, 3]}
-        assert [type(v) for v in out["flags"] + out["x"]] == [bool, bool, float, float, int]
+    @settings(max_examples=200, deadline=None)
+    @given(payload=PAYLOADS)
+    @example(payload={"flags": (True, False), "x": [np.float64(0.1 + 0.2), 0.1 + 0.2, 3]})
+    @example(payload={"b": 1, "a": {"d": None, "c": [0.1, ()]}})
+    @example(payload=[math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0), 1e15, 1e16, 1e-5,
+                      123456789012345678, None, "\u00e9\u2603\U0001f600\"\\\n", {}, [], ()])
+    def test_json_text_is_json_dumps_of_the_rounded_payload(self, payload):
+        """The one-pass writer prints what json.dumps(indent=2, sort_keys=True) prints for the
+        payload with every float rounded to 15 significant digits: bool, not a float
+        subclass, passes unchanged; np.float64, one, rounds."""
+        def round15(value):
+            if isinstance(value, float):
+                return float(f"{value:.15g}")
+            if isinstance(value, dict):
+                return {k: round15(v) for k, v in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [round15(v) for v in value]
+            return value
+        assert cli._json_text(payload) == json.dumps(round15(payload), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("argv", [
         ["--seed", "1", "gedanken"],
@@ -687,7 +713,8 @@ AGREEMENT_SITES = {
                      "closed-form cross-check failed for p_joint_U1U2"),
     "bell re-check": ("bell --scan 100", (bellhv, "conditional_rows", rows_shifted),
                       "closed-form row 20 quantum vs compare"),
-    "clamp": ("hardy --alpha 0.6", (qcore, "_norm_sq", lambda raw: 2.0),
+    # every A psi reads (1, 1, 1, 1), so every Born probability reads 4
+    "clamp": ("hardy --alpha 0.6", (qcore, "_applied", lambda vecs: np.full_like(vecs, 1.0)),
               "born_probability(D(x)1)"),
     "gedanken": ("gedanken", (qcore, "disturbance_metrics", lambda c: c + 1e-9),
                  "gedanken complement_electron_trace"),
@@ -714,13 +741,14 @@ def test_gedanken_and_its_certificate_judge_a_value_alike(capsys, monkeypatch, s
     """P(C+inf|D-0) moved by `shift`: `gedanken` checks it within qcore.bound(1, 5, 9),
     1.6e-13, and `certify --scenario gedanken` builds its constraint only after the same
     check, so both commands pass it or both exit 3 with the same message."""
-    conditional_probability = qcore.conditional_probability
+    conditional_probabilities = qcore.conditional_probabilities
     det = gedanken.DETECTORS
 
-    def shifted(psi, a, b):
-        p = conditional_probability(psi, a, b)
-        return p + shift if a is det.d_minus_0 and b is det.c_plus_inf else p
-    monkeypatch.setattr(qcore, "conditional_probability", shifted)
+    def shifted(psi, firsts, seconds, **kw):
+        return [p + shift if a is det.d_minus_0 and b is det.c_plus_inf else p
+                for p, a, b in zip(conditional_probabilities(psi, firsts, seconds, **kw),
+                                   firsts, seconds)]
+    monkeypatch.setattr(qcore, "conditional_probabilities", shifted)
     assert [cli.run(["gedanken"]), cli.run(["certify", "--scenario", "gedanken"])] == [code] * 2
     err = capsys.readouterr().err
     assert err == "" if code == 0 else err.count("gedanken P(C+inf|D-0)") == 2

@@ -158,14 +158,16 @@ def test_full_report_contains_all_relations():
     }
 
 
-@pytest.mark.parametrize("step, relation", [("born_probability", "joint_Cplus_Cminus"),
-                                            ("conditional_probability", "P(D-inf|C+inf)"),
+@pytest.mark.parametrize("step, relation", [("born_probabilities", "joint_Cplus_Cminus"),
+                                            ("conditional_probabilities", "P(D-inf|C+inf)"),
                                             ("disturbance_metrics", "complement_electron_trace")])
 def test_relation_off_its_exact_value_exits_3(capsys, monkeypatch, step, relation):
     """Each of the nine values is checked against its exact value: a 1e-9 shift of
-    the first relation a qcore step computes stops the report before any output."""
+    the values a qcore step computes stops the report at the first relation it computes,
+    before any output.  The two family steps return one value per row."""
     fn = getattr(qcore, step)
-    monkeypatch.setattr(qcore, step, lambda *args: fn(*args) + 1e-9)
+    monkeypatch.setattr(qcore, step, lambda *args: (
+        fn(*args) + 1e-9 if step == "disturbance_metrics" else [p + 1e-9 for p in fn(*args)]))
     assert cli.run(["gedanken"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -315,10 +315,18 @@ class TestRoundingBound:
             hardy4.optimize_paradox()
 
 
+def contradiction(model, metrics=None):
+    """hardy4.disturbance_contradiction on the model's closed forms and, unless given,
+    its own matrix metrics."""
+    return hardy4.disturbance_contradiction(
+        model, hardy4.compute_metrics(model) if metrics is None else metrics,
+        hardy4.closed_form_metrics(model.params))
+
+
 class TestContradiction:
     def test_alpha_06(self):
         model = hardy4.build_model(0.6)
-        result = hardy4.disturbance_contradiction(model, hardy4.compute_metrics(model))
+        result = contradiction(model)
         assert result.status == "contradiction"
         assert result.hv_value == 1.0
         assert result.quantum_value == pytest.approx(1.0 - 0.04 / 0.52, abs=1e-12)
@@ -330,7 +338,7 @@ class TestContradiction:
         grid = [float(x) for x in np.geomspace(2e-14, 0.1, 40)]
         for alpha in grid + [1.0 - x for x in grid] + [0.3, 0.6, 0.9]:
             model = hardy4.build_model(alpha)
-            result = hardy4.disturbance_contradiction(model, hardy4.compute_metrics(model))
+            result = contradiction(model)
             c_bar = hardy4.closed_form_metrics(model.params).c_bar
             assert abs(result.quantum_value - c_bar) <= qcore.bound(c_bar, 4), alpha
 
@@ -338,28 +346,30 @@ class TestContradiction:
     def test_shifted_quantum_value_raises(self, monkeypatch, alpha):
         model = hardy4.build_model(alpha)
         metrics = hardy4.compute_metrics(model)
-        conditional = qcore.conditional_probability
-        monkeypatch.setattr(qcore, "conditional_probability",
-                            lambda *args: conditional(*args) * (1.0 + 1e-12))
+        conditional = qcore.conditional_probabilities
+        monkeypatch.setattr(qcore, "conditional_probabilities", lambda *args, **kw: [
+            p * (1.0 + 1e-12) for p in conditional(*args, **kw)])
         with pytest.raises(InternalConsistencyError, match=re.escape("P(1-U1|D1)")):
-            hardy4.disturbance_contradiction(model, metrics)
+            contradiction(model, metrics)
 
     @pytest.mark.parametrize("alpha", SHIFT_ALPHAS)
     def test_shifted_discrepancy_raises(self, monkeypatch, alpha):
         model = hardy4.build_model(alpha)
         metrics = hardy4.compute_metrics(model)
-        conditional = qcore.conditional_probability
-        monkeypatch.setattr(qcore, "conditional_probability", lambda psi, a, b: conditional(
-            psi, a, b) * (1.0 + 1e-12 if b is model.U1 else 1.0))
+        conditional = qcore.conditional_probabilities
+        monkeypatch.setattr(
+            qcore, "conditional_probabilities", lambda psi, firsts, seconds, **kw: [
+                p * (1.0 + 1e-12 if b is model.U1 else 1.0)
+                for p, b in zip(conditional(psi, firsts, seconds, **kw), seconds)])
         with pytest.raises(InternalConsistencyError, match=re.escape("P(U1|D1)")):
-            hardy4.disturbance_contradiction(model, metrics)
+            contradiction(model, metrics)
 
     @pytest.mark.parametrize("offset", [-1e-6, 1e-9, 2e-9, 1e-6])
     def test_discrepancy_keeps_its_digits_near_maximal_entanglement(self, offset):
         """The discrepancy P(U1|D1) lies within 1e-6 relative of the exact
         (b-a)^2/((b-a)^2+ab) on the same doubles, where 1 - P(1-U1|D1) keeps no digit."""
         model = hardy4.build_model(math.sqrt(0.5) + offset)
-        result = hardy4.disturbance_contradiction(model, hardy4.compute_metrics(model))
+        result = contradiction(model)
         a, b = Fraction(model.params.alpha), Fraction(model.params.beta)
         exact = (b - a) ** 2 / ((b - a) ** 2 + a * b)
         assert result.status == "contradiction"
@@ -367,7 +377,7 @@ class TestContradiction:
 
     def test_maximal_entanglement_no_contradiction(self):
         model = hardy4.build_model(1.0 / math.sqrt(2.0))
-        result = hardy4.disturbance_contradiction(model, hardy4.compute_metrics(model))
+        result = contradiction(model)
         assert result.status == "no_contradiction"
         # no contradiction: P(1-U1|D1) is 1 to rounding, and the discrepancy is 0
         assert abs(result.quantum_value - 1.0) <= qcore.bound(1.0, 4)

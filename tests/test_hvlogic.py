@@ -47,7 +47,8 @@ def fallback_system():
 
 def hardy_system_at(alpha):
     model = hardy4.build_model(alpha)
-    return hvlogic.hardy_system(model, hardy4.compute_metrics(model))
+    return hvlogic.hardy_system(model, hardy4.compute_metrics(model),
+                                hardy4.closed_form_metrics(model.params))
 
 
 class TestValidation:
@@ -279,7 +280,8 @@ class TestDeriveTwoStep:
     def test_derived_conflicts_with_quantum_cbar(self):
         # hv concludes P(1-U1|D1) = 1; the quantum value is c_bar < 1
         model = hardy4.build_model(0.6)
-        result = hardy4.disturbance_contradiction(model, hardy4.compute_metrics(model))
+        result = hardy4.disturbance_contradiction(model, hardy4.compute_metrics(model),
+                                                  hardy4.closed_form_metrics(model.params))
         derived = derive_two_step(hardy_system_at(0.6))
         assert any(d.consequent == ("U1", False) for d in derived)
         assert result.quantum_value < 1.0
@@ -290,7 +292,7 @@ def hardy_system_with(alpha, field, value):
     """hvlogic.hardy_system at `alpha` on the matrix metrics with `field` set to `value`."""
     model = hardy4.build_model(alpha)
     metrics = dataclasses.replace(hardy4.compute_metrics(model), **{field: value})
-    return hvlogic.hardy_system(model, metrics)
+    return hvlogic.hardy_system(model, metrics, hardy4.closed_form_metrics(model.params))
 
 
 def set_gedanken_value(monkeypatch, relation, value):
@@ -298,13 +300,16 @@ def set_gedanken_value(monkeypatch, relation, value):
     "joint_Cplus_Cminus" or "P(C+inf|D-0)"."""
     det = gedanken.DETECTORS
     if relation == "joint_Cplus_Cminus":
-        born = qcore.born_probability
-        monkeypatch.setattr(qcore, "born_probability", lambda psi, a: (
-            value if a.name == "C+(inf)C-(inf)" else born(psi, a)))
+        born = qcore.born_probabilities
+        monkeypatch.setattr(qcore, "born_probabilities", lambda psi, family: [
+            value if a.name == "C+(inf)C-(inf)" else p
+            for p, a in zip(born(psi, family), family)])
     else:
-        conditional = qcore.conditional_probability
-        monkeypatch.setattr(qcore, "conditional_probability", lambda psi, a, b: (
-            value if a is det.d_minus_0 and b is det.c_plus_inf else conditional(psi, a, b)))
+        conditional = qcore.conditional_probabilities
+        monkeypatch.setattr(
+            qcore, "conditional_probabilities", lambda psi, firsts, seconds, **kw: [
+                value if a is det.d_minus_0 and b is det.c_plus_inf else p
+                for p, a, b in zip(conditional(psi, firsts, seconds, **kw), firsts, seconds)])
 
 
 def gedanken_system_with(monkeypatch, relation, value):

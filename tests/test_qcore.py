@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import bellhv, qcore
+from hardylab import bellhv, gedanken, hardy4, qcore
 from hardylab.errors import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -151,10 +151,10 @@ class TestClampBand:
         psi, a = StateVector.normalize(np.eye(dim)[0]), identity(dim)
         slack = qcore.bound(1.0, dim)
         for raw, clamped in ((1.0 + slack / 2, 1.0), (-slack / 2, 0.0)):
-            monkeypatch.setattr(qcore, "_norm_sq", lambda amps, raw=raw: raw)
+            monkeypatch.setattr(qcore, "_norm_sq", lambda amps, raw=raw: np.full(len(amps), raw))
             assert qcore.born_probability(psi, a) == clamped
         for raw in (1.0 + 2 * slack, -2 * slack, math.nan):
-            monkeypatch.setattr(qcore, "_norm_sq", lambda amps, raw=raw: raw)
+            monkeypatch.setattr(qcore, "_norm_sq", lambda amps, raw=raw: np.full(len(amps), raw))
             with pytest.raises(InternalConsistencyError, match=re.escape("(bound ")):
                 qcore.born_probability(psi, a)
 
@@ -164,7 +164,7 @@ class TestClampBand:
         slack = qcore.bound(1.0, 2, 1.0 + 1.0 / p_a)
         for excess, ok in ((slack / 2, True), (2 * slack, False)):
             raws = iter([p_a, p_a * (1.0 + excess)])
-            monkeypatch.setattr(qcore, "_norm_sq", lambda amps: next(raws))
+            monkeypatch.setattr(qcore, "_norm_sq", lambda amps: np.full(len(amps), next(raws)))
             if ok:
                 assert qcore.conditional_probability(psi, a, a) == 1.0
             else:
@@ -358,6 +358,160 @@ class TestProjectors:
     def test_rejects_a_stack_without_one_name_per_square_matrix(self, mats, names):
         with pytest.raises(InvalidParameterError, match="k names"):
             qcore.projectors(mats, names)
+
+
+def bits(values) -> list[int]:
+    """The bit patterns of float or complex `values`: equal only if equal to the bit."""
+    return np.asarray(values).view(np.int64).ravel().tolist()
+
+
+def lone_born(psi, a) -> float:
+    """The Born rule on one projector, written out: ||A psi||^2 by np.vdot, clamped."""
+    v = a.matrix @ psi.amplitudes
+    return min(max(float(np.vdot(v, v).real), 0.0), 1.0)
+
+
+def lone_conditional(psi, a, b) -> float:
+    """||(B A) psi||^2 over the clamped P(A), by np.vdot, clamped."""
+    v = (b.matrix @ a.matrix) @ psi.amplitudes
+    return min(max(float(np.vdot(v, v).real) / lone_born(psi, a), 0.0), 1.0)
+
+
+def lone_rank1(ket) -> np.ndarray:
+    """np.outer of the ket normalized by np.linalg.norm."""
+    k = np.asarray(ket, dtype=complex)
+    k = k / float(np.linalg.norm(k))
+    return np.outer(k, k.conj())
+
+
+# Hardy alphas: seeded uniform draws, a log grid toward 0 and 1 down to 2e-14,
+# and 1/sqrt2 +- 10^-k.
+FAMILY_ALPHAS = (np.random.default_rng(23).uniform(0.0, 1.0, 200).tolist()
+                 + np.geomspace(2e-14, 0.1, 40).tolist()
+                 + [1.0 - x for x in np.geomspace(1.2e-16, 0.1, 40).tolist()]
+                 + [math.sqrt(0.5) + s * 10.0 ** -k for k in range(1, 15) for s in (1, -1)])
+
+
+class TestFamilies:
+    """born_probabilities, conditional_probabilities and rank1 on a stack give, row by row,
+    the bits of the one-projector arithmetic, and a bad row raises the lone row's error."""
+
+    def test_hardy_families_match_the_lone_arithmetic_to_the_bit(self):
+        for alpha in FAMILY_ALPHAS:
+            m = hardy4.build_model(alpha)
+            family = (m.D1, m.D2, m.U1U2, m.D1D2, m.U1, m.U2, m.U1_perp)
+            assert bits(qcore.born_probabilities(m.psi, family)) == bits(
+                [lone_born(m.psi, a) for a in family]), alpha
+            firsts, seconds = (m.D1, m.D2, m.D1, m.D1, m.D1), (m.U2, m.U1, m.D2, m.U1_perp, m.U1)
+            assert bits(qcore.conditional_probabilities(m.psi, firsts, seconds)) == bits(
+                [lone_conditional(m.psi, a, b) for a, b in zip(firsts, seconds)]), alpha
+            a, b = m.params.alpha, m.params.beta
+            kets = np.array([*hardy4._local_kets(a, b), hardy4._u_perp_ket(a, b)])
+            assert bits(qcore.rank1(kets)) == bits([lone_rank1(k) for k in kets]), alpha
+
+    def test_bell_rows_match_the_lone_arithmetic_to_the_bit(self):
+        """Seeded triples, each row on its own state, and seeded complex kets."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            rows = [[bellhv.sample_direction(rng) for _ in range(3)] for _ in range(5)]
+            states = [bellhv.state_from_bloch(s) for s, _, _ in rows]
+            p_m = [bellhv.projector_from_axis(m) for _, m, _ in rows]
+            p_n = [bellhv.projector_from_axis(n) for _, _, n in rows]
+            assert bits(qcore.conditional_probabilities(states, p_m, p_n)) == bits(
+                [lone_conditional(*row) for row in zip(states, p_m, p_n)]), seed
+            assert bits(qcore.born_probabilities(states, p_n)) == bits(
+                [lone_born(*row) for row in zip(states, p_n)]), seed
+            kets = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+            assert bits(qcore.rank1(kets)) == bits([lone_rank1(k) for k in kets]), seed
+            assert bits(qcore.rank1(kets[0])) == bits(lone_rank1(kets[0])), seed
+
+    def test_gedanken_families_match_the_lone_arithmetic_to_the_bit(self):
+        psi, det = gedanken.STATE, list(vars(gedanken.DETECTORS).values())
+        assert bits(qcore.born_probabilities(psi, det)) == bits([lone_born(psi, a) for a in det])
+        pairs = [(a, b) for a in det for b in det]
+        firsts, seconds = zip(*pairs)
+        assert bits(qcore.conditional_probabilities(psi, firsts, seconds)) == bits(
+            [lone_conditional(psi, a, b) for a, b in pairs])
+
+    def test_one_projector_calls_are_stacks_of_one(self):
+        psi, det = gedanken.STATE, gedanken.DETECTORS
+        assert qcore.born_probability(psi, det.d_minus_0) == qcore.born_probabilities(
+            psi, [det.d_minus_0])[0]
+        assert qcore.conditional_probability(psi, det.d_minus_0, det.c_plus_inf) == (
+            qcore.conditional_probabilities(psi, [det.d_minus_0], [det.c_plus_inf])[0])
+
+    @staticmethod
+    def lone_and_family_errors(error, lone, family) -> tuple[str, str]:
+        with pytest.raises(error) as lone_error:
+            lone()
+        with pytest.raises(error) as family_error:
+            family()
+        return str(lone_error.value), str(family_error.value)
+
+    @pytest.mark.parametrize("per_row_states", [False, True])
+    def test_a_zero_conditioning_row_raises_its_lone_error(self, per_row_states):
+        psi = StateVector.normalize([1.0, 0.0])
+        up, down = ket_projector([1.0, 0.0], "up"), ket_projector([0.0, 1.0], "down")
+        states = [psi] * 3 if per_row_states else psi
+        lone, family = self.lone_and_family_errors(
+            ZeroProbabilityError, lambda: qcore.conditional_probability(psi, down, up),
+            lambda: qcore.conditional_probabilities(states, (up, down, up), (up, up, down)))
+        assert family == lone and lone.startswith("cannot condition on down: probability ")
+
+    @pytest.mark.parametrize("step", ["born", "conditional"])
+    def test_a_row_out_of_its_clamp_band_raises_its_lone_error(self, monkeypatch, step):
+        """The squared norms of one call (the Born rule's, or the conditional's second)
+        read 1 + 2 bound(1, 2, 2) at one row: the row of a stack of three, or a stack of one."""
+        psi = StateVector.normalize([1.0, 0.0])
+        family = tuple(Projector(np.eye(2), name=name) for name in ("A", "B", "C"))
+        norm_sq, bad = qcore._norm_sq, 1.0 + 2 * qcore.bound(1.0, 2, 2.0)
+
+        def one_bad_row(row):
+            calls = []
+
+            def patched(vecs):
+                calls.append(None)
+                out = norm_sq(vecs)
+                if len(calls) == (1 if step == "born" else 2):
+                    out[row] = bad
+                return out
+            monkeypatch.setattr(qcore, "_norm_sq", patched)
+
+        def run(fam):
+            return (qcore.born_probabilities(psi, fam) if step == "born"
+                    else qcore.conditional_probabilities(psi, fam, fam))
+        one_bad_row(0)
+        with pytest.raises(InternalConsistencyError) as lone:
+            run(family[1:2])
+        one_bad_row(1)
+        with pytest.raises(InternalConsistencyError) as stacked:
+            run(family)
+        context = "born_probability(B)" if step == "born" else "conditional_probability(B|B)"
+        assert str(stacked.value) == str(lone.value)
+        assert str(lone.value).startswith(f"{context}: {bad!r} vs 1.0 (bound ")
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]],
+                             ids=["zero", "nan", "inf"])
+    def test_a_zero_or_non_finite_ket_raises_its_lone_error(self, bad):
+        lone, family = self.lone_and_family_errors(
+            InvalidParameterError, lambda: qcore.rank1(bad),
+            lambda: qcore.rank1([[1.0, 0.0], bad, [0.0, 1.0]]))
+        assert family == lone == "cannot normalize a zero or non-finite vector"
+
+    @pytest.mark.parametrize("kets", [np.zeros((2, 2, 2)), np.zeros((0, 2)), 1.0])
+    def test_rank1_takes_a_ket_or_a_stack_of_kets(self, kets):
+        with pytest.raises(InvalidParameterError, match="non-empty"):
+            qcore.rank1(kets)
+
+    def test_families_need_one_length_and_one_state_or_one_per_row(self):
+        psi, a = StateVector.normalize([1.0, 0.0]), identity(2)
+        for call in (lambda: qcore.born_probabilities(psi, ()),
+                     lambda: qcore.born_probabilities([psi] * 2, (a,)),
+                     lambda: qcore.conditional_probabilities(psi, (a, a), (a,))):
+            with pytest.raises(InvalidParameterError, match="one state per row"):
+                call()
+        with pytest.raises(DimensionMismatchError):
+            qcore.conditional_probabilities(psi, (a, identity(3)), (a, a))
 
 
 class TestConditionalProbability:
