@@ -278,16 +278,6 @@ def _directions(u: np.ndarray) -> np.ndarray:
     return np.stack((r * np.cos(phi), r * np.sin(phi), z), axis=-1)
 
 
-def _dots(a, b) -> np.ndarray:
-    """Row-wise dot products of (..., 3) arrays.
-
-    matmul, not einsum: with numpy 2.4 on OpenBLAS it rounds each row as
-    np.dot does in hv_response (einsum differed on 1,332 of 3,000 rows), so
-    the classical side matched `compare` to the bit.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _interval_ends(dot):
     """hv_response over arrays: ends [lo, hi) of {lambda : response = 1} for s.m = dot."""
     lo = np.where(dot > 0.0, -0.5 * dot, np.where(dot < 0.0, -0.5, 0.0))
@@ -304,13 +294,13 @@ def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (1 + s.m)/2 of the conditioning one.  Where measure <= MIN_MEASURE the
     classical value means nothing: callers refuse or skip those rows.
     """
-    a_lo, a_hi = _interval_ends(_dots(s, m))
-    b_lo, b_hi = _interval_ends(_dots(s, n))
+    a_lo, a_hi = _interval_ends(qcore.row_dots(s, m))
+    b_lo, b_hi = _interval_ends(qcore.row_dots(s, n))
     measure = a_hi - a_lo
     overlap = np.maximum(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         classical = overlap / measure
-    return tuple(np.broadcast_arrays((1.0 + _dots(m, n)) / 2.0, classical, measure))
+    return tuple(np.broadcast_arrays((1.0 + qcore.row_dots(m, n)) / 2.0, classical, measure))
 
 
 def _rechecked(rows: list[int], triples, quantum: list[float], classical: list[float],

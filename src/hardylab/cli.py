@@ -42,6 +42,13 @@ class RunConfig:
             raise InvalidParameterError(f"--seed must be >= 0, got {self.seed!r}")
 
 
+CSV_HEADER = ("alpha,beta,p_D1,p_D2_given_D1,p_U2_given_D1,p_U1_given_D2,"
+              "p_U1U2,p_D1D2,c_bar,comm_D1U1")
+# One %-format per CSV row: the same digits as format(v, ".15g") for each value,
+# the rounding _json_text applies to each float.
+_CSV_ROW = ",".join(["%.15g"] * 10)
+
+
 def _json_text(value, indent: str = "") -> str:
     """`value` as json.dumps(value, indent=2, sort_keys=True) writes it, each float
     first rounded to 15 significant digits for stable output, in one pass.
@@ -136,10 +143,17 @@ def _run_hardy_point(args, cfg: RunConfig) -> dict:
 
 
 def _run_hardy_sweep(args, cfg: RunConfig) -> dict | list[str]:
-    rows = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps)
+    """The sweep's columns, all checked before the first row is written: CSV in the
+    documented 10-column layout, or one JSON dict per row, keyed alpha and the fields."""
+    alphas, m = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps)
     if cfg.format == "csv":
-        return hardy4.sweep_csv_rows(rows)
-    return {"rows": [dict(alpha=a, **vars(m)) for a, m in rows]}
+        columns = (alphas, np.sqrt(1.0 - alphas * alphas), m.p_D1, m.p_cond_D2_given_D1,
+                   m.p_cond_U2_given_D1, m.p_cond_U1_given_D2, m.p_joint_U1U2,
+                   m.p_joint_D1D2, m.c_bar, m.commutator_D1U1)
+        return [CSV_HEADER, *(_CSV_ROW % row for row in zip(*(c.tolist() for c in columns)))]
+    columns = {"alpha": alphas, **vars(m)}
+    return {"rows": [dict(zip(columns, row))
+                     for row in zip(*(c.tolist() for c in columns.values()))]}
 
 
 def _run_hardy_optimize(args, cfg: RunConfig) -> dict:

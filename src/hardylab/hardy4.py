@@ -36,7 +36,8 @@ products as (N, 4, 4) arrays, validates every stack, takes probabilities
 as squared norms under qcore's clamp band and zero rule, and
 cross-checks every row against the closed forms.
 `hardy --sweep` and `hardy --optimize` use the kernel, and the scalar
-pipeline is the oracle at each sweep's two endpoint rows.
+pipeline is the oracle at each sweep's two endpoint rows.  sweep returns
+the kernel's columns as they are; this module formats no output.
 
 Everything here is real and non-negative by construction; alpha is the
 single free parameter, beta = sqrt(1 - alpha^2).  The paradox exists where
@@ -381,11 +382,12 @@ def metrics_arrays(alphas) -> HardyMetrics:
     return HardyMetrics(*out)
 
 
-def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[tuple[float, HardyMetrics]]:
-    """Uniform alpha grid from alpha_min to alpha_max, no point past alpha_max.
+def sweep(alpha_min: float, alpha_max: float, steps: int) -> tuple[np.ndarray, HardyMetrics]:
+    """Uniform alpha grid from alpha_min to alpha_max, no point past alpha_max, and
+    metrics_arrays of it: the (steps,) alphas and one (steps,) column per field.
 
     metrics_arrays computes and cross-checks every row; scalar compute_metrics
-    re-checks the two endpoint rows within the same per-field bound.
+    re-checks the two endpoint rows, read as floats, within the same per-field bound.
     """
     if not (0.0 < alpha_min < alpha_max < 1.0):
         raise InvalidParameterError(
@@ -398,18 +400,11 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[tuple[float, H
     grid = alpha_min + (alpha_max - alpha_min) * np.arange(steps, dtype=float) / (steps - 1)
     alphas = np.minimum(grid, alpha_max)
     metrics = metrics_arrays(alphas)
-    # Python floats a block at a time: lists of whole columns would add about
-    # 5 MB to the peak RSS of a 100,000-row CSV sweep.
-    rows = []
-    for start in range(0, steps, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        columns = [getattr(metrics, name)[block].tolist() for name in _CHECKED_FIELDS]
-        rows += [(alpha, HardyMetrics(*values))
-                 for alpha, *values in zip(alphas[block].tolist(), *columns)]
-    for alpha, row in (rows[0], rows[-1]):
-        model = build_model(alpha)
+    for i in (0, -1):
+        model = build_model(float(alphas[i]))
+        row = HardyMetrics(*(float(getattr(metrics, name)[i]) for name in _CHECKED_FIELDS))
         cross_check(row, compute_metrics(model), model.params, reference="scalar")
-    return rows
+    return alphas, metrics
 
 
 def optimize_paradox() -> Optimum:
@@ -432,22 +427,3 @@ def optimize_paradox() -> Optimum:
         raise InternalConsistencyError(f"matrix <D1D2> at alpha* -h, 0, +h is {below!r}, {at!r}, "
                                        f"{above!r}: no maximum at alpha*")
     return Optimum(alpha_star=alpha_star, p_max=p_max)
-
-
-CSV_HEADER = ("alpha,beta,p_D1,p_D2_given_D1,p_U2_given_D1,p_U1_given_D2,"
-              "p_U1U2,p_D1D2,c_bar,comm_D1U1")
-
-
-# One %-format per row: the same digits as format(v, ".15g") for each value.
-_CSV_ROW = ",".join(["%.15g"] * 10)
-
-
-def sweep_csv_rows(rows: list[tuple[float, HardyMetrics]]) -> list[str]:
-    """Serialize sweep rows to the documented 10-column CSV layout."""
-    out = [CSV_HEADER]
-    for alpha, m in rows:
-        beta = math.sqrt(1.0 - alpha * alpha)
-        out.append(_CSV_ROW % (alpha, beta, m.p_D1, m.p_cond_D2_given_D1, m.p_cond_U2_given_D1,
-                               m.p_cond_U1_given_D2, m.p_joint_U1U2, m.p_joint_D1D2,
-                               m.c_bar, m.commutator_D1U1))
-    return out

@@ -151,7 +151,64 @@ class TestHardyCommand:
                                           "--alpha-max", "0.9999999999999999", "--steps", steps])
         assert code == 0
         assert len(payload["rows"]) == int(steps)
-        assert built[0][-1][0] == 0.9999999999999999
+        assert built[0][0][-1] == 0.9999999999999999
+
+    def test_csv_digits_are_format_15g(self, capsys):
+        assert cli.run(["--format", "csv", "hardy", "--sweep", "--alpha-min", "2e-14",
+                        "--alpha-max", "0.9999999999999999", "--steps", "301"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = sweep_rows(2e-14, 0.9999999999999999, 301)
+        assert len(lines) == len(rows) + 1
+        for line, (alpha, m) in zip(lines[1:], rows):
+            values = (alpha, math.sqrt(1.0 - alpha * alpha), m.p_D1, m.p_cond_D2_given_D1,
+                      m.p_cond_U2_given_D1, m.p_cond_U1_given_D2, m.p_joint_U1U2,
+                      m.p_joint_D1D2, m.c_bar, m.commutator_D1U1)
+            assert line == ",".join(format(v, ".15g") for v in values)
+
+    def test_csv_layout(self, capsys):
+        assert cli.run(["--format", "csv", "hardy", "--sweep", "--alpha-min", "0.2",
+                        "--alpha-max", "0.8", "--steps", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == cli.CSV_HEADER
+        assert len(lines) == 5
+        assert all(len(line.split(",")) == 10 for line in lines[1:])
+
+    @pytest.mark.parametrize("alpha_min, alpha_max, steps",
+                             [("0.05", "0.95", "181"),
+                              ("0.35392958546780345", "0.9999999999999999", "2")])
+    def test_csv_and_json_carry_the_same_values(self, capsys, alpha_min, alpha_max, steps):
+        """Each CSV field is format(v, ".15g") of the JSON row's value v, and beta is
+        sqrt(1 - alpha^2) at the grid's alpha, which JSON does not print."""
+        argv = ["hardy", "--sweep", "--alpha-min", alpha_min, "--alpha-max", alpha_max,
+                "--steps", steps]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert cli.run(["--format", "csv", *argv]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        names = header.split(",")
+        assert names == ["alpha", "beta", *list(CSV_TO_JSON)[1:]]
+        alphas = hardy4.sweep(float(alpha_min), float(alpha_max), int(steps))[0].tolist()
+        assert len(lines) == len(payload["rows"]) == len(alphas) == int(steps)
+        for line, row, alpha in zip(lines, payload["rows"], alphas):
+            assert set(row) == set(CSV_TO_JSON.values())
+            fields = dict(zip(names, line.split(","), strict=True))
+            assert fields.pop("beta") == format(math.sqrt(1.0 - alpha * alpha), ".15g")
+            assert fields["alpha"] == format(alpha, ".15g")
+            assert fields == {name: format(row[key], ".15g") for name, key in CSV_TO_JSON.items()}
+
+
+def sweep_rows(alpha_min: float, alpha_max: float, steps: int):
+    """hardy4.sweep's columns as (alpha, HardyMetrics of floats) rows."""
+    alphas, m = hardy4.sweep(alpha_min, alpha_max, steps)
+    return [(alpha, hardy4.HardyMetrics(*values))
+            for alpha, *values in zip(alphas.tolist(), *(c.tolist() for c in vars(m).values()))]
+
+
+# Each CSV column of a sweep but beta, and the JSON key that holds its value.
+CSV_TO_JSON = {"alpha": "alpha", "p_D1": "p_D1", "p_D2_given_D1": "p_cond_D2_given_D1",
+               "p_U2_given_D1": "p_cond_U2_given_D1", "p_U1_given_D2": "p_cond_U1_given_D2",
+               "p_U1U2": "p_joint_U1U2", "p_D1D2": "p_joint_D1D2", "c_bar": "c_bar",
+               "comm_D1U1": "commutator_D1U1"}
 
 
 COMPARE_STDOUT = """\
@@ -734,6 +791,41 @@ def test_every_agreement_check_exits_3_in_one_layout(capsys, monkeypatch, argv, 
     assert layout is not None, captured.err
     assert layout[1] == what
     assert all(math.isfinite(float(v)) for v in layout.groups()[1:])
+
+
+def joint_row_4_shifted(m):
+    """_matrix_metrics' columns with 1e-9 added to row 4 of <D1D2>."""
+    joint = m.p_joint_D1D2.copy()
+    joint[4] += 1e-9
+    return dataclasses.replace(m, p_joint_D1D2=joint)
+
+
+# A sweep check made to fail: the step made to return a wrong value (module, name and
+# the change to its result) and the start of the message.  Row 4 of the 9-row sweep
+# from 0.1 to 0.9 is an interior row; c_bar 1e-12 off fails the re-check of row 0.
+SWEEP_FAULTS = {
+    "kernel row": ((hardy4, "_matrix_metrics", joint_row_4_shifted),
+                   f"closed-form cross-check failed for p_joint_D1D2 at alpha "
+                   f"{0.1 + (0.9 - 0.1) * 4 / 8!r}: "),
+    "endpoint re-check": ((hardy4, "compute_metrics",
+                           lambda m: dataclasses.replace(m, c_bar=m.c_bar * (1.0 + 1e-12))),
+                          "scalar cross-check failed for c_bar: "),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fault, what", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
+def test_a_failed_sweep_prints_nothing(capsys, monkeypatch, fault, what, fmt):
+    """Every row is checked before the first is written, so a failed check exits 3
+    with stdout empty, in either format."""
+    module, name, change = fault
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(fn(*args)))
+    assert cli.run(["--format", fmt, "hardy", "--sweep", "--alpha-min", "0.1",
+                    "--alpha-max", "0.9", "--steps", "9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal cross-check failed: {what}")
 
 
 @pytest.mark.parametrize("shift, code", [(-5e-14, 0), (-2e-13, 3)])

@@ -386,8 +386,8 @@ class TestContradiction:
 
 class TestSweep:
     def test_two_steps_are_endpoints(self):
-        rows = hardy4.sweep(0.2, 0.8, 2)
-        assert [a for a, _ in rows] == [0.2, 0.8]
+        alphas, _ = hardy4.sweep(0.2, 0.8, 2)
+        assert alphas.tolist() == [0.2, 0.8]
 
     def test_invalid_range(self):
         with pytest.raises(InvalidParameterError):
@@ -400,28 +400,16 @@ class TestSweep:
             hardy4.sweep(0.1, 0.9, hardy4.MAX_STEPS + 1)
 
     def test_joint_matches_t_formula(self):
-        for alpha, m in hardy4.sweep(0.1, 0.9, 17):
+        alphas, m = hardy4.sweep(0.1, 0.9, 17)
+        for alpha, joint in zip(alphas.tolist(), m.p_joint_D1D2.tolist()):
             t = alpha * math.sqrt(1.0 - alpha * alpha)
             expected = t * t * (1.0 - 2.0 * t) / (1.0 - t) ** 2
-            assert m.p_joint_D1D2 == pytest.approx(expected, abs=1e-10)
+            assert joint == pytest.approx(expected, abs=1e-10)
 
     def test_row_at_maximal_entanglement_is_zero(self):
-        rows = hardy4.sweep(0.5, 1.0 / math.sqrt(2.0), 3)
-        assert rows[-1][1].p_joint_D1D2 == pytest.approx(0.0, abs=1e-12)
+        _, m = hardy4.sweep(0.5, 1.0 / math.sqrt(2.0), 3)
+        assert m.p_joint_D1D2[-1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_csv_digits_are_format_15g(self):
-        rows = hardy4.sweep(2e-14, 0.9999999999999999, 301)
-        for line, (alpha, m) in zip(hardy4.sweep_csv_rows(rows)[1:], rows):
-            values = (alpha, math.sqrt(1.0 - alpha * alpha), m.p_D1, m.p_cond_D2_given_D1,
-                      m.p_cond_U2_given_D1, m.p_cond_U1_given_D2, m.p_joint_U1U2,
-                      m.p_joint_D1D2, m.c_bar, m.commutator_D1U1)
-            assert line == ",".join(format(v, ".15g") for v in values)
-
-    def test_csv_layout(self):
-        lines = hardy4.sweep_csv_rows(hardy4.sweep(0.2, 0.8, 4))
-        assert lines[0] == hardy4.CSV_HEADER
-        assert len(lines) == 5
-        assert all(len(line.split(",")) == 10 for line in lines[1:])
 
 
 NEAR_ZERO = [float(x) for x in np.geomspace(2e-14, 0.05, 60)]
@@ -452,7 +440,7 @@ class TestKernel:
     def test_alpha_column_is_the_scalar_grid(self, lo, hi, steps):
         """The formula's points, but none past hi: in the last case the formula's last
         point rounds to 1.0, which is clamped to hi."""
-        alphas = [alpha for alpha, _ in hardy4.sweep(lo, hi, steps)]
+        alphas = hardy4.sweep(lo, hi, steps)[0].tolist()
         assert alphas == [min(lo + (hi - lo) * i / (steps - 1), hi) for i in range(steps)]
 
     def test_corrupted_interior_row_raises(self, monkeypatch, capsys):
@@ -505,10 +493,9 @@ class TestKernel:
         """Every row of a MAX_STEPS sweep from 2e-14 to 0.9999999999999999 passes the
         kernel's checks, and <D1D2> is t^2(1-2t)/(1-t)^2 to 1e-12 relative, or to
         1e-15 where 1 - 2t cancels near 1/sqrt2."""
-        rows = hardy4.sweep(2e-14, 0.9999999999999999, hardy4.MAX_STEPS)
-        assert len(rows) == hardy4.MAX_STEPS
-        alpha = np.array([a for a, _ in rows])
-        joint = np.array([m.p_joint_D1D2 for _, m in rows])
+        alpha, m = hardy4.sweep(2e-14, 0.9999999999999999, hardy4.MAX_STEPS)
+        assert len(alpha) == hardy4.MAX_STEPS
+        joint = m.p_joint_D1D2
         t = alpha * np.sqrt(1.0 - alpha * alpha)
         expected = t * t * (1.0 - 2.0 * t) / (1.0 - t) ** 2
         assert np.all(np.abs(joint - expected) <= 1e-12 * expected + 1e-15)
