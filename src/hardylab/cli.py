@@ -42,6 +42,9 @@ class RunConfig:
             raise InvalidParameterError(f"--seed must be >= 0, got {self.seed!r}")
 
 
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
+
+
 CSV_HEADER = ("alpha,beta,p_D1,p_D2_given_D1,p_U2_given_D1,p_U1_given_D2,"
               "p_U1U2,p_D1D2,c_bar,comm_D1U1")
 # One %-format per CSV row: the same digits as format(v, ".15g") for each value,
@@ -284,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(**{f.name: getattr(args, f.name)
-                           for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
+        cfg = RunConfig(**{name: getattr(args, name)
+                           for name in _CONFIG_FIELDS if hasattr(args, name)})
         mode = _mode(args)
         runner, requires, reads = _MODES[mode]
         missing = ["--" + k.replace("_", "-") for k in requires if getattr(args, k) is None]

@@ -139,37 +139,43 @@ class Optimum:
     p_max: float
 
 
-def _local_kets(a, b):
-    """|u> and |d> of the module docstring: (2,) kets for floats, (N, 2) rows for (N,) arrays."""
-    u = np.array([np.sqrt(b), np.sqrt(a)]) / np.sqrt(a + b)
-    d = np.array([b ** 1.5, -(a ** 1.5)]) / np.sqrt(a ** 3 + b ** 3)
-    return u.T, d.T
-
-
-def _u_perp_ket(a, b):
-    """(sqrt(alpha)|+> - sqrt(beta)|->), unnormalized, which spans 1 - U; shaped as _local_kets.
+def _kets(a, b) -> np.ndarray:
+    """|u> and |d> of the module docstring, and (sqrt(alpha)|+> - sqrt(beta)|->), unnormalized,
+    which spans 1 - U: a (3, 2) stack for floats, (3, N, 2) for (N,) arrays.
 
     Subtracting U from the identity cancels to rounding as alpha nears 0
-    or 1, where c_bar = Tr D(1-U) is about alpha*beta; the ket keeps every digit.
+    or 1, where c_bar = Tr D(1-U) is about alpha*beta; the third ket keeps every digit.
     """
-    return np.array([np.sqrt(a), -np.sqrt(b)]).T
+    sa, sb = np.sqrt(a), np.sqrt(b)
+    kets = np.array([[sb, sa], [b ** 1.5, -(a ** 1.5)], [sa, -sb]])
+    kets[0] /= np.sqrt(a + b)
+    kets[1] /= np.sqrt(a ** 3 + b ** 3)
+    return kets.swapaxes(1, 2) if kets.ndim == 3 else kets
+
+
+# Read-only identities and names that build_model reads.
+_EYE2 = np.eye(2, dtype=complex)
+_EYE4 = np.eye(DIM, dtype=complex)
+_EYE2.flags.writeable = _EYE4.flags.writeable = False
+_LOCAL_NAMES = ("U", "D", "1-U")
+_JOINT_NAMES = ("U(x)1", "1(x)U", "D(x)1", "1(x)D", "U1U2", "D1D2", "1-U(x)1")
 
 
 def build_model(alpha: float) -> HardyModel:
     """The state and ten projectors of one alpha, validated as a 2x2 and a 4x4 stack."""
     params = HardyParams.from_alpha(alpha)
     a, b = params.alpha, params.beta
-    u_ket, d_ket = _local_kets(a, b)
-    local = qcore.rank1(np.array([u_ket, d_ket, _u_perp_ket(a, b)]))
+    local = qcore.rank1(_kets(a, b))
     u, d = local[:2]
-    eye = np.eye(2, dtype=complex)
-    u1, u2, d1, d2 = qcore.kron(np.array([u, eye, d, eye]), np.array([eye, u, eye, d]))
-    # products of commuting projectors, so again projectors
-    joint = np.array([u1, u2, d1, d2, u1 @ u2, d1 @ d2, np.eye(DIM, dtype=complex) - u1])
+    joint = np.empty((len(_JOINT_NAMES), DIM, DIM), dtype=complex)
+    joint[:4] = qcore.kron(np.array([u, _EYE2, d, _EYE2]), np.array([_EYE2, u, _EYE2, d]))
+    # U1 U2 and D1 D2 in one stacked matmul: products of commuting projectors,
+    # so again projectors
+    np.matmul(joint[0:4:2], joint[1:4:2], out=joint[4:6])
+    np.subtract(_EYE4, joint[0], out=joint[6])
     return HardyModel(params, StateVector(np.array([a, 0.0, 0.0, -b], dtype=complex)),
-                      *qcore.projectors(local, ("U", "D", "1-U")),
-                      *qcore.projectors(joint, ("U(x)1", "1(x)U", "D(x)1", "1(x)D",
-                                                "U1U2", "D1D2", "1-U(x)1")))
+                      *qcore.projectors(local, _LOCAL_NAMES),
+                      *qcore.projectors(joint, _JOINT_NAMES))
 
 
 def compute_metrics(model: HardyModel) -> HardyMetrics:
@@ -221,32 +227,47 @@ _CHECKED_FIELDS = tuple(f.name for f in dataclasses.fields(HardyMetrics))
 # Closed forms that pass through beta - alpha: its rounding is amplified by
 # 1/|beta - alpha| as alpha nears 1/sqrt2.  No float alpha gives beta == alpha.
 _THROUGH_GAP = ("p_cond_D2_given_D1", "p_joint_D1D2", "commutator_D1U1")
+# cross_check's checks per `reference`: each field, whether it is in _THROUGH_GAP, and the
+# message of its failure, written once here rather than on every call
+_CROSS_CHECKS = {reference: tuple((name, name in _THROUGH_GAP,
+                                   f"{reference} cross-check failed for {name}")
+                                  for name in _CHECKED_FIELDS)
+                 for reference in ("closed-form", "scalar")}
+# disturbance_contradiction's checks: the closed-form field each value must match, and
+# the message of its failure
+_CONTRADICTION_CHECKS = (("c_bar", "P(1-U1|D1) vs closed-form c_bar"),
+                         ("p_cond_D2_given_D1", "P(U1|D1) vs closed-form p_cond_D2_given_D1"))
+
+
+def _gap_cond(params: HardyParams):
+    """The condition number 1 + 1/|beta - alpha| of the fields in _THROUGH_GAP."""
+    return 1.0 + 1.0 / abs(params.beta - params.alpha)
 
 
 def _bound(name: str, exact: float, params: HardyParams) -> float:
-    """qcore.bound for field `name`, with condition number 1 + 1/|beta - alpha|
+    """qcore.bound for field `name`, with condition number _gap_cond(params)
     for the fields in _THROUGH_GAP and 1 for the others."""
-    cond = 1.0 + 1.0 / abs(params.beta - params.alpha) if name in _THROUGH_GAP else 1.0
-    return qcore.bound(exact, DIM, cond)
+    return qcore.bound(exact, DIM, _gap_cond(params) if name in _THROUGH_GAP else 1.0)
 
 
 def cross_check(matrix: HardyMetrics, closed: HardyMetrics, params: HardyParams,
                 reference: str = "closed-form") -> None:
     """Raise if the matrix pipeline disagrees with `closed` beyond rounding.
 
-    `reference` names what `closed` holds: the closed forms, or the scalar
-    pipeline where it re-checks a row of metrics_arrays.  Fields and params
-    may be floats or (N,) arrays; an array names the first row that fails.
+    `reference` names what `closed` holds: "closed-form", the closed forms, or
+    "scalar", the scalar pipeline where it re-checks a row of metrics_arrays.
+    Fields and params may be floats or (N,) arrays; an array names the first row that fails.
     """
-    for name in _CHECKED_FIELDS:
+    gap_cond, at = _gap_cond(params), ("alpha", params.alpha)
+    for name, through_gap, what in _CROSS_CHECKS[reference]:
         c = getattr(closed, name)
-        qcore.agree(getattr(matrix, name), c, _bound(name, c, params),
-                    f"{reference} cross-check failed for {name}", at=("alpha", params.alpha))
+        allowed = qcore.bound(c, DIM, gap_cond if through_gap else 1.0)
+        qcore.agree(getattr(matrix, name), c, allowed, what, at=at)
 
 
 def paradox_event(metrics: HardyMetrics) -> bool:
     """Whether D1=1, D2=1 can happen: the matrix <D1 D2> is above qcore.zero_threshold(DIM)."""
-    return metrics.p_joint_D1D2 > qcore.zero_threshold(DIM)
+    return bool(metrics.p_joint_D1D2 > qcore.zero_threshold(DIM))
 
 
 def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics,
@@ -260,11 +281,9 @@ def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics,
     values = qcore.conditional_probabilities(model.psi, (model.D1, model.D1),
                                              (model.U1_perp, model.U1),
                                              p_first=(metrics.p_D1, metrics.p_D1))
-    for value, label, name in zip(values, ("P(1-U1|D1)", "P(U1|D1)"),
-                                  ("c_bar", "p_cond_D2_given_D1")):
+    for value, (name, what) in zip(values, _CONTRADICTION_CHECKS):
         exact = getattr(closed, name)
-        qcore.agree(value, exact, _bound(name, exact, model.params),
-                    f"{label} vs closed-form {name}")
+        qcore.agree(value, exact, _bound(name, exact, model.params), what)
     present = paradox_event(metrics)
     return ContradictionResult("contradiction" if present else "no_contradiction", 1.0,
                                values[0], values[1] if present else 0.0)
@@ -316,8 +335,7 @@ def _matrix_metrics(params: HardyParams) -> HardyMetrics:
     stacks are float64, and a real product rounds as its complex twin does.
     """
     a, b = params.alpha, params.beta
-    u_ket, d_ket = _local_kets(a, b)
-    u, d, u_perp = (_rank1_rows(k) for k in (u_ket, d_ket, _u_perp_ket(a, b)))
+    u, d, u_perp = (_rank1_rows(k) for k in _kets(a, b))
     eye = np.eye(2)
     stacks = {"U": u, "D": d, "1-U": u_perp, "U(x)1": qcore.kron(u, eye),
               "1(x)U": qcore.kron(eye, u), "D(x)1": qcore.kron(d, eye),

@@ -310,6 +310,21 @@ def _exclusion(cid: str, a: str, b: str) -> Exclusion:
     return Exclusion(cid=cid, literals=((a, True), (b, True)))
 
 
+def _hardy_constraints(required: tuple[RequiredEvent, ...]) -> ConstraintSystem:
+    """The two-qubit encoding: P(U2|D1) = P(U1|D2) = 1 and <U1U2> = 0, requiring `required`."""
+    return ConstraintSystem(
+        variables=("D1", "D2", "U1", "U2"),
+        implications=(_implication("D1", "U2"), _implication("D2", "U1")),
+        exclusions=(_exclusion("<U1U2>=0", "U1", "U2"),),
+        required_positive=required,
+    )
+
+
+# hardy_system's two systems, built and validated once: without and with the event <D1D2>>0.
+_HARDY_SYSTEMS = (_hardy_constraints(()), _hardy_constraints(
+    (RequiredEvent(cid="<D1D2>>0", literals=(("D1", True), ("D2", True))),)))
+
+
 def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics,
                  closed: hardy4.HardyMetrics) -> ConstraintSystem:
     """Constraint encoding of the two-qubit model, from the caller's metrics.
@@ -319,17 +334,11 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics,
     three encoded fields; a metric off its closed form is a bug,
     InternalConsistencyError.  The event <D1D2> > 0 is required exactly when
     hardy4.paradox_event(metrics) holds (<D1D2> above qcore.zero_threshold(4)),
-    the decision hardy4.disturbance_contradiction reads too.
+    the decision hardy4.disturbance_contradiction reads too.  The encoding
+    depends on nothing else, so it is one of two constant systems.
     """
     hardy4.cross_check(metrics, closed, model.params)
-    required = ((RequiredEvent(cid="<D1D2>>0", literals=(("D1", True), ("D2", True))),)
-                if hardy4.paradox_event(metrics) else ())
-    return ConstraintSystem(
-        variables=("D1", "D2", "U1", "U2"),
-        implications=(_implication("D1", "U2"), _implication("D2", "U1")),
-        exclusions=(_exclusion("<U1U2>=0", "U1", "U2"),),
-        required_positive=required,
-    )
+    return _HARDY_SYSTEMS[hardy4.paradox_event(metrics)]
 
 
 # <D+0 D-0>, a product of two commuting detectors and so a projector: built once.

@@ -90,7 +90,7 @@ class Projector:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self.matrix.trace().real)
 
     def label(self) -> str:
         return self.name or f"<projector dim={self.dim}>"
@@ -106,10 +106,11 @@ def rank1(kets) -> np.ndarray:
     rows = raw.reshape(-1, raw.shape[-1])
     # np.linalg.norm of each row, by the same two BLAS dots
     norms = np.sqrt(row_dots(rows.real, rows.real) + row_dots(rows.imag, rows.imag))
-    ok = np.isfinite(norms).all() and norms.all()
+    # a NaN norm fails both comparisons
+    ok = 0.0 < np.minimum.reduce(norms) and np.maximum.reduce(norms) < np.inf
     if ok:
         k = rows / norms[:, None]
-        ok = (abs(_norm_sq(k) - 1.0) <= bound(1.0, k.shape[1])).all()
+        ok = np.maximum.reduce(abs(_norm_sq(k) - 1.0)) <= bound(1.0, k.shape[1])
     if not ok:
         for row in rows:
             StateVector.normalize(row)
@@ -131,25 +132,42 @@ def projectors(mats, names) -> tuple[Projector, ...]:
             validate_projectors(mat, name)
         raise
     mats.flags.writeable = False
-    family = tuple(object.__new__(Projector) for _ in names)
-    for p, mat, name in zip(family, mats, names):
-        vars(p).update(matrix=mat, name=name)  # the fields Projector.__init__ would set
-    return family
+    family = []
+    for mat, name in zip(mats, names):
+        p = object.__new__(Projector)
+        fields = p.__dict__  # the fields Projector.__init__ would set
+        fields["matrix"], fields["name"] = mat, name
+        family.append(p)
+    return tuple(family)
 
 
 def validate_projectors(mats: np.ndarray, name: str = "") -> None:
     """Raise unless `mats`, one (d, d) matrix or a (..., d, d) stack of them, is
     finite, Hermitian and idempotent: no entry of P - P^dagger or of P P - P may
     exceed bound(1, d), the rounding of a probability of 1 in dimension d
-    (7.1e-15 for d = 2, 1.4e-14 for d = 4, 1.8e-14 for d = 5)."""
-    if not np.isfinite(mats).all():
-        raise InvalidParameterError(f"projector {name!r} is not finite")
+    (7.1e-15 for d = 2, 1.4e-14 for d = 4, 1.8e-14 for d = 5).
+
+    Both defects go into one work buffer, P - P^dagger in its first half and P P - P
+    in its second, and one maximum tests both.  An inf or NaN entry makes the
+    Hermitian defect inf or NaN, which `not <=` fails, so only a stack that fails
+    needs the finiteness test, as in StateVector."""
+    work = np.empty((2, *mats.shape), dtype=mats.dtype)
+    herm, idem = work
+    np.conjugate(mats.swapaxes(-1, -2), out=herm)
+    # inf - inf, inf * 0 and overflow all leave an inf or NaN defect, which fails below
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(mats, herm, out=herm)
+        np.matmul(mats, mats, out=idem)
+        np.subtract(idem, mats, out=idem)
+        # a real stack takes its defects in place
+        defect = np.abs(work, out=work if work.dtype.kind == "f" else None)
     allowed = bound(1.0, mats.shape[-1])
-    herm = np.abs(mats - mats.conj().swapaxes(-1, -2))
-    if herm.max() > allowed:
-        _defect_error(herm, name, "Hermitian")
-    idem = np.abs(mats @ mats - mats)
-    if idem.max() > allowed:
+    if not np.maximum.reduce(defect, axis=None) <= allowed:
+        if not np.isfinite(mats).all():
+            raise InvalidParameterError(f"projector {name!r} is not finite")
+        herm, idem = defect
+        if not np.maximum.reduce(herm, axis=None) <= allowed:
+            _defect_error(herm, name, "Hermitian")
         _defect_error(idem, name, "idempotent")
 
 
@@ -257,11 +275,13 @@ def _family_dim(psi, *families) -> int:
     """The dimension every state and projector shares; each family has one row per state."""
     states = (psi,) if isinstance(psi, StateVector) else psi
     k = len(families[0])
-    if not k or any(len(f) != k for f in families) or len(states) not in (1, k):
+    if not k or len(states) not in (1, k) or [len(f) for f in families].count(k) != len(families):
         raise InvalidParameterError("needs non-empty families of one length, "
                                     "and one state or one state per row")
-    _check_dims(*[s.dim for s in states], *[p.dim for f in families for p in f])
-    return states[0].dim
+    dims = [p.dim for group in (states, *families) for p in group]
+    if dims.count(dims[0]) != len(dims):
+        _check_dims(*dims)
+    return dims[0]
 
 
 def _born_rows(psi, mats: np.ndarray, family, dim: int) -> list[float]:
@@ -319,14 +339,18 @@ def disturbance_metrics(p_first: Projector, p_second: Projector) -> float:
     c = Tr(p_first p_second), clamped to [0,1] within the rounding bound.
     p_first is rank 1 when its trace is within bound(1, dim) of 1.
     """
-    _check_dims(p_first.dim, p_second.dim)
-    if not abs(p_first.trace - 1.0) <= bound(1.0, p_first.dim):
+    dim = p_first.dim
+    if p_second.dim != dim:
+        _check_dims(dim, p_second.dim)
+    trace = p_first.trace
+    if not abs(trace - 1.0) <= bound(1.0, dim):
         raise InvalidParameterError(
-            f"first projector {p_first.label()} must be rank 1 (trace {p_first.trace!r})"
+            f"first projector {p_first.label()} must be rank 1 (trace {trace!r})"
         )
-    return clamp_probability(float(np.trace(p_first.matrix @ p_second.matrix).real),
-                             f"disturbance_metrics({p_first.label()}, {p_second.label()})",
-                             p_first.dim)
+    c = float((p_first.matrix @ p_second.matrix).trace().real)
+    # a value in [0, 1] is its own clamp, as in _born_rows
+    return c if 0.0 <= c <= 1.0 else clamp_probability(
+        c, f"disturbance_metrics({p_first.label()}, {p_second.label()})", dim)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,6 +372,7 @@ def tensor(a: Projector, b: Projector) -> Projector:
 
 def commutator_norm(a: Projector, b: Projector) -> float:
     """Max-entry magnitude of AB - BA."""
-    _check_dims(a.dim, b.dim)
+    if a.dim != b.dim:
+        _check_dims(a.dim, b.dim)
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(np.max(np.abs(comm)))
+    return float(np.maximum.reduce(np.abs(comm), axis=None))

@@ -113,14 +113,6 @@ class TestHardyCommand:
         assert code == 0
         assert payload["p_max"] == pytest.approx(0.0901699437494742, abs=1e-7)
 
-    def test_sweep_csv(self, capsys):
-        code = cli.run(["--format", "csv", "hardy", "--sweep",
-                        "--alpha-min", "0.2", "--alpha-max", "0.8", "--steps", "4"])
-        out = capsys.readouterr().out.strip().splitlines()
-        assert code == 0
-        assert out[0].startswith("alpha,beta,p_D1")
-        assert len(out) == 5
-
     def test_invalid_alpha_exit_2(self, capsys):
         assert cli.run(["hardy", "--alpha", "1.5"]) == 2
 

@@ -29,13 +29,13 @@ def one_by_one_operators(params: hardy4.HardyParams) -> dict[str, qcore.Projecto
         k = qcore.StateVector.normalize(ket).amplitudes
         return qcore.Projector(np.outer(k, k.conj()), name=name)
 
-    u_ket, d_ket = hardy4._local_kets(a, b)
+    u_ket, d_ket, u_perp_ket = hardy4._kets(a, b)
     u, d = ket_projector(u_ket, "U"), ket_projector(d_ket, "D")
     eye = np.eye(2)
     u1, u2 = np.kron(u.matrix, eye), np.kron(eye, u.matrix)
     d1, d2 = np.kron(d.matrix, eye), np.kron(eye, d.matrix)
     return {"u_local": u, "d_local": d,
-            "u_perp_local": ket_projector(hardy4._u_perp_ket(a, b), "1-U"),
+            "u_perp_local": ket_projector(u_perp_ket, "1-U"),
             "U1": qcore.Projector(u1, "U(x)1"), "U2": qcore.Projector(u2, "1(x)U"),
             "D1": qcore.Projector(d1, "D(x)1"), "D2": qcore.Projector(d2, "1(x)D"),
             "U1U2": qcore.Projector(u1 @ u2, "U1U2"),

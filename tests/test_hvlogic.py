@@ -387,6 +387,17 @@ class TestQuantumGatedSystems:
         assert sys_.required_positive == ()
         assert check(sys_).status == "satisfiable"
 
+    @pytest.mark.parametrize("alpha, paradox", [(0.6, True), (0.7071067811865476, False)])
+    def test_hardy_system_is_the_field_by_field_encoding(self, alpha, paradox):
+        """The system hardy_system returns equals one built field by field, and it requires
+        <D1D2>>0 exactly when hardy4.paradox_event holds on the same metrics."""
+        model = hardy4.build_model(alpha)
+        metrics = hardy4.compute_metrics(model)
+        system = hvlogic.hardy_system(model, metrics, hardy4.closed_form_metrics(model.params))
+        assert hardy4.paradox_event(metrics) is paradox
+        assert system == hardy_like_system(required=paradox)
+        assert [e.cid for e in system.required_positive] == (["<D1D2>>0"] if paradox else [])
+
     def test_hardy_system_invalid_alpha(self):
         with pytest.raises(InvalidParameterError):
             hardy_system_at(1.5)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,74 @@ class TestValidateProjectors:
                     qcore.validate_projectors(stack, "P")
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+# (0, 0) on the diagonal: inf - inf in the Hermitian defect; (0, 1) off it: inf * 0 in P P
+NON_FINITE_AT = pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+
+
+def with_entry(mat: np.ndarray, at: tuple[int, int], value: float) -> np.ndarray:
+    out = np.array(mat)
+    out[at] = value
+    return out
+
+
+class TestNonFiniteProjectors:
+    """A NaN or inf entry is named "not finite", whichever check first sees it, and no
+    numpy RuntimeWarning is raised on the way: under `warnings.simplefilter("error")`
+    one would end the call first."""
+
+    HALF = np.full((2, 2), 0.5)  # |+><+|
+
+    @NON_FINITE
+    @NON_FINITE_AT
+    def test_projector(self, bad, at):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=r"^projector 'P' is not finite$"):
+                Projector(with_entry(self.HALF.astype(complex), at, bad), name="P")
+
+    @NON_FINITE
+    @NON_FINITE_AT
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_validate_one_matrix(self, bad, at, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=r"^projector 'P' is not finite$"):
+                qcore.validate_projectors(with_entry(self.HALF.astype(dtype), at, bad), "P")
+
+    @NON_FINITE
+    @NON_FINITE_AT
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_validate_a_stack(self, bad, at, dtype):
+        stack = np.array([self.HALF] * 3, dtype=dtype)
+        stack[1] = with_entry(stack[1], at, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=r"^projector 'P' is not finite$"):
+                qcore.validate_projectors(stack, "P")
+
+    @NON_FINITE
+    @NON_FINITE_AT
+    def test_projectors_names_the_row(self, bad, at):
+        stack = np.array([self.HALF] * 3, dtype=complex)
+        stack[2] = with_entry(stack[2], at, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=r"^projector 'B' is not finite$"):
+                qcore.projectors(stack, ("Z", "A", "B"))
+
+    @NON_FINITE
+    def test_finiteness_is_named_before_a_defect_of_another_row(self, bad):
+        """Row 0 is not Hermitian and row 2 is not finite: the stack is "not finite"."""
+        stack = np.array([self.HALF] * 3, dtype=complex)
+        stack[0, 0, 1] += 1e-9
+        stack[2, 1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=r"^projector 'P' is not finite$"):
+                qcore.validate_projectors(stack, "P")
+
+
 class TestProjectors:
     NAMES = ("P0", "P1", "P2", "P3")
 
@@ -406,7 +475,7 @@ class TestFamilies:
             assert bits(qcore.conditional_probabilities(m.psi, firsts, seconds)) == bits(
                 [lone_conditional(m.psi, a, b) for a, b in zip(firsts, seconds)]), alpha
             a, b = m.params.alpha, m.params.beta
-            kets = np.array([*hardy4._local_kets(a, b), hardy4._u_perp_ket(a, b)])
+            kets = hardy4._kets(a, b)
             assert bits(qcore.rank1(kets)) == bits([lone_rank1(k) for k in kets]), alpha
 
     def test_bell_rows_match_the_lone_arithmetic_to_the_bit(self):
