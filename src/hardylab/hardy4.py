@@ -25,19 +25,20 @@ cond = 1 + 1/|beta - alpha| for the three forms through beta - alpha
 is set by hand, so a relative error shows at any alpha, however small the
 value.
 
-Two matrix pipelines compute these statistics.  The scalar one
+Two pipelines compute these statistics by the Born rule.  The scalar one
 (build_model, compute_metrics) serves one alpha through ten qcore
 Projectors, built from one stack of three kets (qcore.rank1) and
 validated as two stacks by qcore.projectors; its Born probabilities and
 its conditionals are each one qcore family call.  `hardy --alpha` and
 `certify` use it.  The array kernel (metrics_arrays) serves many
-alphas at once: it stacks the local projectors and their Kronecker
-products as (N, 4, 4) arrays, validates every stack, takes probabilities
-as squared norms under qcore's clamp band and zero rule, and
-cross-checks every row against the closed forms.
-`hardy --sweep` and `hardy --optimize` use the kernel, and the scalar
-pipeline is the oracle at each sweep's two endpoint rows.  sweep returns
-the kernel's columns as they are; this module formats no output.
+alphas at once and builds no operator: for rank-1 P, P A P = Tr(PA) P,
+so every statistic is a squared dot product of the real 2-vector kets
+of _kets, taken elementwise over the alphas.  It checks each ket's norm
+in place of the projector checks, takes probabilities under qcore's
+clamp band and zero rule, and cross-checks every row against the closed
+forms.  `hardy --sweep` and `hardy --optimize` use the kernel, and the
+scalar pipeline is the oracle at each sweep's two endpoint rows.  sweep
+returns the kernel's columns as they are; this module formats no output.
 
 Everything here is real and non-negative by construction; alpha is the
 single free parameter, beta = sqrt(1 - alpha^2).  The paradox exists where
@@ -63,7 +64,8 @@ DIM = 4
 OPT_STEP = 1e-3
 # sweep refuses more rows than this before building any.
 MAX_STEPS = 100_000
-# Rows metrics_arrays stacks at once: each (BLOCK_ROWS, 4, 4) projector stack is 128 KB.
+# Rows metrics_arrays takes at once: over 100,000 rows its peak traced memory is 6.7 MB
+# in these blocks, against 27 MB in one call.
 BLOCK_ROWS = 1 << 10
 
 
@@ -141,7 +143,7 @@ class Optimum:
 
 def _kets(a, b) -> np.ndarray:
     """|u> and |d> of the module docstring, and (sqrt(alpha)|+> - sqrt(beta)|->), unnormalized,
-    which spans 1 - U: a (3, 2) stack for floats, (3, N, 2) for (N,) arrays.
+    which spans 1 - U: a (3, 2) stack for floats, (3, 2, N) for (N,) arrays.
 
     Subtracting U from the identity cancels to rounding as alpha nears 0
     or 1, where c_bar = Tr D(1-U) is about alpha*beta; the third ket keeps every digit.
@@ -150,7 +152,7 @@ def _kets(a, b) -> np.ndarray:
     kets = np.array([[sb, sa], [b ** 1.5, -(a ** 1.5)], [sa, -sb]])
     kets[0] /= np.sqrt(a + b)
     kets[1] /= np.sqrt(a ** 3 + b ** 3)
-    return kets.swapaxes(1, 2) if kets.ndim == 3 else kets
+    return kets
 
 
 # Read-only identities and names that build_model reads.
@@ -289,36 +291,6 @@ def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics,
                                values[0], values[1] if present else 0.0)
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum along the last axis, left to right.  np.einsum and stacked matmul may
-    pick a summation order by array size, so a row would round differently in
-    another block; this order is the same for every row of every block."""
-    total = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        total = total + terms[..., j]
-    return total
-
-
-def _rank1_rows(kets: np.ndarray) -> np.ndarray:
-    """(N, 2, 2) projectors |k><k| onto the normalized (N, 2) rows `kets`."""
-    k = kets / np.sqrt(_norm_sq(kets))[:, None]
-    return k[:, :, None] * k[:, None, :]
-
-
-def _apply(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """A_n v_n for each row n of an (N, d, d) stack and (N, d) vectors."""
-    return _ordered_sum(ops * vecs[:, None, :])
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A_n B_n for each row n of two (N, d, d) stacks."""
-    return _ordered_sum(a[:, :, None, :] * b.swapaxes(1, 2)[:, None, :, :])
-
-
-def _norm_sq(vecs: np.ndarray) -> np.ndarray:
-    return _ordered_sum(vecs * vecs)
-
-
 def _raise_zero_probability(alpha: float, zero: float):
     """The scalar pipeline's ZeroProbabilityError at `alpha`, where the kernel found
     P(D1) or P(D2) zero: its message is the one `hardy --alpha` gives."""
@@ -328,55 +300,57 @@ def _raise_zero_probability(alpha: float, zero: float):
 
 
 def _matrix_metrics(params: HardyParams) -> HardyMetrics:
-    """compute_metrics for (N,) arrays of alpha and beta, on stacked projectors.
+    """compute_metrics for (N,) arrays of alpha and beta, by the Born rule on the three kets.
 
-    It validates every projector and clamps every probability as qcore does;
-    metrics_arrays cross-checks the result.  Everything is real, so the
-    stacks are float64, and a real product rounds as its complex twin does.
+    For a rank-1 projector P = |k><k|, P A P = Tr(PA) P (Hardy 1993), so each
+    statistic is a squared dot product of real 2-vectors: with v = (<d| (x) 1) psi,
+    P(D1) = |v|^2, <D1 D2> = (d.v)^2 and P(B|D1) = (b.v)^2 / |v|^2.  It checks
+    every ket and the state, and clamps every probability, as qcore does for the
+    scalar pipeline; metrics_arrays cross-checks the result.
     """
     a, b = params.alpha, params.beta
-    u, d, u_perp = (_rank1_rows(k) for k in _kets(a, b))
-    eye = np.eye(2)
-    stacks = {"U": u, "D": d, "1-U": u_perp, "U(x)1": qcore.kron(u, eye),
-              "1(x)U": qcore.kron(eye, u), "D(x)1": qcore.kron(d, eye),
-              "1(x)D": qcore.kron(eye, d), "U1U2": qcore.kron(u, u), "D1D2": qcore.kron(d, d)}
-    for name, stack in stacks.items():
-        qcore.validate_projectors(stack, name)
-    # the bounds of StateVector's norm check and disturbance_metrics' rank-1 check
+    kets = _kets(a, b)
+    kets /= np.sqrt(kets[:, 0] * kets[:, 0] + kets[:, 1] * kets[:, 1])[:, None]
+    # For a real unit ket k, k k^T is symmetric to the bit, and (k k^T)^2 - k k^T is
+    # (|k|^2 - 1) k k^T: so |k|^2 within bound(1, 2) of 1 passes validate_projectors on
+    # |k><k| and its Kronecker products, and disturbance_metrics' trace test.  A NaN fails.
+    defects = abs(kets[:, 0] * kets[:, 0] + kets[:, 1] * kets[:, 1] - 1.0)
+    for name, defect in zip(_LOCAL_NAMES, defects):
+        failure = qcore.first_failure(defect <= qcore.bound(1.0, 2), a)
+        if failure is not None:
+            raise InvalidParameterError(
+                f"projector {name!r} is not a rank-1 projector at alpha {failure[1]!r}")
+    # the bound of StateVector's norm check
     failure = qcore.first_failure(abs(a * a + b * b - 1.0) <= qcore.bound(1.0, DIM), a)
     if failure is not None:
         raise InvalidParameterError(f"state is not normalized at alpha {failure[1]!r}")
-    psi = np.zeros((a.size, DIM))
-    psi[:, 0], psi[:, 3] = a, -b
-
-    def born(name: str) -> np.ndarray:
-        return qcore.clamp_probability(_norm_sq(_apply(stacks[name], psi)),
-                                       f"born_probability({name})", DIM)
-
-    def conditional(second: str, first: str, p_first: np.ndarray) -> np.ndarray:
-        raw = _norm_sq(_apply(stacks[second], _apply(stacks[first], psi))) / p_first
-        return qcore.clamp_probability(raw, f"conditional_probability({second}|{first})",
-                                       DIM, 1.0 + 1.0 / p_first)
-
-    p_d1, p_d2 = born("D(x)1"), born("1(x)D")
+    (u0, u1), (d0, d1), (w0, w1) = kets
+    # psi = alpha|++> - beta|-->, so v is both (<d| (x) 1) psi and (1 (x) <d|) psi:
+    # P(D2) and P(U1|D2) are P(D1) and P(U2|D1) to the bit, and share their clamps
+    v0, v1 = a * d0, -b * d1
+    p_d1 = qcore.clamp_probability(v0 * v0 + v1 * v1, "born_probability(D(x)1)", DIM)
     zero = qcore.zero_threshold(DIM)
-    failure = qcore.first_failure((p_d1 > zero) & (p_d2 > zero), a)
+    failure = qcore.first_failure(p_d1 > zero, a)
     if failure is not None:
         _raise_zero_probability(failure[1], zero)
-    failure = qcore.first_failure(abs(d[:, 0, 0] + d[:, 1, 1] - 1.0) <= qcore.bound(1.0, 2), a)
-    if failure is not None:
-        raise InvalidParameterError(f"first projector D must be rank 1 at alpha {failure[1]!r}")
+    cond = 1.0 + 1.0 / p_d1
+    uv, dv = u0 * v0 + u1 * v1, d0 * v0 + d1 * v1
+    uu = a * u0 * u0 - b * u1 * u1  # <u u|psi>
+    dw = d0 * w0 + d1 * w1
+    p_u_given_d = qcore.clamp_probability(uv * uv / p_d1, "conditional_probability(1(x)U|D(x)1)",
+                                          DIM, cond)
     return HardyMetrics(
         p_D1=p_d1,
-        p_cond_U2_given_D1=conditional("1(x)U", "D(x)1", p_d1),
-        p_cond_U1_given_D2=conditional("U(x)1", "1(x)D", p_d2),
-        p_cond_D2_given_D1=conditional("1(x)D", "D(x)1", p_d1),
-        p_joint_U1U2=born("U1U2"),
-        p_joint_D1D2=born("D1D2"),
-        # Tr D(1-U) = sum_ij D_ij (1-U)_ij, both being symmetric
-        c_bar=qcore.clamp_probability(_ordered_sum((d * u_perp).reshape(-1, 4)),
-                                      "disturbance_metrics(D, 1-U)", 2),
-        commutator_D1U1=np.abs(_matmul(d, u) - _matmul(u, d)).max(axis=(1, 2)),
+        p_cond_U2_given_D1=p_u_given_d,
+        p_cond_U1_given_D2=p_u_given_d,
+        p_cond_D2_given_D1=qcore.clamp_probability(
+            dv * dv / p_d1, "conditional_probability(1(x)D|D(x)1)", DIM, cond),
+        p_joint_U1U2=qcore.clamp_probability(uu * uu, "born_probability(U1U2)", DIM),
+        p_joint_D1D2=qcore.clamp_probability(dv * dv, "born_probability(D1D2)", DIM),
+        # Tr D(1-U) = (d.w)^2, w the unit ket of 1 - U
+        c_bar=qcore.clamp_probability(dw * dw, "disturbance_metrics(D, 1-U)", 2),
+        # DU - UD = (u.d)(d u^T - u d^T), whose largest entry is |u.d| |d0 u1 - d1 u0|
+        commutator_D1U1=abs(u0 * d0 + u1 * d1) * abs(d0 * u1 - d1 * u0),
     )
 
 

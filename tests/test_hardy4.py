@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -501,6 +502,43 @@ class TestKernel:
         assert np.all(np.abs(joint - expected) <= 1e-12 * expected + 1e-15)
 
 
+class TestKernelChecks:
+    """The kernel's own checks on its kets and its state, which no sweep of valid alphas fails."""
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("ket, name", [(0, "U"), (1, "D"), (2, "1-U")])
+    def test_a_nan_ket_row_names_its_projector_and_alpha(self, monkeypatch, capsys, ket, name,
+                                                         component):
+        """A NaN in row 4 of one array ket fails the ket-norm check, which stands for
+        validate_projectors on |k><k| and its Kronecker products; the float kets of the
+        scalar pipeline are left as they are."""
+        kets = hardy4._kets
+
+        def nan_row_4(a, b):
+            out = kets(a, b)
+            if np.ndim(a):
+                out[ket, component, 4] = math.nan
+            return out
+        monkeypatch.setattr(hardy4, "_kets", nan_row_4)
+        alphas = [0.1 + (0.9 - 0.1) * i / 8 for i in range(9)]
+        message = f"projector {name!r} is not a rank-1 projector at alpha {alphas[4]!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=re.escape(message)):
+                hardy4.metrics_arrays(alphas)
+            assert cli.run(["hardy", "--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9",
+                            "--steps", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_an_unnormalized_state_raises(self):
+        a = np.array([0.1, 0.6, 0.9])
+        b = np.sqrt(1.0 - a * a)
+        with pytest.raises(InvalidParameterError, match="state is not normalized at alpha 0.1"):
+            hardy4._matrix_metrics(hardy4.HardyParams(alpha=a, beta=b * (1 + 1e-12)))
+
+
 class TestOptimizer:
     def test_optimum_against_grid_oracle(self):
         # independent oracle: dense grid over t of t^2(1-2t)/(1-t)^2
@@ -557,13 +595,15 @@ class TestOptimizer:
 
 class TestValidationsPerCommand:
     """Each command validates its projector families as stacks, not one Projector at a
-    time.  hardy --optimize runs the array kernel, which validates each of its nine
-    (N, d, d) operator stacks on its own: one call over all six (N, 4, 4) stacks
-    at once measured slower on a 1,024-row block."""
+    time.  The array kernel builds no operator: it checks its kets' norms instead, so
+    hardy --optimize validates nothing, and a sweep validates only the 2x2 and 4x4
+    stacks of the scalar pipeline at each of its two endpoint re-checks."""
 
     @pytest.mark.parametrize("argv, count", [("hardy --alpha 0.6", 2), ("gedanken", 2),
                                              ("certify --scenario gedanken", 2),
-                                             ("hardy --optimize", 9),
+                                             ("hardy --optimize", 0),
+                                             ("hardy --sweep --alpha-min 0.1 --alpha-max 0.9 "
+                                              "--steps 9", 4),
                                              ("bell --s 0,0,1 --m 1,0,0 --n 0,0,1", 1),
                                              ("bell --scan 100 --seed 5", 1)])
     def test_validate_projectors_calls(self, monkeypatch, argv, count):
