@@ -123,7 +123,7 @@ def _run_gedanken(args, cfg: RunConfig) -> dict:
 
 def _hardy_encoding(args) -> tuple[hardy4.HardyModel, hardy4.HardyMetrics, hardy4.HardyMetrics,
                                    hvlogic.ConstraintSystem]:
-    """The model of --alpha, its matrix metrics, its closed forms, and the constraint
+    """The model of --alpha, its Born-rule metrics, its closed forms, and the constraint
     system the metrics encode once hvlogic.hardy_system has cross-checked them against
     the closed forms."""
     model = hardy4.build_model(0.6 if args.alpha is None else args.alpha)

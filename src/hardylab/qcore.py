@@ -9,12 +9,15 @@ immutable values.
 
 Families of projectors are evaluated as one stack: born_probabilities and
 conditional_probabilities take a sequence of Projectors (and of pairs), on
-one state or one state per row, and rank1 a (k, d) stack of kets.  Each
-makes the same BLAS call on each row that the one-row arithmetic makes, so
-every value is the same to the bit, and each row passes the same checks;
-born_probability and conditional_probability are the stack of one.
-row_dots is the one batched row dot behind those squared norms, rank1's
-norms and bellhv's closed-form rows.
+one state or one state per row.  Each makes the same BLAS call on each row
+that the one-row arithmetic makes, so every value is the same to the bit,
+and each row passes the same checks; born_probability and
+conditional_probability are the stack of one.  row_dots is the one batched
+row dot behind those squared norms and bellhv's closed-form rows.
+
+The clamp band (clamp_probability), the zero rule (zero_threshold) and the
+agreement test (bound, agree) take floats or arrays alike; hardy4 uses them
+on its kets and builds no Projector.
 """
 
 from __future__ import annotations
@@ -94,29 +97,6 @@ class Projector:
 
     def label(self) -> str:
         return self.name or f"<projector dim={self.dim}>"
-
-
-def rank1(kets) -> np.ndarray:
-    """The rank-1 projector |k><k| of a (d,) ket, or the (k, d, d) stack of a (k, d) stack of
-    kets: the outer product of each ket normalized as StateVector.normalize does, to the bit.
-    A failing row raises StateVector.normalize(row)'s error."""
-    raw = np.asarray(kets, dtype=complex)
-    if raw.ndim not in (1, 2) or raw.size == 0:
-        raise InvalidParameterError("rank1 needs a non-empty (d,) ket or (k, d) stack of kets")
-    rows = raw.reshape(-1, raw.shape[-1])
-    # np.linalg.norm of each row, by the same two BLAS dots
-    norms = np.sqrt(row_dots(rows.real, rows.real) + row_dots(rows.imag, rows.imag))
-    # a NaN norm fails both comparisons
-    ok = 0.0 < np.minimum.reduce(norms) and np.maximum.reduce(norms) < np.inf
-    if ok:
-        k = rows / norms[:, None]
-        ok = np.maximum.reduce(abs(_norm_sq(k) - 1.0)) <= bound(1.0, k.shape[1])
-    if not ok:
-        for row in rows:
-            StateVector.normalize(row)
-        raise InternalConsistencyError("rank1 refused a stack whose rows each normalize alone")
-    out = k[:, :, None] * k.conj()[:, None, :]
-    return out if raw.ndim == 2 else out[0]
 
 
 def projectors(mats, names) -> tuple[Projector, ...]:
@@ -235,7 +215,7 @@ def agree(value, exact, allowed, what: str, at: tuple[str, np.ndarray] | None = 
     reads " at alpha {alphas[i]!r}", no `at` reads " row {i}".
     """
     residual = abs(value - exact)
-    if type(residual) is float and type(allowed) is float:  # the scalar pipeline's hot path
+    if type(residual) is float and type(allowed) is float:  # the hot path of one float alpha
         if residual <= allowed:
             return residual / allowed
     else:
@@ -368,11 +348,3 @@ def tensor(a: Projector, b: Projector) -> Projector:
         raise InvalidParameterError("tensor expects two Projectors")
     name = f"{a.name}(x){b.name}" if (a.name or b.name) else ""
     return Projector(kron(a.matrix, b.matrix), name=name)
-
-
-def commutator_norm(a: Projector, b: Projector) -> float:
-    """Max-entry magnitude of AB - BA."""
-    if a.dim != b.dim:
-        _check_dims(a.dim, b.dim)
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(np.maximum.reduce(np.abs(comm), axis=None))

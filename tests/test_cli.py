@@ -748,11 +748,17 @@ def rows_shifted(rows):
 AGREEMENT_SITES = {
     "cross_check": ("hardy --alpha 0.6", (hardy4, "compute_metrics", shifted("p_D1", 1e-9)),
                     "closed-form cross-check failed for p_D1"),
-    # a wrong closed form would fail cross_check first, so 1 - U1 is built wrong
+    # a wrong closed form or ket would fail cross_check first, so the ket of 1 - U is made
+    # the ket of U in the model disturbance_contradiction reads, after the metrics are checked
     "disturbance_contradiction": ("certify --scenario two-step",
-                                  (hardy4, "build_model",
-                                   lambda model: dataclasses.replace(model, U1_perp=model.U1)),
+                                  (cli, "_hardy_encoding", lambda encoding: (
+                                      dataclasses.replace(encoding[0], w=encoding[0].u),
+                                      *encoding[1:])),
                                   "P(1-U1|D1) vs closed-form c_bar"),
+    # every clamped probability reads 1e-9 high, which moves <D1D2> by 1e-9 and
+    # P(D1) P(U1|D1) by about 5e-10 at alpha 0.6
+    "relation": ("hardy --alpha 0.6", (qcore, "clamp_probability", lambda p: p + 1e-9),
+                 "<D1D2> vs P(D1) P(U1|D1)"),
     "optimize_paradox": ("hardy --optimize",
                          (hardy4, "metrics_arrays", shifted("p_joint_D1D2", 1e-9)),
                          "matrix <D1D2> at alpha* vs closed-form p_max"),
@@ -762,8 +768,10 @@ AGREEMENT_SITES = {
                      "closed-form cross-check failed for p_joint_U1U2"),
     "bell re-check": ("bell --scan 100", (bellhv, "conditional_rows", rows_shifted),
                       "closed-form row 20 quantum vs compare"),
-    # every A psi reads (1, 1, 1, 1), so every Born probability reads 4
-    "clamp": ("hardy --alpha 0.6", (qcore, "_applied", lambda vecs: np.full_like(vecs, 1.0)),
+    # every ket reads (2, 2), so P(D1) reads 4 (alpha^2 + beta^2) = 4
+    "clamp": ("hardy --alpha 0.6",
+              (hardy4, "build_model", lambda model: dataclasses.replace(
+                  model, u=(2.0, 2.0), d=(2.0, 2.0), w=(2.0, 2.0))),
               "born_probability(D(x)1)"),
     "gedanken": ("gedanken", (qcore, "disturbance_metrics", lambda c: c + 1e-9),
                  "gedanken complement_electron_trace"),
@@ -794,14 +802,11 @@ def joint_row_4_shifted(m):
 
 # A sweep check made to fail: the step made to return a wrong value (module, name and
 # the change to its result) and the start of the message.  Row 4 of the 9-row sweep
-# from 0.1 to 0.9 is an interior row; c_bar 1e-12 off fails the re-check of row 0.
+# from 0.1 to 0.9 is an interior row.
 SWEEP_FAULTS = {
     "kernel row": ((hardy4, "_matrix_metrics", joint_row_4_shifted),
                    f"closed-form cross-check failed for p_joint_D1D2 at alpha "
                    f"{0.1 + (0.9 - 0.1) * 4 / 8!r}: "),
-    "endpoint re-check": ((hardy4, "compute_metrics",
-                           lambda m: dataclasses.replace(m, c_bar=m.c_bar * (1.0 + 1e-12))),
-                          "scalar cross-check failed for c_bar: "),
 }
 
 
@@ -879,3 +884,62 @@ def test_closed_pipe_exits_0_without_traceback(cli_env):
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in err
     assert err == b""
+
+
+# What each CPU variant runs through cli.run in one process: the Hardy commands whose
+# digits numpy's SIMD paths or a BLAS kernel could reach.
+CPU_CORPUS = [["hardy", "--alpha", alpha] for alpha in ("0.6", "0.9", "2e-14",
+                                                          "0.9999999999999999")] + [
+    ["certify", "--scenario", "two-step", "--alpha", "0.9"],
+    ["hardy", "--optimize"],
+    ["--format", "csv", "hardy", "--sweep", "--alpha-min", "0.05", "--alpha-max", "0.95",
+     "--steps", "181"],
+]
+
+
+def numpy_cpu_features() -> tuple[list[str], dict[str, bool]]:
+    """numpy's dispatched CPU features that it reports enabled, and every feature it knows."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = umath.__cpu_features__
+    return [f for f in umath.__cpu_dispatch__ if features.get(f)], features
+
+
+def blas_name() -> str:
+    """The BLAS numpy was built against, as np.show_config names it, or "" where it cannot say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+def test_hardy_stdout_is_the_same_bytes_on_every_cpu_path(cli_env):
+    """The Hardy commands print the same bytes under every OpenBLAS kernel and with
+    numpy's dispatched SIMD paths off: they make no BLAS call and round only + - * /
+    and sqrt, each correctly.  OpenBLAS kernels need the CPU's instructions: Haswell
+    runs where numpy reports AVX2 and FMA3, SkylakeX where it reports AVX-512."""
+    if "openblas" not in blas_name().lower():
+        pytest.skip(f"numpy is not linked to OpenBLAS (BLAS {blas_name() or 'unknown'!r})")
+    enabled, features = numpy_cpu_features()
+    base = {k: v for k, v in cli_env.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    variants = {"default": {}, "Prescott": {"OPENBLAS_CORETYPE": "Prescott"}}
+    if features.get("AVX2") and features.get("FMA3"):
+        variants["Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    if features.get("AVX512F"):
+        variants["SkylakeX"] = {"OPENBLAS_CORETYPE": "SkylakeX"}
+    if enabled:
+        variants["no SIMD dispatch"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}
+    script = ("import sys\nfrom hardylab import cli\n"
+              f"sys.exit(max(cli.run(argv) for argv in {CPU_CORPUS!r}))\n")
+    outs = {}
+    for name, env in variants.items():
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env={**base, **env}, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), name
+        outs[name] = proc.stdout
+    assert outs["default"].count(b"\n") > 181
+    assert {name: out == outs["default"] for name, out in outs.items()} == dict.fromkeys(
+        outs, True)

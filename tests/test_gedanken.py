@@ -68,7 +68,7 @@ class TestDetectors:
         minus = [det.c_minus_inf, det.d_minus_inf, det.c_minus_0, det.d_minus_0]
         for p in plus:
             for m in minus:
-                assert qcore.commutator_norm(p, m) <= 1e-12
+                assert np.abs(p.matrix @ m.matrix - m.matrix @ p.matrix).max() <= 1e-12
 
     def test_qubit_detectors_rank1(self, det):
         for p in (det.c_minus_inf, det.d_minus_inf, det.c_minus_0, det.d_minus_0):

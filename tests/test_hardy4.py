@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import cli, hardy4, qcore
-from hardylab.errors import InternalConsistencyError, InvalidParameterError
+from hardylab.errors import InternalConsistencyError, InvalidParameterError, ZeroProbabilityError
 
 alphas = st.floats(min_value=0.05, max_value=0.95)
 
@@ -21,27 +21,23 @@ OPERATOR_GRID = ([10.0 ** -k for k in range(1, 16)] + [1.0 - 10.0 ** -k for k in
                     for k in range(-16, -1) for sign in (1.0, -1.0)])
 
 
-def one_by_one_operators(params: hardy4.HardyParams) -> dict[str, qcore.Projector]:
-    """HardyModel's operator fields as one validated Projector each, from np.outer,
-    np.kron, @ and np.eye(4) - U1."""
-    a, b = params.alpha, params.beta
+def reference_metrics(ref) -> hardy4.HardyMetrics:
+    """The Hardy statistics by qcore's Born rule on the Projectors of the test-only
+    reference (conftest.hardy_reference); the commutator is the max-entry norm of DU - UD."""
+    psi = ref.psi
+    p_d1, p_u1u2, p_d1d2 = qcore.born_probabilities(psi, (ref.D1, ref.U1U2, ref.D1D2))
+    u2_given_d1, u1_given_d2, d2_given_d1 = qcore.conditional_probabilities(
+        psi, (ref.D1, ref.D2, ref.D1), (ref.U2, ref.U1, ref.D2))
+    d, u = ref.d_local.matrix, ref.u_local.matrix
+    return hardy4.HardyMetrics(
+        p_D1=p_d1, p_cond_U2_given_D1=u2_given_d1, p_cond_U1_given_D2=u1_given_d2,
+        p_cond_D2_given_D1=d2_given_d1, p_joint_U1U2=p_u1u2, p_joint_D1D2=p_d1d2,
+        c_bar=qcore.disturbance_metrics(ref.d_local, ref.u_perp_local),
+        commutator_D1U1=float(np.abs(d @ u - u @ d).max()))
 
-    def ket_projector(ket, name):
-        k = qcore.StateVector.normalize(ket).amplitudes
-        return qcore.Projector(np.outer(k, k.conj()), name=name)
 
-    u_ket, d_ket, u_perp_ket = hardy4._kets(a, b)
-    u, d = ket_projector(u_ket, "U"), ket_projector(d_ket, "D")
-    eye = np.eye(2)
-    u1, u2 = np.kron(u.matrix, eye), np.kron(eye, u.matrix)
-    d1, d2 = np.kron(d.matrix, eye), np.kron(eye, d.matrix)
-    return {"u_local": u, "d_local": d,
-            "u_perp_local": ket_projector(u_perp_ket, "1-U"),
-            "U1": qcore.Projector(u1, "U(x)1"), "U2": qcore.Projector(u2, "1(x)U"),
-            "D1": qcore.Projector(d1, "D(x)1"), "D2": qcore.Projector(d2, "1(x)D"),
-            "U1U2": qcore.Projector(u1 @ u2, "U1U2"),
-            "D1D2": qcore.Projector(d1 @ d2, "D1D2"),
-            "U1_perp": qcore.Projector(np.eye(4) - u1, "1-U(x)1")}
+def dot(k, m) -> float:
+    return k[0] * m[0] + k[1] * m[1]
 
 
 class TestParams:
@@ -66,28 +62,46 @@ class TestParams:
 class TestModel:
     def test_kets_normalized(self):
         m = hardy4.build_model(0.37)
-        assert m.u_local.trace == pytest.approx(1.0, abs=1e-12)
-        assert m.d_local.trace == pytest.approx(1.0, abs=1e-12)
+        for ket in (m.u, m.d, m.w):
+            assert dot(ket, ket) == pytest.approx(1.0, abs=1e-12)
 
     def test_u_d_orthogonal_at_maximal_entanglement(self):
         m = hardy4.build_model(1.0 / math.sqrt(2.0))
-        overlap = np.trace(m.u_local.matrix @ m.d_local.matrix).real
-        assert overlap == pytest.approx(0.0, abs=1e-12)
+        assert dot(m.u, m.d) == pytest.approx(0.0, abs=1e-12)
 
-    def test_party_locality(self):
-        m = hardy4.build_model(0.6)
+    def test_party_locality(self, hardy_projectors):
+        m = hardy_projectors(0.6)
         for a, b in [(m.D1, m.U2), (m.D2, m.U1), (m.D1, m.D2), (m.U1, m.U2)]:
-            assert qcore.commutator_norm(a, b) <= 1e-12
+            assert np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix).max() <= 1e-12
 
     @pytest.mark.parametrize("alpha", OPERATOR_GRID)
-    def test_operators_are_those_of_one_by_one_construction(self, alpha):
-        """build_model's stacked operators equal, to the bit and by name, the Projectors
-        of np.outer, np.kron, @ and np.eye(4) - U1, each validated alone."""
-        model = hardy4.build_model(alpha)
-        for field, want in one_by_one_operators(model.params).items():
-            got = getattr(model, field)
-            assert got.name == want.name, field
-            assert np.array_equal(got.matrix, want.matrix), (alpha, field)
+    def test_operators_are_those_of_one_by_one_construction(self, hardy_projectors, alpha):
+        """|k><k| of each of build_model's kets is the reference's Projector within
+        bound(1, 2), and compute_metrics and disturbance_contradiction agree with the
+        reference's Born rule within cross_check's bound, or both refuse to condition on
+        a zero P(D1)."""
+        model, ref = hardy4.build_model(alpha), hardy_projectors(alpha)
+        for ket, want in zip((model.u, model.d, model.w),
+                             (ref.u_local, ref.d_local, ref.u_perp_local)):
+            assert np.abs(np.outer(ket, ket) - want.matrix).max() <= qcore.bound(1.0, 2), alpha
+        try:
+            want = reference_metrics(ref)
+        except ZeroProbabilityError:
+            with pytest.raises(ZeroProbabilityError, match=re.escape("cannot condition on D(x)1")):
+                hardy4.compute_metrics(model)
+            return
+        got, closed = hardy4.compute_metrics(model), hardy4.closed_form_metrics(model.params)
+        for name in hardy4._CHECKED_FIELDS:
+            assert abs(getattr(got, name) - getattr(want, name)) <= hardy4._bound(
+                name, getattr(closed, name), model.params), (alpha, name)
+        result = hardy4.disturbance_contradiction(model, got, closed)
+        quantum, discrepancy = qcore.conditional_probabilities(
+            ref.psi, (ref.D1, ref.D1), (ref.U1_perp, ref.U1))
+        assert abs(result.quantum_value - quantum) <= hardy4._bound(
+            "c_bar", closed.c_bar, model.params), alpha
+        if result.status == "contradiction":
+            assert abs(result.discrepancy - discrepancy) <= hardy4._bound(
+                "p_cond_D2_given_D1", closed.p_cond_D2_given_D1, model.params), alpha
 
 
 class TestMetrics:
@@ -166,11 +180,12 @@ class TestMetrics:
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=alphas)
-    def test_d1_d2_symmetric(self, alpha):
-        m = hardy4.build_model(alpha)
-        p1 = qcore.born_probability(m.psi, m.D1)
-        p2 = qcore.born_probability(m.psi, m.D2)
-        assert p1 == pytest.approx(p2, abs=1e-12)
+    def test_d1_d2_symmetric(self, hardy_projectors, alpha):
+        """P(D1), which the kets give for P(D2) too, is the reference's P(D1) and P(D2)."""
+        ref = hardy_projectors(alpha)
+        p = hardy4.compute_metrics(hardy4.build_model(alpha)).p_D1
+        assert p == pytest.approx(qcore.born_probability(ref.psi, ref.D1), abs=1e-12)
+        assert p == pytest.approx(qcore.born_probability(ref.psi, ref.D2), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=alphas)
@@ -212,6 +227,13 @@ def shift_kernel_joint(monkeypatch, shift, rows=slice(None)):
 
 
 HALF_SQRT2 = math.sqrt(0.5)
+
+
+def bits(values) -> bytes:
+    """The IEEE bits of a float or of a sequence of floats."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
 LOG_DISTANCE = st.floats(min_value=math.log10(2e-14), max_value=-1.0)
 
 
@@ -243,9 +265,10 @@ def exact_metrics(params: hardy4.HardyParams) -> dict[str, tuple[Fraction, Fract
 
 
 class TestExactOracle:
-    """Each pipeline on its own against exact rational arithmetic, within the bound
-    cross_check allows: the closed forms, the scalar matrix pipeline and the array kernel.
-    The irrational commutator must lie within it of both ends of its 60-digit bracket."""
+    """Each computation on its own against exact rational arithmetic, within the bound
+    cross_check allows: the closed forms, and the Born rule on a float alpha and on an
+    array.  The irrational commutator must lie within it of both ends of its 60-digit
+    bracket."""
 
     # alpha or 1-alpha log-uniform in [2e-14, 0.1], or within 10^6 ulps of 1/sqrt2,
     # where 1/|beta - alpha| is largest; every such alpha is a whole number of ulps away
@@ -261,7 +284,7 @@ class TestExactOracle:
     def test_every_pipeline_within_the_bound_of_the_exact_value(self, alpha):
         params = hardy4.HardyParams.from_alpha(alpha)
         pipelines = {"closed forms": hardy4.closed_form_metrics(params),
-                     "scalar": hardy4.compute_metrics(hardy4.build_model(alpha)),
+                     "float": hardy4.compute_metrics(hardy4.build_model(alpha)),
                      "kernel": hardy4.metrics_arrays([alpha])}
         for name, (lo, hi) in exact_metrics(params).items():
             allowed = Fraction(hardy4._bound(name, float(lo), params))
@@ -279,6 +302,21 @@ class TestExactOracle:
         allowed = Fraction(hardy4._bound("commutator_D1U1", float(lo), params))
         assert 0 < lo < hi
         assert (hi - lo) * 10 ** 30 <= allowed, alpha
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (4, 1), (5, 2), (7, 4), (99, 70)])
+    def test_the_relation_holds_exactly_on_the_closed_forms(self, m, n):
+        """<D1D2> = P(D1) P(U1|D1), with P(U1|D1) = 1 - c_bar, in exact arithmetic: on the
+        float alphas' closed forms, and on the rational points ((m^2-n^2), 2mn)/(m^2+n^2) of
+        the unit circle, where both sides are also Hardy's t^2 (1-2t)/(1-t)^2."""
+        for alpha in (n / m, 1 - n / m / 7, math.sqrt(0.5) + n * 1e-9):
+            x = exact_metrics(hardy4.HardyParams.from_alpha(alpha))
+            p_u1_given_d1 = 1 - x["c_bar"][0]
+            assert x["p_joint_D1D2"][0] == x["p_D1"][0] * p_u1_given_d1, alpha
+        a, b = Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
+        t, g = a * b, (b - a) ** 2
+        assert a * a + b * b == 1
+        p_d1, p_u1_given_d1 = t * t / (1 - t), 1 - t / (g + t)
+        assert p_d1 * p_u1_given_d1 == p_d1 * (g / (g + t)) == t * t * (1 - 2 * t) / (1 - t) ** 2
 
 
 class TestRoundingBound:
@@ -344,26 +382,22 @@ class TestContradiction:
             assert abs(result.quantum_value - c_bar) <= qcore.bound(c_bar, 4), alpha
 
     @pytest.mark.parametrize("alpha", SHIFT_ALPHAS)
-    def test_shifted_quantum_value_raises(self, monkeypatch, alpha):
+    def test_shifted_quantum_value_raises(self, alpha):
+        """The ket of 1 - U 1e-12 off scales P(1-U1|D1) = (d.w)^2 by 1 + 2e-12."""
         model = hardy4.build_model(alpha)
         metrics = hardy4.compute_metrics(model)
-        conditional = qcore.conditional_probabilities
-        monkeypatch.setattr(qcore, "conditional_probabilities", lambda *args, **kw: [
-            p * (1.0 + 1e-12) for p in conditional(*args, **kw)])
+        bad = dataclasses.replace(model, w=tuple(k * (1.0 + 1e-12) for k in model.w))
         with pytest.raises(InternalConsistencyError, match=re.escape("P(1-U1|D1)")):
-            contradiction(model, metrics)
+            contradiction(bad, metrics)
 
     @pytest.mark.parametrize("alpha", SHIFT_ALPHAS)
-    def test_shifted_discrepancy_raises(self, monkeypatch, alpha):
+    def test_shifted_discrepancy_raises(self, alpha):
+        """The ket of U 1e-12 off scales P(U1|D1) = (u.d)^2 by 1 + 2e-12."""
         model = hardy4.build_model(alpha)
         metrics = hardy4.compute_metrics(model)
-        conditional = qcore.conditional_probabilities
-        monkeypatch.setattr(
-            qcore, "conditional_probabilities", lambda psi, firsts, seconds, **kw: [
-                p * (1.0 + 1e-12 if b is model.U1 else 1.0)
-                for p, b in zip(conditional(psi, firsts, seconds, **kw), seconds)])
+        bad = dataclasses.replace(model, u=tuple(k * (1.0 + 1e-12) for k in model.u))
         with pytest.raises(InternalConsistencyError, match=re.escape("P(U1|D1)")):
-            contradiction(model, metrics)
+            contradiction(bad, metrics)
 
     @pytest.mark.parametrize("offset", [-1e-6, 1e-9, 2e-9, 1e-6])
     def test_discrepancy_keeps_its_digits_near_maximal_entanglement(self, offset):
@@ -418,22 +452,30 @@ NEAR_ZERO = [float(x) for x in np.geomspace(2e-14, 0.05, 60)]
 NEAR_ONE = [1.0 - float(x) for x in np.geomspace(1e-16, 0.05, 60)]
 NEAR_MAX_ENTANGLEMENT = [float(x) for x in np.linspace(-1e-6, 1e-6, 101) + 1.0 / math.sqrt(2.0)]
 UNIFORM = [float(x) for x in np.linspace(0.01, 0.99, 99)]
+# the two ends of the valid range and every alpha within 300 ulps of 1/sqrt2
+ENDS_AND_ULPS = [2e-14, 0.9999999999999999] + [HALF_SQRT2 + k * math.ulp(HALF_SQRT2)
+                                              for k in range(-300, 301)]
 
 
 class TestKernel:
     """metrics_arrays, the array kernel behind hardy --sweep and hardy --optimize."""
 
-    @pytest.mark.parametrize("grid", [NEAR_ZERO, NEAR_ONE, NEAR_MAX_ENTANGLEMENT, UNIFORM],
-                             ids=["near_zero", "near_one", "near_max_entanglement", "uniform"])
+    @pytest.mark.parametrize("grid", [NEAR_ZERO, NEAR_ONE, NEAR_MAX_ENTANGLEMENT, UNIFORM,
+                                      ENDS_AND_ULPS],
+                             ids=["near_zero", "near_one", "near_max_entanglement", "uniform",
+                                  "ends_and_ulps"])
     def test_matches_the_scalar_pipeline(self, grid):
+        """Each row of the kernel is compute_metrics on its alpha as a Python float, sign bit
+        included: one function body, with math.sqrt for a float and np.sqrt for an array."""
         kernel = hardy4.metrics_arrays(grid)
         for i, alpha in enumerate(grid):
             model = hardy4.build_model(alpha)
-            scalar, closed = hardy4.compute_metrics(model), hardy4.closed_form_metrics(model.params)
+            scalar = hardy4.compute_metrics(model)
+            assert all(type(k) is float for ket in (model.u, model.d, model.w) for k in ket)
             for name in hardy4._CHECKED_FIELDS:
-                got, want = getattr(kernel, name)[i], getattr(scalar, name)
-                assert abs(got - want) <= hardy4._bound(name, getattr(closed, name),
-                                                        model.params), (alpha, name)
+                value = getattr(scalar, name)
+                assert type(value) is float, (alpha, name)
+                assert bits(getattr(kernel, name)[i]) == bits(value), (alpha, name)
 
     @pytest.mark.parametrize("lo, hi, steps", [(0.05, 0.95, 181), (2e-14, 0.9999999999999999, 1001),
                                                (0.1, 0.3, 7), (0.7071067, 0.70710679, 2001),
@@ -466,22 +508,10 @@ class TestKernel:
         assert capsys.readouterr().err == ("error: cannot condition on D(x)1: probability "
                                            "1.00000000000001e-28 <= 2.0194839173657902e-28\n")
 
-    def test_zero_probability_the_scalar_pipeline_does_not_see_raises(self, monkeypatch):
-        monkeypatch.setattr(hardy4, "compute_metrics", lambda model: None)
-        with pytest.raises(InternalConsistencyError, match="scalar pipeline does not"):
-            hardy4.metrics_arrays([0.5, 1e-14])
-
     @pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
     def test_invalid_alpha_raises_as_from_alpha(self, bad):
         with pytest.raises(InvalidParameterError, match="strictly in"):
             hardy4.metrics_arrays([0.5, bad])
-
-    def test_endpoint_disagreement_with_the_scalar_pipeline_raises(self, monkeypatch):
-        compute = hardy4.compute_metrics
-        monkeypatch.setattr(hardy4, "compute_metrics", lambda model: dataclasses.replace(
-            compute(model), c_bar=compute(model).c_bar * (1.0 + 1e-12)))
-        with pytest.raises(InternalConsistencyError, match="scalar cross-check failed for c_bar"):
-            hardy4.sweep(0.2, 0.8, 5)
 
     def test_blocks_do_not_change_the_rows(self, monkeypatch):
         whole = hardy4.metrics_arrays(UNIFORM)
@@ -595,15 +625,14 @@ class TestOptimizer:
 
 class TestValidationsPerCommand:
     """Each command validates its projector families as stacks, not one Projector at a
-    time.  The array kernel builds no operator: it checks its kets' norms instead, so
-    hardy --optimize validates nothing, and a sweep validates only the 2x2 and 4x4
-    stacks of the scalar pipeline at each of its two endpoint re-checks."""
+    time.  The Hardy commands build no operator: they check their kets' norms instead,
+    so hardy --alpha, hardy --optimize and a sweep validate nothing."""
 
-    @pytest.mark.parametrize("argv, count", [("hardy --alpha 0.6", 2), ("gedanken", 2),
+    @pytest.mark.parametrize("argv, count", [("hardy --alpha 0.6", 0), ("gedanken", 2),
                                              ("certify --scenario gedanken", 2),
                                              ("hardy --optimize", 0),
                                              ("hardy --sweep --alpha-min 0.1 --alpha-max 0.9 "
-                                              "--steps 9", 4),
+                                              "--steps 9", 0),
                                              ("bell --s 0,0,1 --m 1,0,0 --n 0,0,1", 1),
                                              ("bell --scan 100 --seed 5", 1)])
     def test_validate_projectors_calls(self, monkeypatch, argv, count):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import bellhv, gedanken, hardy4, qcore
+from hardylab import bellhv, gedanken, qcore
 from hardylab.errors import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -36,7 +36,8 @@ def random_projector(rng, dim, rank=None):
 
 def ket_projector(ket, name=""):
     """|k><k| for the normalized ket, as one Projector."""
-    return Projector(qcore.rank1(ket), name=name)
+    k = StateVector.normalize(ket).amplitudes
+    return Projector(np.outer(k, k.conj()), name=name)
 
 
 def identity(dim):
@@ -446,13 +447,6 @@ def lone_conditional(psi, a, b) -> float:
     return min(max(float(np.vdot(v, v).real) / lone_born(psi, a), 0.0), 1.0)
 
 
-def lone_rank1(ket) -> np.ndarray:
-    """np.outer of the ket normalized by np.linalg.norm."""
-    k = np.asarray(ket, dtype=complex)
-    k = k / float(np.linalg.norm(k))
-    return np.outer(k, k.conj())
-
-
 # Hardy alphas: seeded uniform draws, a log grid toward 0 and 1 down to 2e-14,
 # and 1/sqrt2 +- 10^-k.
 FAMILY_ALPHAS = (np.random.default_rng(23).uniform(0.0, 1.0, 200).tolist()
@@ -462,24 +456,21 @@ FAMILY_ALPHAS = (np.random.default_rng(23).uniform(0.0, 1.0, 200).tolist()
 
 
 class TestFamilies:
-    """born_probabilities, conditional_probabilities and rank1 on a stack give, row by row,
+    """born_probabilities and conditional_probabilities on a stack give, row by row,
     the bits of the one-projector arithmetic, and a bad row raises the lone row's error."""
 
-    def test_hardy_families_match_the_lone_arithmetic_to_the_bit(self):
+    def test_hardy_families_match_the_lone_arithmetic_to_the_bit(self, hardy_projectors):
         for alpha in FAMILY_ALPHAS:
-            m = hardy4.build_model(alpha)
+            m = hardy_projectors(alpha)
             family = (m.D1, m.D2, m.U1U2, m.D1D2, m.U1, m.U2, m.U1_perp)
             assert bits(qcore.born_probabilities(m.psi, family)) == bits(
                 [lone_born(m.psi, a) for a in family]), alpha
             firsts, seconds = (m.D1, m.D2, m.D1, m.D1, m.D1), (m.U2, m.U1, m.D2, m.U1_perp, m.U1)
             assert bits(qcore.conditional_probabilities(m.psi, firsts, seconds)) == bits(
                 [lone_conditional(m.psi, a, b) for a, b in zip(firsts, seconds)]), alpha
-            a, b = m.params.alpha, m.params.beta
-            kets = hardy4._kets(a, b)
-            assert bits(qcore.rank1(kets)) == bits([lone_rank1(k) for k in kets]), alpha
 
     def test_bell_rows_match_the_lone_arithmetic_to_the_bit(self):
-        """Seeded triples, each row on its own state, and seeded complex kets."""
+        """Seeded triples, each row on its own state."""
         for seed in range(200):
             rng = np.random.default_rng(seed)
             rows = [[bellhv.sample_direction(rng) for _ in range(3)] for _ in range(5)]
@@ -490,9 +481,6 @@ class TestFamilies:
                 [lone_conditional(*row) for row in zip(states, p_m, p_n)]), seed
             assert bits(qcore.born_probabilities(states, p_n)) == bits(
                 [lone_born(*row) for row in zip(states, p_n)]), seed
-            kets = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-            assert bits(qcore.rank1(kets)) == bits([lone_rank1(k) for k in kets]), seed
-            assert bits(qcore.rank1(kets[0])) == bits(lone_rank1(kets[0])), seed
 
     def test_gedanken_families_match_the_lone_arithmetic_to_the_bit(self):
         psi, det = gedanken.STATE, list(vars(gedanken.DETECTORS).values())
@@ -558,19 +546,6 @@ class TestFamilies:
         context = "born_probability(B)" if step == "born" else "conditional_probability(B|B)"
         assert str(stacked.value) == str(lone.value)
         assert str(lone.value).startswith(f"{context}: {bad!r} vs 1.0 (bound ")
-
-    @pytest.mark.parametrize("bad", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]],
-                             ids=["zero", "nan", "inf"])
-    def test_a_zero_or_non_finite_ket_raises_its_lone_error(self, bad):
-        lone, family = self.lone_and_family_errors(
-            InvalidParameterError, lambda: qcore.rank1(bad),
-            lambda: qcore.rank1([[1.0, 0.0], bad, [0.0, 1.0]]))
-        assert family == lone == "cannot normalize a zero or non-finite vector"
-
-    @pytest.mark.parametrize("kets", [np.zeros((2, 2, 2)), np.zeros((0, 2)), 1.0])
-    def test_rank1_takes_a_ket_or_a_stack_of_kets(self, kets):
-        with pytest.raises(InvalidParameterError, match="non-empty"):
-            qcore.rank1(kets)
 
     def test_families_need_one_length_and_one_state_or_one_per_row(self):
         psi, a = StateVector.normalize([1.0, 0.0]), identity(2)
@@ -704,7 +679,7 @@ class TestTensor:
         rng = np.random.default_rng(3)
         d1 = qcore.tensor(random_projector(rng, 2, rank=1), identity(2))
         u2 = qcore.tensor(identity(2), random_projector(rng, 2, rank=1))
-        assert qcore.commutator_norm(d1, u2) <= 1e-12
+        assert np.abs(d1.matrix @ u2.matrix - u2.matrix @ d1.matrix).max() <= 1e-12
 
     def test_sandwich_identity(self):
         rng = np.random.default_rng(4)
@@ -746,14 +721,3 @@ class TestTensor:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(InvalidParameterError):
             qcore.tensor(StateVector.normalize([1.0, 0.0]), identity(2))
-
-
-class TestCommutatorNorm:
-    def test_self_commutes(self):
-        p = ket_projector([1.0, 2.0])
-        assert qcore.commutator_norm(p, p) == 0.0
-
-    def test_noncommuting_positive(self):
-        p = ket_projector([1.0, 0.0])
-        q = ket_projector([1.0, 1.0])
-        assert qcore.commutator_norm(p, q) > 0.01
