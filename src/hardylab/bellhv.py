@@ -13,23 +13,25 @@ The model reproduces every single-projector Born probability; the
 classical (Bayes) conditional mu[b & a]/mu[a] is compared against the
 quantum conditional <m|P_n|m> to exhibit where it fails.
 
-`compare` evaluates one triple through the matrix pipeline and
-`LambdaSet` overlap, on the closed-form ket of the Bloch vector
-(`state_from_bloch`).  It is `_compare_rows` on one row: that core
-validates each s, m and n once, runs the private cores that the public
-step functions run after validating, validates the projectors P_m
-and P_n of all its rows as one stack, and evaluates the quantum
-conditionals of all its rows, each on its own row's state, as one
-family (qcore.conditional_probabilities).
+`compare` evaluates one triple by the Born rule on kets and by
+`LambdaSet` overlap.  It is `_compare_rows` on one row: that core
+validates each s, m and n once and runs the private cores that the
+public step functions run after validating.  Its quantum side builds no
+operator: P_m = |m><m| is rank 1, so P_m P_n P_m = |<n|m>|^2 P_m and
+P(n|m) = |<n|m>|^2 |<m|s>|^2 / |<m|s>|^2, on the kets of the three Bloch
+vectors (the formula of `state_from_bloch`), in Python complex
+arithmetic.  Every 3-vector dot product is a0*b0 + a1*b1 + a2*b2, in
+that order, on floats and on rows alike: numpy's dot lets the BLAS
+kernel of the CPU choose its order, so its last digit moves with the
+CPU, and this does not.
 Scans evaluate all their rows at once from the closed forms
 (`conditional_rows`): the quantum conditional (1 + m.n)/2 and the
 overlap of two response intervals.  A scan draws from one PCG64 stream
 per seed, in which trial i owns draws 6i..6i+5; PCG64 jumps ahead by n
 draws in O(log n) steps, so `_trial_rng(seed, trial)` redraws any one
 trial alone.  `compare`'s core is the oracle: one call re-checks the
-printed maximum and SCAN_RECHECKS seeded rows of every scan, a (5, 3, 3)
-stack of redrawn triples whose ten projectors are validated as one
-stack.  Each side of a row must agree with the oracle's within
+printed maximum and SCAN_RECHECKS seeded rows of every scan, redrawn as
+five triples.  Each side of a row must agree with the oracle's within
 qcore.bound(1, 2, 1 + 1/measure) (qcore.agree); a disagreement raises
 InternalConsistencyError (exit 3 on the command line).  A scan builds
 one PCG64: each block of rows and each re-checked row restores its start
@@ -70,6 +72,20 @@ SCAN_RECHECKS = 4
 TRIAL_DRAWS = 6
 
 
+def bloch_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a.b of two 3-vectors as a0*b0 + a1*b1 + a2*b2, in that order, as _row_dots
+    takes each row."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
+def _row_dots(a, b):
+    """a_i.b_i for each pair of rows of two (..., 3) arrays that broadcast together, as
+    a0*b0 + a1*b1 + a2*b2 elementwise: each product and sum is rounded once, in this
+    order, so a row is bloch_dot of its vectors to the bit, on every CPU."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def unit_vector(v) -> np.ndarray:
     """Validate a Bloch vector: 3 finite real components, unit norm to within
     _UNIT_SLACK (5.6e-16), so the response intervals of any two accepted vectors
@@ -77,7 +93,7 @@ def unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise InvalidParameterError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a real 1-d array
+    norm = math.sqrt(bloch_dot(v, v))
     # `not <=`: a NaN component makes the norm NaN, which must fail too
     if not abs(norm - 1.0) <= _UNIT_SLACK:
         raise InvalidParameterError(
@@ -146,7 +162,7 @@ def _response(dot: float, lam):
 
 def response_value(s, m, lam: float) -> float:
     """Pointwise dichotomic response; independent cross-check for the interval form."""
-    return float(_response(float(np.dot(unit_vector(s), unit_vector(m))), lam))
+    return float(_response(bloch_dot(unit_vector(s), unit_vector(m)), lam))
 
 
 # Each step below has one implementation, a private core on validated
@@ -163,7 +179,7 @@ def _response_set(sm: float) -> LambdaSet:
 
 def hv_response(s, m) -> LambdaSet:
     """Closed-form lambda-set {lambda : response = 1}; measure (1 + s.m)/2."""
-    return _response_set(float(np.dot(unit_vector(s), unit_vector(m))))
+    return _response_set(bloch_dot(unit_vector(s), unit_vector(m)))
 
 
 def hv_expectation(s, m) -> float:
@@ -191,20 +207,21 @@ def projector_from_axis(m, name: str = "") -> Projector:
     return Projector(_axis_matrix(m), name=name or "P({:g},{:g},{:g})".format(*m.tolist()))
 
 
-def _bloch_state(s: np.ndarray) -> StateVector:
+def _bloch_ket(s: np.ndarray) -> tuple[complex, complex]:
+    """The ket of Bloch vector s = (x, y, z): (a, (x + iy)/(2a)) with a = sqrt((1 + z)/2)
+    for z >= 0, else the same ray ((x - iy)/(2b), b) with b = sqrt((1 - z)/2).  The
+    divisor is at least sqrt(1/2), so nothing cancels."""
     x, y, z = s.tolist()
     if z >= 0.0:
         a = math.sqrt((1.0 + z) / 2.0)
-        return StateVector(np.array([a, complex(x, y) / (2.0 * a)]))
+        return complex(a), complex(x, y) / (2.0 * a)
     b = math.sqrt((1.0 - z) / 2.0)
-    return StateVector(np.array([complex(x, -y) / (2.0 * b), b]))
+    return complex(x, -y) / (2.0 * b), complex(b)
 
 
 def state_from_bloch(s) -> StateVector:
-    """Pure qubit state with Bloch vector s = (x, y, z): (a, (x + iy)/(2a)) with
-    a = sqrt((1 + z)/2) for z >= 0, else the same ray ((x - iy)/(2b), b) with
-    b = sqrt((1 - z)/2).  The divisor is at least sqrt(1/2), so nothing cancels."""
-    return _bloch_state(unit_vector(s))
+    """Pure qubit state with Bloch vector s, the ket of _bloch_ket."""
+    return StateVector(np.array(_bloch_ket(unit_vector(s))))
 
 
 def _empty_conditioning(m: np.ndarray, measure: float) -> ZeroProbabilityError:
@@ -214,26 +231,36 @@ def _empty_conditioning(m: np.ndarray, measure: float) -> ZeroProbabilityError:
 
 def _classical(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
     """Bayes rule mu[b & a]/mu[a]: the overlap of the response intervals over a's measure."""
-    a = _response_set(float(np.dot(s, m)))
+    a = _response_set(bloch_dot(s, m))
     if a.measure <= MIN_MEASURE:
         raise _empty_conditioning(m, a.measure)
-    return _response_set(float(np.dot(s, n))).intersection(a).measure / a.measure
+    return _response_set(bloch_dot(s, n)).intersection(a).measure / a.measure
+
+
+def _quantum(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
+    """P(n|m) on the state of s by the Born rule on kets, with the checks of
+    qcore.conditional_probability in dimension 2: P(m) = |<m|s>|^2 is clamped and must
+    pass the zero rule, and |<n|m>|^2 |<m|s>|^2 / P(m) is clamped with cond 1 + 1/P(m)."""
+    ket_s, ket_m = _bloch_ket(s), _bloch_ket(m)
+    raw = qcore.overlap(ket_m, ket_s)
+    # a value in [0, 1] is its own clamp
+    p_m = raw if 0.0 <= raw <= 1.0 else qcore.clamp_probability(raw, "born_probability(P_m)", 2)
+    zero = qcore.zero_threshold(2)
+    if p_m <= zero:
+        raise ZeroProbabilityError(f"cannot condition on P_m: probability {p_m!r} <= {zero!r}")
+    p = qcore.overlap(_bloch_ket(n), ket_m) * raw / p_m
+    return p if 0.0 <= p <= 1.0 else qcore.clamp_probability(
+        p, "conditional_probability(P_n|P_m)", 2, 1.0 + 1.0 / p_m)
 
 
 def _compare_rows(triples) -> list[ConditionalComparison]:
-    """`compare` on each (s, m, n) of `triples`, each vector validated once; the
-    2k projectors P_m, P_n of the k rows are validated as one stack, and the k
-    quantum conditionals, each on its own row's state, evaluated as one family."""
+    """`compare` on each (s, m, n) of `triples`, each vector validated once."""
     rows = [(unit_vector(s), unit_vector(m), unit_vector(n)) for s, m, n in triples]
     # The classical sides run first: their measure check refuses a near-empty
     # conditioning set before the quantum side divides by it.
     classical = [_classical(*row) for row in rows]
-    family = qcore.projectors(_axis_matrix(np.array([v for _, m, n in rows for v in (m, n)])),
-                              ("P_m", "P_n") * len(rows))
-    quantum = qcore.conditional_probabilities([_bloch_state(s) for s, _, _ in rows],
-                                              family[0::2], family[1::2])
-    return [ConditionalComparison(quantum=q, classical=c, s=s, m=m, n=n)
-            for (s, m, n), c, q in zip(rows, classical, quantum)]
+    return [ConditionalComparison(quantum=_quantum(s, m, n), classical=c, s=s, m=m, n=n)
+            for (s, m, n), c in zip(rows, classical)]
 
 
 def compare(s, m, n) -> ConditionalComparison:
@@ -294,13 +321,13 @@ def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (1 + s.m)/2 of the conditioning one.  Where measure <= MIN_MEASURE the
     classical value means nothing: callers refuse or skip those rows.
     """
-    a_lo, a_hi = _interval_ends(qcore.row_dots(s, m))
-    b_lo, b_hi = _interval_ends(qcore.row_dots(s, n))
+    a_lo, a_hi = _interval_ends(_row_dots(s, m))
+    b_lo, b_hi = _interval_ends(_row_dots(s, n))
     measure = a_hi - a_lo
     overlap = np.maximum(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         classical = overlap / measure
-    return tuple(np.broadcast_arrays((1.0 + qcore.row_dots(m, n)) / 2.0, classical, measure))
+    return tuple(np.broadcast_arrays((1.0 + _row_dots(m, n)) / 2.0, classical, measure))
 
 
 def _rechecked(rows: list[int], triples, quantum: list[float], classical: list[float],
@@ -311,8 +338,10 @@ def _rechecked(rows: list[int], triples, quantum: list[float], classical: list[f
     checked = _compare_rows(triples)
     for row, cmp, q, c, mu in zip(rows, checked, quantum, classical, measure):
         tol = qcore.bound(1.0, 2, 1.0 + 1.0 / mu)
-        qcore.agree(q, cmp.quantum, tol, f"closed-form row {row} quantum vs compare")
-        qcore.agree(c, cmp.classical, tol, f"closed-form row {row} classical vs compare")
+        # agree builds its messages, only for a row that fails
+        if not (abs(q - cmp.quantum) <= tol and abs(c - cmp.classical) <= tol):
+            qcore.agree(q, cmp.quantum, tol, f"closed-form row {row} quantum vs compare")
+            qcore.agree(c, cmp.classical, tol, f"closed-form row {row} classical vs compare")
     return checked
 
 
@@ -369,11 +398,11 @@ def monte_carlo_check(s, m, n, samples: int, seed: int) -> MonteCarloResult:
     s, m, n = unit_vector(s), unit_vector(m), unit_vector(n)
     exact = _classical(s, m, n)
     lam = np.random.default_rng(seed).uniform(-0.5, 0.5, size=samples)
-    in_a = _response(float(np.dot(s, m)), lam) == 1.0
+    in_a = _response(bloch_dot(s, m), lam) == 1.0
     n_a = int(np.count_nonzero(in_a))
     if n_a == 0:
         raise ZeroProbabilityError("no Monte Carlo samples fell in the conditioning set")
-    in_b = _response(float(np.dot(s, n)), lam) == 1.0
+    in_b = _response(bloch_dot(s, n), lam) == 1.0
     estimate = float(np.count_nonzero(in_a & in_b)) / n_a
     se = math.sqrt(exact * (1.0 - exact) / n_a)
     se_guard = se if se > 0.0 else 1.0 / n_a

@@ -104,7 +104,8 @@ def _parse_vector(text: str) -> np.ndarray:
     # norm cannot overflow, and v / |v| keeps every digit: the scale is exact.
     exp = math.frexp(float(np.abs(v).max()))[1]
     v = np.ldexp(v, -exp)
-    norm = float(np.linalg.norm(v))
+    # bellhv.dot, not np.linalg.norm: a BLAS dot's last digit depends on the CPU
+    norm = math.sqrt(bellhv.bloch_dot(v, v))
     # |v| itself while exp <= 0; beyond, |v| >= 1/2 passes either way, and the
     # capped exponent keeps ldexp from overflowing
     if math.ldexp(norm, min(exp, 0)) < 1e-6:

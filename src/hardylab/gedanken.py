@@ -17,23 +17,56 @@ per party.  Local-realistic reasoning promotes the probability-1
 conditionals among these detectors to definite value assignments; the
 report quantifies where those assignments break against the quantum
 conditional probabilities.
+
+full_report builds no operator.  Every detector is rank 1 on its
+particle, and for rank-1 P, P A P = Tr(PA) P (Hardy 1993), so each
+probability is a squared modulus of a dot product of the one-particle
+kets of _KETS, taken by qcore.braket and qcore.overlap in Python complex
+arithmetic in a fixed order.  The state is the gamma amplitude and the
+2x2 particle amplitudes _PAIR; a click of detector |a> on one particle
+leaves v_a = (<a| (x) 1) psi on the other, or (1 (x) <a|) psi for an
+electron detector.  build_state and build_detectors give the same model
+as a StateVector and eight 5x5 Projectors: the general matrix path, which
+the tests check full_report against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
+from .errors import ZeroProbabilityError
 from .qcore import Projector, StateVector
 
 GAMMA, UU, UV, VU, VV = range(5)
+# Dimension of the state, which sets the rounding bound of every probability but the trace.
+DIM = 5
 
-_U = np.array([1.0, 0.0], dtype=complex)
-_V = np.array([0.0, 1.0], dtype=complex)
-_C0_KET = (_U - 1j * _V) / np.sqrt(2.0)
-_D0_KET = (_V - 1j * _U) / np.sqrt(2.0)
+_R = 1.0 / math.sqrt(2.0)
+# One particle's kets on its (u, v) paths.
+_KETS = {"C(inf)": (1.0 + 0j, 0j), "D(inf)": (0j, 1.0 + 0j),
+         "C(0)": (complex(_R, 0.0), complex(0.0, -_R)),
+         "D(0)": (complex(0.0, -_R), complex(_R, 0.0))}
+# psi = -1/2 |gamma> + sum _PAIR[i][j] |i+ j->, i and j indexing (u, v)
+_GAMMA_AMPLITUDE = -0.5
+_PAIR = ((0j, 0.5j), (0.5j, 0.5 + 0j))
+# The pairs of amplitudes <a| meets: a positron ket each column of _PAIR, an electron ket
+# each row.
+_AMPLITUDES = (tuple(zip(*_PAIR)), _PAIR)
+# Each detector: its particle (0 the positron, 1 the electron), its ket there, and
+# whether it also clicks on |gamma>.
+_DETECTORS = {
+    "C+(inf)": (0, _KETS["C(inf)"], False), "D+(inf)": (0, _KETS["D(inf)"], False),
+    "C-(inf)": (1, _KETS["C(inf)"], False), "D-(inf)": (1, _KETS["D(inf)"], False),
+    "C+(0)": (0, _KETS["C(0)"], False), "D+(0)": (0, _KETS["D(0)"], False),
+    "C-(0)": (1, _KETS["C(0)"], False), "D-(0)": (1, _KETS["D(0)"], False),
+    # the complement 1 - D(x) is C(x) on the electron, and the identity on |gamma>
+    "1-D-(inf)": (1, _KETS["C(inf)"], True), "1-D-(0)": (1, _KETS["C(0)"], True),
+}
+_NAMES = tuple(_DETECTORS)[:8]  # the eight detectors, in DetectorSet's order
 
 
 @dataclass(frozen=True)
@@ -67,31 +100,67 @@ GedankenReport = dict[str, RelationResult]
 
 def build_state() -> StateVector:
     """Entangled state (1/2)(-|gamma> + i|u+v-> + i|v+u-> + |v+v->)."""
-    amps = np.zeros(5, dtype=complex)
-    amps[GAMMA] = -0.5
-    amps[UV] = 0.5j
-    amps[VU] = 0.5j
-    amps[VV] = 0.5
-    return StateVector(amps)
-
-
-def _rank1(ket: np.ndarray) -> np.ndarray:
-    return np.outer(ket, ket.conj())
+    return StateVector(np.array([_GAMMA_AMPLITUDE, *_PAIR[0], *_PAIR[1]]))
 
 
 def build_detectors() -> DetectorSet:
-    """Each detector's positron (x) electron operator, zero on gamma, validated as one stack."""
+    """Each detector's positron (x) electron operator, zero on gamma."""
     eye = np.eye(2, dtype=complex)
-    c_inf, d_inf, c_0, d_0 = (_rank1(k) for k in (_U, _V, _C0_KET, _D0_KET))
     mats = np.zeros((8, 5, 5), dtype=complex)
-    mats[:, 1:, 1:] = qcore.kron(np.array([c_inf, d_inf, eye, eye, c_0, d_0, eye, eye]),
-                                 np.array([eye, eye, c_inf, d_inf, eye, eye, c_0, d_0]))
-    return DetectorSet(*qcore.projectors(mats, ("C+(inf)", "D+(inf)", "C-(inf)", "D-(inf)",
-                                                "C+(0)", "D+(0)", "C-(0)", "D-(0)")))
+    for mat, name in zip(mats, _NAMES):
+        party, ket, _ = _DETECTORS[name]
+        local = np.outer(ket, np.conj(ket))
+        mat[1:, 1:] = qcore.kron(eye, local) if party else qcore.kron(local, eye)
+    return DetectorSet(*(Projector(mat, name) for mat, name in zip(mats, _NAMES)))
 
 
-STATE = build_state()
-DETECTORS = build_detectors()
+def _after(detector: str) -> tuple:
+    """v_a, the unnormalized ket of the other particle after the detector's |a> clicks."""
+    party, ket, _ = _DETECTORS[detector]
+    amps0, amps1 = _AMPLITUDES[party]
+    return qcore.braket(ket, amps0), qcore.braket(ket, amps1)
+
+
+def joint_probability(positron: str, electron: str) -> float:
+    """<a b> = |<a b|psi>|^2 = |<b|v_a>|^2 for a positron and an electron detector
+    that do not click on gamma, clamped within bound(1, DIM)."""
+    p = qcore.overlap(_DETECTORS[electron][1], _after(positron))
+    # a value in [0, 1] is its own clamp
+    return p if 0.0 <= p <= 1.0 else qcore.clamp_probability(
+        p, f"born_probability({positron}{electron})", DIM)
+
+
+def _conditional(first: str, then: str) -> float:
+    """P(then|first): measure detector `first`, then `then`, with state reduction.
+
+    P(first) = |v_a|^2, plus |gamma|^2 for a detector that clicks on gamma; it must
+    pass the zero rule.  The click leaves |a> (x) v_a, so `then` = |b> reads |<b|v_a>|^2
+    on the other particle or |<b|a>|^2 |v_a|^2 on the same one, plus |gamma|^2 where both
+    click on gamma; over P(first), clamped with cond = 1 + 1/P(first)."""
+    party, a, on_gamma = _DETECTORS[first]
+    then_party, b, then_on_gamma = _DETECTORS[then]
+    v = _after(first)
+    gamma = _GAMMA_AMPLITUDE * _GAMMA_AMPLITUDE if on_gamma else 0.0
+    particle = qcore.braket(v, v).real
+    p_first = gamma + particle
+    if not 0.0 <= p_first <= 1.0:
+        p_first = qcore.clamp_probability(p_first, f"born_probability({first})", DIM)
+    zero = qcore.zero_threshold(DIM)
+    if p_first <= zero:
+        raise ZeroProbabilityError(
+            f"cannot condition on {first}: probability {p_first!r} <= {zero!r}")
+    seen = qcore.overlap(b, v) if then_party != party else qcore.overlap(b, a) * particle
+    p = ((gamma if then_on_gamma else 0.0) + seen) / p_first
+    return p if 0.0 <= p <= 1.0 else qcore.clamp_probability(
+        p, f"conditional_probability({then}|{first})", DIM, 1.0 + 1.0 / p_first)
+
+
+def _trace(first: str, second: str) -> float:
+    """Tr P Q = |<p|q>|^2 of two rank-1 projectors on one particle, named by their
+    kets, clamped within bound(1, 2)."""
+    c = qcore.overlap(_KETS[first], _KETS[second])
+    return c if 0.0 <= c <= 1.0 else qcore.clamp_probability(
+        c, f"disturbance_metrics({first}, {second})", 2)
 
 
 # Each relation's exact quantum value, the dimension it is computed in, and the
@@ -112,48 +181,34 @@ _EXACT = {
 def full_report() -> GedankenReport:
     """All nine relations, quantum value against local-realistic prediction.  Each
     quantum value must agree with its exact value: within qcore.bound(*_EXACT[rid])."""
-    psi, det = STATE, DETECTORS
     # The four paradox-free relations among the path detectors: quantum and
     # local-realistic readings agree here; paradoxes only arise once the
     # time-0 detectors enter.
-    eye = np.eye(5, dtype=complex)
-    joint_cc, joint_dd, not_d_minus_inf, not_d_minus_0 = qcore.projectors(
-        [det.c_plus_inf.matrix @ det.c_minus_inf.matrix,
-         det.d_plus_inf.matrix @ det.d_minus_inf.matrix,
-         eye - det.d_minus_inf.matrix, eye - det.d_minus_0.matrix],
-        ("C+(inf)C-(inf)", "D+(inf)D-(inf)", "1-D-(inf)", "1-D-(0)"))
-    p_cc, p_dd = qcore.born_probabilities(psi, (joint_cc, joint_dd))
-    # The six conditionals as one family: each pair is (measured first, then).
-    dm_given_cp, dp_given_cm, cp_given_dm0, cm_given_dp0, dm_given_dm0, complement = (
-        qcore.conditional_probabilities(
-            psi, (det.c_plus_inf, det.c_minus_inf, det.d_minus_0, det.d_plus_0, det.d_minus_0,
-                  not_d_minus_inf),
-            (det.d_minus_inf, det.d_plus_inf, det.c_plus_inf, det.c_minus_inf, det.d_minus_inf,
-             not_d_minus_0)))
-    # On the electron qubit 1-D(0) = C(0) and 1-D(inf) = C(inf), both rank 1,
-    # so the electron-sector trace Tr (1-D(0))(1-D(inf)) is Tr C(0) C(inf).
-    trace_value = qcore.disturbance_metrics(
-        *qcore.projectors([_rank1(_C0_KET), _rank1(_U)], ("C(0)", "C(inf)")))
+    p_dd = joint_probability("D+(inf)", "D-(inf)")
     report = {
-        "joint_Cplus_Cminus": RelationResult(p_cc, 0.0),
-        "P(D-inf|C+inf)": RelationResult(dm_given_cp, 1.0),
-        "P(D+inf|C-inf)": RelationResult(dp_given_cm, 1.0),
+        "joint_Cplus_Cminus": RelationResult(joint_probability("C+(inf)", "C-(inf)"), 0.0),
+        "P(D-inf|C+inf)": RelationResult(_conditional("C+(inf)", "D-(inf)"), 1.0),
+        "P(D+inf|C-inf)": RelationResult(_conditional("C-(inf)", "D+(inf)"), 1.0),
         "joint_Dplus_Dminus": RelationResult(p_dd, p_dd),
         # The probability-1 chain: D(0) on one party implies C(inf) on the other.
-        "P(C+inf|D-0)": RelationResult(cp_given_dm0, 1.0),
-        "P(C-inf|D+0)": RelationResult(cm_given_dp0, 1.0),
+        "P(C+inf|D-0)": RelationResult(_conditional("D-(0)", "C+(inf)"), 1.0),
+        "P(C-inf|D+0)": RelationResult(_conditional("D+(0)", "C-(inf)"), 1.0),
         # Local realism promotes the chain to P(D-(inf)|D-(0)) = 1; quantum
         # mechanically the first measurement disturbs the state and the
         # conditional equals c = Tr D-(0) D-(inf) = 1/2.
-        "P(D-inf|D-0)": RelationResult(dm_given_dm0, 1.0),
-        # Complementary reading: a null D-(inf) should force a null D-(0).  The
-        # electron-sector trace gives 1/2, the conditional on the full 5-dim
-        # space (where the gamma channel contributes) 3/4; both differ from
-        # the local-realistic 1, so the paradox shows either way.
-        "complement_electron_trace": RelationResult(trace_value, 1.0),
-        "complement_full_space": RelationResult(complement, 1.0),
+        "P(D-inf|D-0)": RelationResult(_conditional("D-(0)", "D-(inf)"), 1.0),
+        # Complementary reading: a null D-(inf) should force a null D-(0).  On the
+        # electron qubit 1-D(0) = C(0) and 1-D(inf) = C(inf), so the electron-sector
+        # trace Tr (1-D(0))(1-D(inf)) is Tr C(0) C(inf) = 1/2; the conditional on the
+        # full 5-dim space, where the gamma channel contributes, is 3/4.  Both differ
+        # from the local-realistic 1, so the paradox shows either way.
+        "complement_electron_trace": RelationResult(_trace("C(0)", "C(inf)"), 1.0),
+        "complement_full_space": RelationResult(_conditional("1-D-(inf)", "1-D-(0)"), 1.0),
     }
     for rid, result in report.items():
         exact, dim, cond = _EXACT[rid]
-        qcore.agree(result.quantum_value, exact, qcore.bound(exact, dim, cond), f"gedanken {rid}")
+        allowed = qcore.bound(exact, dim, cond)
+        # agree builds its message, only for a value that fails
+        if not abs(result.quantum_value - exact) <= allowed:
+            qcore.agree(result.quantum_value, exact, allowed, f"gedanken {rid}")
     return report

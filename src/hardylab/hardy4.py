@@ -141,7 +141,8 @@ def _sqrt(x):
 
 def _kets(a, b):
     """|u> and |d> of the module docstring, and (sqrt(alpha)|+> - sqrt(beta)|->), unnormalized,
-    which spans 1 - U: three pairs of floats for float a and b, a (3, 2, N) array for (N,) arrays.
+    which spans 1 - U: three pairs of components, floats for float a and b, (N,) arrays for
+    (N,) arrays.
 
     Subtracting U from the identity cancels to rounding as alpha nears 0
     or 1, where c_bar = Tr D(1-U) is about alpha*beta; the third ket keeps every digit.
@@ -150,8 +151,7 @@ def _kets(a, b):
     """
     sa, sb = _sqrt(a), _sqrt(b)
     nu, nd = _sqrt(a + b), _sqrt(a * a * a + b * b * b)
-    kets = ((sb / nu, sa / nu), (b * sb / nd, -(a * sa) / nd), (sa, -sb))
-    return np.array(kets) if isinstance(a, np.ndarray) else kets
+    return (sb / nu, sa / nu), (b * sb / nd, -(a * sa) / nd), (sa, -sb)
 
 
 # the projectors the three kets span, which name a ket that fails its norm check
@@ -168,7 +168,7 @@ def _checked_model(params: HardyParams) -> HardyModel:
         k0, k1 = k0 / norm, k1 / norm
         # For a real unit ket k, k k^T is symmetric to the bit, and (k k^T)^2 - k k^T is
         # (|k|^2 - 1) k k^T: so |k|^2 within bound(1, 2) of 1 passes validate_projectors on
-        # |k><k| and its Kronecker products, and disturbance_metrics' trace test.  A NaN fails.
+        # |k><k| and its Kronecker products, and has trace 1 within that bound.  A NaN fails.
         failure = qcore.first_failure(abs(k0 * k0 + k1 * k1 - 1.0) <= qcore.bound(1.0, 2), a)
         if failure is not None:
             raise InvalidParameterError(
@@ -264,10 +264,6 @@ _THROUGH_GAP = ("p_cond_D2_given_D1", "p_joint_D1D2", "commutator_D1U1")
 # failure, written once here rather than on every call
 _CROSS_CHECKS = tuple((name, name in _THROUGH_GAP, f"closed-form cross-check failed for {name}")
                       for name in _CHECKED_FIELDS)
-# disturbance_contradiction's checks: the closed-form field each value must match, and
-# the message of its failure
-_CONTRADICTION_CHECKS = (("c_bar", "P(1-U1|D1) vs closed-form c_bar"),
-                         ("p_cond_D2_given_D1", "P(U1|D1) vs closed-form p_cond_D2_given_D1"))
 
 
 def _gap_cond(params: HardyParams):
@@ -300,24 +296,21 @@ def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics,
                               closed: HardyMetrics) -> ContradictionResult:
     """Two-step contradiction where paradox_event(metrics) holds: hv forces P(1-U1|D1) = 1,
     quantum gives c_bar, and the discrepancy is P(U1|D1), else 0.  Measuring D1 leaves
-    |d> (x) v, so P(1-U1|D1) = (d.w)^2 and P(U1|D1) = (u.d)^2 on the model's kets, each
-    clamped as a conditional on metrics.p_D1.  Each must match its closed form within its
-    rounding bound: P(1-U1|D1) the one-qubit c_bar = Tr D(1-U), and P(U1|D1), a squared
-    norm of its own, not the cancelling 1 - P(1-U1|D1), the closed-form P(D2|D1), both
-    fields of `closed`, the model's closed_form_metrics."""
-    (u0, u1), (d0, d1), (w0, w1) = model.u, model.d, model.w
-    dw, ud = d0 * w0 + d1 * w1, u0 * d0 + u1 * d1
-    cond = 1.0 + 1.0 / metrics.p_D1
-    values = (qcore.clamp_probability(dw * dw, "conditional_probability(1-U(x)1|D(x)1)",
-                                      DIM, cond),
-              qcore.clamp_probability(ud * ud, "conditional_probability(U(x)1|D(x)1)",
-                                      DIM, cond))
-    for value, (name, what) in zip(values, _CONTRADICTION_CHECKS):
-        exact = getattr(closed, name)
-        qcore.agree(value, exact, _bound(name, exact, model.params), what)
+    |d> (x) v, so P(1-U1|D1) = (d.w)^2, which is metrics.c_bar to the bit and already
+    cross-checked, and P(U1|D1) = (u.d)^2 on the model's kets, clamped as a conditional on
+    metrics.p_D1.  P(U1|D1) is a squared norm of its own, not the cancelling 1 - c_bar, and
+    must match the closed-form P(D2|D1), the field of `closed`, the model's
+    closed_form_metrics, within its rounding bound."""
+    (u0, u1), (d0, d1) = model.u, model.d
+    ud = u0 * d0 + u1 * d1
+    p_u_given_d = qcore.clamp_probability(ud * ud, "conditional_probability(U(x)1|D(x)1)",
+                                          DIM, 1.0 + 1.0 / metrics.p_D1)
+    exact = closed.p_cond_D2_given_D1
+    qcore.agree(p_u_given_d, exact, _bound("p_cond_D2_given_D1", exact, model.params),
+                "P(U1|D1) vs closed-form p_cond_D2_given_D1")
     present = paradox_event(metrics)
     return ContradictionResult("contradiction" if present else "no_contradiction", 1.0,
-                               values[0], values[1] if present else 0.0)
+                               metrics.c_bar, p_u_given_d if present else 0.0)
 
 
 def _matrix_metrics(params: HardyParams) -> HardyMetrics:

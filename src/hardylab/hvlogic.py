@@ -341,22 +341,17 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics,
     return _HARDY_SYSTEMS[hardy4.paradox_event(metrics)]
 
 
-# <D+0 D-0>, a product of two commuting detectors and so a projector: built once.
-_D0_JOINT = qcore.Projector(
-    gedanken.DETECTORS.d_plus_0.matrix @ gedanken.DETECTORS.d_minus_0.matrix, "D+(0)D-(0)")
-
-
 def gedanken_system() -> ConstraintSystem:
     """Constraint encoding of the thought-experiment detector relations.
 
     The exclusion and the four implications encode relations of
     gedanken.full_report(), which raises unless each agrees with its exact
-    value; only <D+0 D-0>, which the report does not carry, is computed here
-    and must exceed qcore.zero_threshold.
+    value; only <D+0 D-0>, which the report does not carry, is computed here,
+    by gedanken.joint_probability, and must exceed qcore.zero_threshold.
     """
     gedanken.full_report()
-    joint_dd0 = qcore.born_probability(gedanken.STATE, _D0_JOINT)
-    if not joint_dd0 > qcore.zero_threshold(gedanken.STATE.dim):
+    joint_dd0 = gedanken.joint_probability("D+(0)", "D-(0)")
+    if not joint_dd0 > qcore.zero_threshold(gedanken.DIM):
         raise InternalConsistencyError("<D+0 D-0> unexpectedly zero; cannot build required event")
     return ConstraintSystem(
         variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),

@@ -308,7 +308,7 @@ COMPARE_MC_STDOUT = """\
 SLACK_MC_STDOUT = """\
 {
   "classical": 0.788675134594813,
-  "discrepancy": 2.22044604925031e-16,
+  "discrepancy": 0.0,
   "m": [
     0.577350269189626,
     0.577350269189626,
@@ -748,13 +748,14 @@ def rows_shifted(rows):
 AGREEMENT_SITES = {
     "cross_check": ("hardy --alpha 0.6", (hardy4, "compute_metrics", shifted("p_D1", 1e-9)),
                     "closed-form cross-check failed for p_D1"),
-    # a wrong closed form or ket would fail cross_check first, so the ket of 1 - U is made
-    # the ket of U in the model disturbance_contradiction reads, after the metrics are checked
+    # a wrong closed form or ket would fail cross_check first, so the ket of U is made
+    # the ket of 1 - U in the model disturbance_contradiction reads, after the metrics are
+    # checked
     "disturbance_contradiction": ("certify --scenario two-step",
                                   (cli, "_hardy_encoding", lambda encoding: (
-                                      dataclasses.replace(encoding[0], w=encoding[0].u),
+                                      dataclasses.replace(encoding[0], u=encoding[0].w),
                                       *encoding[1:])),
-                                  "P(1-U1|D1) vs closed-form c_bar"),
+                                  "P(U1|D1) vs closed-form p_cond_D2_given_D1"),
     # every clamped probability reads 1e-9 high, which moves <D1D2> by 1e-9 and
     # P(D1) P(U1|D1) by about 5e-10 at alpha 0.6
     "relation": ("hardy --alpha 0.6", (qcore, "clamp_probability", lambda p: p + 1e-9),
@@ -773,7 +774,7 @@ AGREEMENT_SITES = {
               (hardy4, "build_model", lambda model: dataclasses.replace(
                   model, u=(2.0, 2.0), d=(2.0, 2.0), w=(2.0, 2.0))),
               "born_probability(D(x)1)"),
-    "gedanken": ("gedanken", (qcore, "disturbance_metrics", lambda c: c + 1e-9),
+    "gedanken": ("gedanken", (gedanken, "_trace", lambda c: c + 1e-9),
                  "gedanken complement_electron_trace"),
 }
 ONE_LAYOUT = re.compile(r"internal cross-check failed: (.+): (\S+) vs (\S+) \(bound (\S+)\)\n")
@@ -830,14 +831,12 @@ def test_gedanken_and_its_certificate_judge_a_value_alike(capsys, monkeypatch, s
     """P(C+inf|D-0) moved by `shift`: `gedanken` checks it within qcore.bound(1, 5, 9),
     1.6e-13, and `certify --scenario gedanken` builds its constraint only after the same
     check, so both commands pass it or both exit 3 with the same message."""
-    conditional_probabilities = qcore.conditional_probabilities
-    det = gedanken.DETECTORS
+    conditional = gedanken._conditional
 
-    def shifted(psi, firsts, seconds, **kw):
-        return [p + shift if a is det.d_minus_0 and b is det.c_plus_inf else p
-                for p, a, b in zip(conditional_probabilities(psi, firsts, seconds, **kw),
-                                   firsts, seconds)]
-    monkeypatch.setattr(qcore, "conditional_probabilities", shifted)
+    def shifted(first, then):
+        p = conditional(first, then)
+        return p + shift if (first, then) == ("D-(0)", "C+(inf)") else p
+    monkeypatch.setattr(gedanken, "_conditional", shifted)
     assert [cli.run(["gedanken"]), cli.run(["certify", "--scenario", "gedanken"])] == [code] * 2
     err = capsys.readouterr().err
     assert err == "" if code == 0 else err.count("gedanken P(C+inf|D-0)") == 2
@@ -886,14 +885,20 @@ def test_closed_pipe_exits_0_without_traceback(cli_env):
     assert err == b""
 
 
-# What each CPU variant runs through cli.run in one process: the Hardy commands whose
-# digits numpy's SIMD paths or a BLAS kernel could reach.
+# What each CPU variant runs through cli.run in one process: the Hardy, gedanken and bell
+# commands whose digits numpy's SIMD paths or a BLAS kernel could reach.
 CPU_CORPUS = [["hardy", "--alpha", alpha] for alpha in ("0.6", "0.9", "2e-14",
                                                           "0.9999999999999999")] + [
     ["certify", "--scenario", "two-step", "--alpha", "0.9"],
     ["hardy", "--optimize"],
     ["--format", "csv", "hardy", "--sweep", "--alpha-min", "0.05", "--alpha-max", "0.95",
      "--steps", "181"],
+    ["gedanken"],
+    ["certify", "--scenario", "gedanken"],
+    ["bell", "--s=0.6,-0.8,-0.4", "--m=-0.8,0.6,0.4", "--n=-0.9,1.0,0.9"],
+    ["bell", "--s=0.6,-0.8,-0.4", "--m=-0.8,0.6,0.4", "--n=-0.9,1.0,0.9",
+     "--mc-samples", "1000", "--seed", "5"],
+    ["bell", "--scan", "100", "--seed", "4"],
 ]
 
 
@@ -916,10 +921,11 @@ def blas_name() -> str:
 
 
 def test_hardy_stdout_is_the_same_bytes_on_every_cpu_path(cli_env):
-    """The Hardy commands print the same bytes under every OpenBLAS kernel and with
-    numpy's dispatched SIMD paths off: they make no BLAS call and round only + - * /
-    and sqrt, each correctly.  OpenBLAS kernels need the CPU's instructions: Haswell
-    runs where numpy reports AVX2 and FMA3, SkylakeX where it reports AVX-512."""
+    """The Hardy, gedanken and bell commands print the same bytes under every OpenBLAS
+    kernel and with numpy's dispatched SIMD paths off: their printed values take no BLAS
+    call and round only + - * / and sqrt, each correctly, in a fixed order.  OpenBLAS
+    kernels need the CPU's instructions: Haswell runs where numpy reports AVX2 and FMA3,
+    SkylakeX where it reports AVX-512."""
     if "openblas" not in blas_name().lower():
         pytest.skip(f"numpy is not linked to OpenBLAS (BLAS {blas_name() or 'unknown'!r})")
     enabled, features = numpy_cpu_features()

@@ -75,8 +75,9 @@ class TestDetectors:
             assert electron_factor(p).trace == pytest.approx(1.0, abs=1e-12)
 
     def test_qubit_disturbance_half(self, det):
+        """Tr D(0) D(inf) on the electron qubit, the retention of D(inf) after D(0)."""
         d_0, d_inf = electron_factor(det.d_minus_0), electron_factor(det.d_minus_inf)
-        assert qcore.disturbance_metrics(d_0, d_inf) == pytest.approx(0.5, abs=1e-12)
+        assert np.trace(d_0.matrix @ d_inf.matrix).real == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBaseRelations:
@@ -158,17 +159,43 @@ def test_full_report_contains_all_relations():
     }
 
 
-@pytest.mark.parametrize("step, relation", [("born_probabilities", "joint_Cplus_Cminus"),
-                                            ("conditional_probabilities", "P(D-inf|C+inf)"),
-                                            ("disturbance_metrics", "complement_electron_trace")])
+@pytest.mark.parametrize("step, relation", [("joint_probability", "joint_Cplus_Cminus"),
+                                            ("_conditional", "P(D-inf|C+inf)"),
+                                            ("_trace", "complement_electron_trace")])
 def test_relation_off_its_exact_value_exits_3(capsys, monkeypatch, step, relation):
     """Each of the nine values is checked against its exact value: a 1e-9 shift of
-    the values a qcore step computes stops the report at the first relation it computes,
-    before any output.  The two family steps return one value per row."""
-    fn = getattr(qcore, step)
-    monkeypatch.setattr(qcore, step, lambda *args: (
-        fn(*args) + 1e-9 if step == "disturbance_metrics" else [p + 1e-9 for p in fn(*args)]))
+    the values one step of gedanken computes stops the report at the first relation
+    it computes, before any output."""
+    fn = getattr(gedanken, step)
+    monkeypatch.setattr(gedanken, step, lambda *args: fn(*args) + 1e-9)
     assert cli.run(["gedanken"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"internal cross-check failed: gedanken {relation}: ")
+
+
+def test_full_report_is_the_matrix_born_rule(psi, det):
+    """Each quantum value from kets agrees with qcore's Born rule on the 5x5 Projectors
+    of build_state and build_detectors, within the relation's bound."""
+    eye = np.eye(5)
+    joint = {name: qcore.Projector(a.matrix @ b.matrix) for name, a, b in (
+        ("joint_Cplus_Cminus", det.c_plus_inf, det.c_minus_inf),
+        ("joint_Dplus_Dminus", det.d_plus_inf, det.d_minus_inf))}
+    conditional = {
+        "P(D-inf|C+inf)": (det.c_plus_inf, det.d_minus_inf),
+        "P(D+inf|C-inf)": (det.c_minus_inf, det.d_plus_inf),
+        "P(C+inf|D-0)": (det.d_minus_0, det.c_plus_inf),
+        "P(C-inf|D+0)": (det.d_plus_0, det.c_minus_inf),
+        "P(D-inf|D-0)": (det.d_minus_0, det.d_minus_inf),
+        "complement_full_space": (qcore.Projector(eye - det.d_minus_inf.matrix),
+                                  qcore.Projector(eye - det.d_minus_0.matrix)),
+    }
+    want = {rid: qcore.born_probability(psi, p) for rid, p in joint.items()}
+    want |= {rid: qcore.conditional_probability(psi, *pair) for rid, pair in conditional.items()}
+    c_0, c_inf = electron_factor(det.c_minus_0), electron_factor(det.c_minus_inf)
+    want["complement_electron_trace"] = float(np.trace(c_0.matrix @ c_inf.matrix).real)
+    report = gedanken.full_report()
+    assert set(want) == set(report)
+    for rid, value in want.items():
+        exact, dim, cond = gedanken._EXACT[rid]
+        assert abs(report[rid].quantum_value - value) <= qcore.bound(exact, dim, cond), rid

@@ -296,20 +296,12 @@ def hardy_system_with(alpha, field, value):
 
 
 def set_gedanken_value(monkeypatch, relation, value):
-    """Make qcore return `value` for one quantum value gedanken.full_report computes:
+    """Make gedanken return `value` for one quantum value full_report computes:
     "joint_Cplus_Cminus" or "P(C+inf|D-0)"."""
-    det = gedanken.DETECTORS
-    if relation == "joint_Cplus_Cminus":
-        born = qcore.born_probabilities
-        monkeypatch.setattr(qcore, "born_probabilities", lambda psi, family: [
-            value if a.name == "C+(inf)C-(inf)" else p
-            for p, a in zip(born(psi, family), family)])
-    else:
-        conditional = qcore.conditional_probabilities
-        monkeypatch.setattr(
-            qcore, "conditional_probabilities", lambda psi, firsts, seconds, **kw: [
-                value if a is det.d_minus_0 and b is det.c_plus_inf else p
-                for p, a, b in zip(conditional(psi, firsts, seconds, **kw), firsts, seconds)])
+    step, detectors = {"joint_Cplus_Cminus": ("joint_probability", ("C+(inf)", "C-(inf)")),
+                       "P(C+inf|D-0)": ("_conditional", ("D-(0)", "C+(inf)"))}[relation]
+    fn = getattr(gedanken, step)
+    monkeypatch.setattr(gedanken, step, lambda *names: value if names == detectors else fn(*names))
 
 
 def gedanken_system_with(monkeypatch, relation, value):
@@ -442,18 +434,19 @@ class TestQuantumGatedSystems:
         report = gedanken.full_report()
         monkeypatch.setattr(gedanken, "full_report", lambda: report)
         calls = []
-        for name in ("born_probability", "conditional_probability"):
-            fn = getattr(qcore, name)
-            monkeypatch.setattr(qcore, name,
-                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        for name in ("joint_probability", "_conditional", "_trace"):
+            fn = getattr(gedanken, name)
+            monkeypatch.setattr(gedanken, name,
+                                lambda *a, _fn=fn, _name=name: calls.append((_name, a)) or _fn(*a))
         hvlogic.gedanken_system()
-        assert calls == ["born_probability"]  # <D+0 D-0>, which the report does not carry
+        # <D+0 D-0>, which the report does not carry
+        assert calls == [("joint_probability", ("D+(0)", "D-(0)"))]
 
     @pytest.mark.parametrize("joint", [qcore.zero_threshold(5), math.nan, 1e-12])
     def test_gedanken_required_event_above_zero_threshold(self, monkeypatch, joint):
         report = gedanken.full_report()
         monkeypatch.setattr(gedanken, "full_report", lambda: report)
-        monkeypatch.setattr(qcore, "born_probability", lambda *a: joint)
+        monkeypatch.setattr(gedanken, "joint_probability", lambda *a: joint)
         if joint > qcore.zero_threshold(5):
             assert hvlogic.gedanken_system().required_positive[0].cid == "<D+0 D-0>>0"
         else:
