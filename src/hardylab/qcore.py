@@ -9,7 +9,9 @@ immutable values.
 
 born_probability and conditional_probability are the general matrix path
 on one StateVector and one Projector each, the reference the tests check
-the commands against.  The commands measure only rank-1 projectors, and
+the commands against; born_probabilities and conditional_probabilities
+apply them row by row to families, and projectors builds a family from one
+validated (k, d, d) stack.  The commands measure only rank-1 projectors, and
 for rank-1 P, P A P = Tr(PA) P, so each of their probabilities is a
 squared modulus of a dot product of kets: braket and overlap take it on
 kets of two Python complex numbers, with IEEE operations in a fixed order,
@@ -100,6 +102,27 @@ class Projector:
         return self.name or f"<projector dim={self.dim}>"
 
 
+def projectors(mats, names) -> tuple[Projector, ...]:
+    """The Projectors named `names` on the rows of a (k, d, d) stack: one validate_projectors
+    call for the stack, none per Projector.  A failing row raises Projector(row, name)'s error."""
+    mats = np.asarray(mats, dtype=complex)
+    if 0 in mats.shape or mats.shape != (len(names),) + mats.shape[-1:] * 2:
+        raise InvalidParameterError("projectors needs a non-empty (k, d, d) stack and k names")
+    try:
+        validate_projectors(mats)
+    except InvalidParameterError:
+        for mat, name in zip(mats, names):
+            validate_projectors(mat, name)
+        raise
+    mats.flags.writeable = False
+    family = []
+    for mat, name in zip(mats, names):
+        p = object.__new__(Projector)
+        p.__dict__.update(matrix=mat, name=name)  # the fields Projector.__init__ would set
+        family.append(p)
+    return tuple(family)
+
+
 def validate_projectors(mats: np.ndarray, name: str = "") -> None:
     """Raise unless `mats`, a (d, d) matrix (or a stack of them), is finite, Hermitian and
     idempotent: no entry of P - P^dagger or of P P - P may exceed bound(1, d), the rounding
@@ -107,17 +130,21 @@ def validate_projectors(mats: np.ndarray, name: str = "") -> None:
     for d = 5).
 
     An inf or NaN entry makes the Hermitian defect inf or NaN, which `not <=` fails, so
-    only a matrix that fails needs the finiteness test, as in StateVector."""
+    only a matrix that fails needs the finiteness test, as in StateVector.  A stack
+    names its worst row."""
     # inf - inf, inf * 0 and overflow all leave an inf or NaN defect, which fails below
     with np.errstate(invalid="ignore", over="ignore"):
-        defects = (("Hermitian", np.abs(mats - mats.conj().swapaxes(-1, -2)).max()),
-                   ("idempotent", np.abs(mats @ mats - mats).max()))
+        defects = (("Hermitian", np.abs(mats - mats.conj().swapaxes(-1, -2))),
+                   ("idempotent", np.abs(mats @ mats - mats)))
     allowed = bound(1.0, mats.shape[-1])
     for kind, defect in defects:
-        if not defect <= allowed:
+        if not defect.max() <= allowed:
             if not np.isfinite(mats).all():
                 raise InvalidParameterError(f"projector {name!r} is not finite")
-            raise InvalidParameterError(f"projector {name!r} is not {kind} (defect {defect:.3e})")
+            row = (f" in row {np.unravel_index(defect.argmax(), defect.shape)[0]}"
+                   if defect.ndim > 2 else "")
+            raise InvalidParameterError(
+                f"projector {name!r}{row} is not {kind} (defect {defect.max():.3e})")
 
 
 def first_failure(ok, *values) -> tuple | None:
@@ -212,6 +239,49 @@ def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> flo
     p = float(np.vdot(amps, amps).real) / p_a
     return p if 0.0 <= p <= 1.0 else clamp_probability(
         p, f"conditional_probability({b.label()}|{a.label()})", a.dim, 1.0 + 1.0 / p_a)
+
+
+def _row_states(psi, *families) -> list[StateVector]:
+    """The state of each row: `psi` for every row, or `psi` itself, one state per row.
+    The families must be non-empty and of one length."""
+    k = len(families[0])
+    states = [psi] * k if isinstance(psi, StateVector) else list(psi)
+    if not k or len(states) != k or any(len(f) != k for f in families):
+        raise InvalidParameterError("needs non-empty families of one length, "
+                                    "and one state or one state per row")
+    return states
+
+
+def born_probabilities(psi, family) -> list[float]:
+    """born_probability(psi, A) for each Projector A of `family`; psi is one state or one
+    state per row."""
+    return [born_probability(s, a) for s, a in zip(_row_states(psi, family), family)]
+
+
+def conditional_probabilities(psi, firsts, seconds) -> list[float]:
+    """conditional_probability(psi, A, B) for each pair (A, B) of `firsts` and `seconds`;
+    psi is one state or one state per row."""
+    return [conditional_probability(s, a, b)
+            for s, a, b in zip(_row_states(psi, firsts, seconds), firsts, seconds)]
+
+
+def disturbance_metrics(p_first: Projector, p_second: Projector) -> float:
+    """Retention c of p_second after first measuring rank-1 p_first.
+
+    Uses the operator identity P A P = Tr(PA) P for rank-1 P, so
+    c = Tr(p_first p_second), clamped to [0,1] within the rounding bound.
+    p_first is rank 1 when its trace is within bound(1, dim) of 1.
+    """
+    dim = p_first.dim
+    if p_second.dim != dim:
+        _check_dims(dim, p_second.dim)
+    trace = p_first.trace
+    if not abs(trace - 1.0) <= bound(1.0, dim):
+        raise InvalidParameterError(
+            f"first projector {p_first.label()} must be rank 1 (trace {trace!r})")
+    c = float((p_first.matrix @ p_second.matrix).trace().real)
+    return c if 0.0 <= c <= 1.0 else clamp_probability(
+        c, f"disturbance_metrics({p_first.label()}, {p_second.label()})", dim)
 
 
 def braket(a, b) -> complex:

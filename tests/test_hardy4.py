@@ -25,16 +25,14 @@ def reference_metrics(ref) -> hardy4.HardyMetrics:
     """The Hardy statistics by qcore's Born rule on the Projectors of the test-only
     reference (conftest.hardy_reference); the commutator is the max-entry norm of DU - UD."""
     psi = ref.psi
-    p_d1, p_u1u2, p_d1d2 = (qcore.born_probability(psi, a) for a in (ref.D1, ref.U1U2, ref.D1D2))
-    u2_given_d1, u1_given_d2, d2_given_d1 = (qcore.conditional_probability(psi, a, b) for a, b in (
-        (ref.D1, ref.U2), (ref.D2, ref.U1), (ref.D1, ref.D2)))
+    p_d1, p_u1u2, p_d1d2 = qcore.born_probabilities(psi, (ref.D1, ref.U1U2, ref.D1D2))
+    u2_given_d1, u1_given_d2, d2_given_d1 = qcore.conditional_probabilities(
+        psi, (ref.D1, ref.D2, ref.D1), (ref.U2, ref.U1, ref.D2))
     d, u = ref.d_local.matrix, ref.u_local.matrix
     return hardy4.HardyMetrics(
         p_D1=p_d1, p_cond_U2_given_D1=u2_given_d1, p_cond_U1_given_D2=u1_given_d2,
         p_cond_D2_given_D1=d2_given_d1, p_joint_U1U2=p_u1u2, p_joint_D1D2=p_d1d2,
-        # Tr D(1-U), clamped as the Born rule clamps a probability in dimension 2
-        c_bar=qcore.clamp_probability(
-            float(np.trace(d @ ref.u_perp_local.matrix).real), "Tr D(1-U)", 2),
+        c_bar=qcore.disturbance_metrics(ref.d_local, ref.u_perp_local),
         commutator_D1U1=float(np.abs(d @ u - u @ d).max()))
 
 
@@ -97,8 +95,8 @@ class TestModel:
             assert abs(getattr(got, name) - getattr(want, name)) <= hardy4._bound(
                 name, getattr(closed, name), model.params), (alpha, name)
         result = hardy4.disturbance_contradiction(model, got, closed)
-        quantum, discrepancy = (qcore.conditional_probability(ref.psi, ref.D1, b)
-                                for b in (ref.U1_perp, ref.U1))
+        quantum, discrepancy = qcore.conditional_probabilities(
+            ref.psi, (ref.D1, ref.D1), (ref.U1_perp, ref.U1))
         assert abs(result.quantum_value - quantum) <= hardy4._bound(
             "c_bar", closed.c_bar, model.params), alpha
         if result.status == "contradiction":
@@ -382,6 +380,18 @@ class TestContradiction:
             result = contradiction(model)
             c_bar = hardy4.closed_form_metrics(model.params).c_bar
             assert abs(result.quantum_value - c_bar) <= qcore.bound(c_bar, 4), alpha
+
+    @pytest.mark.parametrize("alpha", SHIFT_ALPHAS)
+    def test_shifted_quantum_value_raises(self, alpha):
+        """The ket of 1 - U 1e-12 off scales the quantum value P(1-U1|D1) = (d.w)^2 by
+        1 + 2e-12.  disturbance_contradiction reports metrics.c_bar, which is that value, so
+        the closed-form cross-check that runs on the metrics before it raises."""
+        model = hardy4.build_model(alpha)
+        bad = dataclasses.replace(model, w=tuple(k * (1.0 + 1e-12) for k in model.w))
+        metrics = hardy4.compute_metrics(bad)
+        assert contradiction(bad, metrics).quantum_value == metrics.c_bar
+        with pytest.raises(InternalConsistencyError, match="failed for c_bar"):
+            hardy4.cross_check(metrics, hardy4.closed_form_metrics(bad.params), bad.params)
 
     @pytest.mark.parametrize("alpha", SHIFT_ALPHAS)
     def test_shifted_discrepancy_raises(self, alpha):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import bellhv, qcore
+from hardylab import bellhv, gedanken, qcore
 from hardylab.errors import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -181,7 +181,7 @@ class TestClampBand:
             s = bellhv.sample_direction(np.random.default_rng(seed))
             p, q = bellhv.projector_from_axis(s), bellhv.projector_from_axis(-s)
             raw = float(np.trace(p.matrix @ q.matrix).real)
-            c = qcore.clamp_probability(raw, "Tr P_s P_-s", 2)
+            c = qcore.disturbance_metrics(p, q)
             assert c == max(raw, 0.0) and c <= qcore.bound(1.0, 2)
             negative += raw < 0.0
         assert negative > 0  # some raw traces round below zero: the clamp is exercised
@@ -266,6 +266,15 @@ class TestValidateProjectors:
         rng = np.random.default_rng(5)
         qcore.validate_projectors(np.array([random_projector(rng, 3).matrix for _ in range(4)]))
 
+    @pytest.mark.parametrize("kind, corrupt", [("Hermitian", lambda m: m + [[0, 1e-9], [0, 0]]),
+                                               ("idempotent", lambda m: 2 * m)],
+                             ids=["hermitian", "idempotent"])
+    def test_a_stack_names_its_worst_row(self, kind, corrupt):
+        stack = np.array([ket_projector([1.0, float(k)]).matrix for k in range(4)])
+        stack[2] = corrupt(stack[2])
+        with pytest.raises(InvalidParameterError, match=f"'P' in row 2 is not {kind}"):
+            qcore.validate_projectors(stack, "P")
+
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidParameterError, match="finite"):
             qcore.validate_projectors(np.full((3, 2, 2), math.nan))
@@ -300,7 +309,7 @@ class TestValidateProjectors:
             else:
                 with pytest.raises(InvalidParameterError, match="'P' is not idempotent"):
                     qcore.validate_projectors(mat, "P")
-                with pytest.raises(InvalidParameterError, match="'P' is not idempotent"):
+                with pytest.raises(InvalidParameterError, match="'P' in row 1 is not idempotent"):
                     qcore.validate_projectors(stack, "P")
 
 
@@ -351,6 +360,16 @@ class TestNonFiniteProjectors:
                 qcore.validate_projectors(stack, "P")
 
     @NON_FINITE
+    @NON_FINITE_AT
+    def test_projectors_names_the_row(self, bad, at):
+        stack = np.array([self.HALF] * 3, dtype=complex)
+        stack[2] = with_entry(stack[2], at, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=r"^projector 'B' is not finite$"):
+                qcore.projectors(stack, ("Z", "A", "B"))
+
+    @NON_FINITE
     def test_finiteness_is_named_before_a_defect_of_another_row(self, bad):
         """Row 0 is not Hermitian and row 2 is not finite: the stack is "not finite"."""
         stack = np.array([self.HALF] * 3, dtype=complex)
@@ -360,6 +379,184 @@ class TestNonFiniteProjectors:
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match=r"^projector 'P' is not finite$"):
                 qcore.validate_projectors(stack, "P")
+
+
+class TestProjectors:
+    NAMES = ("P0", "P1", "P2", "P3")
+
+    def test_same_as_one_by_one(self):
+        rng = np.random.default_rng(9)
+        mats = np.array([random_projector(rng, 3).matrix for _ in range(4)])
+        lone = [Projector(mat.copy(), name=name) for mat, name in zip(mats, self.NAMES)]
+        family = qcore.projectors(mats, self.NAMES)
+        assert len(family) == 4
+        for p, q in zip(family, lone):
+            assert type(p) is Projector and p.name == q.name and p.label() == q.label()
+            assert np.array_equal(p.matrix, q.matrix) and p.matrix.dtype == q.matrix.dtype
+            assert not p.matrix.flags.writeable
+
+    def test_one_validation_for_the_stack(self, monkeypatch):
+        stack = [ket_projector([1.0, float(k)]).matrix for k in range(4)]
+        calls = []
+        validate = qcore.validate_projectors
+
+        def spy(mats, name=""):
+            calls.append(np.shape(mats))
+            validate(mats, name)
+        monkeypatch.setattr(qcore, "validate_projectors", spy)
+        qcore.projectors(stack, self.NAMES)
+        assert calls == [(4, 2, 2)]
+
+    @pytest.mark.parametrize("kind, corrupt", [("Hermitian", lambda m: m + [[0, 1e-9], [0, 0]]),
+                                               ("idempotent", lambda m: 2 * m),
+                                               ("finite", lambda m: m * math.nan)],
+                             ids=["hermitian", "idempotent", "nan"])
+    def test_a_bad_row_raises_what_its_lone_projector_raises(self, kind, corrupt):
+        stack = np.array([ket_projector([1.0, float(k)]).matrix for k in range(4)])
+        stack[2] = corrupt(stack[2])
+        with pytest.raises(InvalidParameterError) as lone:
+            Projector(stack[2].copy(), name="P2")
+        with pytest.raises(InvalidParameterError) as family:
+            qcore.projectors(stack, self.NAMES)
+        assert str(family.value) == str(lone.value)
+        assert str(family.value).startswith(f"projector 'P2' is not {kind}")
+
+    @pytest.mark.parametrize("mats, names", [(np.eye(2), ("A", "B")),
+                                             (np.zeros((2, 2, 3)), ("A", "B")),
+                                             (np.zeros((0, 2, 2)), ()),
+                                             (np.array([np.eye(2)] * 2), ("A",))],
+                             ids=["one-matrix", "not-square", "empty", "names-short"])
+    def test_rejects_a_stack_without_one_name_per_square_matrix(self, mats, names):
+        with pytest.raises(InvalidParameterError, match="k names"):
+            qcore.projectors(mats, names)
+
+
+def bits(values) -> list[int]:
+    """The bit patterns of float or complex `values`: equal only if equal to the bit."""
+    return np.asarray(values).view(np.int64).ravel().tolist()
+
+
+def lone_born(psi, a) -> float:
+    """The Born rule on one projector, written out: ||A psi||^2 by np.vdot, clamped."""
+    v = a.matrix @ psi.amplitudes
+    return min(max(float(np.vdot(v, v).real), 0.0), 1.0)
+
+
+def lone_conditional(psi, a, b) -> float:
+    """||(B A) psi||^2 over the clamped P(A), by np.vdot, clamped."""
+    v = (b.matrix @ a.matrix) @ psi.amplitudes
+    return min(max(float(np.vdot(v, v).real) / lone_born(psi, a), 0.0), 1.0)
+
+
+# Hardy alphas: seeded uniform draws, a log grid toward 0 and 1 down to 2e-14,
+# and 1/sqrt2 +- 10^-k.
+FAMILY_ALPHAS = (np.random.default_rng(23).uniform(0.0, 1.0, 200).tolist()
+                 + np.geomspace(2e-14, 0.1, 40).tolist()
+                 + [1.0 - x for x in np.geomspace(1.2e-16, 0.1, 40).tolist()]
+                 + [math.sqrt(0.5) + s * 10.0 ** -k for k in range(1, 15) for s in (1, -1)])
+
+
+class TestFamilies:
+    """born_probabilities and conditional_probabilities on a family give, row by row,
+    the bits of the one-projector arithmetic, and a bad row raises the lone row's error."""
+
+    def test_hardy_families_match_the_lone_arithmetic_to_the_bit(self, hardy_projectors):
+        for alpha in FAMILY_ALPHAS:
+            m = hardy_projectors(alpha)
+            family = (m.D1, m.D2, m.U1U2, m.D1D2, m.U1, m.U2, m.U1_perp)
+            assert bits(qcore.born_probabilities(m.psi, family)) == bits(
+                [lone_born(m.psi, a) for a in family]), alpha
+            firsts, seconds = (m.D1, m.D2, m.D1, m.D1, m.D1), (m.U2, m.U1, m.D2, m.U1_perp, m.U1)
+            assert bits(qcore.conditional_probabilities(m.psi, firsts, seconds)) == bits(
+                [lone_conditional(m.psi, a, b) for a, b in zip(firsts, seconds)]), alpha
+
+    def test_bell_rows_match_the_lone_arithmetic_to_the_bit(self):
+        """Seeded triples, each row on its own state."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            rows = [[bellhv.sample_direction(rng) for _ in range(3)] for _ in range(5)]
+            states = [bellhv.state_from_bloch(s) for s, _, _ in rows]
+            p_m = [bellhv.projector_from_axis(m) for _, m, _ in rows]
+            p_n = [bellhv.projector_from_axis(n) for _, _, n in rows]
+            assert bits(qcore.conditional_probabilities(states, p_m, p_n)) == bits(
+                [lone_conditional(*row) for row in zip(states, p_m, p_n)]), seed
+            assert bits(qcore.born_probabilities(states, p_n)) == bits(
+                [lone_born(*row) for row in zip(states, p_n)]), seed
+
+    def test_gedanken_families_match_the_lone_arithmetic_to_the_bit(self):
+        psi, det = gedanken.build_state(), list(vars(gedanken.build_detectors()).values())
+        assert bits(qcore.born_probabilities(psi, det)) == bits([lone_born(psi, a) for a in det])
+        pairs = [(a, b) for a in det for b in det]
+        firsts, seconds = zip(*pairs)
+        assert bits(qcore.conditional_probabilities(psi, firsts, seconds)) == bits(
+            [lone_conditional(psi, a, b) for a, b in pairs])
+
+    def test_one_projector_calls_are_stacks_of_one(self):
+        psi, det = gedanken.build_state(), gedanken.build_detectors()
+        assert qcore.born_probability(psi, det.d_minus_0) == qcore.born_probabilities(
+            psi, [det.d_minus_0])[0]
+        assert qcore.conditional_probability(psi, det.d_minus_0, det.c_plus_inf) == (
+            qcore.conditional_probabilities(psi, [det.d_minus_0], [det.c_plus_inf])[0])
+
+    @staticmethod
+    def lone_and_family_errors(error, lone, family) -> tuple[str, str]:
+        with pytest.raises(error) as lone_error:
+            lone()
+        with pytest.raises(error) as family_error:
+            family()
+        return str(lone_error.value), str(family_error.value)
+
+    @pytest.mark.parametrize("per_row_states", [False, True])
+    def test_a_zero_conditioning_row_raises_its_lone_error(self, per_row_states):
+        psi = StateVector.normalize([1.0, 0.0])
+        up, down = ket_projector([1.0, 0.0], "up"), ket_projector([0.0, 1.0], "down")
+        states = [psi] * 3 if per_row_states else psi
+        lone, family = self.lone_and_family_errors(
+            ZeroProbabilityError, lambda: qcore.conditional_probability(psi, down, up),
+            lambda: qcore.conditional_probabilities(states, (up, down, up), (up, up, down)))
+        assert family == lone and lone.startswith("cannot condition on down: probability ")
+
+    @pytest.mark.parametrize("step", ["born", "conditional"])
+    def test_a_row_out_of_its_clamp_band_raises_its_lone_error(self, monkeypatch, step):
+        """One squared norm (the Born rule's, or the conditional's second) reads
+        1 + 2 bound(1, 2, 2) at one row: the row of a family of three, or a family of one.
+        The squared norms are injected as what np.vdot returns: one call per row for the
+        Born rule, two (P(A), then ||B A psi||^2) for the conditional."""
+        psi = StateVector.normalize([1.0, 0.0])
+        family = tuple(Projector(np.eye(2), name=name) for name in ("A", "B", "C"))
+        vdot, bad = np.vdot, 1.0 + 2 * qcore.bound(1.0, 2, 2.0)
+
+        def one_bad_row(row):
+            calls = []
+
+            def patched(v, w):
+                calls.append(None)
+                at = row + 1 if step == "born" else 2 * row + 2
+                return complex(bad) if len(calls) == at else vdot(v, w)
+            monkeypatch.setattr(np, "vdot", patched)
+
+        def run(fam):
+            return (qcore.born_probabilities(psi, fam) if step == "born"
+                    else qcore.conditional_probabilities(psi, fam, fam))
+        one_bad_row(0)
+        with pytest.raises(InternalConsistencyError) as lone:
+            run(family[1:2])
+        one_bad_row(1)
+        with pytest.raises(InternalConsistencyError) as stacked:
+            run(family)
+        context = "born_probability(B)" if step == "born" else "conditional_probability(B|B)"
+        assert str(stacked.value) == str(lone.value)
+        assert str(lone.value).startswith(f"{context}: {bad!r} vs 1.0 (bound ")
+
+    def test_families_need_one_length_and_one_state_or_one_per_row(self):
+        psi, a = StateVector.normalize([1.0, 0.0]), identity(2)
+        for call in (lambda: qcore.born_probabilities(psi, ()),
+                     lambda: qcore.born_probabilities([psi] * 2, (a,)),
+                     lambda: qcore.conditional_probabilities(psi, (a, a), (a,))):
+            with pytest.raises(InvalidParameterError, match="one state per row"):
+                call()
+        with pytest.raises(DimensionMismatchError):
+            qcore.conditional_probabilities(psi, (a, identity(3)), (a, a))
 
 
 class TestConditionalProbability:
@@ -440,9 +637,38 @@ class TestDeviation:
         psi = random_state(rng, dim)
         if qcore.born_probability(psi, a) <= 1e-6:
             return
-        c = float(np.trace(a.matrix @ b.matrix).real)  # Tr(AB), the retention of B after A
+        c = qcore.disturbance_metrics(a, b)
         p = qcore.born_probability(reduced_state(psi, a), b)
         assert math.sqrt(p * (1.0 - p)) == pytest.approx(math.sqrt(c * (1.0 - c)), abs=1e-12)
+
+
+class TestDisturbanceMetrics:
+    def test_same_projector(self):
+        p = ket_projector([1.0, 0.0])
+        assert qcore.disturbance_metrics(p, p) == pytest.approx(1.0, abs=1e-12)
+
+    def test_orthogonal_gives_infinite_bound(self):
+        """c = 0, where the entropic bound -ln c is infinite."""
+        p = ket_projector([1.0, 0.0])
+        q = ket_projector([0.0, 1.0])
+        assert qcore.disturbance_metrics(p, q) == 0.0
+
+    def test_rank_requirement(self):
+        with pytest.raises(InvalidParameterError):
+            qcore.disturbance_metrics(identity(2), ket_projector([1.0, 0.0]))
+
+    def test_rank_edge_is_the_rounding_bound(self):
+        """diag(1 + k eps, k eps) is a projector to rounding (each defect k eps) with
+        trace 1 + 2k eps: rank 1 within bound(1, 2) for k = 16, not for k = 17."""
+        target = ket_projector([1.0, 0.0])
+        for k, inside in ((16, True), (17, False)):
+            p = Projector(np.diag([1.0 + k * EPS, k * EPS]), "P")
+            assert (abs(p.trace - 1.0) <= qcore.bound(1.0, 2)) == inside
+            if inside:
+                assert qcore.disturbance_metrics(p, target) == 1.0
+            else:
+                with pytest.raises(InvalidParameterError, match="first projector P must be rank 1"):
+                    qcore.disturbance_metrics(p, target)
 
 
 class TestTensor:
