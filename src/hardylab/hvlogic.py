@@ -6,7 +6,11 @@ implications, probability-0 joints become exclusions, and strictly
 positive joints become events that must be realized by at least one
 admissible assignment.  Instances are tiny (<= 20 variables), so the
 checker enumerates assignments until every event has a witness, and a
-paradox verdict comes with a replayable forced chain.
+paradox verdict comes with a replayable forced chain.  It enumerates
+only the variables some implication, exclusion or event mentions and
+holds the rest at 0: such a variable changes neither admissibility nor
+any event, so every lowest-index witness has it at 0 already.  Replay's
+fallback still enumerates all 2^n assignments on its own.
 """
 
 from __future__ import annotations
@@ -49,6 +53,13 @@ class RequiredEvent:
     literals: tuple[Literal, ...]
 
 
+def _literals(item: Implication | Exclusion | RequiredEvent) -> tuple[Literal, ...]:
+    """Every literal a constraint or event names: an implication's antecedents, then its consequent."""
+    if isinstance(item, Implication):
+        return item.antecedents + (item.consequent,)
+    return item.literals
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     variables: tuple[str, ...]
@@ -70,12 +81,19 @@ class ConstraintSystem:
         declared = set(self.variables)
         for group in groups:
             for item in group:
-                lits = (item.literals if hasattr(item, "literals")
-                        else item.antecedents + (item.consequent,))
-                for name, _ in lits:
+                for name, _ in _literals(item):
                     if name not in declared:
                         raise InvalidParameterError(
                             f"constraint {item.cid!r} references undeclared variable {name!r}"
+                        )
+                # X=1 & X=0 never holds, and check's refutation of such an event would not
+                # replay; an antecedent may still share its variable with the consequent
+                conjunction = [name for name, _ in
+                               (item.antecedents if isinstance(item, Implication) else item.literals)]
+                for name in conjunction:
+                    if conjunction.count(name) > 1:
+                        raise InvalidParameterError(
+                            f"constraint {item.cid!r} names variable {name!r} twice in one conjunction"
                         )
 
     def to_dict(self) -> dict:
@@ -173,12 +191,31 @@ def _forced_chain(system: ConstraintSystem, event: RequiredEvent):
 
 def check(system: ConstraintSystem) -> Certificate:
     """Is every required-positive event realizable?  Enumerates in index order (bit i is
-    variable i) until each has a witness: the first admissible assignment realizing it."""
-    names = system.variables
+    variable i) until each has a witness: the first admissible assignment realizing it.
+
+    Only the variables some constraint or event mentions are enumerated, in that order;
+    the others are held at 0.  Such a variable changes neither admissibility nor any
+    event, so clearing it in a witness gives a lower index that is a witness too: the
+    witnesses, and the order they are found in, are those of the full 2^n enumeration.
+    """
+    mentioned = set()
+    for group in (system.implications, system.exclusions, system.required_positive):
+        for item in group:
+            for name, _ in _literals(item):
+                mentioned.add(name)
+    # each variable's bit in the enumerated index, 0 for one held at 0
+    masks = []
+    bit = 1
+    for name in system.variables:
+        if name in mentioned:
+            masks.append((name, bit))
+            bit <<= 1
+        else:
+            masks.append((name, 0))
     witness: dict[str, dict[str, bool]] = {}
     pending = {ev.cid: ev for ev in system.required_positive}
-    for idx in range(1 << len(names)):
-        assign = {name: bool((idx >> i) & 1) for i, name in enumerate(names)}
+    for idx in range(bit):  # bit is 1 << (number of mentioned variables) here
+        assign = {name: bool(idx & mask) for name, mask in masks}
         if not _admissible(system, assign):
             continue
         if not system.required_positive:

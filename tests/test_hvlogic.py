@@ -84,6 +84,33 @@ class TestValidation:
         assert cert.status == "paradox" and cert.violated_constraint == "y"
         assert replay(distinct, cert)
 
+    @pytest.mark.parametrize("group", ["required_positive", "exclusions", "implications"])
+    @pytest.mark.parametrize("second", [False, True])
+    def test_variable_named_twice_in_a_conjunction(self, group, second):
+        """X=1 & X=0 can never hold, and a refutation of such an event from check
+        would not pass replay, so a conjunction names each variable once."""
+        conjunction = (("X", True), ("Z", True), ("X", second))
+        make = {
+            "required_positive": lambda: RequiredEvent(cid="c", literals=conjunction),
+            "exclusions": lambda: Exclusion(cid="c", literals=conjunction),
+            "implications": lambda: Implication(cid="c", antecedents=conjunction,
+                                                consequent=("Z", False)),
+        }
+        with pytest.raises(InvalidParameterError, match="constraint 'c' names variable 'X' twice"):
+            ConstraintSystem(variables=("X", "Z"), **{group: (make[group](),)})
+
+    def test_antecedent_may_share_its_variable_with_the_consequent(self):
+        """X=1 -> X=0 forbids X=1."""
+        sys_ = ConstraintSystem(
+            variables=("X",),
+            implications=(Implication(cid="i", antecedents=(("X", True),),
+                                      consequent=("X", False)),),
+            required_positive=(RequiredEvent(cid="X=1", literals=(("X", True),)),),
+        )
+        cert = check(sys_)
+        assert cert.status == "paradox" and cert.violated_constraint == "i"
+        assert replay(sys_, cert)
+
     def test_variable_limit(self):
         with pytest.raises(InvalidParameterError):
             ConstraintSystem(variables=tuple(f"v{i}" for i in range(21)))
@@ -138,6 +165,39 @@ class TestCheck:
         ))
         assert len(calls) == 2
         assert cert.witness == {"r": {name: name == "v0" for name in names}}
+
+    @staticmethod
+    def spy_admissible(monkeypatch):
+        """The assignments check tests for admissibility, in order."""
+        seen = []
+        admissible = hvlogic._admissible
+
+        def counted(system, assign):
+            seen.append(assign)
+            return admissible(system, assign)
+        monkeypatch.setattr(hvlogic, "_admissible", counted)
+        return seen
+
+    def test_gedanken_enumerates_only_mentioned_variables(self, monkeypatch):
+        """C+0 and C-0 appear in no constraint or event of the thought experiment, so
+        its eight variables take 2^6 admissibility tests, not 2^8."""
+        sys_ = hvlogic.gedanken_system()
+        seen = self.spy_admissible(monkeypatch)
+        cert = check(sys_)
+        assert len(seen) == 64
+        assert not any(a["C+0"] or a["C-0"] for a in seen)
+        assert cert.failing_event == "<D+0 D-0>>0"
+        assert [(s.literal, s.constraint_id) for s in cert.forced_chain] == [
+            (("D+0", True), "<D+0 D-0>>0"), (("D-0", True), "<D+0 D-0>>0"),
+            (("C+inf", True), "P(C+inf|D-0)=1"), (("C-inf", True), "P(C-inf|D+0)=1"),
+            (("D-inf", True), "P(D-inf|C+inf)=1"), (("D+inf", True), "P(D+inf|C-inf)=1")]
+        assert cert.violated_constraint == "<C+inf C-inf>=0"
+
+    def test_unconstrained_system_tests_one_assignment(self, monkeypatch):
+        seen = self.spy_admissible(monkeypatch)
+        cert = check(ConstraintSystem(variables=("A", "B", "C")))
+        assert len(seen) == 1
+        assert cert.witness == {"any": {"A": False, "B": False, "C": False}}
 
     def test_satisfiable_witness_realizes_event(self):
         sys_ = ConstraintSystem(
@@ -583,9 +643,30 @@ def _first_witnesses(system):
             for ev in system.required_positive}
 
 
+def _with_unmentioned(**constraints) -> ConstraintSystem:
+    """A system over A, U1, B, C, U2, U3: U1 sits between mentioned variables and
+    U2, U3 after them, and no constraint or event names a U."""
+    return ConstraintSystem(variables=("A", "U1", "B", "C", "U2", "U3"), **constraints)
+
+
+# A=1 forces B=1, which excludes C=1
+_A_FORCES_B_EXCLUDES_C = dict(
+    implications=(Implication(cid="i", antecedents=(("A", True),), consequent=("B", True)),),
+    exclusions=(Exclusion(cid="x", literals=(("B", True), ("C", True))),))
+
+
 class TestCheckAgainstEnumeration:
     @settings(max_examples=300, deadline=None)
     @given(system=systems(), drop_events=st.booleans())
+    # satisfiable: C=1 needs A=0 and B=0
+    @example(system=_with_unmentioned(**_A_FORCES_B_EXCLUDES_C, required_positive=(
+        RequiredEvent(cid="C=1", literals=(("C", True),)),
+        RequiredEvent(cid="A=1", literals=(("A", True),)))), drop_events=False)
+    # paradox: A=1 & C=1 is refuted
+    @example(system=_with_unmentioned(**_A_FORCES_B_EXCLUDES_C, required_positive=(
+        RequiredEvent(cid="B=1", literals=(("B", True),)),
+        RequiredEvent(cid="AC", literals=(("A", True), ("C", True))))), drop_events=False)
+    @example(system=_with_unmentioned(), drop_events=False)
     def test_status_failing_event_and_witnesses(self, system, drop_events):
         if drop_events:
             system = dataclasses.replace(system, required_positive=())
