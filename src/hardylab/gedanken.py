@@ -180,7 +180,9 @@ _EXACT = {
 
 def full_report() -> GedankenReport:
     """All nine relations, quantum value against local-realistic prediction.  Each
-    quantum value must agree with its exact value: within qcore.bound(*_EXACT[rid])."""
+    quantum value must agree with its exact value: within qcore.bound(*_EXACT[rid]).
+    Then the paper's relation: P(D-inf|D-0), from the state, must equal the trace
+    Tr D-(0) D-(inf) of one particle's kets, within the sum of their two bounds."""
     # The four paradox-free relations among the path detectors: quantum and
     # local-realistic readings agree here; paradoxes only arise once the
     # time-0 detectors enter.
@@ -211,4 +213,8 @@ def full_report() -> GedankenReport:
         # agree builds its message, only for a value that fails
         if not abs(result.quantum_value - exact) <= allowed:
             qcore.agree(result.quantum_value, exact, allowed, f"gedanken {rid}")
+    trace = _trace("D(0)", "D(inf)")
+    qcore.agree(report["P(D-inf|D-0)"].quantum_value, trace,
+                qcore.bound(*_EXACT["P(D-inf|D-0)"]) + qcore.bound(trace, 2),
+                "gedanken P(D-inf|D-0) vs Tr D-(0) D-(inf)")
     return report

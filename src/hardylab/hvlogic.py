@@ -11,10 +11,20 @@ only the variables some implication, exclusion or event mentions and
 holds the rest at 0: such a variable changes neither admissibility nor
 any event, so every lowest-index witness has it at 0 already.  Replay's
 fallback still enumerates all 2^n assignments on its own.
+
+The commands' encodings are five constant systems, CONSTANT_SYSTEMS,
+built once at import: the two Hardy systems (without and with the event
+<D1D2>>0), their two-step forms and the thought experiment's.
+hardy_system, two_step_system and gedanken_system run their quantum
+checks on every call and then return one of them.  Each one's
+certificate is computed by check on first use and then shared
+(constant_certificate); check itself keeps no cache, and the caller
+still replays a paradox before it prints one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import gedanken, hardy4, qcore
@@ -320,16 +330,12 @@ def derive_two_step(system: ConstraintSystem) -> list[Implication]:
     return derived
 
 
-def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, list[Implication]]:
-    """`base` plus its two-step derivations, requiring only D1=1; also returns the derived.
-
-    Local realism admits D1=1 here: the contradiction is with the quantum
-    P(1-U1|D1) of hardy4.disturbance_contradiction.
-    """
-    derived = derive_two_step(base)
+def _two_step(base: ConstraintSystem) -> tuple[ConstraintSystem, tuple[Implication, ...]]:
+    """`base` plus its two-step derivations, requiring only D1=1, and the derived."""
+    derived = tuple(derive_two_step(base))
     system = ConstraintSystem(
         variables=base.variables,
-        implications=base.implications + tuple(derived),
+        implications=base.implications + derived,
         exclusions=base.exclusions,
         required_positive=(RequiredEvent(cid="<D1>>0", literals=(("D1", True),)),),
     )
@@ -357,9 +363,55 @@ def _hardy_constraints(required: tuple[RequiredEvent, ...]) -> ConstraintSystem:
     )
 
 
-# hardy_system's two systems, built and validated once: without and with the event <D1D2>>0.
+# The commands' five constant systems, each built and validated once: hardy_system's two,
+# without and with the event <D1D2>>0; their two-step forms, each with its derived
+# implications; and gedanken_system's.
 _HARDY_SYSTEMS = (_hardy_constraints(()), _hardy_constraints(
     (RequiredEvent(cid="<D1D2>>0", literals=(("D1", True), ("D2", True))),)))
+_TWO_STEP_SYSTEMS = tuple(_two_step(base) for base in _HARDY_SYSTEMS)
+_GEDANKEN_SYSTEM = ConstraintSystem(
+    variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),
+    implications=tuple(_implication(given, then) for given, then in (
+        ("C+inf", "D-inf"), ("C-inf", "D+inf"), ("D-0", "C+inf"), ("D+0", "C-inf"))),
+    exclusions=(_exclusion("<C+inf C-inf>=0", "C+inf", "C-inf"),),
+    required_positive=(RequiredEvent(cid="<D+0 D-0>>0",
+                                     literals=(("D+0", True), ("D-0", True))),),
+)
+CONSTANT_SYSTEMS = (*_HARDY_SYSTEMS, *(system for system, _ in _TWO_STEP_SYSTEMS),
+                    _GEDANKEN_SYSTEM)
+
+
+@functools.cache
+def _certificate(index: int) -> Certificate:
+    return check(CONSTANT_SYSTEMS[index])
+
+
+def constant_certificate(system: ConstraintSystem) -> Certificate:
+    """check(system) for one of CONSTANT_SYSTEMS, that very object: checked on the first
+    call for it in a process, then the same Certificate, which callers only read.
+
+    Keyed by which constant is meant, never by the value of a caller's system; check
+    itself caches nothing.  Any other system is InvalidParameterError.
+    """
+    for index, constant in enumerate(CONSTANT_SYSTEMS):
+        if system is constant:
+            return _certificate(index)
+    raise InvalidParameterError("constant_certificate takes one of CONSTANT_SYSTEMS; "
+                                "check any other system")
+
+
+def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, tuple[Implication, ...]]:
+    """`base` plus its two-step derivations, requiring only D1=1; also returns the derived.
+
+    Local realism admits D1=1 here: the contradiction is with the quantum
+    P(1-U1|D1) of hardy4.disturbance_contradiction.  For either of hardy_system's
+    systems this is its constant two-step form, built once; any other base is
+    derived anew, and an equal base gives an equal system either way.
+    """
+    for hardy, two_step in zip(_HARDY_SYSTEMS, _TWO_STEP_SYSTEMS):
+        if base is hardy:
+            return two_step
+    return _two_step(base)
 
 
 def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics,
@@ -372,7 +424,8 @@ def hardy_system(model: hardy4.HardyModel, metrics: hardy4.HardyMetrics,
     InternalConsistencyError.  The event <D1D2> > 0 is required exactly when
     hardy4.paradox_event(metrics) holds (<D1D2> above qcore.zero_threshold(4)),
     the decision hardy4.disturbance_contradiction reads too.  The encoding
-    depends on nothing else, so it is one of two constant systems.
+    depends on nothing else, so it is one of two constant systems of
+    CONSTANT_SYSTEMS; the cross-check runs on every call.
     """
     hardy4.cross_check(metrics, closed, model.params)
     return _HARDY_SYSTEMS[hardy4.paradox_event(metrics)]
@@ -384,17 +437,12 @@ def gedanken_system() -> ConstraintSystem:
     The exclusion and the four implications encode relations of
     gedanken.full_report(), which raises unless each agrees with its exact
     value; only <D+0 D-0>, which the report does not carry, is computed here,
-    by gedanken.joint_probability, and must exceed qcore.zero_threshold.
+    by gedanken.joint_probability, and must exceed qcore.zero_threshold.  Both
+    checks run on every call, which then returns the constant system of
+    CONSTANT_SYSTEMS.
     """
     gedanken.full_report()
     joint_dd0 = gedanken.joint_probability("D+(0)", "D-(0)")
     if not joint_dd0 > qcore.zero_threshold(gedanken.DIM):
         raise InternalConsistencyError("<D+0 D-0> unexpectedly zero; cannot build required event")
-    return ConstraintSystem(
-        variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),
-        implications=tuple(_implication(given, then) for given, then in (
-            ("C+inf", "D-inf"), ("C-inf", "D+inf"), ("D-0", "C+inf"), ("D+0", "C-inf"))),
-        exclusions=(_exclusion("<C+inf C-inf>=0", "C+inf", "C-inf"),),
-        required_positive=(RequiredEvent(cid="<D+0 D-0>>0",
-                                         literals=(("D+0", True), ("D-0", True))),),
-    )
+    return _GEDANKEN_SYSTEM

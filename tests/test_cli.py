@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardylab import bellhv, cli, gedanken, hardy4, qcore
+from hardylab import bellhv, cli, gedanken, hardy4, hvlogic, qcore
 from hardylab.errors import InvalidParameterError
 
 
@@ -840,6 +840,108 @@ def test_gedanken_and_its_certificate_judge_a_value_alike(capsys, monkeypatch, s
     assert [cli.run(["gedanken"]), cli.run(["certify", "--scenario", "gedanken"])] == [code] * 2
     err = capsys.readouterr().err
     assert err == "" if code == 0 else err.count("gedanken P(C+inf|D-0)") == 2
+
+
+def test_paper_relation_off_the_trace_exits_3_on_every_call(capsys, monkeypatch):
+    """P(D-inf|D-0) is checked against Tr D-(0) D-(inf) as computed, not only against 1/2:
+    that trace moved by 1e-9 fails the relation in `gedanken` and in `certify --scenario
+    gedanken`, whose system is a constant, on a second in-process call as on the first."""
+    trace = gedanken._trace
+
+    def shifted(first, second):
+        c = trace(first, second)
+        return c + 1e-9 if (first, second) == ("D(0)", "D(inf)") else c
+    monkeypatch.setattr(gedanken, "_trace", shifted)
+    argvs = [["gedanken"], ["certify", "--scenario", "gedanken"]] * 2
+    assert [cli.run(argv) for argv in argvs] == [3] * 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(
+        "internal cross-check failed: gedanken P(D-inf|D-0) vs Tr D-(0) D-(inf): ") == 4
+
+
+# One argv per constant system of hvlogic, in CONSTANT_SYSTEMS' order: the two Hardy
+# systems, without and with the event <D1D2>>0, their two-step forms, and the thought
+# experiment's.
+CONSTANT_ARGVS = ["certify --scenario hardy --alpha 0.7071067811865476",
+                  "certify --scenario hardy",
+                  "certify --scenario two-step --alpha 0.7071067811865476",
+                  "certify --scenario two-step",
+                  "certify --scenario gedanken"]
+
+
+@pytest.fixture
+def warm_certificates(capsys):
+    """Every constant system's certificate computed, as after a process's first commands."""
+    for argv in CONSTANT_ARGVS:
+        assert cli.run(argv.split()) == 0
+    capsys.readouterr()
+    assert hvlogic._certificate.cache_info().currsize == len(hvlogic.CONSTANT_SYSTEMS)
+
+
+@pytest.mark.parametrize("argv, fault, what", AGREEMENT_SITES.values(), ids=AGREEMENT_SITES)
+def test_agreement_checks_exit_3_with_certificates_warm(warm_certificates, capsys, monkeypatch,
+                                                        argv, fault, what):
+    test_every_agreement_check_exits_3_in_one_layout(capsys, monkeypatch, argv, fault, what)
+
+
+@pytest.mark.parametrize("shift, code", [(-5e-14, 0), (-2e-13, 3)])
+def test_gedanken_judged_alike_with_certificates_warm(warm_certificates, capsys, monkeypatch,
+                                                      shift, code):
+    test_gedanken_and_its_certificate_judge_a_value_alike(capsys, monkeypatch, shift, code)
+
+
+def test_hardy_alpha_replays_its_paradox(capsys, monkeypatch):
+    """`hardy --alpha` prints "present" only for a certificate that passes replay: a
+    failed replay exits 3 with nothing on stdout, as certify does."""
+    monkeypatch.setattr(hvlogic, "replay", lambda system, cert: False)
+    assert cli.run(["hardy", "--alpha", "0.6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal cross-check failed: paradox certificate failed its own replay\n"
+
+
+def test_each_constant_system_is_checked_once_per_process(capsys, monkeypatch):
+    """From a cold cache, many Hardy and certify commands run check once for each of the
+    five constant systems, and replay once for each paradox they print."""
+    checked, replayed = [], []
+    check, replay = hvlogic.check, hvlogic.replay
+    monkeypatch.setattr(hvlogic, "check", lambda system: checked.append(system) or check(system))
+    monkeypatch.setattr(hvlogic, "replay",
+                        lambda system, cert: replayed.append(system) or replay(system, cert))
+    hvlogic._certificate.cache_clear()
+    alphas = [0.05 * k for k in range(1, 20)] + [0.7071067811865476]
+    printed = 0
+    for _ in range(2):
+        for alpha in alphas:
+            for argv in (["hardy", "--alpha", repr(alpha)],
+                         ["certify", "--scenario", "hardy", "--alpha", repr(alpha)],
+                         ["certify", "--scenario", "two-step", "--alpha", repr(alpha)]):
+                code, payload = run_json(capsys, argv)
+                assert code == 0, argv
+                printed += (payload.get("paradox") == "present"
+                            or payload.get("certificate", {}).get("status") == "paradox")
+        code, payload = run_json(capsys, ["certify", "--scenario", "gedanken"])
+        printed += payload["certificate"]["status"] == "paradox"
+    # by identity: the two two-step forms are equal systems
+    assert [next(i for i, c in enumerate(hvlogic.CONSTANT_SYSTEMS) if c is s)
+            for s in checked] == [1, 3, 0, 2, 4]
+    assert len(replayed) == printed == 2 * (2 * 19 + 1)
+
+
+@pytest.mark.parametrize("argv", ["hardy --alpha 0.6", "hardy --alpha 0.7071067811865476",
+                                  *CONSTANT_ARGVS, "--format csv certify --scenario gedanken"])
+def test_first_and_second_run_print_what_a_fresh_process_prints(capsys, cli_env, argv):
+    """The first in-process run (cold certificates), the second (warm) and a fresh
+    interpreter print the same bytes, with the same exit code and stderr."""
+    hvlogic._certificate.cache_clear()
+    runs = []
+    for _ in range(2):
+        code = cli.run(argv.split())
+        runs.append((code, *capsys.readouterr()))
+    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv.split()],
+                          capture_output=True, text=True, env=cli_env, timeout=60)
+    assert runs[0] == runs[1] == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def ulps_from_half_sqrt2(k: int) -> float:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,36 @@ def test_full_report_is_the_matrix_born_rule(psi, det):
     for rid, value in want.items():
         exact, dim, cond = gedanken._EXACT[rid]
         assert abs(report[rid].quantum_value - value) <= qcore.bound(exact, dim, cond), rid
+
+
+def test_the_paper_relation_holds_exactly():
+    """P(D-inf|D-0) = Tr D-(0) D-(inf) = 1/2 in exact arithmetic.  The state, 2x its pair
+    amplitudes and the kets D(0) = (-i, 1)/sqrt2 and D(inf) = (0, 1), taken unnormalized,
+    have Gaussian-integer entries, kept as pairs of Fractions."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def braket(a, b):
+        """<a|b>, a conjugated."""
+        terms = [mul((x[0], -x[1]), y) for x, y in zip(a, b)]
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+    def sq(a):
+        return a[0] * a[0] + a[1] * a[1]
+
+    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
+    pair = (((zero, zero), (zero, half)), ((zero, half), (half, zero)))  # [positron][electron]
+    d_0, d_inf = ((zero, -one), (one, zero)), ((zero, zero), (one, zero))
+    # the module's floats are these values, the kets normalized
+    assert gedanken._PAIR == tuple(tuple(complex(*z) for z in row) for row in pair)
+    for name, ket in (("D(0)", d_0), ("D(inf)", d_inf)):
+        scale = np.sqrt(float(braket(ket, ket)[0]))
+        assert np.allclose(gedanken._KETS[name], [complex(*z) / scale for z in ket], atol=0)
+    n_0, n_inf = braket(d_0, d_0)[0], braket(d_inf, d_inf)[0]
+    # D-(0) leaves w_i |d_0> / n_0 on positron path i, w_i = <d_0| pair[i]>
+    w = [braket(d_0, row) for row in pair]
+    p_d0 = sum(sq(x) for x in w) / n_0
+    p_d0_then_dinf = sum(sq(x) for x in w) * sq(braket(d_inf, d_0)) / (n_0 * n_0 * n_inf)
+    trace = sq(braket(d_0, d_inf)) / (n_0 * n_inf)
+    assert p_d0 == Fraction(1, 8)
+    assert p_d0_then_dinf / p_d0 == trace == Fraction(1, 2)
