@@ -13,6 +13,16 @@ Exit codes: 0 success, 2 validation error, 3 internal cross-check failure
 Output cut short by a reader that closes the pipe (`| head`) exits 0.
 Output is deterministic: identical argv (and seed) gives byte-identical
 reports.
+
+An argv is parsed on one of two routes.  When argv[0] names a subcommand,
+that subcommand's parser reads argv[1:] alone: the same parser, into the same
+namespace, that the top-level parser hands argv[1:] to after it has matched
+the command name, so the top-level pass is skipped.  Any other argv (a global
+flag first, an unknown command, no command), and any argv whose subcommand
+parse leaves a token over, goes through the top-level parser, whose usage
+line and message a leftover token or an unknown command then gets.  Either
+route gives the same namespace, attribute by attribute and in order, and the
+same output.
 """
 
 from __future__ import annotations
@@ -59,9 +69,20 @@ def _json_text(value, indent: str = "") -> str:
     Dicts (with str keys), lists and tuples nest; str, int, bool, None and
     float (np.float64 too) are the leaves.  NaN and +-inf print as json
     prints them.
+
+    A float whose `%.15g` text t has a `.` and no exponent prints as t.  With
+    DBL_DIG = 15, no other decimal of at most 15 significant digits reads back
+    as the double float(t), so repr(float(t)), the shortest decimal that does,
+    has t's digits; %g has stripped t's trailing zeros, and |v| lies in
+    [1e-4, 1e15), where %g and repr both print plain notation.  Every other
+    text (an exponent, an integral value, which repr prints with `.0`, +-0,
+    subnormals, inf and nan) goes through float(t) and repr.
     """
     if isinstance(value, float):
-        value = float("%.15g" % value)
+        text = "%.15g" % value
+        if "." in text and "e" not in text:
+            return text
+        value = float(text)
         if math.isfinite(value):
             return repr(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
@@ -253,7 +274,8 @@ def _mode(args) -> str:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by command name."""
     # Built once per process: parse_args returns a fresh namespace and leaves
     # the parser as it was, also when a usage error exits.
     # Global flags are accepted both before and after the subcommand.
@@ -289,11 +311,28 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--scenario", required=True,
                          choices=("hardy", "gedanken", "two-step"))
     certify.add_argument("--alpha", type=float, help="hardy and two-step alpha (default 0.6)")
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) returns, through argv[0]'s own
+    subcommand parser when argv[0] names one and it reads every other token."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         cfg = RunConfig(**{name: getattr(args, name)
                            for name in _CONFIG_FIELDS if hasattr(args, name)})

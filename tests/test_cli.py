@@ -1,12 +1,15 @@
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import math
+import random
 import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -708,6 +711,154 @@ class TestCachedParser:
         first, second = ([outcome(argv) for argv in argvs] for _ in range(2))
         assert first == second
         assert [code for code, _, _ in first] == [2, 0] * len(rejected)
+
+
+TRANSCRIPT_ARGVS = [json.loads(entry.split("\t")[0]) for entry in
+                    (Path(__file__).parent / "data" / "transcript.tsv").read_text().splitlines()[1:]]
+# the CLI's own tokens: commands, each command's flags and their abbreviations, values,
+# `--` and stray tokens
+GLOBAL_FLAGS = ["--format", "--seed", "--fo", "--se", "-h", "--help", "--h"]
+COMMAND_FLAGS = {
+    "gedanken": [],
+    "hardy": ["--alpha", "--sweep", "--alpha-min", "--alpha-max", "--steps", "--optimize", "--alp",
+              "--alpha-m", "--alpha-ma", "--sw", "--st", "--opt"],
+    "bell": ["--s", "--m", "--n", "--scan", "--mc-samples", "--sc", "--mc"],
+    "certify": ["--scenario", "--alpha", "--scen", "--al"],
+}
+ALL_FLAGS = GLOBAL_FLAGS + sorted({f for flags in COMMAND_FLAGS.values() for f in flags}) + [
+    "--bogus", "-x"]
+VALUES = ["0.6", "0.3", "-0.5", "-1", "3", "1e-3", "nan", "0,0,1", "1,0,0", "-1,0,0", "json", "csv",
+          "xml", "hardy", "two-step", "gedanken", "nonsense", "x", ""]
+# values each flag takes, keyed by its full name (an abbreviation takes its flag's)
+FLAG_VALUES = {"--format": ["json", "csv"], "--seed": ["0", "3"], "--alpha": ["0.6", "1e-3", "2"],
+               "--alpha-min": ["0.1", "0.2"], "--alpha-max": ["0.9", "0.95"], "--steps": ["2", "3"],
+               "--s": ["0,0,1", "-1,0,0"], "--m": ["1,0,0", "1,1,1"], "--n": ["0,0,1", "0,1,0"],
+               "--scan": ["1", "10"], "--mc-samples": ["100", "500"],
+               "--scenario": ["hardy", "two-step", "gedanken"]}
+
+
+def flag_value(rng: random.Random, flag: str) -> str:
+    """Mostly a value the flag takes, else any of VALUES."""
+    names = [flag] if flag in FLAG_VALUES else [name for name in FLAG_VALUES if name.startswith(flag)]
+    return rng.choice(FLAG_VALUES[names[0]] if names and rng.random() < 0.8 else VALUES)
+STRAYS = ["--", "extra", "bogus", "-", "hardy", "bell"]
+
+
+def fuzz_argvs(count: int, seed: int) -> list[list[str]]:
+    """Seeded argvs over the CLI's tokens.  Most start with a command, some with a global flag
+    or with no command; flags are mostly the command's own, with a value it takes, some as
+    `--flag=value`, the rest other commands' flags, stray tokens and other values."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        command = rng.choice(list(COMMAND_FLAGS))
+        start = rng.random()
+        argv = [command] if start < 0.75 else [] if start < 0.85 else [
+            flag := rng.choice(GLOBAL_FLAGS[:2]), flag_value(rng, flag), command]
+        own = COMMAND_FLAGS[command] + GLOBAL_FLAGS[:2]
+        for _ in range(rng.randrange(6)):
+            flag = rng.choice(own if rng.random() < 0.8 else ALL_FLAGS)
+            kind = rng.random()
+            if kind < 0.5:
+                argv += [flag, flag_value(rng, flag)]
+            elif kind < 0.65:
+                argv.append(f"{flag}={flag_value(rng, flag)}")
+            elif kind < 0.8:
+                argv.append(flag)
+            elif kind < 0.95:
+                argv.append(rng.choice(STRAYS))
+            else:
+                argv.insert(rng.randrange(len(argv) + 1), rng.choice(list(COMMAND_FLAGS)))
+        out.append(argv)
+    return out
+
+
+def parse_outcome(parse, argv):
+    """The namespace's items in order (by repr, so that NaN equals NaN), or the SystemExit
+    code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(list(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParseRoutes:
+    def test_routed_parse_is_the_top_level_parse(self):
+        """The transcript's argvs and 2,000 fuzzed ones: the routed parse and the top-level
+        parse give the same namespace in the same order, or exit alike."""
+        argvs = TRANSCRIPT_ARGVS + fuzz_argvs(2000, seed=32)
+        routed = [parse_outcome(cli._parse, argv) for argv in argvs]
+        top_level = [parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+                     for argv in argvs]
+        assert [argv for argv, a, b in zip(argvs, routed, top_level) if a != b] == []
+        exits = sum(isinstance(outcome, tuple) for outcome in routed)
+        assert 0 < exits < len(argvs)
+
+    @pytest.mark.parametrize("argv, top_level", [
+        (["hardy", "--alpha", "0.6"], False),
+        (["--format", "csv", "hardy", *SWEEP], True),
+        (["hardy", "--alpha", "0.6", "extra"], True),
+    ], ids=argv_id)
+    def test_top_level_parser_only_off_the_routed_path(self, capsys, monkeypatch, argv, top_level):
+        parser = cli.build_parser()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return argparse.ArgumentParser.parse_args(parser, *args, **kwargs)
+        monkeypatch.setattr(parser, "parse_args", spy)
+        try:
+            cli.run(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+        assert bool(calls) == top_level
+
+
+def json_float(value: float) -> str:
+    """What json.dumps prints for `value` rounded to 15 significant digits."""
+    rounded = float("%.15g" % value)
+    if math.isfinite(rounded):
+        return repr(rounded)
+    return "NaN" if rounded != rounded else "Infinity" if rounded > 0 else "-Infinity"
+
+
+def neighbours(value: float, k: int) -> list[float]:
+    """`value` and the k floats on each side of it."""
+    out = [value]
+    for direction in (-math.inf, math.inf):
+        v = value
+        for _ in range(k):
+            v = math.nextafter(v, direction)
+            out.append(v)
+    return out
+
+
+class TestJsonFloatShortcut:
+    EDGES = (neighbours(1e-4, 200) + neighbours(9.999999999999995e-5, 50)
+             + neighbours(9.99999999999999e14, 50) + neighbours(9.999999999999995e14, 50)
+             + neighbours(1e15, 50) + neighbours(1e16, 50)
+             + [10.0 ** (15 + i / 1000) for i in range(1001)]
+             + [float(i) for i in range(-100, 1001)] + [2.0 ** 52, 2.0 ** 53, 123456789012345.0]
+             + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308]
+             + [5e-324 * 3 ** k for k in range(40)] + [math.inf, -math.inf, math.nan])
+
+    def test_edges(self):
+        values = self.EDGES + [-v for v in self.EDGES]
+        assert [cli._json_text(v) for v in values] == [json_float(v) for v in values]
+
+    def test_np_float64_inf_and_nan(self):
+        values = [np.float64(v) for v in self.EDGES[::7] + [0.1 + 0.2, -1e-4]]
+        assert [cli._json_text(v) for v in values] == [json_float(v) for v in values]
+        assert [cli._json_text(v) for v in (math.inf, -math.inf, math.nan, np.float64(math.nan))] == [
+            "Infinity", "-Infinity", "NaN", "NaN"]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(32)
+        values = (rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64).tolist()
+                  + (10.0 ** rng.uniform(-5.0, 16.0, size=20_000)).tolist())
+        assert [cli._json_text(v) for v in values] == [json_float(v) for v in values]
 
 
 class TestAlphaRange:

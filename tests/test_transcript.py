@@ -139,16 +139,18 @@ def argvs() -> list[list[str]]:
     return out
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def outcome(argv: list[str]) -> tuple[str, str, str]:
     """(exit, stdout hash, stderr hash) of one in-process run; a usage error's stderr is '-'."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code, err_hash = str(cli.run(argv)), None
+            return str(cli.run(argv)), sha256(out.getvalue()), sha256(err.getvalue())
         except SystemExit as exc:
-            code, err_hash = f"SystemExit {exc.code}", "-"
-    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
-    return code, digest(out.getvalue()), err_hash or digest(err.getvalue())
+            return f"SystemExit {exc.code}", sha256(out.getvalue()), "-"
 
 
 def line(argv: list[str]) -> str:
