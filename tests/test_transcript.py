@@ -48,7 +48,10 @@ def argvs() -> list[list[str]]:
                "1e-10", "2e-14", "1e-14", "1e-6", "0.99", "0.999999999", "0.9999999999999999",
                "0.7071067811865476"]
               + [repr(ulps_from_half_sqrt2(k)) for k in (-64, -8, -3, -2, -1, 1, 2, 3, 8, 64)]
-              + [repr(math.sqrt(0.5) + sign * 10.0 ** e) for e in (-12, -9, -6) for sign in (-1, 1)])
+              + [repr(math.sqrt(0.5) + sign * 10.0 ** e) for e in (-12, -9, -6) for sign in (-1, 1)]
+              # the edge of the zero rule on P(D1) and, just above it, of the one on <D1D2>
+              + ["1.4210854715201903e-14", "1.4210854715201904e-14", repr(2.0 ** -46),
+                 "1.4210854715202007e-14"])
     bad_alphas = ["1.5", "0", "1", "-0.1", "nan", "inf", "x", ""]
     out = [["gedanken"], ["--format", "json", "gedanken"], ["gedanken", "--format", "json"],
            ["--format", "csv", "gedanken"], ["gedanken", "--seed", "1"], ["gedanken", "--bogus"]]
@@ -67,7 +70,8 @@ def argvs() -> list[list[str]]:
     sweeps = [("0.1", "0.9", "3"), ("0.2", "0.8", "2"), ("0.05", "0.95", "181"),
               ("2e-14", "0.9999999999999999", "3"), ("2e-14", "0.9999999999999999", "50"),
               ("0.7", "0.9999999999999999", "7"), ("0.35392958546780345", "0.9", "2"),
-              ("0.01870396532166641", "0.99", "181"), ("0.7071067811865475", "0.7071067811865477", "5")]
+              ("0.01870396532166641", "0.99", "181"), ("0.7071067811865475", "0.7071067811865477", "5"),
+              ("1e-14", "0.5", "3")]
     for lo, hi, steps in sweeps:
         sweep = ["--sweep", "--alpha-min", lo, "--alpha-max", hi, "--steps", steps]
         out += [["hardy", *sweep], ["hardy", *sweep, "--format", "csv"],
