@@ -238,19 +238,12 @@ def _classical(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
 
 
 def _quantum(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
-    """P(n|m) on the state of s by the Born rule on kets, with the checks of
-    qcore.conditional_probability in dimension 2: P(m) = |<m|s>|^2 is clamped and must
-    pass the zero rule, and |<n|m>|^2 |<m|s>|^2 / P(m) is clamped with cond 1 + 1/P(m)."""
+    """P(n|m) on the state of s by the Born rule on kets, in dimension 2: P(m) =
+    |<m|s>|^2 by qcore.conditioning, then |<n|m>|^2 |<m|s>|^2 / P(m) by qcore.conditional."""
     ket_s, ket_m = _bloch_ket(s), _bloch_ket(m)
     raw = qcore.overlap(ket_m, ket_s)
-    # a value in [0, 1] is its own clamp
-    p_m = raw if 0.0 <= raw <= 1.0 else qcore.clamp_probability(raw, "born_probability(P_m)", 2)
-    zero = qcore.zero_threshold(2)
-    if p_m <= zero:
-        raise ZeroProbabilityError(f"cannot condition on P_m: probability {p_m!r} <= {zero!r}")
-    p = qcore.overlap(_bloch_ket(n), ket_m) * raw / p_m
-    return p if 0.0 <= p <= 1.0 else qcore.clamp_probability(
-        p, "conditional_probability(P_n|P_m)", 2, 1.0 + 1.0 / p_m)
+    p_m = qcore.conditioning(raw, "P_m", 2)
+    return qcore.conditional(qcore.overlap(_bloch_ket(n), ket_m) * raw, p_m, "P_n", "P_m", 2)
 
 
 def _compare_rows(triples) -> list[ConditionalComparison]:

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import ZeroProbabilityError
 from .qcore import Projector, StateVector
 
 GAMMA, UU, UV, VU, VV = range(5)
@@ -133,26 +132,18 @@ def joint_probability(positron: str, electron: str) -> float:
 def _conditional(first: str, then: str) -> float:
     """P(then|first): measure detector `first`, then `then`, with state reduction.
 
-    P(first) = |v_a|^2, plus |gamma|^2 for a detector that clicks on gamma; it must
-    pass the zero rule.  The click leaves |a> (x) v_a, so `then` = |b> reads |<b|v_a>|^2
+    P(first) = |v_a|^2, plus |gamma|^2 for a detector that clicks on gamma, by
+    qcore.conditioning.  The click leaves |a> (x) v_a, so `then` = |b> reads |<b|v_a>|^2
     on the other particle or |<b|a>|^2 |v_a|^2 on the same one, plus |gamma|^2 where both
-    click on gamma; over P(first), clamped with cond = 1 + 1/P(first)."""
+    click on gamma; over P(first) by qcore.conditional."""
     party, a, on_gamma = _DETECTORS[first]
     then_party, b, then_on_gamma = _DETECTORS[then]
     v = _after(first)
     gamma = _GAMMA_AMPLITUDE * _GAMMA_AMPLITUDE if on_gamma else 0.0
     particle = qcore.braket(v, v).real
-    p_first = gamma + particle
-    if not 0.0 <= p_first <= 1.0:
-        p_first = qcore.clamp_probability(p_first, f"born_probability({first})", DIM)
-    zero = qcore.zero_threshold(DIM)
-    if p_first <= zero:
-        raise ZeroProbabilityError(
-            f"cannot condition on {first}: probability {p_first!r} <= {zero!r}")
+    p_first = qcore.conditioning(gamma + particle, first, DIM)
     seen = qcore.overlap(b, v) if then_party != party else qcore.overlap(b, a) * particle
-    p = ((gamma if then_on_gamma else 0.0) + seen) / p_first
-    return p if 0.0 <= p <= 1.0 else qcore.clamp_probability(
-        p, f"conditional_probability({then}|{first})", DIM, 1.0 + 1.0 / p_first)
+    return qcore.conditional((gamma if then_on_gamma else 0.0) + seen, p_first, then, first, DIM)
 
 
 def _trace(first: str, second: str) -> float:

@@ -36,7 +36,8 @@ no operator: for rank-1 P, P A P = Tr(PA) P, so every statistic is a
 squared dot product of the real unit 2-vector kets of build_model, |u>,
 |d> and |w>, which spans 1 - U.  build_model checks each ket's norm in
 place of the projector checks, and the state's norm; compute_metrics takes
-every probability under qcore's clamp band and zero rule and checks the
+P(D1) by qcore.conditioning, P(U2|D1) and P(D2|D1) by qcore.conditional and
+every other probability under qcore's clamp band, and checks the
 paper's relation <D1 D2> = P(D1) P(U1|D1): local realism forces U1 = 0
 once D1 = 1, and P(U1|D1) = |<u|d>|^2 = 1 - c_bar is the disturbance of
 U1 by the measurement of D1 that the paradox reads.  The one arithmetic
@@ -48,8 +49,9 @@ module formats no output.
 
 Everything here is real and non-negative by construction; alpha is the
 single free parameter, beta = sqrt(1 - alpha^2).  The paradox exists where
-<D1 D2>, about (beta - alpha)^2 near 1/sqrt2, is above
-qcore.zero_threshold(4) (paradox_event): more than about 7e-15 from 1/sqrt2.
+<D1 D2>, about (beta - alpha)^2 near 1/sqrt2 and about <D1> near 0, is above
+qcore.zero_threshold(4) (paradox_event): more than about 7e-15 from 1/sqrt2,
+and alpha above 2^-46.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import InternalConsistencyError, InvalidParameterError, ZeroProbabilityError
+from .errors import InternalConsistencyError, InvalidParameterError
 
 # Dimension of the two-qubit space, which sets the rounding bound of every check.
 DIM = 4
@@ -191,9 +193,10 @@ def compute_metrics(model: HardyModel) -> HardyMetrics:
 
     For a rank-1 projector P = |k><k|, P A P = Tr(PA) P (Hardy 1993), so each
     statistic is a squared dot product of real 2-vectors: with v = (<d| (x) 1) psi,
-    P(D1) = |v|^2, <D1 D2> = (d.v)^2 and P(B|D1) = (b.v)^2 / |v|^2.  Every probability
-    is clamped within qcore's band; P(D1) must pass the zero rule, and <D1 D2> must
-    equal P(D1) P(U1|D1) within its bound, the first failing row named by its alpha.
+    P(D1) = |v|^2, <D1 D2> = (d.v)^2 and P(B|D1) = (b.v)^2 / |v|^2.  P(D1) is taken by
+    qcore.conditioning and P(U2|D1) and P(D2|D1) by qcore.conditional; every other
+    probability is clamped within qcore's band, and <D1 D2> must equal P(D1) P(U1|D1)
+    within its bound, the first failing row named by its alpha.
     """
     params = model.params
     a, b = params.alpha, params.beta
@@ -201,30 +204,23 @@ def compute_metrics(model: HardyModel) -> HardyMetrics:
     # psi = alpha|++> - beta|-->, so v is both (<d| (x) 1) psi and (1 (x) <d|) psi:
     # P(D2) and P(U1|D2) are P(D1) and P(U2|D1) to the bit, and share their clamps
     v0, v1 = a * d0, -b * d1
-    p_d1 = qcore.clamp_probability(v0 * v0 + v1 * v1, "born_probability(D(x)1)", DIM)
-    zero = qcore.zero_threshold(DIM)
-    failure = qcore.first_failure(p_d1 > zero, p_d1)
-    if failure is not None:
-        raise ZeroProbabilityError(
-            f"cannot condition on D(x)1: probability {failure[1]!r} <= {zero!r}")
-    cond = 1.0 + 1.0 / p_d1
+    p_d1 = qcore.conditioning(v0 * v0 + v1 * v1, "D(x)1", DIM)
     uv, dv = u0 * v0 + u1 * v1, d0 * v0 + d1 * v1
     uu = a * u0 * u0 - b * u1 * u1  # <u u|psi>
     ud, dw = u0 * d0 + u1 * d1, d0 * w0 + d1 * w1
-    p_u_given_d = qcore.clamp_probability(uv * uv / p_d1, "conditional_probability(1(x)U|D(x)1)",
-                                          DIM, cond)
+    p_u_given_d = qcore.conditional(uv * uv, p_d1, "1(x)U", "D(x)1", DIM)
     joint = qcore.clamp_probability(dv * dv, "born_probability(D1D2)", DIM)
-    # D1 leaves |d> (x) v, on which U1 reads |<u|d>|^2 whatever v is
+    # D1 leaves |d> (x) v, on which U1 reads |<u|d>|^2 whatever v is: no division, but
+    # the clamp band of a conditional on D1
     relation = p_d1 * qcore.clamp_probability(ud * ud, "conditional_probability(U(x)1|D(x)1)",
-                                              DIM, cond)
+                                              DIM, 1.0 + 1.0 / p_d1)
     qcore.agree(joint, relation, _bound("p_joint_D1D2", relation, params),
                 "<D1D2> vs P(D1) P(U1|D1)", at=("alpha", a))
     return HardyMetrics(
         p_D1=p_d1,
         p_cond_U2_given_D1=p_u_given_d,
         p_cond_U1_given_D2=p_u_given_d,
-        p_cond_D2_given_D1=qcore.clamp_probability(
-            dv * dv / p_d1, "conditional_probability(1(x)D|D(x)1)", DIM, cond),
+        p_cond_D2_given_D1=qcore.conditional(dv * dv, p_d1, "1(x)D", "D(x)1", DIM),
         p_joint_U1U2=qcore.clamp_probability(uu * uu, "born_probability(U1U2)", DIM),
         p_joint_D1D2=joint,
         # Tr D(1-U) = (d.w)^2, w the unit ket of 1 - U

@@ -12,9 +12,9 @@ holds the rest at 0: such a variable changes neither admissibility nor
 any event, so every lowest-index witness has it at 0 already.  Replay's
 fallback still enumerates all 2^n assignments on its own.
 
-The commands' encodings are five constant systems, CONSTANT_SYSTEMS,
+The commands' encodings are four constant systems, CONSTANT_SYSTEMS,
 built once at import: the two Hardy systems (without and with the event
-<D1D2>>0), their two-step forms and the thought experiment's.
+<D1D2>>0), the two-step form they share and the thought experiment's.
 hardy_system, two_step_system and gedanken_system run their quantum
 checks on every call and then return one of them.  Each one's
 certificate is computed by check on first use and then shared
@@ -363,12 +363,13 @@ def _hardy_constraints(required: tuple[RequiredEvent, ...]) -> ConstraintSystem:
     )
 
 
-# The commands' five constant systems, each built and validated once: hardy_system's two,
-# without and with the event <D1D2>>0; their two-step forms, each with its derived
-# implications; and gedanken_system's.
+# The commands' four constant systems, each built and validated once: hardy_system's two,
+# without and with the event <D1D2>>0; the two-step form of either, with its derived
+# implications (the form drops the base's event, so both give this one system); and
+# gedanken_system's.
 _HARDY_SYSTEMS = (_hardy_constraints(()), _hardy_constraints(
     (RequiredEvent(cid="<D1D2>>0", literals=(("D1", True), ("D2", True))),)))
-_TWO_STEP_SYSTEMS = tuple(_two_step(base) for base in _HARDY_SYSTEMS)
+_TWO_STEP = _two_step(_HARDY_SYSTEMS[0])
 _GEDANKEN_SYSTEM = ConstraintSystem(
     variables=("C+inf", "D+inf", "C-inf", "D-inf", "C+0", "D+0", "C-0", "D-0"),
     implications=tuple(_implication(given, then) for given, then in (
@@ -377,8 +378,7 @@ _GEDANKEN_SYSTEM = ConstraintSystem(
     required_positive=(RequiredEvent(cid="<D+0 D-0>>0",
                                      literals=(("D+0", True), ("D-0", True))),),
 )
-CONSTANT_SYSTEMS = (*_HARDY_SYSTEMS, *(system for system, _ in _TWO_STEP_SYSTEMS),
-                    _GEDANKEN_SYSTEM)
+CONSTANT_SYSTEMS = (*_HARDY_SYSTEMS, _TWO_STEP[0], _GEDANKEN_SYSTEM)
 
 
 @functools.cache
@@ -404,13 +404,13 @@ def two_step_system(base: ConstraintSystem) -> tuple[ConstraintSystem, tuple[Imp
     """`base` plus its two-step derivations, requiring only D1=1; also returns the derived.
 
     Local realism admits D1=1 here: the contradiction is with the quantum
-    P(1-U1|D1) of hardy4.disturbance_contradiction.  For either of hardy_system's
-    systems this is its constant two-step form, built once; any other base is
-    derived anew, and an equal base gives an equal system either way.
+    P(1-U1|D1) of hardy4.disturbance_contradiction.  The form drops the base's
+    events, so either of hardy_system's systems gives the one constant two-step
+    form, built once; any other base is derived anew, and an equal base gives an
+    equal system either way.
     """
-    for hardy, two_step in zip(_HARDY_SYSTEMS, _TWO_STEP_SYSTEMS):
-        if base is hardy:
-            return two_step
+    if base is _HARDY_SYSTEMS[0] or base is _HARDY_SYSTEMS[1]:
+        return _TWO_STEP
     return _two_step(base)
 
 

@@ -20,7 +20,10 @@ so the digits are the same on every CPU.
 The clamp band (clamp_probability), the zero rule (zero_threshold) and the
 agreement test (bound, agree) take floats or arrays alike; hardy4 uses them
 on its kets, gedanken and bellhv on theirs, and none of them builds a
-Projector.
+Projector.  A conditional measurement's one decision is made in one place:
+conditioning clamps P(A) and applies the zero rule, and conditional divides
+by P(A) and clamps with cond = 1 + 1/P(A).  conditional_probability, hardy4,
+bellhv and gedanken all call them.
 """
 
 from __future__ import annotations
@@ -226,19 +229,41 @@ def born_probability(psi: StateVector, a: Projector) -> float:
     return p if 0.0 <= p <= 1.0 else clamp_probability(p, f"born_probability({a.label()})", a.dim)
 
 
-def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> float:
-    """P(B|A) = ||B A psi||^2 / ||A psi||^2: measure A first, then B.  P(A) must pass
-    the zero rule.  Dividing by P(A) scales the rounding by 1/P(A), so the clamp takes
-    cond = 1 + 1/P(A)."""
-    _check_dims(psi.dim, a.dim, b.dim)
-    p_a, zero = born_probability(psi, a), zero_threshold(a.dim)
-    if p_a <= zero:
+def conditioning(raw, name: str, dim: int):
+    """P(A) of a conditional measurement on A named `name`: the raw squared norm clamped
+    within bound(1, dim) (context "born_probability({name})"), and then the zero rule:
+    at or below zero_threshold(dim) is ZeroProbabilityError.  A float or an (N,) array;
+    an array's message names its first failing value."""
+    zero = zero_threshold(dim)
+    if type(raw) is float and zero < raw <= 1.0:  # the hot path: in band and not zero
+        return raw
+    p = clamp_probability(raw, f"born_probability({name})", dim)
+    failure = first_failure(p > zero, p)
+    if failure is not None:
         raise ZeroProbabilityError(
-            f"cannot condition on {a.label()}: probability {p_a!r} <= {zero!r}")
+            f"cannot condition on {name}: probability {failure[1]!r} <= {zero!r}")
+    return p
+
+
+def conditional(joint, p_first, then: str, first: str, dim: int):
+    """P(then|first) = joint / P(first), P(first) from conditioning.  Dividing by P(first)
+    scales the rounding by 1/P(first), so the clamp takes cond = 1 + 1/P(first)
+    (context "conditional_probability({then}|{first})").  Floats or (N,) arrays."""
+    p = joint / p_first
+    if type(p) is float and 0.0 <= p <= 1.0:  # a value in [0, 1] is its own clamp
+        return p
+    return clamp_probability(p, f"conditional_probability({then}|{first})", dim,
+                             1.0 + 1.0 / p_first)
+
+
+def conditional_probability(psi: StateVector, a: Projector, b: Projector) -> float:
+    """P(B|A) = ||B A psi||^2 / ||A psi||^2: measure A first, then B, by conditioning
+    and conditional."""
+    _check_dims(psi.dim, a.dim, b.dim)
+    amps = a.matrix @ psi.amplitudes
+    p_a = conditioning(float(np.vdot(amps, amps).real), a.label(), a.dim)
     amps = (b.matrix @ a.matrix) @ psi.amplitudes
-    p = float(np.vdot(amps, amps).real) / p_a
-    return p if 0.0 <= p <= 1.0 else clamp_probability(
-        p, f"conditional_probability({b.label()}|{a.label()})", a.dim, 1.0 + 1.0 / p_a)
+    return conditional(float(np.vdot(amps, amps).real), p_a, b.label(), a.label(), a.dim)
 
 
 def _row_states(psi, *families) -> list[StateVector]:

@@ -1011,9 +1011,9 @@ def test_paper_relation_off_the_trace_exits_3_on_every_call(capsys, monkeypatch)
         "internal cross-check failed: gedanken P(D-inf|D-0) vs Tr D-(0) D-(inf): ") == 4
 
 
-# One argv per constant system of hvlogic, in CONSTANT_SYSTEMS' order: the two Hardy
-# systems, without and with the event <D1D2>>0, their two-step forms, and the thought
-# experiment's.
+# The argvs that reach each constant system of hvlogic, in CONSTANT_SYSTEMS' order: the
+# two Hardy systems, without and with the event <D1D2>>0, the two-step form they share
+# (from either), and the thought experiment's.
 CONSTANT_ARGVS = ["certify --scenario hardy --alpha 0.7071067811865476",
                   "certify --scenario hardy",
                   "certify --scenario two-step --alpha 0.7071067811865476",
@@ -1054,7 +1054,7 @@ def test_hardy_alpha_replays_its_paradox(capsys, monkeypatch):
 
 def test_each_constant_system_is_checked_once_per_process(capsys, monkeypatch):
     """From a cold cache, many Hardy and certify commands run check once for each of the
-    five constant systems, and replay once for each paradox they print."""
+    four constant systems, and replay once for each paradox they print."""
     checked, replayed = [], []
     check, replay = hvlogic.check, hvlogic.replay
     monkeypatch.setattr(hvlogic, "check", lambda system: checked.append(system) or check(system))
@@ -1074,9 +1074,9 @@ def test_each_constant_system_is_checked_once_per_process(capsys, monkeypatch):
                             or payload.get("certificate", {}).get("status") == "paradox")
         code, payload = run_json(capsys, ["certify", "--scenario", "gedanken"])
         printed += payload["certificate"]["status"] == "paradox"
-    # by identity: the two two-step forms are equal systems
+    # by identity: both Hardy systems share one two-step form
     assert [next(i for i, c in enumerate(hvlogic.CONSTANT_SYSTEMS) if c is s)
-            for s in checked] == [1, 3, 0, 2, 4]
+            for s in checked] == [1, 2, 0, 3]
     assert len(replayed) == printed == 2 * (2 * 19 + 1)
 
 

@@ -354,18 +354,18 @@ class TestConstantSystems:
         constants = hvlogic.CONSTANT_SYSTEMS
         assert hardy_system_at(0.7071067811865476) is constants[0]
         assert hardy_system_at(0.6) is constants[1]
-        for base, two_step in ((constants[0], constants[2]), (constants[1], constants[3])):
+        for base, two_step in ((constants[0], constants[2]), (constants[1], constants[2])):
             system, derived = hvlogic.two_step_system(base)
             assert system is two_step
             assert derived == tuple(derive_two_step(base))
             assert system.implications == base.implications + derived
-        assert hvlogic.gedanken_system() is constants[4]
+        assert hvlogic.gedanken_system() is constants[3]
 
     def test_any_other_base_is_derived_anew(self):
         """An equal base that is not the constant gives an equal, new system."""
         system, derived = hvlogic.two_step_system(hardy_like_system())
         assert (system, derived) == hvlogic.two_step_system(hvlogic.CONSTANT_SYSTEMS[1])
-        assert system is not hvlogic.CONSTANT_SYSTEMS[3]
+        assert system is not hvlogic.CONSTANT_SYSTEMS[2]
 
     def test_each_shared_certificate_is_a_fresh_check(self):
         """Each constant's certificate prints as a fresh check of it does, key order too."""
@@ -374,20 +374,20 @@ class TestConstantSystems:
                     == json.dumps(check(system).to_dict()))
 
     def test_the_certificate_is_computed_once(self):
-        system = hvlogic.CONSTANT_SYSTEMS[4]
+        system = hvlogic.CONSTANT_SYSTEMS[3]
         assert hvlogic.constant_certificate(system) is hvlogic.constant_certificate(system)
 
     def test_only_the_constants_themselves(self):
         """An equal system is not looked up by value: check it."""
-        equal = dataclasses.replace(hvlogic.CONSTANT_SYSTEMS[4])
-        assert equal == hvlogic.CONSTANT_SYSTEMS[4]
+        equal = dataclasses.replace(hvlogic.CONSTANT_SYSTEMS[3])
+        assert equal == hvlogic.CONSTANT_SYSTEMS[3]
         with pytest.raises(InvalidParameterError, match="one of CONSTANT_SYSTEMS"):
             hvlogic.constant_certificate(equal)
 
     def test_check_keeps_no_cache(self, monkeypatch):
         """Two checks of one constant system, its shared certificate already computed,
         each enumerate its 64 assignments."""
-        system = hvlogic.CONSTANT_SYSTEMS[4]
+        system = hvlogic.CONSTANT_SYSTEMS[3]
         hvlogic.constant_certificate(system)
         seen = TestCheck.spy_admissible(monkeypatch)
         check(system)

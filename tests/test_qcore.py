@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import bellhv, gedanken, qcore
+from hardylab import bellhv, cli, gedanken, qcore
 from hardylab.errors import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -557,6 +557,93 @@ class TestFamilies:
                 call()
         with pytest.raises(DimensionMismatchError):
             qcore.conditional_probabilities(psi, (a, identity(3)), (a, a))
+
+
+class TestConditioning:
+    """qcore.conditioning and qcore.conditional: the one zero rule and clamp of a
+    conditional measurement, on floats and on (N,) arrays."""
+
+    def test_an_in_band_float_is_returned_as_it_is(self):
+        p = 0.1 + 0.2
+        assert qcore.conditioning(p, "A", 4) is p
+        q = qcore.conditional(0.125, p, "B", "A", 4)
+        assert type(q) is float and q == 0.125 / p
+
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    def test_a_value_within_its_band_is_clamped(self, dim):
+        slack = qcore.bound(1.0, dim)
+        assert qcore.conditioning(1.0 + slack / 2, "A", dim) == 1.0
+        p = 1e-3
+        cond_slack = qcore.bound(1.0, dim, 1.0 + 1.0 / p)
+        assert qcore.conditional(p * (1.0 + cond_slack / 2), p, "B", "A", dim) == 1.0
+        assert qcore.conditional(-cond_slack / 2 * p, p, "B", "A", dim) == 0.0
+
+    @pytest.mark.parametrize("raw", [1.0 + 2 * qcore.bound(1.0, 4), math.nan])
+    def test_conditioning_beyond_its_band_is_a_bug(self, raw):
+        with pytest.raises(InternalConsistencyError) as err:
+            qcore.conditioning(raw, "D(x)1", 4)
+        exact = 1.0 if raw == raw else raw
+        assert str(err.value) == (f"born_probability(D(x)1): {raw!r} vs {exact!r} "
+                                  f"(bound {qcore.bound(1.0, 4)!r})")
+
+    @pytest.mark.parametrize("excess", [2.0, math.nan])
+    def test_a_conditional_beyond_its_band_is_a_bug(self, excess):
+        p = 1e-3
+        allowed = qcore.bound(1.0, 5, 1.0 + 1.0 / p)
+        joint = p * (1.0 + excess * allowed)
+        with pytest.raises(InternalConsistencyError) as err:
+            qcore.conditional(joint, p, "C-(inf)", "C+(inf)", 5)
+        value = joint / p
+        exact = 1.0 if value == value else value
+        assert str(err.value) == (f"conditional_probability(C-(inf)|C+(inf)): {value!r} vs "
+                                  f"{exact!r} (bound {allowed!r})")
+
+    def test_the_zero_rule(self):
+        """At or below zero_threshold, after the clamp, is zero; the float just above is not."""
+        zero = qcore.zero_threshold(2)
+        above = float(np.nextafter(zero, 1.0))
+        assert qcore.conditioning(above, "P_m", 2) is above
+        for raw, shown in ((zero, zero), (1e-300, 1e-300), (0.0, 0.0), (-1e-20, 0.0)):
+            with pytest.raises(ZeroProbabilityError) as err:
+                qcore.conditioning(raw, "P_m", 2)
+            assert str(err.value) == f"cannot condition on P_m: probability {shown!r} <= {zero!r}"
+
+    def test_rows_equal_the_float_path_to_the_bit(self):
+        slack = qcore.bound(1.0, 4)
+        raw = np.array([0.3, 1.0 + slack / 2, 1e-27, 0.5, 1.0])
+        joint = raw * np.array([0.25, 1.0 + slack, 0.75, 1.0 / 3.0, 0.0])
+        p = qcore.conditioning(raw, "D(x)1", 4)
+        q = qcore.conditional(joint, p, "1(x)D", "D(x)1", 4)
+        assert isinstance(p, np.ndarray) and isinstance(q, np.ndarray)
+        one_by_one = [qcore.conditioning(float(r), "D(x)1", 4) for r in raw]
+        assert bits(p) == bits(one_by_one)
+        assert bits(q) == bits([qcore.conditional(float(j), pi, "1(x)D", "D(x)1", 4)
+                                for j, pi in zip(joint, one_by_one)])
+
+    def test_rows_name_their_first_failing_value(self):
+        zero = qcore.zero_threshold(4)
+        with pytest.raises(ZeroProbabilityError) as err:
+            qcore.conditioning(np.array([0.3, 1e-29, 0.0]), "D(x)1", 4)
+        assert str(err.value) == f"cannot condition on D(x)1: probability 1e-29 <= {zero!r}"
+        raw = np.array([0.3, 0.5, 1.0 + 2 * qcore.bound(1.0, 4)])
+        with pytest.raises(InternalConsistencyError) as err:
+            qcore.conditioning(raw, "D(x)1", 4)
+        assert str(err.value) == (f"born_probability(D(x)1) row 2: {float(raw[2])!r} vs 1.0 "
+                                  f"(bound {qcore.bound(1.0, 4)!r})")
+
+    @pytest.mark.parametrize("argv", [
+        "hardy --alpha 0.6", "hardy --sweep --alpha-min 0.1 --alpha-max 0.9 --steps 9",
+        "gedanken", "certify --scenario gedanken", "bell --s 0,0,1 --m 1,0,0 --n 0,0,1"])
+    def test_every_command_conditions_through_them(self, argv, capsys, monkeypatch):
+        """Each command conditions through qcore, so one monkeypatch of qcore reaches it."""
+        calls = []
+        for name in ("conditioning", "conditional"):
+            real = getattr(qcore, name)
+            monkeypatch.setattr(
+                qcore, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        assert cli.run(argv.split()) == 0
+        capsys.readouterr()
+        assert set(calls) == {"conditioning", "conditional"}
 
 
 class TestConditionalProbability:
