@@ -118,6 +118,9 @@ def argvs() -> list[list[str]]:
     for trials, seed in (("1", "0"), ("10", "3"), ("50", "11"), ("100", "7"), ("1000", "42"),
                          ("3", "2147483648")):
         out += [["bell", "--scan", trials, "--seed", seed], ["--seed", seed, "bell", "--scan", trials]]
+    # the smallest scan with two trials, and the last trial of a block and the first of the next
+    out += [["bell", "--scan", "2", "--seed", "1"], ["bell", "--scan", "16384", "--seed", "5"],
+            ["bell", "--scan", "16385", "--seed", "5"]]
     out += [["bell", "--scan", "100"], ["bell", "--sc", "10"], ["bell", "--scan=10", "--seed=4"],
             ["bell", "--scan", "0"], ["bell", "--scan", "1000001"], ["bell", "--scan", "ten"],
             ["--seed", "-1", "bell", "--scan", "3"], ["bell", "--scan", "3", "--seed", "-1"],
