@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import re
 from fractions import Fraction
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from hardylab import bellhv, cli, qcore
 from hardylab.bellhv import LambdaSet
-from hardylab.errors import InvalidParameterError, ZeroProbabilityError
+from hardylab.errors import HardyLabError, InvalidParameterError, ZeroProbabilityError
 
 seeds = st.integers(0, 2**32 - 1)
 X_HAT = np.array([1.0, 0.0, 0.0])
@@ -647,3 +649,58 @@ class TestMonteCarlo:
     def test_samples_above_cap_rejected(self):
         with pytest.raises(InvalidParameterError):
             bellhv.monte_carlo_check(Z_HAT, X_HAT, Z_HAT, bellhv.MAX_SAMPLES + 1, 0)
+
+
+# SHA-256 of TestFloatCoreGolden's lines, recorded on the LambdaSet-and-ndarray core
+# that the float core replaced.
+COMPARE_SHA256 = "f46f0e406de8499f04738e0aced9cde30e018a5719a4a974a33badef5a5dfffd"
+MONTE_CARLO_SHA256 = "8a5af1f4771a12be9bf645fdab0d96966d550c08a7cb22dbb9809bb06864a5fd"
+
+
+def golden_triples():
+    """2,000 seeded triples, then the special cases of test_rows_agree_with_compare: s = +-m,
+    n = +-m and s orthogonal to m (or m to s) on the first 100, the axis triples, and s.m
+    exactly 0.  The orthogonal vector is taken in Python floats, in a fixed order, so
+    that the triples are the same bits on every CPU."""
+    rng = np.random.default_rng(34)
+    triples = [tuple(bellhv.sample_direction(rng) for _ in range(3)) for _ in range(2000)]
+    special = []
+    for a, _, b in triples[:100]:
+        (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+        cross = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+        norm = math.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+        ortho = np.array([c / norm for c in cross])
+        special += [(a, a, b), (-a, a, b), (a, b, b), (a, b, -b), (ortho, a, b), (a, ortho, b)]
+    special += [(Z_HAT, X_HAT, Z_HAT), (X_HAT, Z_HAT, Y_HAT), (Z_HAT, Z_HAT, -Z_HAT),
+                (Y_HAT, X_HAT, -X_HAT), (-Z_HAT, Y_HAT, Z_HAT)]
+    for n_row in ([0.6, 0.0, 0.8], [0.6, 0.0, -0.8], [-0.28, 0.0, 0.96]):
+        special += [(Z_HAT, X_HAT, np.array(n_row)), (Z_HAT, -X_HAT, np.array(n_row))]
+    return triples + special
+
+
+def outcome_text(call) -> str:
+    """call()'s dict as sorted JSON, every float by repr, or its error's type and message."""
+    try:
+        return json.dumps(call(), sort_keys=True)
+    except HardyLabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestFloatCoreGolden:
+    """`compare` and `monte_carlo_check` on golden_triples, pinned by the SHA-256 of every
+    printed digit: a change to the scalar core must keep each bit, signed zeros and error
+    messages included."""
+
+    @staticmethod
+    def digest(lines) -> str:
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    def test_compare(self):
+        lines = [outcome_text(lambda: bellhv.compare(s, m, n).to_dict())
+                 for s, m, n in golden_triples()]
+        assert self.digest(lines) == COMPARE_SHA256
+
+    def test_monte_carlo_check(self):
+        lines = [outcome_text(lambda: vars(bellhv.monte_carlo_check(s, m, n, 200, seed)))
+                 for seed, (s, m, n) in enumerate(golden_triples())]
+        assert self.digest(lines) == MONTE_CARLO_SHA256
