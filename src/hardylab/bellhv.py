@@ -14,28 +14,37 @@ classical (Bayes) conditional mu[b & a]/mu[a] is compared against the
 quantum conditional <m|P_n|m> to exhibit where it fails.
 
 `compare` evaluates one triple by the Born rule on kets and by
-`LambdaSet` overlap.  It is `_compare_rows` on one row: that core
-validates each s, m and n once and runs the private cores that the
-public step functions run after validating.  Its quantum side builds no
-operator: P_m = |m><m| is rank 1, so P_m P_n P_m = |<n|m>|^2 P_m and
-P(n|m) = |<n|m>|^2 |<m|s>|^2 / |<m|s>|^2, on the kets of the three Bloch
-vectors (the formula of `state_from_bloch`), in Python complex
-arithmetic.  Every 3-vector dot product is a0*b0 + a1*b1 + a2*b2, in
-that order, on floats and on rows alike: numpy's dot lets the BLAS
-kernel of the CPU choose its order, so its last digit moves with the
-CPU, and this does not.
+interval overlap.  It is `_compare_rows` on one row: that core validates
+each s, m and n once (`unit_vector`), takes its three components once as
+Python floats, and runs on those floats the private cores that the
+public step functions run after validating.  Its classical side is
+interval arithmetic on (lo, hi) float pairs from `_interval`, the rule
+that `hv_response` wraps in a `LambdaSet`, with the same operations in
+the same order as `LambdaSet.intersection` and `measure`.  Its quantum
+side builds no operator: P_m = |m><m| is rank 1, so P_m P_n P_m =
+|<n|m>|^2 P_m and P(n|m) = |<n|m>|^2 |<m|s>|^2 / |<m|s>|^2, on the kets
+of the three Bloch vectors (`_bloch_ket`, the formula of
+`state_from_bloch`), in Python complex arithmetic.  Every 3-vector dot
+product is a0*b0 + a1*b1 + a2*b2, in that order, on floats and on rows
+alike: numpy's dot lets the BLAS kernel of the CPU choose its order, so
+its last digit moves with the CPU, and this does not.
 Scans evaluate all their rows at once from the closed forms
 (`conditional_rows`): the quantum conditional (1 + m.n)/2 and the
-overlap of two response intervals.  A scan draws from one PCG64 stream
-per seed, in which trial i owns draws 6i..6i+5; PCG64 jumps ahead by n
-draws in O(log n) steps, so `_trial_rng(seed, trial)` redraws any one
-trial alone.  `compare`'s core is the oracle: one call re-checks the
-printed maximum and SCAN_RECHECKS seeded rows of every scan, redrawn as
-five triples.  Each side of a row must agree with the oracle's within
-qcore.bound(1, 2, 1 + 1/measure) (qcore.agree); a disagreement raises
-InternalConsistencyError (exit 3 on the command line).  A scan builds
-one PCG64: each block of rows and each re-checked row restores its start
-state and jumps ahead to its trial.
+overlap of two response intervals.  `_directions` turns a block's draws
+into directions in one preallocated component-major array, so that each
+component of a block's s, m or n is one contiguous row for the kernel.
+A scan draws from one PCG64 stream per seed, in which trial i owns draws
+6i..6i+5; PCG64 jumps ahead by n draws in O(log n) steps, so
+`_trial_rng(seed, trial)` redraws any one trial alone.  `compare`'s core
+is the oracle: one call re-checks the printed maximum and SCAN_RECHECKS
+seeded rows of every scan.  Each side of a row must agree with the
+oracle's within qcore.bound(1, 2, 1 + 1/measure) (qcore.agree); a
+disagreement raises InternalConsistencyError (exit 3 on the command
+line).  A scan builds one PCG64 and draws its blocks in stream order,
+then the seeded picks; it then restores the stream's start state once
+and redraws the re-checked trials in one pass, in ascending order,
+jumping ahead from each to the next, through `sample_direction`'s scalar
+formula (`_direction`).
 """
 
 from __future__ import annotations
@@ -72,11 +81,15 @@ SCAN_RECHECKS = 4
 TRIAL_DRAWS = 6
 
 
-def bloch_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b of two 3-vectors as a0*b0 + a1*b1 + a2*b2, in that order, as _row_dots
+def _dot(a, b) -> float:
+    """a.b of two float triples as a0*b0 + a1*b1 + a2*b2, in that order, as _row_dots
     takes each row."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return a0 * b0 + a1 * b1 + a2 * b2
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def bloch_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """_dot of two 3-vectors, on their components as Python floats."""
+    return _dot(a.tolist(), b.tolist())
 
 
 def _row_dots(a, b):
@@ -93,12 +106,19 @@ def unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise InvalidParameterError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    norm = math.sqrt(bloch_dot(v, v))
+    c = v.tolist()
+    norm = math.sqrt(_dot(c, c))
     # `not <=`: a NaN component makes the norm NaN, which must fail too
     if not abs(norm - 1.0) <= _UNIT_SLACK:
         raise InvalidParameterError(
-            f"Bloch vector {v.tolist()} must be finite with unit length, |v| = {norm!r}")
+            f"Bloch vector {c} must be finite with unit length, |v| = {norm!r}")
     return v
+
+
+def _check_interval(lo: float, hi: float) -> None:
+    """Raise unless [lo, hi) is empty or lies within RANGE_SLACK of [-1/2, 1/2]."""
+    if hi > lo and (lo < -0.5 - RANGE_SLACK or hi > 0.5 + RANGE_SLACK):
+        raise InvalidParameterError(f"interval [{lo}, {hi}) outside [-1/2, 1/2]")
 
 
 @dataclass(frozen=True)
@@ -109,8 +129,7 @@ class LambdaSet:
     hi: float
 
     def __post_init__(self):
-        if self.hi > self.lo and (self.lo < -0.5 - RANGE_SLACK or self.hi > 0.5 + RANGE_SLACK):
-            raise InvalidParameterError(f"interval [{self.lo}, {self.hi}) outside [-1/2, 1/2]")
+        _check_interval(self.lo, self.hi)
 
     @property
     def measure(self) -> float:
@@ -168,13 +187,22 @@ def response_value(s, m, lam: float) -> float:
 # Each step below has one implementation, a private core on validated
 # vectors; the public function of the same step validates, then calls it.
 
+def _interval(sm: float) -> tuple[float, float]:
+    """Ends (lo, hi) of {lambda : response = 1} for s.m = sm, checked as LambdaSet
+    checks its ends."""
+    if sm > 0.0:
+        lo, hi = -0.5 * sm, 0.5
+    elif sm < 0.0:
+        lo, hi = -0.5, 0.5 * sm
+    else:
+        lo, hi = 0.0, 0.5
+    _check_interval(lo, hi)
+    return lo, hi
+
+
 def _response_set(sm: float) -> LambdaSet:
     """{lambda : response = 1} for s.m = sm."""
-    if sm > 0.0:
-        return LambdaSet(-0.5 * sm, 0.5)
-    if sm < 0.0:
-        return LambdaSet(-0.5, 0.5 * sm)
-    return LambdaSet(0.0, 0.5)
+    return LambdaSet(*_interval(sm))
 
 
 def hv_response(s, m) -> LambdaSet:
@@ -207,11 +235,11 @@ def projector_from_axis(m, name: str = "") -> Projector:
     return Projector(_axis_matrix(m), name=name or "P({:g},{:g},{:g})".format(*m.tolist()))
 
 
-def _bloch_ket(s: np.ndarray) -> tuple[complex, complex]:
-    """The ket of Bloch vector s = (x, y, z): (a, (x + iy)/(2a)) with a = sqrt((1 + z)/2)
-    for z >= 0, else the same ray ((x - iy)/(2b), b) with b = sqrt((1 - z)/2).  The
-    divisor is at least sqrt(1/2), so nothing cancels."""
-    x, y, z = s.tolist()
+def _bloch_ket(s) -> tuple[complex, complex]:
+    """The ket of Bloch vector s = (x, y, z), three floats: (a, (x + iy)/(2a)) with
+    a = sqrt((1 + z)/2) for z >= 0, else the same ray ((x - iy)/(2b), b) with
+    b = sqrt((1 - z)/2).  The divisor is at least sqrt(1/2), so nothing cancels."""
+    x, y, z = s
     if z >= 0.0:
         a = math.sqrt((1.0 + z) / 2.0)
         return complex(a), complex(x, y) / (2.0 * a)
@@ -221,23 +249,28 @@ def _bloch_ket(s: np.ndarray) -> tuple[complex, complex]:
 
 def state_from_bloch(s) -> StateVector:
     """Pure qubit state with Bloch vector s, the ket of _bloch_ket."""
-    return StateVector(np.array(_bloch_ket(unit_vector(s))))
+    return StateVector(np.array(_bloch_ket(unit_vector(s).tolist())))
 
 
-def _empty_conditioning(m: np.ndarray, measure: float) -> ZeroProbabilityError:
-    return ZeroProbabilityError(f"conditioning set for m={m.tolist()} has hidden-"
+# The cores below take s, m and n as lists of three Python floats.
+
+def _empty_conditioning(m: list[float], measure: float) -> ZeroProbabilityError:
+    return ZeroProbabilityError(f"conditioning set for m={m} has hidden-"
                                 f"variable measure {float(measure)!r} <= {MIN_MEASURE!r}")
 
 
-def _classical(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
-    """Bayes rule mu[b & a]/mu[a]: the overlap of the response intervals over a's measure."""
-    a = _response_set(bloch_dot(s, m))
-    if a.measure <= MIN_MEASURE:
-        raise _empty_conditioning(m, a.measure)
-    return _response_set(bloch_dot(s, n)).intersection(a).measure / a.measure
+def _classical(s, m, n) -> float:
+    """Bayes rule mu[b & a]/mu[a]: the overlap of the response intervals over a's measure,
+    as LambdaSet computes b.intersection(a).measure / a.measure."""
+    a_lo, a_hi = _interval(_dot(s, m))
+    measure = max(a_hi - a_lo, 0.0)
+    if measure <= MIN_MEASURE:
+        raise _empty_conditioning(m, measure)
+    b_lo, b_hi = _interval(_dot(s, n))
+    return max(min(b_hi, a_hi) - max(b_lo, a_lo), 0.0) / measure
 
 
-def _quantum(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
+def _quantum(s, m, n) -> float:
     """P(n|m) on the state of s by the Born rule on kets, in dimension 2: P(m) =
     |<m|s>|^2 by qcore.conditioning, then |<n|m>|^2 |<m|s>|^2 / P(m) by qcore.conditional."""
     ket_s, ket_m = _bloch_ket(s), _bloch_ket(m)
@@ -247,13 +280,15 @@ def _quantum(s: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
 
 
 def _compare_rows(triples) -> list[ConditionalComparison]:
-    """`compare` on each (s, m, n) of `triples`, each vector validated once."""
+    """`compare` on each (s, m, n) of `triples`, each vector validated once and taken
+    once as floats."""
     rows = [(unit_vector(s), unit_vector(m), unit_vector(n)) for s, m, n in triples]
+    floats = [(s.tolist(), m.tolist(), n.tolist()) for s, m, n in rows]
     # The classical sides run first: their measure check refuses a near-empty
     # conditioning set before the quantum side divides by it.
-    classical = [_classical(*row) for row in rows]
-    return [ConditionalComparison(quantum=_quantum(s, m, n), classical=c, s=s, m=m, n=n)
-            for (s, m, n), c in zip(rows, classical)]
+    classical = [_classical(*row) for row in floats]
+    return [ConditionalComparison(quantum=_quantum(*f), classical=c, s=s, m=m, n=n)
+            for (s, m, n), f, c in zip(rows, floats, classical)]
 
 
 def compare(s, m, n) -> ConditionalComparison:
@@ -275,7 +310,11 @@ def sample_direction(rng: np.random.Generator) -> np.ndarray:
 
     Both from one random(2) call: uniform(lo, hi) is lo + (hi - lo) * random(),
     so this draws the same bits as uniform(-1, 1) and then uniform(0, 2pi)."""
-    u_z, u_phi = rng.random(2).tolist()
+    return _direction(*rng.random(2).tolist())
+
+
+def _direction(u_z: float, u_phi: float) -> np.ndarray:
+    """The direction of the uniform draws u_z (for z) and u_phi (for the azimuth)."""
     z = -1.0 + 2.0 * u_z
     phi = 2.0 * math.pi * u_phi
     r = math.sqrt(max(1.0 - z * z, 0.0))
@@ -291,18 +330,32 @@ def _blocks(trials: int):
 def _directions(u: np.ndarray) -> np.ndarray:
     """(k, 3, 3) directions from (k, TRIAL_DRAWS) uniform draws, bit for bit the
     3 sample_direction calls on each row's draws: uniform(lo, hi) is
-    lo + (hi - lo) * random(), so the same doubles give the same directions."""
-    z = -1.0 + 2.0 * u[:, 0::2]
-    phi = 2.0 * math.pi * u[:, 1::2]
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack((r * np.cos(phi), r * np.sin(phi), z), axis=-1)
+    lo + (hi - lo) * random(), so the same doubles give the same directions.
+
+    The result is a (trial, vector, component) view of one (3, 3, k) array, written
+    in place: each component of each vector is a contiguous row of k values."""
+    out = np.empty((3, 3, len(u)))
+    x, y, z = out
+    np.multiply(u[:, 0::2].T, 2.0, out=z)
+    z += -1.0
+    phi = np.multiply(u[:, 1::2].T, 2.0 * math.pi)
+    # r = sqrt(max(1 - z*z, 0)), in x
+    np.multiply(z, z, out=x)
+    np.subtract(1.0, x, out=x)
+    np.maximum(x, 0.0, out=x)
+    np.sqrt(x, out=x)
+    np.multiply(x, np.sin(phi), out=y)
+    x *= np.cos(phi, out=phi)
+    return out.transpose(2, 1, 0)
 
 
 def _interval_ends(dot):
-    """hv_response over arrays: ends [lo, hi) of {lambda : response = 1} for s.m = dot."""
-    lo = np.where(dot > 0.0, -0.5 * dot, np.where(dot < 0.0, -0.5, 0.0))
-    hi = np.where(dot < 0.0, 0.5 * dot, 0.5)
-    return lo, hi
+    """_interval over arrays: ends [lo, hi) of {lambda : response = 1} for s.m = dot.
+
+    lo is 0.0 - dot/2, not -dot/2, so that s.m = +0.0 gives lo = +0.0, as in _interval."""
+    half = 0.5 * dot
+    negative = dot < 0.0
+    return np.where(negative, -0.5, 0.0 - half), np.where(negative, half, 0.5)
 
 
 def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,44 +391,56 @@ def _rechecked(rows: list[int], triples, quantum: list[float], classical: list[f
     return checked
 
 
+def _redraw(rng: np.random.Generator, trials: list[int]) -> list[tuple[np.ndarray, ...]]:
+    """The (s, m, n) of each trial of `trials`, in that order, from `rng` standing at the
+    first draw of trial 0: each distinct trial is drawn once, in ascending order, after a
+    jump over the trials before it, and its draws become directions by `_direction`."""
+    drawn, at = {}, 0
+    for trial in sorted(set(trials)):
+        rng.bit_generator.advance(TRIAL_DRAWS * (trial - at))
+        u = rng.random(TRIAL_DRAWS).tolist()
+        drawn[trial] = (_direction(u[0], u[1]), _direction(u[2], u[3]), _direction(u[4], u[5]))
+        at = trial + 1
+    return [drawn[trial] for trial in trials]
+
+
 def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     """Seeded random (s, m, n) triples; max discrepancy and a 20-bin histogram.
 
     Rows come from `conditional_rows`, SCAN_CHUNK trials at a time.  `compare`'s
     core re-checks the maximum row, whose values it reports, and SCAN_RECHECKS
     rows drawn from the stream after the last trial, all five in one call.  One
-    PCG64 serves the scan: each block and each re-checked row restores its start
-    state and jumps ahead to the trial it needs.
+    PCG64 serves the scan: the blocks draw from it in stream order, which leaves
+    it at the draws after the last trial, and the re-checked rows are redrawn
+    from its start state, restored once.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
     rng = _trial_rng(seed, 0)
-    stream, start = rng.bit_generator, rng.bit_generator.state
+    start = rng.bit_generator.state
 
-    def at_trial(trial: int) -> np.random.Generator:
-        """`rng`, moved to the first of trial `trial`'s draws, as _trial_rng(seed, trial)."""
-        stream.state = start
-        stream.advance(TRIAL_DRAWS * trial)
-        return rng
-
-    quantum, classical, measure = np.empty((3, trials))
+    parts = []
     for block in _blocks(trials):
-        u = at_trial(block.start).random((len(block), TRIAL_DRAWS))
-        s, m, n = _directions(u).transpose(1, 0, 2)
-        rows = slice(block.start, block.stop)
-        quantum[rows], classical[rows], measure[rows] = conditional_rows(s, m, n)
-        empty = np.flatnonzero(measure[rows] <= MIN_MEASURE)
+        s, m, n = _directions(rng.random((len(block), TRIAL_DRAWS))).transpose(1, 0, 2)
+        rows = conditional_rows(s, m, n)
+        empty = np.flatnonzero(rows[2] <= MIN_MEASURE)
         if empty.size:
-            raise _empty_conditioning(m[empty[0]], measure[rows][empty[0]])
-    discrepancy = np.abs(quantum - classical)
-    bins = np.bincount(np.minimum((discrepancy * 20.0).astype(np.intp), 19), minlength=20)
+            raise _empty_conditioning(m[empty[0]].tolist(), rows[2][empty[0]])
+        parts.append(rows)
+    # one block's rows are the scan's own arrays
+    quantum, classical, measure = parts[0] if len(parts) == 1 else map(np.concatenate,
+                                                                       zip(*parts))
+    del parts
+    discrepancy = quantum - classical
+    np.abs(discrepancy, out=discrepancy)
+    index = (discrepancy * 20.0).astype(np.intp)
+    bins = np.bincount(np.minimum(index, 19, out=index), minlength=20)
 
     # the first maximum, as a running `>` keeps, then the seeded rows
-    picked = [int(np.argmax(discrepancy))] + at_trial(trials).integers(
-        trials, size=SCAN_RECHECKS).tolist()
-    triples = _directions(np.array([at_trial(i).random(TRIAL_DRAWS) for i in picked]))
-    best = _rechecked(picked, triples, quantum[picked].tolist(), classical[picked].tolist(),
-                      measure[picked].tolist())[0]
+    picked = [int(np.argmax(discrepancy))] + rng.integers(trials, size=SCAN_RECHECKS).tolist()
+    rng.bit_generator.state = start
+    best = _rechecked(picked, _redraw(rng, picked), quantum[picked].tolist(),
+                      classical[picked].tolist(), measure[picked].tolist())[0]
     return ScanResult(max=best, histogram=tuple(bins.tolist()))
 
 
@@ -388,14 +453,14 @@ def monte_carlo_check(s, m, n, samples: int, seed: int) -> MonteCarloResult:
     """
     if not 100 <= samples <= MAX_SAMPLES:
         raise InvalidParameterError(f"samples must be in [100, {MAX_SAMPLES}], got {samples!r}")
-    s, m, n = unit_vector(s), unit_vector(m), unit_vector(n)
+    s, m, n = (unit_vector(v).tolist() for v in (s, m, n))
     exact = _classical(s, m, n)
     lam = np.random.default_rng(seed).uniform(-0.5, 0.5, size=samples)
-    in_a = _response(bloch_dot(s, m), lam) == 1.0
+    in_a = _response(_dot(s, m), lam) == 1.0
     n_a = int(np.count_nonzero(in_a))
     if n_a == 0:
         raise ZeroProbabilityError("no Monte Carlo samples fell in the conditioning set")
-    in_b = _response(bloch_dot(s, n), lam) == 1.0
+    in_b = _response(_dot(s, n), lam) == 1.0
     estimate = float(np.count_nonzero(in_a & in_b)) / n_a
     se = math.sqrt(exact * (1.0 - exact) / n_a)
     se_guard = se if se > 0.0 else 1.0 / n_a
