@@ -7,7 +7,9 @@ Subcommands:
   certify    local-realism satisfiability certificates
 
 Each command mode in `_MODES` names its runner, the flags it requires
-and the flags it reads; any other flag given is a validation error.
+and the flags it reads; any other flag given is a validation error, and so
+is a flag given more than once, a global flag given both before and after
+the subcommand included.
 Exit codes: 0 success, 2 validation error, 3 internal cross-check failure
 (the latter signals an implementation bug, never a physics result).
 Output cut short by a reader that closes the pipe (`| head`) exits 0.
@@ -22,7 +24,9 @@ flag first, an unknown command, no command), and any argv whose subcommand
 parse leaves a token over, goes through the top-level parser, whose usage
 line and message a leftover token or an unknown command then gets.  Either
 route gives the same namespace, attribute by attribute and in order, and the
-same output.
+same output: on the top-level route too, the subcommand's parser reads into
+the top-level namespace (`_Subcommands`), where each flag's action (`_Once`)
+sees whether the flag was already given.
 """
 
 from __future__ import annotations
@@ -283,20 +287,67 @@ def _mode(args) -> str:
     return mode
 
 
+class _Once:
+    """Mixin for a flag's argparse action: a flag that already holds a value given on the
+    command line, before or after the subcommand, is added to the namespace's
+    `repeated`, which run() refuses.  A value not yet given is the action's default
+    object itself, or absent under SUPPRESS."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, self.default) is not self.default:
+            repeated = getattr(namespace, "repeated", ())
+            if self.option_strings[0] not in repeated:
+                namespace.repeated = (*repeated, self.option_strings[0])
+        super().__call__(parser, namespace, values, option_string)
+
+
+class _StoreOnce(_Once, argparse._StoreAction):
+    pass
+
+
+class _StoreTrueOnce(_Once, argparse._StoreTrueAction):
+    pass
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """The subcommand's parser reads the rest of argv into the top-level namespace itself,
+    not into a fresh one copied over it, so that a global flag given after the command
+    finds the value it was given before the command.  Defaults fill only what is
+    absent, so the namespace holds the same items in the same order either way."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values[0])
+        _, rest = self.choices[values[0]].parse_known_args(values[1:], namespace)
+        if rest:
+            vars(namespace).setdefault(argparse._UNRECOGNIZED_ARGS_ATTR, []).extend(rest)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose flags are `_Once` actions and whose subcommands parse into
+    the top-level namespace; the parsers add_subparsers builds are _Parsers too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+        self.register("action", "store", _StoreOnce)
+        self.register("action", "store_true", _StoreTrueOnce)
+        self.register("action", "parsers", _Subcommands)
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by command name."""
     # Built once per process: parse_args returns a fresh namespace and leaves
     # the parser as it was, also when a usage error exits.
-    # Global flags are accepted both before and after the subcommand.
-    # SUPPRESS keeps the subparser from clobbering values parsed by the
-    # main parser; real defaults are applied in run().
-    common = argparse.ArgumentParser(add_help=False)
+    # Global flags are accepted both before and after the subcommand, once.
+    # SUPPRESS leaves a global flag absent until it is given; real defaults
+    # are applied in run().
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
-    parser = argparse.ArgumentParser(prog="hardylab", parents=[common],
+    parser = _Parser(prog="hardylab", parents=[common],
                                      description="Hidden-variables vs quantum verification harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,6 +395,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def run(argv: list[str]) -> int:
     args = _parse(argv)
     try:
+        if hasattr(args, "repeated"):
+            raise InvalidParameterError(f"{', '.join(args.repeated)} given more than once")
         cfg = RunConfig(**{name: getattr(args, name)
                            for name in _CONFIG_FIELDS if hasattr(args, name)})
         mode = _mode(args)

@@ -816,6 +816,46 @@ class TestParseRoutes:
         assert bool(calls) == top_level
 
 
+REPEATED_FLAG = [
+    (["hardy", "--alpha", "0.6", "--alpha", "0.3"], "--alpha"),
+    (["hardy", "--alpha", "0.6", "--alpha", "0.6"], "--alpha"),
+    (["certify", "--scenario", "hardy", "--alpha=0.6", "--al", "0.3"], "--alpha"),
+    (["--seed", "1", "bell", "--scan", "3", "--seed", "2"], "--seed"),
+    (["--seed", "1", "--seed", "2", "bell", "--scan", "3"], "--seed"),
+    (["bell", "--scan", "3", "--seed", "1", "--se", "1"], "--seed"),
+    (["--format", "csv", "hardy", *SWEEP, "--format", "json"], "--format"),
+    (["--format", "json", "gedanken", "--format", "json"], "--format"),
+    (["hardy", "--sweep", "--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9", "--steps", "3"],
+     "--sweep"),
+    (["bell", "--scan", "3", "--scan", "4"], "--scan"),
+    (["bell", *VECTORS, "--mc-samples", "100", "--mc-samples", "200"], "--mc-samples"),
+    (["certify", "--scenario", "hardy", "--scenario", "two-step"], "--scenario"),
+    (["--seed", "1", "hardy", "--alpha", "0.6", "--alpha", "0.3", "--seed", "1"],
+     "--alpha, --seed"),
+]
+
+
+class TestRepeatedFlag:
+    @pytest.mark.parametrize("argv, flags", REPEATED_FLAG, ids=argv_id)
+    def test_exit_2_naming_the_flag(self, capsys, argv, flags):
+        """Before or after the subcommand, with the same value or another: exit 2, nothing on
+        stdout, and the flags in the order their second occurrence was read."""
+        assert cli.run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flags} given more than once\n")
+
+    @pytest.mark.parametrize("argv, flags", REPEATED_FLAG, ids=argv_id)
+    def test_both_routes_record_it_alike(self, argv, flags):
+        routed = cli._parse(argv)
+        assert routed.repeated == tuple(flags.split(", "))
+        assert vars(routed) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [["--seed", "1", "bell", "--scan", "3"],
+                                      ["bell", "--scan", "3", "--seed", "1"],
+                                      ["--format", "csv", "hardy", *SWEEP]], ids=argv_id)
+    def test_a_global_flag_once_on_either_side_is_read(self, argv):
+        assert not hasattr(cli._parse(argv), "repeated")
+
+
 def json_float(value: float) -> str:
     """What json.dumps prints for `value` rounded to 15 significant digits."""
     rounded = float("%.15g" % value)
