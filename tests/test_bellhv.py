@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -573,6 +574,76 @@ class TestScanKernel:
             bellhv.scan_discrepancy(3, 0)
         assert str(scan.value) == str(scalar.value) == (
             "conditioning set for m=[-0.0, -0.0, -1.0] has hidden-variable measure 0.0 <= 1e-14")
+
+
+def expected_picks(seed, trials):
+    """The trials a scan re-checks, from the scalar draws: the first maximum of
+    `compare`'s discrepancy, then SCAN_RECHECKS integers drawn after the last trial."""
+    first = int(np.argmax([bellhv.compare(*t).discrepancy for t in scalar_draws(seed, trials)]))
+    after_last_trial = bellhv._trial_rng(seed, trials)
+    return [first] + after_last_trial.integers(trials, size=bellhv.SCAN_RECHECKS).tolist()
+
+
+class TestRedraw:
+    """The re-checked rows reach `_compare_rows` bit for bit as trial_draws(seed, i), in the
+    order picked, however the picks repeat, and wherever they fall in the stream."""
+
+    @staticmethod
+    def checked_rows(monkeypatch, scan):
+        checked = []
+        compare_rows = bellhv._compare_rows
+
+        def spy(triples):
+            checked.append(triples)
+            return compare_rows(triples)
+        monkeypatch.setattr(bellhv, "_compare_rows", spy)
+        scan()
+        assert len(checked) == 1
+        return [[v.tobytes() for v in triple] for triple in checked[0]]
+
+    @staticmethod
+    def drawn_rows(seed, picks):
+        return [[v.tobytes() for v in trial_draws(seed, i)] for i in picks]
+
+    def test_one_trial_scan_rechecks_trial_0_five_times(self, capsys, monkeypatch):
+        assert expected_picks(0, 1) == [0] * (bellhv.SCAN_RECHECKS + 1)
+        rows = self.checked_rows(monkeypatch, lambda: cli.run(["bell", "--scan", "1", "--seed", "0"]))
+        assert capsys.readouterr().err == ""
+        assert rows == self.drawn_rows(0, [0] * 5)
+
+    def test_picks_that_repeat_the_maximum(self, monkeypatch):
+        """Seed 2 picks trial 9, the maximum, three times, then trials 0 and 6."""
+        picks = expected_picks(2, 12)
+        assert picks == [9, 9, 9, 0, 6]
+        rows = self.checked_rows(monkeypatch, lambda: bellhv.scan_discrepancy(12, 2))
+        assert rows == self.drawn_rows(2, picks)
+
+    def test_a_pick_of_the_last_trial(self, monkeypatch):
+        """Seed 12 picks trial 11, the last, as the maximum and again as a seeded row."""
+        picks = expected_picks(12, 12)
+        assert picks == [11, 4, 10, 7, 11]
+        rows = self.checked_rows(monkeypatch, lambda: bellhv.scan_discrepancy(12, 12))
+        assert rows == self.drawn_rows(12, picks)
+
+    def test_picks_across_chunk_boundaries(self, monkeypatch):
+        """With SCAN_CHUNK = 7, 20 trials make three blocks, and seed 1 picks from each."""
+        picks = expected_picks(1, 20)
+        assert picks == [13, 4, 11, 9, 16]
+        monkeypatch.setattr(bellhv, "SCAN_CHUNK", 7)
+        assert len(list(bellhv._blocks(20))) == 3
+        rows = self.checked_rows(monkeypatch, lambda: bellhv.scan_discrepancy(20, 1))
+        assert rows == self.drawn_rows(1, picks)
+
+
+class TestIntervalEnds:
+    def test_row_ends_are_the_scalar_ends_to_the_bit(self):
+        """_interval_ends on rows is _interval on each float, signed zeros included."""
+        rng = np.random.default_rng(34)
+        dots = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300, 1.0 + 2e-16, -1.0 + 1e-16]
+        dots += rng.uniform(-1.0, 1.0, size=1000).tolist()
+        lo, hi = bellhv._interval_ends(np.array(dots))
+        rows = [struct.pack("<2d", *ends) for ends in zip(lo.tolist(), hi.tolist())]
+        assert rows == [struct.pack("<2d", *bellhv._interval(dot)) for dot in dots]
 
 
 def exact_sides(s, m, n):
