@@ -200,14 +200,9 @@ def _interval(sm: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _response_set(sm: float) -> LambdaSet:
-    """{lambda : response = 1} for s.m = sm."""
-    return LambdaSet(*_interval(sm))
-
-
 def hv_response(s, m) -> LambdaSet:
     """Closed-form lambda-set {lambda : response = 1}; measure (1 + s.m)/2."""
-    return _response_set(bloch_dot(unit_vector(s), unit_vector(m)))
+    return LambdaSet(*_interval(bloch_dot(unit_vector(s), unit_vector(m))))
 
 
 def hv_expectation(s, m) -> float:
@@ -430,7 +425,7 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     # one block's rows are the scan's own arrays
     quantum, classical, measure = parts[0] if len(parts) == 1 else map(np.concatenate,
                                                                        zip(*parts))
-    del parts
+    del parts  # more blocks: free their arrays before the histogram's
     discrepancy = quantum - classical
     np.abs(discrepancy, out=discrepancy)
     index = (discrepancy * 20.0).astype(np.intp)
