@@ -402,9 +402,10 @@ def _redraw(rng: np.random.Generator, trials: list[int]) -> list[tuple[np.ndarra
 def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     """Seeded random (s, m, n) triples; max discrepancy and a 20-bin histogram.
 
-    Rows come from `conditional_rows`, SCAN_CHUNK trials at a time.  `compare`'s
-    core re-checks the maximum row, whose values it reports, and SCAN_RECHECKS
-    rows drawn from the stream after the last trial, all five in one call.  One
+    Rows come from `conditional_rows`, SCAN_CHUNK trials at a time, each block's
+    copied into the scan's three preallocated arrays.  `compare`'s core
+    re-checks the maximum row, whose values it reports, and SCAN_RECHECKS rows
+    drawn from the stream after the last trial, all five in one call.  One
     PCG64 serves the scan: the blocks draw from it in stream order, which leaves
     it at the draws after the last trial, and the re-checked rows are redrawn
     from its start state, restored once.
@@ -414,18 +415,15 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     rng = _trial_rng(seed, 0)
     start = rng.bit_generator.state
 
-    parts = []
+    quantum, classical, measure = np.empty((3, trials))
     for block in _blocks(trials):
         s, m, n = _directions(rng.random((len(block), TRIAL_DRAWS))).transpose(1, 0, 2)
         rows = conditional_rows(s, m, n)
         empty = np.flatnonzero(rows[2] <= MIN_MEASURE)
         if empty.size:
             raise _empty_conditioning(m[empty[0]].tolist(), rows[2][empty[0]])
-        parts.append(rows)
-    # one block's rows are the scan's own arrays
-    quantum, classical, measure = parts[0] if len(parts) == 1 else map(np.concatenate,
-                                                                       zip(*parts))
-    del parts  # more blocks: free their arrays before the histogram's
+        at = slice(block.start, block.stop)
+        quantum[at], classical[at], measure[at] = rows
     discrepancy = quantum - classical
     np.abs(discrepancy, out=discrepancy)
     index = (discrepancy * 20.0).astype(np.intp)
