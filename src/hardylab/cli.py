@@ -66,20 +66,13 @@ CSV_HEADER = ("alpha,beta,p_D1,p_D2_given_D1,p_U2_given_D1,p_U1_given_D2,"
 _CSV_ROW = ",".join(["%.15g"] * 10)
 
 
-# The text of each leaf other than a float, looked up by exact type before
-# _json_text's isinstance chain, which still serves subclasses.
-_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
-              bool: lambda value: "true" if value else "false", type(None): lambda value: "null"}
-
-
 def _json_text(value, indent: str = "") -> str:
     """`value` as json.dumps(value, indent=2, sort_keys=True) writes it, each float
     first rounded to 15 significant digits for stable output, in one pass.
 
     Dicts (with str keys), lists and tuples nest; str, int, bool, None and
-    float (np.float64 too) are the leaves.  Floats, the commonest leaf, are
-    tested first; the other leaves are printed by _LEAF_TEXT's entry for their
-    exact type.  NaN and +-inf print as json prints them.
+    float (np.float64 too) are the leaves.  NaN and +-inf print as json
+    prints them.
 
     A float whose `%.15g` text t has a `.` and no exponent prints as t.  With
     DBL_DIG = 15, no other decimal of at most 15 significant digits reads back
@@ -97,9 +90,8 @@ def _json_text(value, indent: str = "") -> str:
         if math.isfinite(value):
             return repr(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    leaf = _LEAF_TEXT.get(type(value))
-    if leaf is not None:
-        return leaf(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -112,8 +104,12 @@ def _json_text(value, indent: str = "") -> str:
             return "[]"
         items = ",\n".join([inner + _json_text(v, inner) for v in value])
         return f"[\n{items}\n{indent}]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
