@@ -281,16 +281,15 @@ class _Once:
     """Mixin for a flag's argparse action: a flag that already holds a value given on the
     command line, before or after the subcommand, is added to the namespace's
     `repeated`, which run() refuses.  A value not yet given is the action's default
-    object itself, or absent under SUPPRESS.  It then stores what the store and
-    store_true actions store itself, not through super(), which would add a call to
-    every flag of every command."""
+    object itself, or absent under SUPPRESS.  The action's own __call__ then stores
+    the value."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         if getattr(namespace, self.dest, self.default) is not self.default:
             repeated = getattr(namespace, "repeated", ())
             if self.option_strings[0] not in repeated:
                 namespace.repeated = (*repeated, self.option_strings[0])
-        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        super().__call__(parser, namespace, values, option_string)
 
 
 class _StoreOnce(_Once, argparse._StoreAction):
