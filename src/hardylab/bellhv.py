@@ -19,8 +19,8 @@ each s, m and n once (`unit_vector`), takes its three components once as
 Python floats, and runs on those floats the private cores that the
 public step functions run after validating.  Its classical side is
 interval arithmetic on (lo, hi) float pairs from `_interval`, the rule
-that `hv_response` wraps in a `LambdaSet`, with the same operations in
-the same order as `LambdaSet.intersection` and `measure`.  Its quantum
+that `hv_response` wraps in a `LambdaSet`, through `_overlap` and
+`_measure`, the helpers of `LambdaSet.intersection` and `measure`.  Its quantum
 side builds no operator: P_m = |m><m| is rank 1, so P_m P_n P_m =
 |<n|m>|^2 P_m and P(n|m) = |<n|m>|^2 |<m|s>|^2 / |<m|s>|^2, on the kets
 of the three Bloch vectors (`_bloch_ket`, the formula of
@@ -121,6 +121,16 @@ def _check_interval(lo: float, hi: float) -> None:
         raise InvalidParameterError(f"interval [{lo}, {hi}) outside [-1/2, 1/2]")
 
 
+def _measure(lo: float, hi: float) -> float:
+    """Measure of [lo, hi): 0 where empty."""
+    return max(hi - lo, 0.0)
+
+
+def _overlap(lo: float, hi: float, other_lo: float, other_hi: float) -> tuple[float, float]:
+    """Ends of the overlap of [lo, hi) and [other_lo, other_hi)."""
+    return max(lo, other_lo), min(hi, other_hi)
+
+
 @dataclass(frozen=True)
 class LambdaSet:
     """One half-open interval [lo, hi) inside [-1/2, 1/2]; empty where hi <= lo."""
@@ -133,10 +143,10 @@ class LambdaSet:
 
     @property
     def measure(self) -> float:
-        return max(self.hi - self.lo, 0.0)
+        return _measure(self.lo, self.hi)
 
     def intersection(self, other: "LambdaSet") -> "LambdaSet":
-        return LambdaSet(max(self.lo, other.lo), min(self.hi, other.hi))
+        return LambdaSet(*_overlap(self.lo, self.hi, other.lo, other.hi))
 
 
 @dataclass(frozen=True)
@@ -257,12 +267,11 @@ def _empty_conditioning(m: list[float], measure: float) -> ZeroProbabilityError:
 def _classical(s, m, n) -> float:
     """Bayes rule mu[b & a]/mu[a]: the overlap of the response intervals over a's measure,
     as LambdaSet computes b.intersection(a).measure / a.measure."""
-    a_lo, a_hi = _interval(_dot(s, m))
-    measure = max(a_hi - a_lo, 0.0)
+    a = _interval(_dot(s, m))
+    measure = _measure(*a)
     if measure <= MIN_MEASURE:
         raise _empty_conditioning(m, measure)
-    b_lo, b_hi = _interval(_dot(s, n))
-    return max(min(b_hi, a_hi) - max(b_lo, a_lo), 0.0) / measure
+    return _measure(*_overlap(*_interval(_dot(s, n)), *a)) / measure
 
 
 def _quantum(s, m, n) -> float:
