@@ -370,6 +370,9 @@ def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is the overlap of the two response intervals over the measure
     (1 + s.m)/2 of the conditioning one.  Where measure <= MIN_MEASURE the
     classical value means nothing: callers refuse or skip those rows.
+    Each array is returned as computed, not broadcast to a common shape:
+    quantum has the shape of m.n, classical that of s.m and s.n together, and
+    measure that of s.m.  Every caller passes rows of one shape.
     """
     a_lo, a_hi = _interval_ends(_row_dots(s, m))
     b_lo, b_hi = _interval_ends(_row_dots(s, n))
@@ -377,7 +380,7 @@ def conditional_rows(s, m, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     overlap = np.maximum(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         classical = overlap / measure
-    return tuple(np.broadcast_arrays((1.0 + _row_dots(m, n)) / 2.0, classical, measure))
+    return (1.0 + _row_dots(m, n)) / 2.0, classical, measure
 
 
 def _rechecked(rows: list[int], triples, quantum: list[float], classical: list[float],

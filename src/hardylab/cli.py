@@ -116,26 +116,28 @@ def _json_text(value, indent: str = "") -> str:
 
 
 def _parse_vector(text: str) -> np.ndarray:
+    """The unit vector along `text`, three comma-separated finite reals, worked out on
+    Python floats; only the result is an ndarray."""
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(f"cannot parse vector {text!r}: {exc}") from exc
     if len(parts) != 3:
         raise InvalidParameterError(f"vector must have 3 components, got {text!r}")
-    v = np.asarray(parts)
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, parts)):
         raise InvalidParameterError(f"vector {text!r} has a non-finite component")
     # Scaled by the power of two at its largest component, the squares in the
     # norm cannot overflow, and v / |v| keeps every digit: the scale is exact.
-    exp = math.frexp(float(np.abs(v).max()))[1]
-    v = np.ldexp(v, -exp)
-    # bellhv.dot, not np.linalg.norm: a BLAS dot's last digit depends on the CPU
-    norm = math.sqrt(bellhv.bloch_dot(v, v))
+    exp = math.frexp(max(map(abs, parts)))[1]
+    x, y, z = (math.ldexp(c, -exp) for c in parts)
+    # the fixed order of bellhv.bloch_dot, not np.linalg.norm: a BLAS dot's last digit
+    # depends on the CPU
+    norm = math.sqrt(x * x + y * y + z * z)
     # |v| itself while exp <= 0; beyond, |v| >= 1/2 passes either way, and the
     # capped exponent keeps ldexp from overflowing
     if math.ldexp(norm, min(exp, 0)) < 1e-6:
         raise InvalidParameterError(f"vector {text!r} too close to zero to normalize")
-    return v / norm
+    return np.array([x / norm, y / norm, z / norm])
 
 
 # Each runner returns its payload: a dict emitted as JSON, or a list of CSV lines.

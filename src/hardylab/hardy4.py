@@ -30,11 +30,11 @@ is set by hand, so a relative error shows at any alpha, however small the
 value.
 
 One pipeline computes these statistics, for a Python-float alpha (`hardy
---alpha`, `certify`) and for (N,) arrays of alphas (metrics_arrays, behind
-`hardy --sweep` and `hardy --optimize`), in one function body.  It builds
-no operator: for rank-1 P, P A P = Tr(PA) P, so every statistic is a
-squared dot product of the real unit 2-vector kets of build_model, |u>,
-|d> and |w>, which spans 1 - U.  build_model checks each ket's norm in
+--alpha`, `certify`, and the three rows of `hardy --optimize`) and for (N,)
+arrays of alphas (metrics_arrays, behind `hardy --sweep` only), in one
+function body.  It builds no operator: for rank-1 P, P A P = Tr(PA) P, so
+every statistic is a squared dot product of the real unit 2-vector kets of
+build_model, |u>, |d> and |w>, which spans 1 - U.  build_model checks each ket's norm in
 place of the projector checks, and the state's norm; compute_metrics takes
 P(D1) by qcore.conditioning, P(U2|D1) and P(D2|D1) by qcore.conditional and
 every other probability under qcore's clamp band, and checks the
@@ -44,8 +44,8 @@ U1 by the measurement of D1 that the paradox reads.  The one arithmetic
 step chosen by type is the square root, math.sqrt or np.sqrt; both are
 correctly rounded, as + - * / are, so a float alpha's values equal its
 array row to the bit on any CPU, and no BLAS call is made.  metrics_arrays cross-checks every row
-against the closed forms; sweep returns its columns as they are; this
-module formats no output.
+against the closed forms, as optimize_paradox does each of its float rows;
+sweep returns its columns as they are; this module formats no output.
 
 Everything here is real and non-negative by construction; alpha is the
 single free parameter, beta = sqrt(1 - alpha^2).  The paradox exists where
@@ -158,6 +158,9 @@ def _kets(a, b):
 
 # the projectors the three kets span, which name a ket that fails its norm check
 _KET_NAMES = ("U", "D", "1-U")
+# the bounds of the ket-norm checks and of StateVector's norm check in DIM
+_KET_BOUND = qcore.bound(1.0, 2)
+_STATE_BOUND = qcore.bound(1.0, DIM)
 
 
 def _checked_model(params: HardyParams) -> HardyModel:
@@ -171,13 +174,12 @@ def _checked_model(params: HardyParams) -> HardyModel:
         # For a real unit ket k, k k^T is symmetric to the bit, and (k k^T)^2 - k k^T is
         # (|k|^2 - 1) k k^T: so |k|^2 within bound(1, 2) of 1 passes validate_projectors on
         # |k><k| and its Kronecker products, and has trace 1 within that bound.  A NaN fails.
-        failure = qcore.first_failure(abs(k0 * k0 + k1 * k1 - 1.0) <= qcore.bound(1.0, 2), a)
+        failure = qcore.first_failure(abs(k0 * k0 + k1 * k1 - 1.0) <= _KET_BOUND, a)
         if failure is not None:
             raise InvalidParameterError(
                 f"projector {name!r} is not a rank-1 projector at alpha {failure[1]!r}")
         unit.append((k0, k1))
-    # the bound of StateVector's norm check
-    failure = qcore.first_failure(abs(a * a + b * b - 1.0) <= qcore.bound(1.0, DIM), a)
+    failure = qcore.first_failure(abs(a * a + b * b - 1.0) <= _STATE_BOUND, a)
     if failure is not None:
         raise InvalidParameterError(f"state is not normalized at alpha {failure[1]!r}")
     return HardyModel(params, *unit)
@@ -352,20 +354,32 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> tuple[np.ndarray, H
     return alphas, metrics_arrays(alphas)
 
 
+def _checked_metrics(alpha: float) -> HardyMetrics:
+    """compute_metrics of build_model(alpha), once cross_check has passed it against
+    closed_form_metrics."""
+    model = build_model(alpha)
+    metrics = compute_metrics(model)
+    cross_check(metrics, closed_form_metrics(model.params), model.params)
+    return metrics
+
+
 def optimize_paradox() -> Optimum:
     """Maximum of the joint paradox probability <D1 D2> over alpha.
 
     <D1D2> = t^2(1-2t)/(1-t)^2 peaks at t* = (3-sqrt5)/2 with
     p_max = (5 sqrt5 - 11)/2 (Hardy 1993).  alpha* is the smaller root of
-    alpha beta = t*.  The Born rule (one metrics_arrays call over
-    alpha* - OPT_STEP, alpha*, alpha* + OPT_STEP) must agree with p_max at
-    alpha* within the <D1D2> bound of cross_check and fall below it on both sides.
+    alpha beta = t*.  The Born rule on the three float rows alpha* - OPT_STEP,
+    alpha* and alpha* + OPT_STEP, each cross-checked against its closed forms
+    (_checked_metrics), must agree with p_max at alpha* within the <D1D2> bound
+    of cross_check and fall below it on both sides.  A float row equals its
+    metrics_arrays row to the bit, so the array kernel, behind `hardy --sweep`
+    alone, is not needed here.
     """
     t_star = (3.0 - math.sqrt(5.0)) / 2.0
     alpha_star = math.sqrt((1.0 - math.sqrt(1.0 - 4.0 * t_star ** 2)) / 2.0)
     p_max = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
-    below, at, above = metrics_arrays(
-        [alpha_star - OPT_STEP, alpha_star, alpha_star + OPT_STEP]).p_joint_D1D2.tolist()
+    below, at, above = (_checked_metrics(alpha).p_joint_D1D2
+                        for alpha in (alpha_star - OPT_STEP, alpha_star, alpha_star + OPT_STEP))
     qcore.agree(at, p_max, _bound("p_joint_D1D2", p_max, HardyParams.from_alpha(alpha_star)),
                 "matrix <D1D2> at alpha* vs closed-form p_max")
     if not (below < at and above < at):

@@ -20,9 +20,12 @@ so the digits are the same on every CPU.
 The clamp band (clamp_probability), the zero rule (zero_threshold) and the
 agreement test (bound, agree) take floats or arrays alike; hardy4 uses them
 on its kets, gedanken and bellhv on theirs, and none of them builds a
-Projector.  A conditional measurement's one decision is made in one place:
-conditioning clamps P(A) and applies the zero rule, and conditional divides
-by P(A) and clamps with cond = 1 + 1/P(A).  conditional_probability, hardy4,
+Projector.  clamp_probability owns the in-band rule: a float already in
+[0, 1] is its own clamp, returned as it is; conditional, born_probability,
+disturbance_metrics and gedanken's helpers apply that rule before they call
+it only to skip building its context.  A conditional measurement's one
+decision is made in one place: conditioning clamps P(A) and applies the
+zero rule, and conditional divides by P(A) and clamps with cond = 1 + 1/P(A).  conditional_probability, hardy4,
 bellhv and gedanken all call them.
 """
 
@@ -165,10 +168,13 @@ def _check_dims(*dims: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
 
 
+_EPS = sys.float_info.epsilon
+
+
 def zero_threshold(dim: int) -> float:
     """(16*dim*eps)^2: ||A psi|| carries an absolute rounding error of order
     dim*eps (Higham 2002), so a squared norm at or below this counts as zero."""
-    return (16 * dim * sys.float_info.epsilon) ** 2
+    return (16 * dim * _EPS) ** 2
 
 
 def bound(exact, dim: int, cond=1.0):
@@ -179,7 +185,10 @@ def bound(exact, dim: int, cond=1.0):
     `not residual <= bound`, so that a NaN fails; bound(0, dim) is zero_threshold(dim).
     `exact` and `cond` may be arrays, one bound per row.
     """
-    return 16 * dim * sys.float_info.epsilon * abs(exact) * cond + zero_threshold(dim)
+    # 16*dim*eps is dim * 2^-48 and its square dim^2 * 2^-96, both exact, so the
+    # product and ** 2 of zero_threshold give the same bits
+    rel = 16 * dim * _EPS
+    return rel * abs(exact) * cond + rel * rel
 
 
 def agree(value, exact, allowed, what: str, at: tuple[str, np.ndarray] | None = None) -> float:
@@ -212,9 +221,15 @@ def agree(value, exact, allowed, what: str, at: tuple[str, np.ndarray] | None = 
 
 def clamp_probability(value, context: str, dim: int, cond=1.0):
     """Clamp to [0,1]; a raw value further out than bound(1, dim, cond), or NaN, is a bug.
+    A float already in [0, 1] is its own clamp and is returned as it is.
 
     `value` and `cond` may be arrays, one row each; the first row out of its band is reported."""
-    clipped = min(max(value, 0.0), 1.0) if type(value) is float else np.clip(value, 0.0, 1.0)
+    if type(value) is float:
+        if 0.0 <= value <= 1.0:
+            return value
+        clipped = min(max(value, 0.0), 1.0)
+    else:
+        clipped = np.clip(value, 0.0, 1.0)
     agree(value, clipped, bound(1.0, dim, cond), context)
     return clipped
 

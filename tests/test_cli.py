@@ -458,6 +458,81 @@ class TestBellCommand:
                         "--mc-samples", str(bellhv.MAX_SAMPLES + 1)]) == 2
 
 
+def numpy_parse_vector(text: str) -> np.ndarray:
+    """cli._parse_vector as it was written on numpy arrays, kept as the reference of its
+    Python-float body."""
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise InvalidParameterError(f"cannot parse vector {text!r}: {exc}") from exc
+    if len(parts) != 3:
+        raise InvalidParameterError(f"vector must have 3 components, got {text!r}")
+    v = np.asarray(parts)
+    if not np.all(np.isfinite(v)):
+        raise InvalidParameterError(f"vector {text!r} has a non-finite component")
+    exp = math.frexp(float(np.abs(v).max()))[1]
+    v = np.ldexp(v, -exp)
+    norm = math.sqrt(bellhv.bloch_dot(v, v))
+    if math.ldexp(norm, min(exp, 0)) < 1e-6:
+        raise InvalidParameterError(f"vector {text!r} too close to zero to normalize")
+    return v / norm
+
+
+# Components at the edges of the float range: signed zeros, subnormals, the smallest
+# normal, values near the 1e-6 floor, 1e308 and the largest float, and the non-finite.
+SPECIAL_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315, sys.float_info.min,
+                      5.8e-7, -5.7e-7, 1e-6, 1e308, -1e308, sys.float_info.max,
+                      -sys.float_info.max, math.nan, math.inf, -math.inf]
+# Texts with the wrong number of components or a component float() cannot read.
+MALFORMED_VECTORS = ["", "1", "1,2", "1,2,3,4", "1,,2", ",1,2", "1,2,", "a,b,c", "1;2;3",
+                     "0x1p3,1,1", "1,2,3e", "1 2 3", "--1,0,0", "1,2,3,", "nan,inf",
+                     " 1 , 2 , 3 ", "1_0,2,3", "inf,-inf,nan,0", "１,2,3"]
+
+
+def seeded_vector_texts(count: int, seed: int) -> list[str]:
+    """`count` texts of three components: each a special component about one time in
+    four, else a random sign times 10^U(-330, 308.25), written by repr or by %.3g."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        parts = []
+        for _ in range(3):
+            if rng.random() < 0.25:
+                c = rng.choice(SPECIAL_COMPONENTS)
+            else:
+                c = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-330.0, 308.25)
+            parts.append(repr(c) if rng.random() < 0.8 else "%.3g" % c)
+        texts.append(",".join(parts))
+    return texts
+
+
+def vector_outcome(parse, text: str):
+    """The bytes, dtype and shape of parse(text), or its exception's type and message."""
+    try:
+        v = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    return v.tobytes(), v.dtype, v.shape
+
+
+class TestParseVectorGolden:
+    """cli._parse_vector on Python floats gives what its numpy body gave: the same bytes,
+    or the same exception and message."""
+
+    def test_seeded_triples_match_the_numpy_body(self):
+        texts = seeded_vector_texts(20_000, seed=35) + MALFORMED_VECTORS + [
+            ",".join(map(repr, (a, b, c)))
+            for a in SPECIAL_COMPONENTS for b in SPECIAL_COMPONENTS[::3]
+            for c in SPECIAL_COMPONENTS[::4]]
+        outcomes = {"ok": 0, "error": 0}
+        for text in texts:
+            got = vector_outcome(cli._parse_vector, text)
+            assert got == vector_outcome(numpy_parse_vector, text), text
+            outcomes["ok" if isinstance(got[0], bytes) else "error"] += 1
+        # both kinds of outcome are well represented
+        assert min(outcomes.values()) > 2_000, outcomes
+
+
 class TestCertifyCommand:
     def test_hardy_paradox(self, capsys):
         code, payload = run_json(capsys, ["certify", "--scenario", "hardy", "--alpha", "0.6"])
@@ -951,8 +1026,9 @@ AGREEMENT_SITES = {
     # P(D1) P(U1|D1) by about 5e-10 at alpha 0.6
     "relation": ("hardy --alpha 0.6", (qcore, "clamp_probability", lambda p: p + 1e-9),
                  "<D1D2> vs P(D1) P(U1|D1)"),
+    # each of the optimizer's three float rows, after its own cross-check
     "optimize_paradox": ("hardy --optimize",
-                         (hardy4, "metrics_arrays", shifted("p_joint_D1D2", 1e-9)),
+                         (hardy4, "_checked_metrics", shifted("p_joint_D1D2", 1e-9)),
                          "matrix <D1D2> at alpha* vs closed-form p_max"),
     # hvlogic.hardy_system cross-checks the metrics it encodes before it builds a constraint
     "hvlogic gate": ("certify --scenario hardy",
@@ -1176,6 +1252,61 @@ def test_closed_pipe_exits_0_without_traceback(cli_env):
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in err
     assert err == b""
+
+
+NUMPY_DIR = str(Path(np.__file__).resolve().parent)
+
+
+def is_numpy(obj) -> bool:
+    """Whether `obj` is a numpy module or an object of a numpy type."""
+    name = obj.__name__ if isinstance(obj, type(np)) else type(obj).__module__
+    return name.split(".")[0] == "numpy"
+
+
+def numpy_calls(argv: list[str]) -> tuple[int, list[str]]:
+    """cli.run(argv)'s exit code and each numpy call a sys.setprofile spy saw in it: a Python
+    function of numpy's package, a builtin or method of a numpy module or object, and a
+    hardylab function returning a numpy value.  The last covers ufuncs, which raise no
+    profile event of their own."""
+    seen = []
+
+    def spy(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and str(Path(code.co_filename).resolve()).startswith(NUMPY_DIR):
+            seen.append(code.co_qualname)
+        elif event == "return" and is_numpy(arg):
+            seen.append(f"{code.co_qualname} returned {type(arg).__name__}")
+        elif event == "c_call" and (
+                (getattr(arg, "__module__", None) or "").split(".")[0] == "numpy"
+                or is_numpy(getattr(arg, "__self__", None))):
+            seen.append(getattr(arg, "__qualname__", repr(arg)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(spy)
+        try:
+            code = cli.run(argv)
+        finally:
+            sys.setprofile(None)
+    return code, seen
+
+
+class TestScalarCommandsMakeNoNumpyCall:
+    """The scalar commands run on Python floats and complex numbers alone: from a cold and
+    from a warm certificate cache, cli.run calls no numpy function, method or builtin."""
+
+    @pytest.mark.parametrize("argv", ["hardy --alpha 0.6", "hardy --optimize", "gedanken",
+                                      "certify --scenario hardy", "certify --scenario two-step",
+                                      "certify --scenario gedanken"])
+    def test_no_numpy_call(self, argv):
+        hvlogic._certificate.cache_clear()
+        for _ in range(2):
+            assert numpy_calls(argv.split()) == (0, [])
+
+    def test_the_spy_sees_numpy(self):
+        """A command that builds arrays: the spy sees its calls and a ufunc's result."""
+        code, seen = numpy_calls(["hardy", "--sweep", "--alpha-min", "0.1", "--alpha-max", "0.9",
+                                  "--steps", "3"])
+        assert code == 0
+        assert "asarray" in seen and "_sqrt returned ndarray" in seen, seen
 
 
 # What each CPU variant runs through cli.run in one process: the Hardy, gedanken and bell

@@ -214,16 +214,24 @@ class TestMetrics:
 SHIFT_ALPHAS = [1e-6, 0.6, 1.0 - 1e-6]
 
 
-def shift_kernel_joint(monkeypatch, shift, rows=slice(None)):
-    """Add `shift` to the kernel's <D1D2> in `rows`, after its own cross-check."""
-    kernel = hardy4.metrics_arrays
+def optimizer_alphas() -> list[float]:
+    """alpha* - OPT_STEP, alpha* and alpha* + OPT_STEP, the optimizer's three rows."""
+    star = hardy4.optimize_paradox().alpha_star
+    return [star - hardy4.OPT_STEP, star, star + hardy4.OPT_STEP]
 
-    def shifted(alphas):
-        m = kernel(alphas)
-        joint = m.p_joint_D1D2.copy()
-        joint[rows] += shift
-        return dataclasses.replace(m, p_joint_D1D2=joint)
-    monkeypatch.setattr(hardy4, "metrics_arrays", shifted)
+
+def shift_optimizer_joint(monkeypatch, shift, rows=(0, 1, 2)):
+    """Add `shift` to <D1D2> of the optimizer's rows `rows`, indices into optimizer_alphas(),
+    after each row's own cross-check."""
+    shifted_alphas = [optimizer_alphas()[row] for row in rows]
+    checked = hardy4._checked_metrics
+
+    def shifted(alpha):
+        m = checked(alpha)
+        if alpha not in shifted_alphas:
+            return m
+        return dataclasses.replace(m, p_joint_D1D2=m.p_joint_D1D2 + shift)
+    monkeypatch.setattr(hardy4, "_checked_metrics", shifted)
 
 
 HALF_SQRT2 = math.sqrt(0.5)
@@ -349,7 +357,7 @@ class TestRoundingBound:
         assert hardy4._bound("p_joint_D1D2", 1e-12, params) == qcore.bound(1e-12, 4, cond)
 
     def test_p_max_off_by_1e_14_raises(self, monkeypatch):
-        shift_kernel_joint(monkeypatch, 1e-14)
+        shift_optimizer_joint(monkeypatch, 1e-14)
         with pytest.raises(InternalConsistencyError, match="p_max"):
             hardy4.optimize_paradox()
 
@@ -458,15 +466,18 @@ UNIFORM = [float(x) for x in np.linspace(0.01, 0.99, 99)]
 # the two ends of the valid range and every alpha within 300 ulps of 1/sqrt2
 ENDS_AND_ULPS = [2e-14, 0.9999999999999999] + [HALF_SQRT2 + k * math.ulp(HALF_SQRT2)
                                               for k in range(-300, 301)]
+# the three rows optimize_paradox checks on the float pipeline
+OPTIMIZER = optimizer_alphas()
 
 
 class TestKernel:
-    """metrics_arrays, the array kernel behind hardy --sweep and hardy --optimize."""
+    """metrics_arrays, the array kernel behind hardy --sweep only; hardy --optimize runs
+    its three rows on the float pipeline, which the kernel's rows equal to the bit."""
 
     @pytest.mark.parametrize("grid", [NEAR_ZERO, NEAR_ONE, NEAR_MAX_ENTANGLEMENT, UNIFORM,
-                                      ENDS_AND_ULPS],
+                                      ENDS_AND_ULPS, OPTIMIZER],
                              ids=["near_zero", "near_one", "near_max_entanglement", "uniform",
-                                  "ends_and_ulps"])
+                                  "ends_and_ulps", "optimizer"])
     def test_matches_the_scalar_pipeline(self, grid):
         """Each row of the kernel is compute_metrics on its alpha as a Python float, sign bit
         included: one function body, with math.sqrt for a float and np.sqrt for an array."""
@@ -598,27 +609,31 @@ class TestOptimizer:
         assert p == pytest.approx(0.0, abs=1e-12)
         assert hardy4.optimize_paradox().p_max > p
 
-    def test_one_kernel_call_over_the_three_alphas(self, monkeypatch):
-        calls = []
-        kernel = hardy4.metrics_arrays
+    def test_no_kernel_call_and_one_cross_check_per_row(self, monkeypatch):
+        """The three rows are float rows, each cross-checked against its own closed forms:
+        metrics_arrays is not called."""
+        kernel_calls, checked = [], []
+        cross_check = hardy4.cross_check
 
-        def counted(alphas):
-            calls.append(list(alphas))
-            return kernel(alphas)
-        monkeypatch.setattr(hardy4, "metrics_arrays", counted)
+        def counted(metrics, closed, params):
+            checked.append((params.alpha, type(metrics.p_joint_D1D2)))
+            cross_check(metrics, closed, params)
+        monkeypatch.setattr(hardy4, "metrics_arrays", lambda alphas: kernel_calls.append(alphas))
+        monkeypatch.setattr(hardy4, "cross_check", counted)
         opt = hardy4.optimize_paradox()
-        assert len(calls) == 1
-        assert calls[0] == [opt.alpha_star - hardy4.OPT_STEP, opt.alpha_star,
-                            opt.alpha_star + hardy4.OPT_STEP]
+        assert kernel_calls == []
+        assert checked == [(alpha, float) for alpha in (opt.alpha_star - hardy4.OPT_STEP,
+                                                        opt.alpha_star,
+                                                        opt.alpha_star + hardy4.OPT_STEP)]
 
     def test_matrix_pipeline_disagreement_raises(self, monkeypatch):
-        shift_kernel_joint(monkeypatch, 1e-9)
+        shift_optimizer_joint(monkeypatch, 1e-9)
         with pytest.raises(InternalConsistencyError):
             hardy4.optimize_paradox()
 
     def test_neighbour_above_the_centre_raises(self, monkeypatch):
         # alpha* + h raised by 0.01, above the centre's <D1D2> of about 0.09
-        shift_kernel_joint(monkeypatch, 1e-2, rows=2)
+        shift_optimizer_joint(monkeypatch, 1e-2, rows=[2])
         with pytest.raises(InternalConsistencyError, match="alpha"):
             hardy4.optimize_paradox()
 

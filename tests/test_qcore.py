@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -201,6 +202,56 @@ class TestClampBand:
 
     def test_a_float_stays_a_float(self):
         assert type(qcore.clamp_probability(0.25, "float", 2)) is float
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 0.25, 1.0])
+    def test_a_float_in_band_is_its_own_clamp(self, value):
+        """clamp_probability owns the in-band rule its callers also apply: the float itself."""
+        assert qcore.clamp_probability(value, "in band", 2) is value
+
+
+def reference_zero_threshold(dim):
+    """qcore.zero_threshold as first written, with sys.float_info.epsilon looked up."""
+    return (16 * dim * sys.float_info.epsilon) ** 2
+
+
+def reference_bound(exact, dim, cond=1.0):
+    """qcore.bound as first written, through a nested zero_threshold call."""
+    return 16 * dim * sys.float_info.epsilon * abs(exact) * cond + reference_zero_threshold(dim)
+
+
+class TestBoundGolden:
+    """qcore.bound works out 16*dim*eps once; it and zero_threshold give the bits of the
+    expressions they were first written as, on floats and on arrays."""
+
+    DIMS = range(1, 9)
+
+    def test_zero_threshold(self):
+        for dim in self.DIMS:
+            assert bits(qcore.zero_threshold(dim)) == bits(reference_zero_threshold(dim))
+
+    def test_floats(self):
+        rng = np.random.default_rng(35)
+        exacts = ([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 0.5, 1e300, math.inf, math.nan]
+                  + (rng.choice([-1.0, 1.0], 2_000) * 10.0 ** rng.uniform(-320, 300, 2_000)).tolist())
+        conds = [1.0, 2.0, 1.0 + 1.0 / 3e-9, 1e15] + (1.0 + 10.0 ** rng.uniform(-3, 12, 16)).tolist()
+        for dim in self.DIMS:
+            for cond in conds:
+                for exact in exacts:
+                    got, want = qcore.bound(exact, dim, cond), reference_bound(exact, dim, cond)
+                    assert type(got) is float and bits(got) == bits(want), (exact, dim, cond)
+            assert qcore.bound(0.0, dim) == qcore.zero_threshold(dim)
+
+    def test_arrays_and_cond_arrays(self):
+        rng = np.random.default_rng(36)
+        exact = np.concatenate([[0.0, -0.0, 1.0, 5e-324, np.inf, np.nan],
+                                rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-320, 300, 500)])
+        cond = 1.0 + 10.0 ** rng.uniform(-3, 12, exact.size)
+        for dim in self.DIMS:
+            for c in (1.0, 7.5, cond):
+                got, want = qcore.bound(exact, dim, c), reference_bound(exact, dim, c)
+                assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes(), (dim, c)
+            got, want = qcore.bound(0.25, dim, cond), reference_bound(0.25, dim, cond)
+            assert got.tobytes() == want.tobytes(), dim
 
 
 class TestFirstFailure:
