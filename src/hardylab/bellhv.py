@@ -13,21 +13,22 @@ The model reproduces every single-projector Born probability; the
 classical (Bayes) conditional mu[b & a]/mu[a] is compared against the
 quantum conditional <m|P_n|m> to exhibit where it fails.
 
-`compare` evaluates one triple by the Born rule on kets and by
-interval overlap.  It is `_compare_rows` on one row: that core validates
-each s, m and n once (`unit_vector`), takes its three components once as
-Python floats, and runs on those floats the private cores that the
-public step functions run after validating.  Its classical side is
-interval arithmetic on (lo, hi) float pairs from `_interval`, the rule
-that `hv_response` wraps in a `LambdaSet`, through `_overlap` and
-`_measure`, the helpers of `LambdaSet.intersection` and `measure`.  Its quantum
-side builds no operator: P_m = |m><m| is rank 1, so P_m P_n P_m =
-|<n|m>|^2 P_m and P(n|m) = |<n|m>|^2 |<m|s>|^2 / |<m|s>|^2, on the kets
-of the three Bloch vectors (`_bloch_ket`, the formula of
-`state_from_bloch`), in Python complex arithmetic.  Every 3-vector dot
-product is a0*b0 + a1*b1 + a2*b2, in that order, on floats and on rows
-alike: numpy's dot lets the BLAS kernel of the CPU choose its order, so
-its last digit moves with the CPU, and this does not.
+On the scalar path a Bloch vector is a triple of Python floats (x, y, z):
+`unit_vector` validates any 3 components into one, `_direction` draws one,
+and `ConditionalComparison` carries three.  `compare` evaluates one triple
+by the Born rule on kets and by interval overlap.  It is `_compare_rows` on
+one row: that core validates each s, m and n once (`unit_vector`) and runs
+on the triples the private cores that the public step functions run after
+validating.  Its classical side is interval arithmetic on (lo, hi) float
+pairs from `_interval`, the rule that `hv_response` wraps in a `LambdaSet`,
+through `_overlap` and `_measure`, the helpers of `LambdaSet.intersection`
+and `measure`.  Its quantum side builds no operator: P_m = |m><m| is
+rank 1, so P_m P_n P_m = |<n|m>|^2 P_m and P(n|m) = |<n|m>|^2 |<m|s>|^2 /
+|<m|s>|^2, on the kets of the three Bloch vectors (`_bloch_ket`, the
+formula of `state_from_bloch`), in Python complex arithmetic.  Every
+3-vector dot product is a0*b0 + a1*b1 + a2*b2, in that order, on floats
+and on rows alike: numpy's dot lets the BLAS kernel of the CPU choose its
+order, so its last digit moves with the CPU, and this does not.
 Scans evaluate all their rows at once from the closed forms
 (`conditional_rows`): the quantum conditional (1 + m.n)/2 and the
 overlap of two response intervals.  `_directions` turns a block's draws
@@ -41,10 +42,10 @@ seeded rows of every scan.  Each side of a row must agree with the
 oracle's within qcore.bound(1, 2, 1 + 1/measure) (qcore.agree); a
 disagreement raises InternalConsistencyError (exit 3 on the command
 line).  A scan builds one PCG64 and draws its blocks in stream order,
-then the seeded picks; it then restores the stream's start state once
-and redraws the re-checked trials in one pass, in ascending order,
-jumping ahead from each to the next, through `sample_direction`'s scalar
-formula (`_direction`).
+then the seeded picks, and drops a pick that repeats an earlier one; it
+then restores the stream's start state once and redraws the distinct
+picked trials in one pass, in ascending order, jumping ahead from each to
+the next, through `sample_direction`'s scalar formula (`_direction`).
 """
 
 from __future__ import annotations
@@ -87,32 +88,28 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def bloch_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """_dot of two 3-vectors, on their components as Python floats."""
-    return _dot(a.tolist(), b.tolist())
-
-
 def _row_dots(a, b):
     """a_i.b_i for each pair of rows of two (..., 3) arrays that broadcast together, as
     a0*b0 + a1*b1 + a2*b2 elementwise: each product and sum is rounded once, in this
-    order, so a row is bloch_dot of its vectors to the bit, on every CPU."""
+    order, so a row is _dot of its vectors' float triples to the bit, on every CPU."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def unit_vector(v) -> np.ndarray:
-    """Validate a Bloch vector: 3 finite real components, unit norm to within
-    _UNIT_SLACK (5.6e-16), so the response intervals of any two accepted vectors
-    lie within RANGE_SLACK of [-1/2, 1/2]."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise InvalidParameterError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    c = v.tolist()
-    norm = math.sqrt(_dot(c, c))
+def unit_vector(v) -> tuple[float, float, float]:
+    """Validate a Bloch vector, any sequence of 3 real components: each finite, unit norm to
+    within _UNIT_SLACK (5.6e-16), so the response intervals of any two accepted vectors
+    lie within RANGE_SLACK of [-1/2, 1/2].  Return its components as Python floats."""
+    try:
+        # no components for text, which float() would read character by character
+        x, y, z = map(float, () if isinstance(v, str) else v)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"Bloch vector must have 3 real components, got {v!r}") from exc
+    norm = math.sqrt(x * x + y * y + z * z)  # _dot's order
     # `not <=`: a NaN component makes the norm NaN, which must fail too
     if not abs(norm - 1.0) <= _UNIT_SLACK:
         raise InvalidParameterError(
-            f"Bloch vector {c} must be finite with unit length, |v| = {norm!r}")
-    return v
+            f"Bloch vector {[x, y, z]} must be finite with unit length, |v| = {norm!r}")
+    return x, y, z
 
 
 def _check_interval(lo: float, hi: float) -> None:
@@ -153,9 +150,9 @@ class LambdaSet:
 class ConditionalComparison:
     quantum: float
     classical: float
-    s: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
+    s: tuple[float, float, float]
+    m: tuple[float, float, float]
+    n: tuple[float, float, float]
 
     @property
     def discrepancy(self) -> float:
@@ -163,7 +160,7 @@ class ConditionalComparison:
 
     def to_dict(self) -> dict:
         return {
-            "s": self.s.tolist(), "m": self.m.tolist(), "n": self.n.tolist(),
+            "s": list(self.s), "m": list(self.m), "n": list(self.n),
             "quantum": self.quantum, "classical": self.classical,
             "discrepancy": self.discrepancy,
         }
@@ -191,7 +188,7 @@ def _response(dot: float, lam):
 
 def response_value(s, m, lam: float) -> float:
     """Pointwise dichotomic response; independent cross-check for the interval form."""
-    return float(_response(bloch_dot(unit_vector(s), unit_vector(m)), lam))
+    return float(_response(_dot(unit_vector(s), unit_vector(m)), lam))
 
 
 # Each step below has one implementation, a private core on validated
@@ -212,7 +209,7 @@ def _interval(sm: float) -> tuple[float, float]:
 
 def hv_response(s, m) -> LambdaSet:
     """Closed-form lambda-set {lambda : response = 1}; measure (1 + s.m)/2."""
-    return LambdaSet(*_interval(bloch_dot(unit_vector(s), unit_vector(m))))
+    return LambdaSet(*_interval(_dot(unit_vector(s), unit_vector(m))))
 
 
 def hv_expectation(s, m) -> float:
@@ -237,7 +234,7 @@ def _axis_matrix(m: np.ndarray) -> np.ndarray:
 def projector_from_axis(m, name: str = "") -> Projector:
     """P_m = (1 + m.sigma)/2 = [[1 + z, x - iy], [x + iy, 1 - z]]/2."""
     m = unit_vector(m)
-    return Projector(_axis_matrix(m), name=name or "P({:g},{:g},{:g})".format(*m.tolist()))
+    return Projector(_axis_matrix(np.array(m)), name=name or "P({:g},{:g},{:g})".format(*m))
 
 
 def _bloch_ket(s) -> tuple[complex, complex]:
@@ -254,13 +251,13 @@ def _bloch_ket(s) -> tuple[complex, complex]:
 
 def state_from_bloch(s) -> StateVector:
     """Pure qubit state with Bloch vector s, the ket of _bloch_ket."""
-    return StateVector(np.array(_bloch_ket(unit_vector(s).tolist())))
+    return StateVector(np.array(_bloch_ket(unit_vector(s))))
 
 
-# The cores below take s, m and n as lists of three Python floats.
+# The cores below take s, m and n as triples of Python floats.
 
-def _empty_conditioning(m: list[float], measure: float) -> ZeroProbabilityError:
-    return ZeroProbabilityError(f"conditioning set for m={m} has hidden-"
+def _empty_conditioning(m, measure: float) -> ZeroProbabilityError:
+    return ZeroProbabilityError(f"conditioning set for m={list(m)} has hidden-"
                                 f"variable measure {float(measure)!r} <= {MIN_MEASURE!r}")
 
 
@@ -284,15 +281,13 @@ def _quantum(s, m, n) -> float:
 
 
 def _compare_rows(triples) -> list[ConditionalComparison]:
-    """`compare` on each (s, m, n) of `triples`, each vector validated once and taken
-    once as floats."""
+    """`compare` on each (s, m, n) of `triples`, each vector validated once."""
     rows = [(unit_vector(s), unit_vector(m), unit_vector(n)) for s, m, n in triples]
-    floats = [(s.tolist(), m.tolist(), n.tolist()) for s, m, n in rows]
     # The classical sides run first: their measure check refuses a near-empty
     # conditioning set before the quantum side divides by it.
-    classical = [_classical(*row) for row in floats]
-    return [ConditionalComparison(quantum=_quantum(*f), classical=c, s=s, m=m, n=n)
-            for (s, m, n), f, c in zip(rows, floats, classical)]
+    classical = [_classical(*row) for row in rows]
+    return [ConditionalComparison(quantum=_quantum(s, m, n), classical=c, s=s, m=m, n=n)
+            for (s, m, n), c in zip(rows, classical)]
 
 
 def compare(s, m, n) -> ConditionalComparison:
@@ -314,15 +309,15 @@ def sample_direction(rng: np.random.Generator) -> np.ndarray:
 
     Both from one random(2) call: uniform(lo, hi) is lo + (hi - lo) * random(),
     so this draws the same bits as uniform(-1, 1) and then uniform(0, 2pi)."""
-    return _direction(*rng.random(2).tolist())
+    return np.array(_direction(*rng.random(2).tolist()))
 
 
-def _direction(u_z: float, u_phi: float) -> np.ndarray:
+def _direction(u_z: float, u_phi: float) -> tuple[float, float, float]:
     """The direction of the uniform draws u_z (for z) and u_phi (for the azimuth)."""
     z = -1.0 + 2.0 * u_z
     phi = 2.0 * math.pi * u_phi
     r = math.sqrt(max(1.0 - z * z, 0.0))
-    return np.array([r * math.cos(phi), r * math.sin(phi), z])
+    return r * math.cos(phi), r * math.sin(phi), z
 
 
 def _blocks(trials: int):
@@ -398,12 +393,12 @@ def _rechecked(rows: list[int], triples, quantum: list[float], classical: list[f
     return checked
 
 
-def _redraw(rng: np.random.Generator, trials: list[int]) -> list[tuple[np.ndarray, ...]]:
-    """The (s, m, n) of each trial of `trials`, in that order, from `rng` standing at the
-    first draw of trial 0: each distinct trial is drawn once, in ascending order, after a
-    jump over the trials before it, and its draws become directions by `_direction`."""
+def _redraw(rng: np.random.Generator, trials: list[int]) -> list[tuple[tuple[float, ...], ...]]:
+    """The (s, m, n) of each of the distinct `trials`, in that order, from `rng` standing
+    at the first draw of trial 0: the trials are drawn in ascending order, each after a
+    jump over the trials before it, and their draws become directions by `_direction`."""
     drawn, at = {}, 0
-    for trial in sorted(set(trials)):
+    for trial in sorted(trials):
         rng.bit_generator.advance(TRIAL_DRAWS * (trial - at))
         u = rng.random(TRIAL_DRAWS).tolist()
         drawn[trial] = (_direction(u[0], u[1]), _direction(u[2], u[3]), _direction(u[4], u[5]))
@@ -417,10 +412,10 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     Rows come from `conditional_rows`, SCAN_CHUNK trials at a time, each block's
     copied into the scan's three preallocated arrays.  `compare`'s core
     re-checks the maximum row, whose values it reports, and SCAN_RECHECKS rows
-    drawn from the stream after the last trial, all five in one call.  One
-    PCG64 serves the scan: the blocks draw from it in stream order, which leaves
-    it at the draws after the last trial, and the re-checked rows are redrawn
-    from its start state, restored once.
+    drawn from the stream after the last trial, each distinct row once, all in
+    one call.  One PCG64 serves the scan: the blocks draw from it in stream
+    order, which leaves it at the draws after the last trial, and the re-checked
+    rows are redrawn from its start state, restored once.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
@@ -441,8 +436,9 @@ def scan_discrepancy(trials: int, seed: int) -> ScanResult:
     index = (discrepancy * 20.0).astype(np.intp)
     bins = np.bincount(np.minimum(index, 19, out=index), minlength=20)
 
-    # the first maximum, as a running `>` keeps, then the seeded rows
-    picked = [int(np.argmax(discrepancy))] + rng.integers(trials, size=SCAN_RECHECKS).tolist()
+    # the first maximum, as a running `>` keeps, then the seeded rows; each trial once
+    picked = list(dict.fromkeys(
+        [int(np.argmax(discrepancy)), *rng.integers(trials, size=SCAN_RECHECKS).tolist()]))
     rng.bit_generator.state = start
     best = _rechecked(picked, _redraw(rng, picked), quantum[picked].tolist(),
                       classical[picked].tolist(), measure[picked].tolist())[0]
@@ -458,7 +454,7 @@ def monte_carlo_check(s, m, n, samples: int, seed: int) -> MonteCarloResult:
     """
     if not 100 <= samples <= MAX_SAMPLES:
         raise InvalidParameterError(f"samples must be in [100, {MAX_SAMPLES}], got {samples!r}")
-    s, m, n = (unit_vector(v).tolist() for v in (s, m, n))
+    s, m, n = map(unit_vector, (s, m, n))
     exact = _classical(s, m, n)
     lam = np.random.default_rng(seed).uniform(-0.5, 0.5, size=samples)
     in_a = _response(_dot(s, m), lam) == 1.0

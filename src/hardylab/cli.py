@@ -40,8 +40,6 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import bellhv, gedanken, hardy4, hvlogic
 from .errors import HardyLabError, InternalConsistencyError, InvalidParameterError
 
@@ -115,9 +113,9 @@ def _json_text(value, indent: str = "") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    """The unit vector along `text`, three comma-separated finite reals, worked out on
-    Python floats; only the result is an ndarray."""
+def _parse_vector(text: str) -> tuple[float, float, float]:
+    """The unit vector along `text`, three comma-separated finite reals, as a triple of
+    Python floats."""
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError as exc:
@@ -130,14 +128,14 @@ def _parse_vector(text: str) -> np.ndarray:
     # norm cannot overflow, and v / |v| keeps every digit: the scale is exact.
     exp = math.frexp(max(map(abs, parts)))[1]
     x, y, z = (math.ldexp(c, -exp) for c in parts)
-    # the fixed order of bellhv.bloch_dot, not np.linalg.norm: a BLAS dot's last digit
-    # depends on the CPU
+    # the fixed order of every Bloch-vector dot in bellhv, not np.linalg.norm: a BLAS
+    # dot's last digit depends on the CPU
     norm = math.sqrt(x * x + y * y + z * z)
     # |v| itself while exp <= 0; beyond, |v| >= 1/2 passes either way, and the
     # capped exponent keeps ldexp from overflowing
     if math.ldexp(norm, min(exp, 0)) < 1e-6:
         raise InvalidParameterError(f"vector {text!r} too close to zero to normalize")
-    return np.array([x / norm, y / norm, z / norm])
+    return x / norm, y / norm, z / norm
 
 
 # Each runner returns its payload: a dict emitted as JSON, or a list of CSV lines.
@@ -185,13 +183,13 @@ def _run_hardy_point(args, cfg: RunConfig) -> dict:
 def _run_hardy_sweep(args, cfg: RunConfig) -> dict | list[str]:
     """The sweep's columns, all checked before the first row is written: CSV in the
     documented 10-column layout, or one JSON dict per row, keyed alpha and the fields."""
-    alphas, m = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps)
+    grid, m = hardy4.sweep(args.alpha_min, args.alpha_max, args.steps)
     if cfg.format == "csv":
-        columns = (alphas, np.sqrt(1.0 - alphas * alphas), m.p_D1, m.p_cond_D2_given_D1,
+        columns = (grid.alpha, grid.beta, m.p_D1, m.p_cond_D2_given_D1,
                    m.p_cond_U2_given_D1, m.p_cond_U1_given_D2, m.p_joint_U1U2,
                    m.p_joint_D1D2, m.c_bar, m.commutator_D1U1)
         return [CSV_HEADER, *(_CSV_ROW % row for row in zip(*(c.tolist() for c in columns)))]
-    columns = {"alpha": alphas, **vars(m)}
+    columns = {"alpha": grid.alpha, **vars(m)}
     return {"rows": [dict(zip(columns, row))
                      for row in zip(*(c.tolist() for c in columns.values()))]}
 

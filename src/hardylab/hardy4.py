@@ -45,7 +45,7 @@ step chosen by type is the square root, math.sqrt or np.sqrt; both are
 correctly rounded, as + - * / are, so a float alpha's values equal its
 array row to the bit on any CPU, and no BLAS call is made.  metrics_arrays cross-checks every row
 against the closed forms, as optimize_paradox does each of its float rows;
-sweep returns its columns as they are; this module formats no output.
+sweep returns its grid and columns as they are; this module formats no output.
 
 Everything here is real and non-negative by construction; alpha is the
 single free parameter, beta = sqrt(1 - alpha^2).  The paradox exists where
@@ -311,6 +311,11 @@ def disturbance_contradiction(model: HardyModel, metrics: HardyMetrics,
                                metrics.c_bar, p_u_given_d if present else 0.0)
 
 
+def _array_params(alphas: np.ndarray) -> HardyParams:
+    """HardyParams of an (N,) array of alphas in (0, 1): beta = sqrt(1 - alpha^2) row by row."""
+    return HardyParams(alpha=alphas, beta=np.sqrt(1.0 - alphas * alphas))
+
+
 def _matrix_metrics(params: HardyParams) -> HardyMetrics:
     """compute_metrics of the checked kets of (N,) arrays of alpha and beta."""
     return compute_metrics(_checked_model(params))
@@ -329,16 +334,17 @@ def metrics_arrays(alphas) -> HardyMetrics:
     out = np.empty((len(_CHECKED_FIELDS), alphas.size))
     for start in range(0, alphas.size, BLOCK_ROWS):
         a = alphas[start:start + BLOCK_ROWS]
-        params = HardyParams(alpha=a, beta=np.sqrt(1.0 - a * a))
+        params = _array_params(a)
         metrics = _matrix_metrics(params)
         cross_check(metrics, closed_form_metrics(params), params)
         out[:, start:start + a.size] = [getattr(metrics, name) for name in _CHECKED_FIELDS]
     return HardyMetrics(*out)
 
 
-def sweep(alpha_min: float, alpha_max: float, steps: int) -> tuple[np.ndarray, HardyMetrics]:
+def sweep(alpha_min: float, alpha_max: float, steps: int) -> tuple[HardyParams, HardyMetrics]:
     """Uniform alpha grid from alpha_min to alpha_max, no point past alpha_max, and
-    metrics_arrays of it, which computes and cross-checks every row: the (steps,) alphas
+    metrics_arrays of it, which computes and cross-checks every row: the grid as
+    HardyParams of (steps,) alphas and betas, each beta as metrics_arrays computes it,
     and one (steps,) column per field.
     """
     if not (0.0 < alpha_min < alpha_max < 1.0):
@@ -351,7 +357,7 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> tuple[np.ndarray, H
     # a point that rounds past alpha_max (to 1.0 from 0.9999999999999999) is clamped to it
     grid = alpha_min + (alpha_max - alpha_min) * np.arange(steps, dtype=float) / (steps - 1)
     alphas = np.minimum(grid, alpha_max)
-    return alphas, metrics_arrays(alphas)
+    return _array_params(alphas), metrics_arrays(alphas)
 
 
 def _checked_metrics(alpha: float) -> HardyMetrics:

@@ -26,6 +26,12 @@ def rand_dir(seed):
     return bellhv.sample_direction(np.random.default_rng(seed))
 
 
+def vector_bytes(v) -> bytes:
+    """The bytes of a vector's three doubles, sign bits included, whether it is a float
+    triple or an ndarray."""
+    return struct.pack("3d", *v)
+
+
 class TestLambdaSet:
     def test_empty_and_full(self):
         """An interval with hi <= lo is empty: measure 0.0, not a negative length."""
@@ -195,7 +201,7 @@ def largest_accepted(direction, sign: float) -> np.ndarray:
         try:
             v = bellhv.unit_vector(t * np.asarray(direction))
         except InvalidParameterError:
-            return v
+            return np.array(v)
 
 
 class TestUnitVector:
@@ -286,6 +292,24 @@ class TestUnitVector:
                 bellhv.unit_vector(v)
             assert str(exc.value).endswith(f"|v| = {expected!r}"), v
 
+    @pytest.mark.parametrize("bad", [1.0, None, "001", [0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+                                     [[0.0], [0.0], [1.0]], [0.0, 0.0, 1j], ["z", 0.0, 1.0]],
+                             ids=repr)
+    @pytest.mark.parametrize("call", VALIDATING_CALLS.values(), ids=VALIDATING_CALLS.keys())
+    def test_wrong_shape_or_type_rejected(self, call, bad):
+        """Anything but 3 real components is a validation error, text included, whose
+        characters float() would read one by one."""
+        with pytest.raises(InvalidParameterError, match="must have 3 real components"):
+            call(bad)
+
+    @pytest.mark.parametrize("v", [[0, 0, 1], np.array([0.0, -0.0, 1.0]),
+                                   (np.float64(0.6), -0.0, 0.8), Z_HAT.tolist()], ids=repr)
+    def test_returns_the_components_as_python_floats(self, v):
+        """The accepted vector comes back as a triple of Python floats, to the bit."""
+        c = bellhv.unit_vector(v)
+        assert type(c) is tuple and all(type(x) is float for x in c)
+        assert vector_bytes(c) == np.asarray(v, dtype=float).tobytes()
+
 
 class TestSampleDirection:
     def test_one_call_is_the_two_uniform_formula(self):
@@ -356,6 +380,15 @@ class TestCompare:
     def test_serialization_keys(self):
         d = bellhv.compare(Z_HAT, X_HAT, Y_HAT).to_dict()
         assert set(d) == {"s", "m", "n", "quantum", "classical", "discrepancy"}
+
+    def test_equal_rows_compare_equal_and_hash(self):
+        """The vectors are float triples, so two comparisons of one triple are == and hash
+        alike, and a comparison of another triple is not =="""
+        s, m, n = (rand_dir(seed).tolist() for seed in (1, 2, 3))
+        first, second = bellhv.compare(s, m, n), bellhv.compare(s, m, n)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second, bellhv.compare(s, n, m)}) == 2
 
 
 class TestScan:
@@ -497,6 +530,7 @@ class TestScanKernel:
         expected = [int(np.argmax([bellhv.compare(*t).discrepancy for t in draws]))]
         after_last_trial = bellhv._trial_rng(seed, trials)
         expected += list(after_last_trial.integers(trials, size=bellhv.SCAN_RECHECKS))
+        expected = list(dict.fromkeys(expected))
         checked = []
         compare_rows = bellhv._compare_rows
 
@@ -507,8 +541,8 @@ class TestScanKernel:
         bellhv.scan_discrepancy(trials, seed)
         assert len(checked) == 1
         # bit for bit, signed zeros included: each row is trial_draws(seed, i)
-        assert [[v.tobytes() for v in triple] for triple in checked[0]] == [
-            [v.tobytes() for v in trial_draws(seed, int(i))] for i in expected]
+        assert [[vector_bytes(v) for v in triple] for triple in checked[0]] == [
+            [vector_bytes(v) for v in trial_draws(seed, int(i))] for i in expected]
 
     def test_rechecks_share_one_stream(self, monkeypatch):
         """One PCG64 per scan: every block of rows and every re-check draw from it."""
@@ -585,8 +619,8 @@ def expected_picks(seed, trials):
 
 
 class TestRedraw:
-    """The re-checked rows reach `_compare_rows` bit for bit as trial_draws(seed, i), in the
-    order picked, however the picks repeat, and wherever they fall in the stream."""
+    """The re-checked rows reach `_compare_rows` bit for bit as trial_draws(seed, i), each
+    picked trial once, in the order first picked, and wherever they fall in the stream."""
 
     @staticmethod
     def checked_rows(monkeypatch, scan):
@@ -599,31 +633,34 @@ class TestRedraw:
         monkeypatch.setattr(bellhv, "_compare_rows", spy)
         scan()
         assert len(checked) == 1
-        return [[v.tobytes() for v in triple] for triple in checked[0]]
+        return [[vector_bytes(v) for v in triple] for triple in checked[0]]
 
     @staticmethod
     def drawn_rows(seed, picks):
-        return [[v.tobytes() for v in trial_draws(seed, i)] for i in picks]
+        return [[vector_bytes(v) for v in trial_draws(seed, i)] for i in picks]
 
-    def test_one_trial_scan_rechecks_trial_0_five_times(self, capsys, monkeypatch):
+    def test_one_trial_scan_rechecks_trial_0_once(self, capsys, monkeypatch):
+        """A one-trial scan picks trial 0 five times and re-checks it once."""
         assert expected_picks(0, 1) == [0] * (bellhv.SCAN_RECHECKS + 1)
         rows = self.checked_rows(monkeypatch, lambda: cli.run(["bell", "--scan", "1", "--seed", "0"]))
         assert capsys.readouterr().err == ""
-        assert rows == self.drawn_rows(0, [0] * 5)
+        assert rows == self.drawn_rows(0, [0])
 
     def test_picks_that_repeat_the_maximum(self, monkeypatch):
-        """Seed 2 picks trial 9, the maximum, three times, then trials 0 and 6."""
+        """Seed 2 picks trial 9, the maximum, three times, then trials 0 and 6: 9, 0 and 6
+        are re-checked, once each."""
         picks = expected_picks(2, 12)
         assert picks == [9, 9, 9, 0, 6]
         rows = self.checked_rows(monkeypatch, lambda: bellhv.scan_discrepancy(12, 2))
-        assert rows == self.drawn_rows(2, picks)
+        assert rows == self.drawn_rows(2, [9, 0, 6])
 
     def test_a_pick_of_the_last_trial(self, monkeypatch):
-        """Seed 12 picks trial 11, the last, as the maximum and again as a seeded row."""
+        """Seed 12 picks trial 11, the last, as the maximum and again as a seeded row,
+        which is re-checked once."""
         picks = expected_picks(12, 12)
         assert picks == [11, 4, 10, 7, 11]
         rows = self.checked_rows(monkeypatch, lambda: bellhv.scan_discrepancy(12, 12))
-        assert rows == self.drawn_rows(12, picks)
+        assert rows == self.drawn_rows(12, [11, 4, 10, 7])
 
     def test_picks_across_chunk_boundaries(self, monkeypatch):
         """With SCAN_CHUNK = 7, 20 trials make three blocks, and seed 1 picks from each."""

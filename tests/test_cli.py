@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestHardyCommand:
                                           "--alpha-max", "0.9999999999999999", "--steps", steps])
         assert code == 0
         assert len(payload["rows"]) == int(steps)
-        assert built[0][0][-1] == 0.9999999999999999
+        assert built[0][0].alpha[-1] == 0.9999999999999999
 
     def test_csv_digits_are_format_15g(self, capsys):
         assert cli.run(["--format", "csv", "hardy", "--sweep", "--alpha-min", "2e-14",
@@ -182,7 +183,7 @@ class TestHardyCommand:
         header, *lines = capsys.readouterr().out.splitlines()
         names = header.split(",")
         assert names == ["alpha", "beta", *list(CSV_TO_JSON)[1:]]
-        alphas = hardy4.sweep(float(alpha_min), float(alpha_max), int(steps))[0].tolist()
+        alphas = hardy4.sweep(float(alpha_min), float(alpha_max), int(steps))[0].alpha.tolist()
         assert len(lines) == len(payload["rows"]) == len(alphas) == int(steps)
         for line, row, alpha in zip(lines, payload["rows"], alphas):
             assert set(row) == set(CSV_TO_JSON.values())
@@ -194,9 +195,9 @@ class TestHardyCommand:
 
 def sweep_rows(alpha_min: float, alpha_max: float, steps: int):
     """hardy4.sweep's columns as (alpha, HardyMetrics of floats) rows."""
-    alphas, m = hardy4.sweep(alpha_min, alpha_max, steps)
+    grid, m = hardy4.sweep(alpha_min, alpha_max, steps)
     return [(alpha, hardy4.HardyMetrics(*values))
-            for alpha, *values in zip(alphas.tolist(), *(c.tolist() for c in vars(m).values()))]
+            for alpha, *values in zip(grid.alpha.tolist(), *(c.tolist() for c in vars(m).values()))]
 
 
 # Each CSV column of a sweep but beta, and the JSON key that holds its value.
@@ -458,7 +459,7 @@ class TestBellCommand:
                         "--mc-samples", str(bellhv.MAX_SAMPLES + 1)]) == 2
 
 
-def numpy_parse_vector(text: str) -> np.ndarray:
+def numpy_parse_vector(text: str) -> tuple[float, float, float]:
     """cli._parse_vector as it was written on numpy arrays, kept as the reference of its
     Python-float body."""
     try:
@@ -472,10 +473,10 @@ def numpy_parse_vector(text: str) -> np.ndarray:
         raise InvalidParameterError(f"vector {text!r} has a non-finite component")
     exp = math.frexp(float(np.abs(v).max()))[1]
     v = np.ldexp(v, -exp)
-    norm = math.sqrt(bellhv.bloch_dot(v, v))
+    norm = math.sqrt(bellhv._dot(v.tolist(), v.tolist()))
     if math.ldexp(norm, min(exp, 0)) < 1e-6:
         raise InvalidParameterError(f"vector {text!r} too close to zero to normalize")
-    return v / norm
+    return tuple((v / norm).tolist())
 
 
 # Components at the edges of the float range: signed zeros, subnormals, the smallest
@@ -507,12 +508,13 @@ def seeded_vector_texts(count: int, seed: int) -> list[str]:
 
 
 def vector_outcome(parse, text: str):
-    """The bytes, dtype and shape of parse(text), or its exception's type and message."""
+    """The bytes, the type and the component types of parse(text), or its exception's type
+    and message."""
     try:
         v = parse(text)
     except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
         return type(exc), str(exc)
-    return v.tobytes(), v.dtype, v.shape
+    return struct.pack("3d", *v), type(v), tuple(map(type, v))
 
 
 class TestParseVectorGolden:
@@ -857,6 +859,30 @@ def parse_outcome(parse, argv):
             return repr(list(vars(parse(argv)).items()))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
+
+
+def run_outcome(argv: list[str]):
+    """cli.run(argv)'s return value, ("SystemExit", code), or the type and message of any
+    other exception; the output is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.run(argv)
+        except SystemExit as exc:
+            return "SystemExit", exc.code
+        except Exception as exc:  # noqa: BLE001 - any other exception is the finding
+            return type(exc).__name__, str(exc)
+
+
+class TestNoTraceback:
+    def test_every_argv_exits_with_a_documented_code(self):
+        """The transcript's argvs and 2,000 fuzzed ones: cli.run returns 0, 2 or 3, or
+        argparse exits 0 (help) or 2 (usage error); no other exception escapes."""
+        allowed = {0, 2, 3, ("SystemExit", 0), ("SystemExit", 2)}
+        outcomes = {tuple(argv): run_outcome(argv)
+                    for argv in TRANSCRIPT_ARGVS + fuzz_argvs(2000, seed=36)}
+        assert {argv: o for argv, o in outcomes.items() if o not in allowed} == {}
+        # the fuzz reaches the runners and both of argparse's exits
+        assert {0, 2, ("SystemExit", 0), ("SystemExit", 2)} <= set(outcomes.values())
 
 
 class TestParseRoutes:
@@ -1295,11 +1321,17 @@ class TestScalarCommandsMakeNoNumpyCall:
 
     @pytest.mark.parametrize("argv", ["hardy --alpha 0.6", "hardy --optimize", "gedanken",
                                       "certify --scenario hardy", "certify --scenario two-step",
-                                      "certify --scenario gedanken"])
+                                      "certify --scenario gedanken",
+                                      "bell --s 0,0,1 --m 1,0,0 --n 0,1,0"])
     def test_no_numpy_call(self, argv):
         hvlogic._certificate.cache_clear()
         for _ in range(2):
             assert numpy_calls(argv.split()) == (0, [])
+
+    def test_cli_holds_no_numpy_module(self):
+        """cli reads every array through the library: no global of it is a numpy module."""
+        assert [name for name, value in vars(cli).items() if isinstance(value, types.ModuleType)
+                and value.__name__.split(".")[0] == "numpy"] == []
 
     def test_the_spy_sees_numpy(self):
         """A command that builds arrays: the spy sees its calls and a ufunc's result."""

@@ -432,8 +432,16 @@ class TestContradiction:
 
 class TestSweep:
     def test_two_steps_are_endpoints(self):
-        alphas, _ = hardy4.sweep(0.2, 0.8, 2)
-        assert alphas.tolist() == [0.2, 0.8]
+        grid, _ = hardy4.sweep(0.2, 0.8, 2)
+        assert grid.alpha.tolist() == [0.2, 0.8]
+
+    def test_beta_column_is_the_kernels(self):
+        """The grid's beta is np.sqrt(1 - alpha^2), the kernel's, which is the float
+        pipeline's math.sqrt to the bit: both are correctly rounded."""
+        grid, _ = hardy4.sweep(2e-14, 0.9999999999999999, 301)
+        assert grid.beta.tobytes() == np.sqrt(1.0 - grid.alpha * grid.alpha).tobytes()
+        assert grid.beta.tolist() == [hardy4.HardyParams.from_alpha(a).beta
+                                      for a in grid.alpha.tolist()]
 
     def test_invalid_range(self):
         with pytest.raises(InvalidParameterError):
@@ -446,8 +454,8 @@ class TestSweep:
             hardy4.sweep(0.1, 0.9, hardy4.MAX_STEPS + 1)
 
     def test_joint_matches_t_formula(self):
-        alphas, m = hardy4.sweep(0.1, 0.9, 17)
-        for alpha, joint in zip(alphas.tolist(), m.p_joint_D1D2.tolist()):
+        grid, m = hardy4.sweep(0.1, 0.9, 17)
+        for alpha, joint in zip(grid.alpha.tolist(), m.p_joint_D1D2.tolist()):
             t = alpha * math.sqrt(1.0 - alpha * alpha)
             expected = t * t * (1.0 - 2.0 * t) / (1.0 - t) ** 2
             assert joint == pytest.approx(expected, abs=1e-10)
@@ -497,7 +505,7 @@ class TestKernel:
     def test_alpha_column_is_the_scalar_grid(self, lo, hi, steps):
         """The formula's points, but none past hi: in the last case the formula's last
         point rounds to 1.0, which is clamped to hi."""
-        alphas = hardy4.sweep(lo, hi, steps)[0].tolist()
+        alphas = hardy4.sweep(lo, hi, steps)[0].alpha.tolist()
         assert alphas == [min(lo + (hi - lo) * i / (steps - 1), hi) for i in range(steps)]
 
     def test_corrupted_interior_row_raises(self, monkeypatch, capsys):
@@ -538,7 +546,8 @@ class TestKernel:
         """Every row of a MAX_STEPS sweep from 2e-14 to 0.9999999999999999 passes the
         kernel's checks, and <D1D2> is t^2(1-2t)/(1-t)^2 to 1e-12 relative, or to
         1e-15 where 1 - 2t cancels near 1/sqrt2."""
-        alpha, m = hardy4.sweep(2e-14, 0.9999999999999999, hardy4.MAX_STEPS)
+        grid, m = hardy4.sweep(2e-14, 0.9999999999999999, hardy4.MAX_STEPS)
+        alpha = grid.alpha
         assert len(alpha) == hardy4.MAX_STEPS
         joint = m.p_joint_D1D2
         t = alpha * np.sqrt(1.0 - alpha * alpha)
